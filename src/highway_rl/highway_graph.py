@@ -6,7 +6,10 @@ sequence and a cached discounted reward.  The graph is grown incrementally
 from trajectories: new intersections are detected against the trajectory
 itself and against the existing graph, existing highways are split when one
 of their interior states is promoted, and the remaining sub-trajectories
-become highways.
+become highways.  An episode that brings nothing new (every step already
+observed with the same outcome, both endpoints already intersections) is
+recognised after one dictionary lookup per step and skipped: ingesting it in
+full would leave the graph exactly as it is.
 
 Single-step self-loop samples (wall bumps, illegal no-op actions) are kept
 in the determinism memory but excluded from the graph structure: embedding
@@ -18,10 +21,11 @@ optimal values untouched.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 from .errors import DeterminismViolation, NotInterior
-from .transition_model import EmpiricalGraph, StateId, ActionId, Trajectory, TransitionSample
+from .transition_model import EmpiricalGraph, StateId, ActionId, Trajectory
 
 INTERSECTION = "intersection"
 ON_HIGHWAY = "on_highway"
@@ -215,15 +219,6 @@ class HighwayGraph:
 
     # --------------------------------------------------------------- ingestion
 
-    def _observe(self, sample: TransitionSample):
-        key = (sample.state, sample.action)
-        entry = (sample.next_state, sample.reward)
-        prev = self.observed.get(key)
-        if prev is None:
-            self.observed[key] = entry
-        elif prev != entry:
-            raise DeterminismViolation(sample.state, sample.action, prev, entry)
-
     def assemble(self, trajs) -> "HighwayGraph":
         """Ingest trajectories, updating intersections and highways in place."""
         for traj in trajs:
@@ -231,40 +226,65 @@ class HighwayGraph:
             self._ingest(traj)
         return self
 
+    def _nothing_new(self, traj: Trajectory) -> bool:
+        """True when ingesting traj would leave the graph exactly as it is.
+
+        Every step must already be observed with the same outcome, and the
+        episode's endpoints (the source of its first move and the target of
+        its last, or its start state if it never moves) must already be
+        intersections.  Then every step lies on an existing highway, and
+        every state the episode forks, merges or crosses at is its start or
+        has two distinct successors or predecessors in the graph, so it is an
+        intersection already: there is nothing to promote, split or insert.
+        """
+        observed = self.observed
+        froms, nexts = traj.from_states, traj.next_states
+        if not all(map(operator.eq, map(observed.get, zip(froms, traj.actions)),
+                       zip(nexts, traj.rewards))):
+            return False
+        first = next((s for s, nxt in zip(froms, nexts) if s != nxt), None)
+        if first is None:
+            return froms[0] in self.intersections
+        last = next(nxt for s, nxt in zip(reversed(froms), reversed(nexts)) if s != nxt)
+        return first in self.intersections and last in self.intersections
+
     def _ingest(self, traj: Trajectory):
-        for sample in traj.samples:
-            self._observe(sample)
-        steps = [s for s in traj.samples if s.state != s.next_state]
+        if self._nothing_new(traj):
+            return
+        observed = self.observed
+        for s, a, nxt, r in traj.transitions():
+            prev = observed.setdefault((s, a), (nxt, r))
+            if prev != (nxt, r):
+                raise DeterminismViolation(s, a, prev, (nxt, r))
+        steps = [step for step in traj.transitions() if step[0] != step[2]]
         if not steps:
             # the episode never left its start state; keep it as a value node
-            self.make_intersection(traj.samples[0].state)
+            self.make_intersection(traj.from_states[0])
             return
         flags = _detect_within(steps) | _detect_against(steps, self)
         # episode endpoints always become intersections, so every occurrence
         # of their states must be a cut position as well
-        flags.add(steps[0].state)
-        flags.add(steps[-1].next_state)
+        flags.add(steps[0][0])
+        flags.add(steps[-1][2])
         n = len(steps)
         cuts = [0]
         for pos in range(1, n):
-            st = steps[pos].state
+            st = steps[pos][0]
             if st in flags or st in self.intersections:
                 cuts.append(pos)
         cuts.append(n)
-        self.make_intersection(steps[0].state)
-        self.make_intersection(steps[-1].next_state)
+        self.make_intersection(steps[0][0])
+        self.make_intersection(steps[-1][2])
         for pos in cuts[1:-1]:
-            self.make_intersection(steps[pos].state)
+            self.make_intersection(steps[pos][0])
         for p, q in zip(cuts, cuts[1:]):
             self._add_segment(steps[p:q])
 
     def _add_segment(self, seg):
-        from_state = seg[0].state
-        first = seg[0].action
-        to_state = seg[-1].next_state
-        actions = tuple(s.action for s in seg)
-        rewards = tuple(s.reward for s in seg)
-        step_states = tuple(s.next_state for s in seg)
+        """Add one cut of an episode, a list of (s, a, next, r) steps, as a highway."""
+        from_state, first = seg[0][0], seg[0][1]
+        to_state = seg[-1][2]
+        _states, actions, step_states, rewards = zip(*seg)
         existing = self.out_edges.get(from_state, {}).get(first)
         if existing is not None:
             h = self.highways[existing]
@@ -306,8 +326,7 @@ def _detect_within(steps) -> set[StateId]:
     visited: set[StateId] = set()
     seen: set[tuple[StateId, ActionId, StateId]] = set()
     flags: set[StateId] = set()
-    for smp in steps:
-        s, a, nxt = smp.state, smp.action, smp.next_state
+    for s, a, nxt, _r in steps:
         if s in visited and nxt not in visited:
             flags.add(s)            # forking off a revisited state
         if s not in visited and nxt in visited:
@@ -323,8 +342,7 @@ def _detect_within(steps) -> set[StateId]:
 def _detect_against(steps, graph: HighwayGraph) -> set[StateId]:
     """Intersection candidates where the trajectory meets the existing graph."""
     flags: set[StateId] = set()
-    for smp in steps:
-        s, a, nxt = smp.state, smp.action, smp.next_state
+    for s, a, nxt, _r in steps:
         s_on = graph.contains_state(s)
         n_on = graph.contains_state(nxt)
         if s_on and not n_on:
@@ -340,13 +358,13 @@ def _detect_against(steps, graph: HighwayGraph) -> set[StateId]:
 def detect_intersections_within(traj: Trajectory) -> set[StateId]:
     """States of one trajectory that fork, merge, or cross its own visited prefix."""
     traj.validate()
-    return _detect_within(traj.samples)
+    return _detect_within(traj.transitions())
 
 
 def detect_intersections_against(traj: Trajectory, graph: HighwayGraph) -> set[StateId]:
     """States where a trajectory enters, exits, or crosses the existing graph."""
     traj.validate()
-    return _detect_against(traj.samples, graph)
+    return _detect_against(traj.transitions(), graph)
 
 
 # ------------------------------------------------------------------- derived views

@@ -1,18 +1,20 @@
 """Action selection from a highway graph plus converged value tables.
 
-Known intersections pick the argmax-Q first action, states inside a highway
-replay the recorded action at their offset, and unseen states fall back to a
-uniform random valid action.  An epsilon-greedy wrapper adds exploration on
-top.
+A snapshot compiles the graph and its tables once, when it is built, into a
+single greedy table: known intersections map to their argmax-Q first
+action, states inside a highway to the recorded action at their offset.
+Acting is then one dictionary lookup; states absent from the table (unseen
+states, and intersections with no outgoing highway) fall back to a uniform
+random valid action.  An epsilon-greedy wrapper adds exploration on top.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
-from .highway_graph import HighwayGraph, locate, INTERSECTION, ON_HIGHWAY
+from .highway_graph import HighwayGraph
 from .transition_model import StateId, ActionId
 from .value_iteration import ValueTables
 
@@ -22,22 +24,34 @@ class PolicySnapshot:
     """Immutable bundle of everything action selection needs.
 
     The tables must have been produced from exactly this graph topology.
+    Neither is kept: the snapshot holds only the greedy table compiled from
+    them, so later changes to the graph do not change its actions.
     Randomness (unknown states, exploration) is fully determined by rng_seed
     unless the caller supplies its own generator per call.
     """
 
-    graph: HighwayGraph
-    tables: ValueTables
+    graph: InitVar[HighwayGraph]
+    tables: InitVar[ValueTables]
     action_count: int
     rng_seed: int = 0
     # optional hook: state -> iterable of valid actions (unused by the
     # bundled environments, which have no state-dependent masks)
     action_mask: Optional[Callable] = None
+    # state -> greedy action, for every state with a recorded choice
+    greedy: dict[StateId, ActionId] = field(init=False, repr=False)
     _rng: random.Random = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, graph: HighwayGraph, tables: ValueTables):
         if self.action_count < 1:
             raise ValueError("action_count must be >= 1")
+        greedy = {}
+        for h in graph.highways.values():
+            greedy.update(zip(h.interior, h.actions[1:]))
+        for s in graph.intersections:
+            a = greedy_action(graph, tables, s)
+            if a is not None:
+                greedy[s] = a
+        self.greedy = greedy
         self._rng = random.Random(self.rng_seed)
 
 
@@ -66,17 +80,10 @@ def select_action(snapshot: PolicySnapshot, s: StateId,
                   rng: random.Random | None = None) -> ActionId:
     """Greedy policy: argmax Q at intersections, recorded action on highways,
     uniform random for unknown states."""
-    rng = rng if rng is not None else snapshot._rng
-    loc = locate(snapshot.graph, s)
-    if loc.kind == INTERSECTION:
-        a = greedy_action(snapshot.graph, snapshot.tables, s)
-        if a is not None:
-            return a
-        # terminal or frontier intersection: nothing recorded, act randomly
-        return _random_action(snapshot, s, rng)
-    if loc.kind == ON_HIGHWAY:
-        return snapshot.graph.highways[loc.highway].actions[loc.offset]
-    return _random_action(snapshot, s, rng)
+    a = snapshot.greedy.get(s)
+    if a is not None:
+        return a
+    return _random_action(snapshot, s, rng if rng is not None else snapshot._rng)
 
 
 def epsilon_greedy(snapshot: PolicySnapshot, s: StateId, epsilon: float,

@@ -34,9 +34,11 @@ def _save(path, kind: str, payload: dict):
 
 
 def _load(path, kind: str) -> dict:
+    """Every array of the artifact, each decompressed once, by name."""
     if not os.path.exists(path):
         raise MissingArtifact(f"no artifact at {path}")
-    data = np.load(path, allow_pickle=False)
+    with np.load(path, allow_pickle=False) as npz:
+        data = {name: npz[name] for name in npz.files}
     found = str(data["artifact_kind"])
     if found != kind:
         raise MissingArtifact(f"{path} holds a {found!r} artifact, expected {kind!r}")
@@ -81,19 +83,18 @@ def save_highway_graph(path, graph: HighwayGraph):
 def load_highway_graph(path) -> HighwayGraph:
     data = _load(path, "highway_graph")
     graph = HighwayGraph(gamma=float(data["gamma"]))
-    for s in data["intersections"]:
-        graph.intersections.add(int(s))
-    ptr = data["h_ptr"]
-    for i in range(len(ptr) - 1):
-        lo, hi = int(ptr[i]), int(ptr[i + 1])
-        states = tuple(int(x) for x in data["flat_states"][lo:hi])
-        actions = tuple(int(x) for x in data["flat_actions"][lo:hi])
-        rewards = tuple(float(x) for x in data["flat_rewards"][lo:hi])
-        graph._insert_highway(int(data["h_from"][i]), int(data["h_to"][i]),
-                              actions, rewards, states)
-    for s, a, nxt, r in zip(data["obs_state"], data["obs_action"],
-                            data["obs_next"], data["obs_reward"]):
-        graph.observed[(int(s), int(a))] = (int(nxt), float(r))
+    graph.intersections.update(data["intersections"].tolist())
+    ptr = data["h_ptr"].tolist()
+    flat_states = data["flat_states"].tolist()
+    flat_actions = data["flat_actions"].tolist()
+    flat_rewards = data["flat_rewards"].tolist()
+    for lo, hi, h_from, h_to in zip(ptr, ptr[1:], data["h_from"].tolist(),
+                                    data["h_to"].tolist()):
+        graph._insert_highway(h_from, h_to, tuple(flat_actions[lo:hi]),
+                              tuple(flat_rewards[lo:hi]), tuple(flat_states[lo:hi]))
+    for s, a, nxt, r in zip(data["obs_state"].tolist(), data["obs_action"].tolist(),
+                            data["obs_next"].tolist(), data["obs_reward"].tolist()):
+        graph.observed[(s, a)] = (nxt, r)
     return graph
 
 

@@ -6,6 +6,10 @@ re-runs value updating, and publishes a fresh snapshot.  Everything is
 seeded: episode seeds derive from (run_seed, actor, episode index), so the
 run is reproducible regardless of actor scheduling.
 
+An episode costs, per frame, one lookup in the snapshot's compiled greedy
+table (plus the exploration draw), one environment step and one state id,
+appended to the trajectory's four columns; no per-step objects are built.
+
 Convergence is declared at the first update after which a configured number
 of consecutive updates changed neither the graph topology nor any greedy
 action at any intersection.
@@ -22,8 +26,8 @@ from dataclasses import dataclass, field
 from .environments import (DEFAULT_EPISODES_PER_UPDATE, DEFAULT_EVAL_STEP_CAP,
                            DEFAULT_STEP_CAP, EnvSpec, make_env)
 from .highway_graph import HighwayGraph, graph_stats
-from .policy import PolicySnapshot, epsilon_greedy, greedy_action
-from .transition_model import Trajectory, TransitionSample
+from .policy import PolicySnapshot, epsilon_greedy
+from .transition_model import Trajectory
 from .value_iteration import ValueTables, value_update_loop
 
 METRICS_SCHEMA = "hgrl-metrics-v1"
@@ -131,11 +135,10 @@ def _topology_signature(graph: HighwayGraph) -> str:
     return h.hexdigest()
 
 
-def _policy_signature(graph: HighwayGraph, tables: ValueTables) -> str:
+def _policy_signature(graph: HighwayGraph, snapshot: PolicySnapshot) -> str:
     h = hashlib.blake2b(digest_size=16)
     for s in sorted(graph.intersections):
-        a = greedy_action(graph, tables, s)
-        h.update(struct.pack("<Qq", s, -1 if a is None else a))
+        h.update(struct.pack("<Qq", s, snapshot.greedy.get(s, -1)))
     return h.hexdigest()
 
 
@@ -144,18 +147,23 @@ def run_episode(env, snapshot: PolicySnapshot, epsilon: float, episode_seed: int
     """One full episode under the epsilon-greedy policy; truncates at step_cap."""
     rng = random.Random(episode_seed)
     obs = env.reset(episode_seed)
-    samples = []
+    sid = env.state_id(obs)
+    states, actions, next_states, rewards = [], [], [], []
     terminal = False
     for _ in range(step_cap if step_cap is not None else 1 << 40):
-        sid = env.state_id(obs)
-        action = epsilon_greedy(snapshot, sid, epsilon, rng=rng)
+        action = epsilon_greedy(snapshot, sid, epsilon, rng)
         res = env.step(obs, action)
-        samples.append(TransitionSample(sid, action, env.state_id(res.next_obs), res.reward))
-        obs = res.next_obs
+        nxt = env.state_id(res.next_obs)
+        states.append(sid)
+        actions.append(action)
+        next_states.append(nxt)
+        rewards.append(res.reward)
+        obs, sid = res.next_obs, nxt
         if res.done:
             terminal = True
             break
-    return Trajectory(samples=samples, terminal=terminal, episode_seed=episode_seed)
+    return Trajectory.from_columns(states, actions, next_states, rewards,
+                                   terminal=terminal, episode_seed=episode_seed)
 
 
 @dataclass
@@ -252,7 +260,7 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
                                _mix_seed(config.run_seed, actor, episode_index),
                                step_cap)
             episode_index += 1
-            frames += len(traj.samples)
+            frames += len(traj)
             batch.append(traj)
         graph.assemble(batch)
         tables = value_update_loop(graph, max_iter=config.max_iter,
@@ -273,7 +281,7 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
             z=stats["z"],
             vi_sweeps=tables.iterations_run,
             topology_sig=_topology_signature(graph),
-            policy_sig=_policy_signature(graph, tables),
+            policy_sig=_policy_signature(graph, snapshot),
         )
         metrics.rows.append(row)
         if on_update is not None:

@@ -9,6 +9,8 @@ solver that the highway machinery is checked against.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .errors import DeterminismViolation
@@ -31,37 +33,86 @@ class TransitionSample:
             raise ValueError("reward must be finite")
 
 
-@dataclass
 class Trajectory:
-    """An ordered episode of transition samples.
+    """An ordered episode, stored as four parallel columns.
 
+    from_states[i], actions[i], next_states[i] and rewards[i] make up step i.
     terminal is True when the episode ended in a terminal state (as opposed
-    to being truncated by a step cap).
+    to being truncated by a step cap).  `samples` views the steps as
+    TransitionSample objects, built on access.
     """
 
-    samples: list[TransitionSample]
-    terminal: bool = False
-    episode_seed: int = 0
+    def __init__(self, samples: Iterable[TransitionSample], terminal: bool = False,
+                 episode_seed: int = 0):
+        samples = list(samples)
+        self._fill([s.state for s in samples], [s.action for s in samples],
+                   [s.next_state for s in samples], [s.reward for s in samples],
+                   terminal, episode_seed)
 
-    def __post_init__(self):
+    @classmethod
+    def from_columns(cls, from_states: list[StateId], actions: list[ActionId],
+                     next_states: list[StateId], rewards: list[float],
+                     terminal: bool = False, episode_seed: int = 0) -> "Trajectory":
+        """Build from the four columns directly, with no per-step objects."""
+        traj = cls.__new__(cls)
+        traj._fill(from_states, actions, next_states, rewards, terminal, episode_seed)
+        return traj
+
+    def _fill(self, from_states, actions, next_states, rewards, terminal, episode_seed):
+        self.from_states = from_states
+        self.actions = actions
+        self.next_states = next_states
+        self.rewards = rewards
+        self.terminal = terminal
+        self.episode_seed = episode_seed
         self.validate()
 
     def validate(self):
-        if not self.samples:
+        n = len(self.from_states)
+        if not n:
             raise ValueError("trajectory must contain at least one sample")
-        for a, b in zip(self.samples, self.samples[1:]):
-            if a.next_state != b.state:
-                raise ValueError("trajectory samples do not chain")
+        if not len(self.actions) == len(self.next_states) == len(self.rewards) == n:
+            raise ValueError("trajectory columns differ in length")
+        if self.next_states[:-1] != self.from_states[1:]:
+            raise ValueError("trajectory samples do not chain")
+        if not all(map(math.isfinite, self.rewards)):
+            raise ValueError("reward must be finite")
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.from_states)
+
+    def transitions(self):
+        """(state, action, next_state, reward) tuples, in order."""
+        return zip(self.from_states, self.actions, self.next_states, self.rewards)
+
+    @property
+    def samples(self) -> Sequence[TransitionSample]:
+        return _SampleView(self)
 
     @property
     def states(self) -> list[StateId]:
         """All visited states in order (length len(samples) + 1)."""
-        out = [self.samples[0].state]
-        out.extend(s.next_state for s in self.samples)
-        return out
+        return self.from_states[:1] + self.next_states
+
+
+class _SampleView(Sequence):
+    """Read-only sequence of a trajectory's steps as TransitionSample objects."""
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self):
+        return len(self._traj)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        t = self._traj
+        return TransitionSample(t.from_states[i], t.actions[i], t.next_states[i], t.rewards[i])
+
+    def __iter__(self):
+        t = self._traj
+        return map(TransitionSample, t.from_states, t.actions, t.next_states, t.rewards)
 
 
 @dataclass
@@ -99,8 +150,8 @@ def record_trajectory(graph: EmpiricalGraph, traj: Trajectory) -> EmpiricalGraph
     recorded with a different next state or a different reward.
     """
     traj.validate()
-    for s in traj.samples:
-        graph.add_sample(s.state, s.action, s.next_state, s.reward)
+    for s, a, nxt, r in traj.transitions():
+        graph.add_sample(s, a, nxt, r)
     return graph
 
 

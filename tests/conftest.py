@@ -69,6 +69,20 @@ def random_walk_trajectories(rng: random.Random, table, n_states: int,
     return out
 
 
+def random_mdp_walks(rng: random.Random, episodes: int, max_len: int):
+    """A random MDP of 3-12 states and 1-4 actions, plus random walks over it.
+
+    Returns (table, action_count, trajectories).
+    """
+    table = random_deterministic_mdp(rng, n_states=rng.randint(3, 12),
+                                     action_count=rng.randint(1, 4))
+    n_states = max(s for s, _ in table) + 1
+    action_count = max(a for _, a in table) + 1
+    trajs = random_walk_trajectories(rng, table, n_states, action_count,
+                                     episodes=episodes, max_len=max_len)
+    return table, action_count, trajs
+
+
 def check_graph_invariants(graph: HighwayGraph):
     """Structural invariants that must hold after any construction sequence."""
     seen_interior = {}

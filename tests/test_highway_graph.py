@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (check_graph_invariants, mk_traj, random_deterministic_mdp,
-                      random_highway_graph, random_walk_trajectories)
+                      random_highway_graph, random_mdp_walks, random_walk_trajectories)
 from highway_rl.errors import DeterminismViolation, NotInterior
 from highway_rl.highway_graph import (HighwayGraph, detect_intersections_against,
                                       detect_intersections_within, expand_to_empirical,
                                       graph_stats, highway_reward, locate, path_return,
                                       to_dot)
-from highway_rl.transition_model import vanilla_value_iteration
+from highway_rl.trainer import _topology_signature
+from highway_rl.transition_model import Trajectory, vanilla_value_iteration
 from highway_rl.value_iteration import value_update_loop
 
 
@@ -325,19 +326,67 @@ def test_value_equivalence_on_random_graphs():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 10), st.integers(4, 24))
 def test_assemble_invariants_under_random_walks(seed, episodes, max_len):
-    rng = random.Random(seed)
-    table = random_deterministic_mdp(rng, n_states=rng.randint(3, 12),
-                                     action_count=rng.randint(1, 4))
-    n_states = max(s for s, _ in table) + 1
-    action_count = max(a for _, a in table) + 1
-    trajs = random_walk_trajectories(rng, table, n_states, action_count,
-                                     episodes=episodes, max_len=max_len)
+    table, _action_count, trajs = random_mdp_walks(random.Random(seed), episodes, max_len)
     g = HighwayGraph(gamma=0.95)
     g.assemble(trajs)
     check_graph_invariants(g)
     # expanded edges agree with the source MDP table
     for (s, a), (nxt, r) in g.edge_index.items():
         assert table[(s - 10 ** 6, a)] == (nxt - 10 ** 6, r)
+
+
+def _graph_state(g: HighwayGraph):
+    return (set(g.intersections), dict(g.highways), dict(g.membership),
+            {s: dict(slots) for s, slots in g.out_edges.items()}, dict(g.edge_index),
+            dict(g.observed), g._next_hid, _topology_signature(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 24), st.integers(1, 5))
+def test_nothing_new_skip_matches_full_ingest(seed, episodes, max_len, batch):
+    rng = random.Random(seed)
+    _table, _action_count, trajs = random_mdp_walks(rng, episodes, max_len)
+    # each fresh episode is followed by a replay of one already ingested
+    stream, replays = [], set()
+    for i, traj in enumerate(trajs):
+        stream.append(traj)
+        replays.add(len(stream))
+        stream.append(rng.choice(trajs[:i + 1]))
+    fast = HighwayGraph(gamma=0.95)
+    full = HighwayGraph(gamma=0.95)
+    full._nothing_new = lambda traj: False      # ingest every episode in full
+    skipped = []
+    check = fast._nothing_new
+
+    def recorded_check(traj):
+        skipped.append(check(traj))
+        return skipped[-1]
+
+    fast._nothing_new = recorded_check
+    for lo in range(0, len(stream), batch):
+        fast.assemble(stream[lo:lo + batch])
+        full.assemble(stream[lo:lo + batch])
+        assert _graph_state(fast) == _graph_state(full)
+    check_graph_invariants(fast)
+    assert all(skipped[i] for i in replays)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 24), st.data())
+def test_conflict_on_known_pair_still_raises(seed, episodes, max_len, data):
+    _table, _action_count, trajs = random_mdp_walks(random.Random(seed), episodes, max_len)
+    g = HighwayGraph(gamma=0.95).assemble(trajs)
+    traj = data.draw(st.sampled_from(trajs))
+    i = data.draw(st.integers(0, len(traj) - 1))
+    froms, actions = traj.from_states[:i + 1], traj.actions[:i + 1]
+    nexts, rewards = traj.next_states[:i + 1], traj.rewards[:i + 1]
+    if data.draw(st.booleans()):
+        rewards[i] += 1.0
+    else:
+        nexts[i] = 10 ** 9                       # a state the MDP never reaches
+    with pytest.raises(DeterminismViolation) as err:
+        g.assemble([Trajectory.from_columns(froms, actions, nexts, rewards)])
+    assert (err.value.state, err.value.action) == (froms[i], actions[i])
 
 
 def test_cached_reward_tracks_gamma_change():

@@ -4,7 +4,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_mdp_walks
 from highway_rl.highway_graph import HighwayGraph
 from highway_rl.policy import PolicySnapshot, epsilon_greedy, greedy_action, select_action
 from highway_rl.value_iteration import ValueTables, bellman_sweep, value_update_loop
@@ -128,3 +131,24 @@ def test_action_mask_hook():
                           action_mask=lambda s: [2, 3])
     actions = {select_action(snap, 424242) for _ in range(100)}
     assert actions <= {2, 3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 24))
+def test_snapshot_is_unaffected_by_later_assemble(seed, episodes, max_len):
+    rng = random.Random(seed)
+    _table, action_count, trajs = random_mdp_walks(rng, 2 * episodes, max_len)
+    g = HighwayGraph(gamma=0.95).assemble(trajs[:episodes])
+    tables = value_update_loop(g, max_iter=10_000, delta=1e-12)
+    snap = PolicySnapshot(g, tables, action_count=action_count, rng_seed=0)
+    # the compiled table holds exactly the choices the graph records
+    expected = {s: g.highways[hid].actions[offset] for s, (hid, offset) in g.membership.items()}
+    for s in g.intersections:
+        if g.out_edges.get(s):
+            expected[s] = greedy_action(g, tables, s)
+    assert snap.greedy == expected
+    probe = sorted(g.states()) + [-1]
+    before = [select_action(snap, s, random.Random(s)) for s in probe]
+    g.assemble(trajs[episodes:])
+    assert [select_action(snap, s, random.Random(s)) for s in probe] == before
+    assert snap.greedy == expected

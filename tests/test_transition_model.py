@@ -56,6 +56,32 @@ def test_trajectory_must_be_nonempty():
         Trajectory(samples=[])
 
 
+def test_trajectory_columns_match_samples():
+    traj = mk_traj((0, 1, 2, -1.0), (2, 3, 2, 0.5), (2, 0, 4, 1.0), terminal=True)
+    same = Trajectory.from_columns([0, 2, 2], [1, 3, 0], [2, 2, 4], [-1.0, 0.5, 1.0],
+                                   terminal=True)
+    for t in (traj, same):
+        assert len(t) == len(t.samples) == 3
+        assert list(t.samples) == [TransitionSample(0, 1, 2, -1.0), TransitionSample(2, 3, 2, 0.5),
+                                   TransitionSample(2, 0, 4, 1.0)]
+        assert t.samples[-1] == TransitionSample(2, 0, 4, 1.0)
+        assert t.samples[:1] == [TransitionSample(0, 1, 2, -1.0)]
+        assert t.states == [0, 2, 2, 4]
+        assert list(t.transitions()) == [(0, 1, 2, -1.0), (2, 3, 2, 0.5), (2, 0, 4, 1.0)]
+
+
+@pytest.mark.parametrize("columns", [
+    ([], [], [], []),                                   # empty
+    ([0, 2], [0, 0], [1, 3], [0.0, 0.0]),               # does not chain
+    ([0, 1], [0], [1, 2], [0.0, 0.0]),                  # ragged
+    ([0], [0], [1], [float("nan")]),                    # non-finite reward
+    ([0], [0], [1], [float("-inf")]),
+])
+def test_trajectory_columns_validated(columns):
+    with pytest.raises(ValueError):
+        Trajectory.from_columns(*columns)
+
+
 def test_empirical_transition_binary():
     g = EmpiricalGraph()
     record_trajectory(g, mk_traj((0, 0, 1, 1.0)))
