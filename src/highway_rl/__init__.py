@@ -7,7 +7,7 @@ result into a policy (optionally distilled into a small neural
 approximator).
 """
 
-from .encoder import RandomProjector, encode_tabular, project_step, vec_to_state
+from .encoder import encode_tabular
 from .environments import EnvSpec, StepResult, ground_truth_values, make_env
 from .errors import (DeterminismViolation, DimensionMismatch, KeyMismatch,
                      MissingArtifact, NotInterior)

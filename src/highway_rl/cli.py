@@ -2,7 +2,8 @@
 
 Subcommands: train, eval, bench, completeness, export, distill, eval-hgq.
 Exit codes: 0 ok, 2 usage/config error, 3 determinism violation,
-4 missing artifact.  HG_RUN_DIR overrides the default output root.
+4 missing or altered artifact (every command that reads a run checks its
+manifest digests first).  HG_RUN_DIR overrides the default output root.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ def _env_spec_from_manifest(manifest: dict) -> EnvSpec:
 
 def _load_run(run_dir):
     manifest = serialize.read_manifest(run_dir)
+    if not serialize.verify_manifest(run_dir):
+        raise MissingArtifact(f"{run_dir}: files differ from the digests in manifest.json")
     graph = serialize.load_highway_graph(os.path.join(run_dir, "graph.npz"))
     tables = serialize.load_value_tables(os.path.join(run_dir, "tables.npz"))
     return manifest, graph, tables

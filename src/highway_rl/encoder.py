@@ -1,20 +1,15 @@
-"""Observation encoders: canonical-state hashing and the fixed recurrent random projector.
+"""State-id hashing: canonical state encodings to stable 64-bit ids.
 
 Tabular environments are already Markov, so their canonical encodings are
-hashed straight to 64-bit state ids.  For observation-history encoding there
-is a recurrent affine projector with frozen random parameters: the whole
-pipeline is a pure function of (init_seed, observation sequence).
+hashed straight to 64-bit state ids.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DimensionMismatch
 
 DEFAULT_HASH_SEED = 0
 
@@ -42,73 +37,3 @@ def encode_tabular(obs, seed: int = DEFAULT_HASH_SEED) -> int:
     key = struct.pack("<q", seed)
     h = hashlib.blake2b(canonical_bytes(obs), digest_size=8, key=key)
     return int.from_bytes(h.digest(), "little")
-
-
-def hash_vector(ints: np.ndarray, seed: int = DEFAULT_HASH_SEED) -> int:
-    """64-bit hash of an int64 vector (used for quantized projections)."""
-    key = struct.pack("<q", seed)
-    h = hashlib.blake2b(np.ascontiguousarray(ints, dtype=np.int64).tobytes(), digest_size=8, key=key)
-    return int.from_bytes(h.digest(), "little")
-
-
-@dataclass(frozen=True)
-class RandomProjector:
-    """Recurrent affine map with frozen randomly-initialized parameters.
-
-    One step maps concat(obs, hidden_prev) through a fixed affine layer and
-    splits the output into (state_vec, hidden).  Parameters never change
-    after construction.
-    """
-
-    weight: np.ndarray            # (output_dim + hidden_dim, obs_dim + hidden_dim)
-    bias: np.ndarray              # (output_dim + hidden_dim,)
-    initial_hidden: np.ndarray    # (hidden_dim,)
-    obs_dim: int
-    output_dim: int
-    hidden_dim: int
-    init_seed: int
-    quantization_scale: float = 1e-3
-
-    @classmethod
-    def create(cls, obs_dim: int, output_dim: int = 64, hidden_dim: int = 64,
-               init_seed: int = 0, quantization_scale: float = 1e-3) -> "RandomProjector":
-        rng = np.random.default_rng(init_seed)
-        fan_in = obs_dim + hidden_dim
-        fan_out = output_dim + hidden_dim
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weight = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        bias = rng.uniform(-bound, bound, size=fan_out)
-        initial_hidden = rng.standard_normal(hidden_dim)
-        return cls(weight=weight, bias=bias, initial_hidden=initial_hidden,
-                   obs_dim=obs_dim, output_dim=output_dim, hidden_dim=hidden_dim,
-                   init_seed=init_seed, quantization_scale=quantization_scale)
-
-
-def project_step(p: RandomProjector, obs: np.ndarray,
-                 hidden_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One recurrent step: [state_vec, hidden] = W @ concat(obs, hidden_prev) + b."""
-    obs = np.asarray(obs, dtype=np.float64)
-    hidden_prev = np.asarray(hidden_prev, dtype=np.float64)
-    if obs.shape != (p.obs_dim,):
-        raise DimensionMismatch(f"obs has shape {obs.shape}, expected ({p.obs_dim},)")
-    if hidden_prev.shape != (p.hidden_dim,):
-        raise DimensionMismatch(f"hidden has shape {hidden_prev.shape}, expected ({p.hidden_dim},)")
-    out = p.weight @ np.concatenate([obs, hidden_prev]) + p.bias
-    return out[: p.output_dim], out[p.output_dim:]
-
-
-def project_sequence(p: RandomProjector, observations) -> np.ndarray:
-    """Fold a whole observation sequence from the seeded initial hidden vector."""
-    hidden = p.initial_hidden
-    state_vec = np.zeros(p.output_dim)
-    for obs in observations:
-        state_vec, hidden = project_step(p, obs, hidden)
-    return state_vec
-
-
-def vec_to_state(p: RandomProjector, state_vec: np.ndarray) -> int:
-    """Quantize a projected vector to the nearest grid multiple and hash it."""
-    vec = np.asarray(state_vec, dtype=np.float64)
-    quantized = np.rint(vec / p.quantization_scale).astype(np.int64)
-    # rint produces -0.0 for small negatives; int cast already normalizes it
-    return hash_vector(quantized, seed=p.init_seed)

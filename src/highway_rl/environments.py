@@ -14,8 +14,8 @@ Three environments are bundled:
 
 All transitions are deterministic and precomputed into lookup tables, so
 step() is a pure function of (state, action).  Ground-truth optimal values
-come from exhaustive value iteration over the fully enumerated MDP,
-including blocked-move self-loops.
+come from vanilla value iteration (the same solver that checks the highway
+solve) over the fully enumerated MDP, including blocked-move self-loops.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from .encoder import encode_tabular
 from .errors import HighwayRLError
+from .transition_model import EmpiricalGraph, vanilla_value_iteration
 
 
 class InvalidAction(HighwayRLError):
@@ -140,39 +141,17 @@ class _TabularEnv:
         return _ground_truth(self.spec, gamma)
 
 
-def _value_iterate_exhaustive(env: _TabularEnv, gamma: float,
-                              tol: float = 1e-12, max_iter: int = 500_000) -> dict:
-    states = env._states
-    idx = {s: i for i, s in enumerate(states)}
-    backups = []
-    for i, s in enumerate(states):
-        if s in env._terminal:
-            backups.append(None)
-            continue
-        acts = []
-        for a in range(env.action_count):
-            res = env._table[(s, a)]
-            acts.append((res.reward, idx[res.next_obs], res.done))
-        backups.append(acts)
-    v = [0.0] * len(states)
-    for _ in range(max_iter):
-        worst = 0.0
-        v_next = [0.0] * len(states)
-        for i, acts in enumerate(backups):
-            if acts is None:
-                continue
-            best = max(r + (0.0 if done else gamma * v[j]) for r, j, done in acts)
-            v_next[i] = best
-            worst = max(worst, abs(best - v[i]))
-        v = v_next
-        if worst < tol:
-            break
-    return {env.state_id(s): v[idx[s]] for s in states}
-
-
 @functools.lru_cache(maxsize=64)
 def _ground_truth(spec: EnvSpec, gamma: float) -> dict:
-    return _value_iterate_exhaustive(make_env(spec), gamma)
+    # Every done step lands in a terminal state, and terminal states have no
+    # table entries, so they keep V = 0 and a done backup r + gamma * 0 is r.
+    env = make_env(spec)
+    graph = EmpiricalGraph(gamma=gamma)
+    graph.nodes.update(env._sid.values())
+    for (obs, a), res in env._table.items():
+        graph.add_sample(env._sid[obs], a, env._sid[res.next_obs], res.reward)
+    values = vanilla_value_iteration(graph, max_iter=500_000, delta=1e-12).values
+    return {sid: values[sid] for sid in env._sid.values()}
 
 
 # ---------------------------------------------------------------------- maze
@@ -431,5 +410,5 @@ def step(spec: EnvSpec, state, action: int) -> StepResult:
 
 
 def ground_truth_values(spec: EnvSpec, gamma: float) -> dict[int, float]:
-    """Optimal V for every reachable state via exhaustive value iteration."""
+    """Optimal V for every reachable state via value iteration over the whole MDP."""
     return make_env(spec).ground_truth_values(gamma)

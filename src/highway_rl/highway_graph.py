@@ -11,6 +11,10 @@ observed with the same outcome, both endpoints already intersections) is
 recognised after one dictionary lookup per step and skipped: ingesting it in
 full would leave the graph exactly as it is.
 
+The single-step transitions behind the highways are not stored a second
+time: `transitions()` yields them from the highways' step sequences, and
+`has_transition` finds one through the out-edge and membership indexes.
+
 Single-step self-loop samples (wall bumps, illegal no-op actions) are kept
 in the determinism memory but excluded from the graph structure: embedding
 them would force every bumped state to become an intersection and would
@@ -104,8 +108,6 @@ class HighwayGraph:
         self.out_edges: dict[StateId, dict[ActionId, int]] = {}
         # interior state -> (highway id, offset in [1, length-1])
         self.membership: dict[StateId, tuple[int, int]] = {}
-        # every single-step transition represented by some highway
-        self.edge_index: dict[tuple[StateId, ActionId], tuple[StateId, float]] = {}
         # every sample ever ingested, self-loops included (determinism guardrail)
         self.observed: dict[tuple[StateId, ActionId], tuple[StateId, float]] = {}
         self._next_hid = 0
@@ -118,12 +120,19 @@ class HighwayGraph:
     def states(self) -> set[StateId]:
         return self.intersections | self.membership.keys()
 
-    def out_highways(self, s: StateId) -> list[Highway]:
-        return [self.highways[hid] for _a, hid in sorted(self.out_edges.get(s, {}).items())]
+    def transitions(self):
+        """(state, action, next_state, reward) for every step of every highway."""
+        for h in self.highways.values():
+            yield from zip((h.from_state,) + h.interior, h.actions, h.step_states,
+                           h.step_rewards)
 
     def has_transition(self, s: StateId, action: ActionId, nxt: StateId) -> bool:
-        entry = self.edge_index.get((s, action))
-        return entry is not None and entry[0] == nxt
+        """True when some highway steps from s by action to nxt."""
+        hid, k = self.membership.get(s) or (self.out_edges.get(s, {}).get(action), 0)
+        if hid is None:
+            return False
+        h = self.highways[hid]
+        return h.actions[k] == action and h.step_states[k] == nxt
 
     # ------------------------------------------------------------- construction
 
@@ -146,6 +155,8 @@ class HighwayGraph:
                         actions: tuple, step_rewards: tuple, step_states: tuple) -> int:
         if not actions:
             raise ValueError("highway must have length >= 1")
+        if from_state not in self.intersections:
+            raise ValueError(f"highway source {from_state:#x} is not an intersection")
         first = actions[0]
         slot = self.out_edges.setdefault(from_state, {})
         if first in slot:
@@ -163,13 +174,6 @@ class HighwayGraph:
             if st in self.intersections or st in self.membership:
                 raise RuntimeError(f"internal: interior state {st:#x} already placed")
             self.membership[st] = (hid, offset)
-        prev = from_state
-        for a, st, r in zip(h.actions, h.step_states, h.step_rewards):
-            known = self.edge_index.get((prev, a))
-            if known is not None and known != (st, r):
-                raise DeterminismViolation(prev, a, known, (st, r))
-            self.edge_index[(prev, a)] = (st, r)
-            prev = st
         slot[first] = hid
         self.highways[hid] = h
         return hid
@@ -383,7 +387,7 @@ def expand_to_empirical(graph: HighwayGraph) -> EmpiricalGraph:
     """Unroll every highway back into its single-step empirical transitions."""
     out = EmpiricalGraph(gamma=graph.gamma)
     out.nodes.update(graph.states())
-    for (s, a), (nxt, r) in graph.edge_index.items():
+    for s, a, nxt, r in graph.transitions():
         out.add_sample(s, a, nxt, r)
     return out
 
@@ -396,7 +400,7 @@ def graph_stats(graph: HighwayGraph) -> dict:
         "intersections": len(graph.intersections),
         "highways": len(graph.highways),
         "expanded_states": expanded_states,
-        "expanded_edges": len(graph.edge_index),
+        "expanded_edges": sum(h.length for h in graph.highways.values()),
         "z": z,
     }
 

@@ -1,8 +1,8 @@
 """Versioned binary artifacts (npz containers) and run manifests.
 
 Every artifact is a compressed npz archive carrying a format marker, a
-version number, and exact float64 / uint64 payload arrays, so graphs,
-tables, projectors, and approximators round-trip bit-for-bit.  A run
+version number, and exact float64 / uint64 payload arrays, so highway
+graphs, value tables and approximators round-trip bit-for-bit.  A run
 directory additionally gets a manifest.json listing each file with its
 sha256 digest.
 """
@@ -15,11 +15,9 @@ import os
 
 import numpy as np
 
-from .encoder import RandomProjector
 from .errors import MissingArtifact
 from .highway_graph import HighwayGraph
 from .reparam import ApproxConfig, QApproximator
-from .transition_model import EmpiricalGraph
 from .value_iteration import ValueTables
 
 FORMAT_VERSION = 1
@@ -98,31 +96,6 @@ def load_highway_graph(path) -> HighwayGraph:
     return graph
 
 
-# ------------------------------------------------------------- empirical graph
-
-def save_empirical_graph(path, graph: EmpiricalGraph):
-    keys = sorted(graph.edges)
-    _save(path, "empirical_graph", {
-        "gamma": np.array(graph.gamma, dtype=np.float64),
-        "nodes": np.array(sorted(graph.nodes), dtype=np.uint64),
-        "e_state": np.array([k[0] for k in keys], dtype=np.uint64),
-        "e_action": np.array([k[1] for k in keys], dtype=np.int64),
-        "e_next": np.array([graph.edges[k][0] for k in keys], dtype=np.uint64),
-        "e_reward": np.array([graph.edges[k][1] for k in keys], dtype=np.float64),
-        "e_count": np.array([graph.edges[k][2] for k in keys], dtype=np.int64),
-    })
-
-
-def load_empirical_graph(path) -> EmpiricalGraph:
-    data = _load(path, "empirical_graph")
-    graph = EmpiricalGraph(gamma=float(data["gamma"]))
-    graph.nodes.update(int(s) for s in data["nodes"])
-    for s, a, nxt, r, c in zip(data["e_state"], data["e_action"], data["e_next"],
-                               data["e_reward"], data["e_count"]):
-        graph.edges[(int(s), int(a))] = [int(nxt), float(r), int(c)]
-    return graph
-
-
 # -------------------------------------------------------------------- tables
 
 def save_value_tables(path, tables: ValueTables):
@@ -146,29 +119,6 @@ def load_value_tables(path) -> ValueTables:
          for s, a, x in zip(data["q_state"], data["q_action"], data["q_value"])}
     return ValueTables(v=v, q=q, iterations_run=int(data["iterations_run"]),
                        final_delta=float(data["final_delta"]))
-
-
-# ------------------------------------------------------------------ projector
-
-def save_projector(path, p: RandomProjector):
-    _save(path, "projector", {
-        "weight": p.weight, "bias": p.bias, "initial_hidden": p.initial_hidden,
-        "obs_dim": np.array(p.obs_dim, dtype=np.int64),
-        "output_dim": np.array(p.output_dim, dtype=np.int64),
-        "hidden_dim": np.array(p.hidden_dim, dtype=np.int64),
-        "init_seed": np.array(p.init_seed, dtype=np.int64),
-        "quantization_scale": np.array(p.quantization_scale, dtype=np.float64),
-    })
-
-
-def load_projector(path) -> RandomProjector:
-    data = _load(path, "projector")
-    return RandomProjector(
-        weight=data["weight"], bias=data["bias"], initial_hidden=data["initial_hidden"],
-        obs_dim=int(data["obs_dim"]), output_dim=int(data["output_dim"]),
-        hidden_dim=int(data["hidden_dim"]), init_seed=int(data["init_seed"]),
-        quantization_scale=float(data["quantization_scale"]),
-    )
 
 
 # --------------------------------------------------------------- approximator

@@ -104,10 +104,13 @@ def check_graph_invariants(graph: HighwayGraph):
         for a, hid in slots.items():
             h = graph.highways[hid]
             assert h.from_state == s and h.first_action == a
-    # interior states have at most one in and one out edge in the expanded graph
+    # each (state, action) is one step of one highway, and interior states
+    # have at most one in and one out edge in the expanded graph
+    steps = list(graph.transitions())
+    assert len({(s, a) for s, a, _nxt, _r in steps}) == len(steps)
     in_deg: dict = {}
     out_deg: dict = {}
-    for (s, _a), (nxt, _r) in graph.edge_index.items():
+    for s, _a, nxt, _r in steps:
         out_deg[s] = out_deg.get(s, 0) + 1
         in_deg[nxt] = in_deg.get(nxt, 0) + 1
     for st in graph.membership:

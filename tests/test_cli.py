@@ -90,6 +90,13 @@ def test_bench_missing_artifact_exits_4(tmp_path):
     assert cli.main(["bench", "--run", str(tmp_path / "ghost")]) == 4
 
 
+def test_tampered_artifact_exits_4(run_dir, capsys):
+    with open(run_dir / "tables.npz", "ab") as f:
+        f.write(b"\0")
+    assert cli.main(["eval", "--run", str(run_dir)]) == 4
+    assert str(run_dir) in capsys.readouterr().err
+
+
 def test_completeness_command(run_dir, capsys):
     assert cli.main(["completeness", "--run", str(run_dir)]) == 0
     out = capsys.readouterr().out

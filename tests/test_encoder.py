@@ -1,12 +1,7 @@
-"""State-id hashing and the fixed recurrent random projector."""
+"""State-id hashing."""
 
-import numpy as np
-import pytest
-
-from highway_rl.encoder import (RandomProjector, encode_tabular, project_sequence,
-                                project_step, vec_to_state)
+from highway_rl.encoder import encode_tabular
 from highway_rl.environments import EnvSpec, make_env
-from highway_rl.errors import DimensionMismatch
 
 
 def test_equal_encodings_equal_ids():
@@ -33,86 +28,3 @@ def test_no_collisions_across_in_scope_state_spaces():
     assert len(taxi_ids) == 500
     # tuples and ints hash into disjoint id sets
     assert not maze_ids & taxi_ids
-
-
-# ------------------------------------------------------------------- projector
-
-def test_projector_deterministic_bitwise():
-    p = RandomProjector.create(obs_dim=3, output_dim=8, hidden_dim=5, init_seed=42)
-    q = RandomProjector.create(obs_dim=3, output_dim=8, hidden_dim=5, init_seed=42)
-    obs_seq = [np.arange(3) * 0.1 * k for k in range(6)]
-    a = project_sequence(p, obs_seq)
-    b = project_sequence(q, obs_seq)
-    assert np.array_equal(a, b)
-    assert np.array_equal(p.weight, q.weight)
-
-
-def test_projector_zero_parameters_give_zero():
-    p = RandomProjector.create(obs_dim=2, output_dim=4, hidden_dim=3, init_seed=0)
-    zeroed = RandomProjector(weight=np.zeros_like(p.weight), bias=np.zeros_like(p.bias),
-                             initial_hidden=np.zeros(3), obs_dim=2, output_dim=4,
-                             hidden_dim=3, init_seed=0)
-    state, hidden = project_step(zeroed, np.ones(2), np.ones(3))
-    assert np.all(state == 0.0)
-    assert np.all(hidden == 0.0)
-
-
-def test_projector_affine_identity():
-    p = RandomProjector.create(obs_dim=6, output_dim=7, hidden_dim=4, init_seed=9)
-    rng = np.random.default_rng(0)
-    h = rng.standard_normal(4)
-    o1, o2 = rng.standard_normal(6), rng.standard_normal(6)
-    f = lambda o: project_step(p, o, h)[0]
-    lhs = f(o1) + f(o2) - f(np.zeros(6))
-    rhs = f(o1 + o2)
-    # the affine offset cancels; only the linear part remains
-    np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-
-
-def test_projector_dimension_mismatch():
-    p = RandomProjector.create(obs_dim=3, output_dim=4, hidden_dim=2, init_seed=1)
-    with pytest.raises(DimensionMismatch):
-        project_step(p, np.zeros(5), np.zeros(2))
-    with pytest.raises(DimensionMismatch):
-        project_step(p, np.zeros(3), np.zeros(9))
-
-
-def test_vec_to_state_rounding():
-    p = RandomProjector.create(obs_dim=2, output_dim=3, hidden_dim=2, init_seed=5,
-                               quantization_scale=1e-3)
-    base = np.array([0.002, -0.017, 0.5])
-    same = base + 2.4e-4     # under half the quantization step
-    far = base + 0.25
-    assert vec_to_state(p, base) == vec_to_state(p, np.copy(base))
-    assert vec_to_state(p, base) == vec_to_state(p, same)
-    assert vec_to_state(p, base) != vec_to_state(p, far)
-
-
-def test_vec_to_state_distinct_for_distant_vectors():
-    p = RandomProjector.create(obs_dim=2, output_dim=8, hidden_dim=2, init_seed=5)
-    rng = np.random.default_rng(3)
-    ids = {vec_to_state(p, rng.uniform(-10, 10, size=8)) for _ in range(500)}
-    assert len(ids) == 500
-
-
-def test_history_sensitivity():
-    p = RandomProjector.create(obs_dim=4, output_dim=16, hidden_dim=16, init_seed=11)
-    rng = np.random.default_rng(1)
-    final = rng.standard_normal(4)
-    distinct = 0
-    for _ in range(1000):
-        prefix_a = [rng.standard_normal(4) for _ in range(3)]
-        prefix_b = [rng.standard_normal(4) for _ in range(3)]
-        va = project_sequence(p, prefix_a + [final])
-        vb = project_sequence(p, prefix_b + [final])
-        if not np.allclose(va, vb, atol=1e-9):
-            distinct += 1
-    assert distinct == 1000
-
-
-def test_pipeline_pure_function_of_seed_and_sequence():
-    obs_seq = [np.array([0.1, 0.2]), np.array([0.3, -0.4])]
-    p = RandomProjector.create(obs_dim=2, output_dim=4, hidden_dim=4, init_seed=77)
-    q = RandomProjector.create(obs_dim=2, output_dim=4, hidden_dim=4, init_seed=77)
-    assert (vec_to_state(p, project_sequence(p, obs_seq))
-            == vec_to_state(q, project_sequence(q, obs_seq)))

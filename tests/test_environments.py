@@ -248,3 +248,17 @@ def test_step_is_pure():
                 continue
             for a in range(env.action_count):
                 assert env.step(obs, a) == env.step(obs, a) == step(spec, obs, a)
+
+
+@pytest.mark.parametrize("spec", [EnvSpec(kind="maze", width=5, height=5, seed=s)
+                                  for s in range(3)]
+                         + [EnvSpec(kind="maze", width=15, height=15, seed=0),
+                            EnvSpec(kind="cliffwalking"), EnvSpec(kind="taxi")],
+                         ids=lambda spec: f"{spec.kind}-{spec.width}x{spec.height}-{spec.seed}")
+def test_done_steps_end_in_terminals_that_have_no_steps(spec):
+    # the oracle relies on this: terminals keep V = 0, so a done backup is r
+    env = make_env(spec)
+    for (obs, _a), res in env._table.items():
+        assert obs not in env._terminal
+        if res.done:
+            assert res.next_obs in env._terminal

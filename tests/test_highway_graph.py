@@ -139,7 +139,7 @@ def test_assemble_self_loop_samples_are_not_embedded():
     (h,) = g.highways.values()
     assert h.interior == (1,)
     assert g.observed[(1, 2)] == (1, -0.1)
-    assert (1, 2) not in g.edge_index
+    assert all((s, a) != (1, 2) for s, a, _nxt, _r in g.transitions())
 
 
 def test_assemble_cycle_produces_self_loop_highway():
@@ -208,9 +208,13 @@ def test_split_at_first_interior():
 def test_split_preserves_expanded_transitions():
     g = HighwayGraph(gamma=0.99)
     hid = g.add_highway(0, 4, [0, 1, 2, 3], [0.1, 0.2, 0.3, 0.4], interior=[1, 2, 3])
-    before = dict(g.edge_index)
-    g.split_highway(hid, 3)
-    assert g.edge_index == before
+    before = sorted(g.transitions())
+    assert before == [(0, 0, 1, 0.1), (1, 1, 2, 0.2), (2, 2, 3, 0.3), (3, 3, 4, 0.4)]
+    up, _down = g.split_highway(hid, 3)
+    assert sorted(g.transitions()) == before
+    g.split_highway(up, 1)
+    assert sorted(g.transitions()) == before
+    assert all(g.has_transition(s, a, nxt) for s, a, nxt, _r in before)
 
 
 def test_split_requires_interior():
@@ -331,13 +335,38 @@ def test_assemble_invariants_under_random_walks(seed, episodes, max_len):
     g.assemble(trajs)
     check_graph_invariants(g)
     # expanded edges agree with the source MDP table
-    for (s, a), (nxt, r) in g.edge_index.items():
+    for s, a, nxt, r in g.transitions():
         assert table[(s - 10 ** 6, a)] == (nxt - 10 ** 6, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.integers(1, 10), st.integers(1, 24),
+       st.data())
+def test_has_transition_agrees_with_transitions(seed, walks, episodes, max_len, data):
+    rng = random.Random(seed)
+    if walks:
+        _table, _action_count, trajs = random_mdp_walks(rng, episodes, max_len)
+        g = HighwayGraph(gamma=0.95).assemble(trajs)
+    else:
+        g = random_highway_graph(rng, max_intersections=8)
+    if g.membership:
+        promoted = st.lists(st.sampled_from(sorted(g.membership)), max_size=4, unique=True)
+        for s in data.draw(promoted):
+            g.make_intersection(s)           # splits the highway through s
+    check_graph_invariants(g)
+    steps = list(g.transitions())
+    assert len(steps) == graph_stats(g)["expanded_edges"]
+    next_of = {(s, a): nxt for s, a, nxt, _r in steps}
+    probes = sorted(g.states()) + [-1]       # -1 is on no highway
+    for s in probes:
+        for a in range(5):
+            for nxt in probes:
+                assert g.has_transition(s, a, nxt) == (next_of.get((s, a)) == nxt)
 
 
 def _graph_state(g: HighwayGraph):
     return (set(g.intersections), dict(g.highways), dict(g.membership),
-            {s: dict(slots) for s, slots in g.out_edges.items()}, dict(g.edge_index),
+            {s: dict(slots) for s, slots in g.out_edges.items()},
             dict(g.observed), g._next_hid, _topology_signature(g))
 
 

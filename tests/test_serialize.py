@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import mk_traj, random_highway_graph
-from highway_rl.encoder import RandomProjector, project_sequence
 from highway_rl.errors import MissingArtifact
+from highway_rl.highway_graph import HighwayGraph
 from highway_rl.reparam import ApproxConfig, QDataset, fit
-from highway_rl.serialize import (load_approximator, load_empirical_graph,
-                                  load_highway_graph, load_projector,
-                                  load_value_tables, read_manifest,
-                                  save_approximator, save_empirical_graph,
-                                  save_highway_graph, save_projector,
+from highway_rl.serialize import (load_approximator, load_highway_graph, load_value_tables,
+                                  read_manifest, save_approximator, save_highway_graph,
                                   save_value_tables, verify_manifest, write_manifest)
-from highway_rl.transition_model import EmpiricalGraph, record_trajectory
 from highway_rl.value_iteration import value_update_loop
 
 
@@ -28,24 +24,12 @@ def test_highway_graph_round_trip(tmp_path):
     assert loaded.gamma == g.gamma
     assert loaded.intersections == g.intersections
     assert loaded.membership.keys() == g.membership.keys()
-    assert loaded.edge_index == g.edge_index
+    assert sorted(loaded.transitions()) == sorted(g.transitions())
     assert loaded.observed == g.observed
     spans = lambda gr: sorted((h.from_state, h.first_action, h.to_state, h.actions,
                                h.step_rewards, h.step_states)
                               for h in gr.highways.values())
     assert spans(loaded) == spans(g)
-
-
-def test_empirical_graph_round_trip(tmp_path):
-    g = EmpiricalGraph(gamma=0.95)
-    record_trajectory(g, mk_traj((0, 0, 1, 0.125), (1, 3, 2, -4.0)))
-    record_trajectory(g, mk_traj((0, 0, 1, 0.125)))
-    path = tmp_path / "emp.npz"
-    save_empirical_graph(path, g)
-    loaded = load_empirical_graph(path)
-    assert loaded.gamma == g.gamma
-    assert loaded.nodes == g.nodes
-    assert loaded.edges == g.edges
 
 
 def test_value_tables_round_trip(tmp_path):
@@ -58,15 +42,6 @@ def test_value_tables_round_trip(tmp_path):
     assert loaded.q == tables.q
     assert loaded.iterations_run == tables.iterations_run
     assert loaded.final_delta == tables.final_delta
-
-
-def test_projector_round_trip(tmp_path):
-    p = RandomProjector.create(obs_dim=3, output_dim=6, hidden_dim=4, init_seed=5)
-    path = tmp_path / "proj.npz"
-    save_projector(path, p)
-    loaded = load_projector(path)
-    seq = [np.array([0.1, 0.2, 0.3]), np.array([-1.0, 0.0, 1.0])]
-    assert np.array_equal(project_sequence(p, seq), project_sequence(loaded, seq))
 
 
 def test_approximator_round_trip(tmp_path):
@@ -88,11 +63,29 @@ def test_missing_artifact_raises(tmp_path):
 
 
 def test_kind_mismatch_raises(tmp_path):
-    g = EmpiricalGraph()
-    record_trajectory(g, mk_traj((0, 0, 1, 0.0)))
-    path = tmp_path / "emp.npz"
-    save_empirical_graph(path, g)
+    g = random_highway_graph(random.Random(8), max_intersections=4)
+    path = tmp_path / "tables.npz"
+    save_value_tables(path, value_update_loop(g, max_iter=100, delta=1e-6))
     with pytest.raises(MissingArtifact):
+        load_highway_graph(path)
+
+
+def test_highway_off_an_interior_state_is_rejected(tmp_path):
+    g = HighwayGraph(gamma=0.99)
+    g.add_highway(0, 3, [0, 0, 0], [0.0, 0.0, 0.0], interior=[1, 2])
+    path = tmp_path / "graph.npz"
+    save_highway_graph(path, g)
+    with np.load(path) as npz:
+        data = {name: npz[name] for name in npz.files}
+    # a second highway 1 -> 3 hangs off state 1, which lies inside 0 -> 3
+    data["h_from"] = np.append(data["h_from"], np.uint64(1))
+    data["h_to"] = np.append(data["h_to"], np.uint64(3))
+    data["h_ptr"] = np.append(data["h_ptr"], data["h_ptr"][-1] + 1)
+    data["flat_states"] = np.append(data["flat_states"], np.uint64(3))
+    data["flat_actions"] = np.append(data["flat_actions"], 1)
+    data["flat_rewards"] = np.append(data["flat_rewards"], 0.5)
+    np.savez_compressed(path, **data)
+    with pytest.raises(ValueError, match="not an intersection"):
         load_highway_graph(path)
 
 
