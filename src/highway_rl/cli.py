@@ -3,7 +3,8 @@
 Subcommands: train, eval, bench, completeness, export, distill, eval-hgq.
 Exit codes: 0 ok, 2 usage/config error, 3 determinism violation,
 4 missing or altered artifact (every command that reads a run checks its
-manifest digests first).  HG_RUN_DIR overrides the default output root.
+manifest digests first), 5 a `bench` solver stopped at --max-iter before
+reaching --delta.  HG_RUN_DIR overrides the default output root.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DETERMINISM = 3
 EXIT_MISSING = 4
+EXIT_NOT_CONVERGED = 5
 
 
 def _run_root() -> str:
@@ -187,7 +189,7 @@ def cmd_bench(args) -> int:
     manifest, graph, tables = _load_run(args.run)
     stats = graph_stats(graph)
     expanded = expand_to_empirical(graph)
-    _tables, hstats = solve(graph, delta=args.delta)
+    _tables, hstats = solve(graph, delta=args.delta, max_iter=args.max_iter)
     start = time.perf_counter()
     vres = vanilla_value_iteration(expanded, max_iter=args.max_iter, delta=args.delta)
     v_wall = time.perf_counter() - start
@@ -214,6 +216,13 @@ def cmd_bench(args) -> int:
         with open(args.out, "w") as f:
             f.write(text)
     print(text, end="")
+    stalled = [name for name, converged in
+               (("highway", hstats["converged"]), ("vanilla", vres.converged))
+               if not converged]
+    if stalled:
+        print(f"not converged: {' and '.join(stalled)} stopped at --max-iter "
+              f"{args.max_iter} before reaching --delta {args.delta}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 

@@ -69,11 +69,24 @@ def greedy_action(graph: HighwayGraph, tables: ValueTables, s: StateId) -> Actio
     return best_a
 
 
+def _randbelow(rng: random.Random, n: int) -> int:
+    """rng.randrange(n) for n >= 1: the same getrandbits rejection loop, so
+    the same draws and the same generator state, without randrange's
+    argument handling."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_action(snapshot: PolicySnapshot, s: StateId, rng: random.Random) -> ActionId:
     if snapshot.action_mask is not None:
         valid = list(snapshot.action_mask(s))
-        return valid[rng.randrange(len(valid))]
-    return rng.randrange(snapshot.action_count)
+        if not valid:
+            raise ValueError(f"action_mask gives no valid action at state {s}")
+        return valid[_randbelow(rng, len(valid))]
+    return _randbelow(rng, snapshot.action_count)
 
 
 def select_action(snapshot: PolicySnapshot, s: StateId,

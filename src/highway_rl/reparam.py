@@ -11,7 +11,8 @@ below the state's best scored action.  Without anchors the untouched output
 heads drift freely through the band real Q values live in and the argmax
 becomes a coin flip, so greedy agreement with the graph policy collapses.
 Gradients are computed analytically so they can be checked against finite
-differences.
+differences.  The loss recorded after each epoch comes from a forward-only
+pass through the same code, so it equals the gradient pass's loss bit for bit.
 """
 
 from __future__ import annotations
@@ -89,12 +90,6 @@ class QApproximator:
     target_scale: float = 1.0
     loss_history: list = field(default_factory=list)
 
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        w1, b1, w2, b2, w3, b3 = self.weights
-        h1 = np.maximum(x @ w1 + b1, 0.0)
-        h2 = np.maximum(h1 @ w2 + b2, 0.0)
-        return h2 @ w3 + b3
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)
         squeeze = x.ndim == 1
@@ -103,7 +98,7 @@ class QApproximator:
         if x.shape[1] != self.feature_dim:
             raise DimensionMismatch(
                 f"feature dim {x.shape[1]} != expected {self.feature_dim}")
-        out = self.target_mean + self.target_scale * self._forward(x)
+        out = self.target_mean + self.target_scale * _forward(self.weights, x)[2]
         return out[0] if squeeze else out
 
     def parameter_count(self) -> int:
@@ -121,6 +116,24 @@ def _init_weights(feature_dim: int, action_count: int, cfg: ApproxConfig) -> lis
     return weights
 
 
+def _forward(weights: list, x: np.ndarray):
+    """Hidden activations h1, h2 and the outputs, in standardized units."""
+    w1, b1, w2, b2, w3, b3 = weights
+    h1 = np.maximum(x @ w1 + b1, 0.0)
+    h2 = np.maximum(h1 @ w2 + b2, 0.0)
+    return h1, h2, h2 @ w3 + b3
+
+
+def _picked_errors(approx: QApproximator, features: np.ndarray, actions: np.ndarray,
+                   targets: np.ndarray):
+    """Forward pass plus each row's selected output minus its standardized target."""
+    x = np.asarray(features, dtype=np.float64)
+    scaled = (np.asarray(targets, dtype=np.float64)
+              - approx.target_mean) / approx.target_scale
+    h1, h2, pred = _forward(approx.weights, x)
+    return x, h1, h2, pred, pred[np.arange(len(scaled)), actions] - scaled
+
+
 def loss_and_gradients(approx: QApproximator, features: np.ndarray,
                        actions: np.ndarray, targets: np.ndarray):
     """Training MSE over the selected action outputs, plus analytic gradients.
@@ -128,29 +141,20 @@ def loss_and_gradients(approx: QApproximator, features: np.ndarray,
     targets are given in the original Q scale; the loss lives in the
     approximator's standardized space.
     """
-    w1, b1, w2, b2, w3, b3 = approx.weights
-    x = np.asarray(features, dtype=np.float64)
-    n = len(targets)
-    scaled = (np.asarray(targets, dtype=np.float64)
-              - approx.target_mean) / approx.target_scale
-    z1 = x @ w1 + b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ w2 + b2
-    h2 = np.maximum(z2, 0.0)
-    pred = h2 @ w3 + b3
-    picked = pred[np.arange(n), actions]
-    err = picked - scaled
+    _w1, _b1, w2, _b2, w3, _b3 = approx.weights
+    x, h1, h2, pred, err = _picked_errors(approx, features, actions, targets)
+    n = len(err)
     loss = float(np.mean(err ** 2))
     dpred = np.zeros_like(pred)
     dpred[np.arange(n), actions] = 2.0 * err / n
     dw3 = h2.T @ dpred
     db3 = dpred.sum(axis=0)
     dh2 = dpred @ w3.T
-    dz2 = dh2 * (z2 > 0.0)
+    dz2 = dh2 * (h2 > 0.0)   # h > 0 exactly where the pre-activation is > 0
     dw2 = h1.T @ dz2
     db2 = dz2.sum(axis=0)
     dh1 = dz2 @ w2.T
-    dz1 = dh1 * (z1 > 0.0)
+    dz1 = dh1 * (h1 > 0.0)
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
     return loss, [dw1, db1, dw2, db2, dw3, db3]
@@ -194,7 +198,8 @@ def fit(dataset: QDataset, config: ApproxConfig = ApproxConfig(),
         action_count: int | None = None) -> QApproximator:
     """SGD with momentum on the MSE over selected outputs; deterministic per seed.
 
-    The full-training-set loss is recorded after every epoch in loss_history.
+    After each epoch's updates, a forward-only pass over the full training
+    set records the loss in loss_history; no gradients are computed for it.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -228,9 +233,9 @@ def fit(dataset: QDataset, config: ApproxConfig = ApproxConfig(),
                 vel *= config.momentum
                 vel -= config.learning_rate * g
                 w += vel
-        epoch_loss, _ = loss_and_gradients(
-            approx, dataset.features, dataset.actions, dataset.targets)
-        approx.loss_history.append(epoch_loss)
+        err = _picked_errors(approx, dataset.features, dataset.actions,
+                             dataset.targets)[-1]
+        approx.loss_history.append(float(np.mean(err ** 2)))
     return approx
 
 

@@ -186,7 +186,8 @@ def solve(graph: HighwayGraph, delta: float = 1e-6, max_iter: int | None = None,
     """Converged tables plus benchmark counters for one solve.
 
     Returns (tables, stats) where stats carries the per-sweep highway update
-    count, total updates, covered-transition operation count, and wall time.
+    count, total updates, covered-transition operation count, wall time, and
+    whether the loop reached delta before max_iter.
     """
     eng = _SweepEngine(graph)
     start = time.perf_counter()
@@ -198,6 +199,7 @@ def solve(graph: HighwayGraph, delta: float = 1e-6, max_iter: int | None = None,
         "total_updates": tables.iterations_run * len(eng.edges),
         "covered_ops": tables.iterations_run * eng.covered_transitions,
         "wall_seconds": elapsed,
+        "converged": tables.final_delta < delta,
     }
     return tables, stats
 

@@ -86,6 +86,14 @@ def test_bench_command(run_dir, capsys):
     assert "# z=" in out and "# z_squared=" in out
 
 
+def test_bench_not_converged_exits_5(run_dir, capsys):
+    assert cli.main(["bench", "--run", str(run_dir), "--max-iter", "1"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].startswith("highway,1,")
+    assert captured.out.splitlines()[2].startswith("vanilla,1,")
+    assert "not converged: highway and vanilla" in captured.err
+
+
 def test_bench_missing_artifact_exits_4(tmp_path):
     assert cli.main(["bench", "--run", str(tmp_path / "ghost")]) == 4
 

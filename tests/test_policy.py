@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import random_mdp_walks
 from highway_rl.highway_graph import HighwayGraph
-from highway_rl.policy import PolicySnapshot, epsilon_greedy, greedy_action, select_action
+from highway_rl.policy import (PolicySnapshot, _randbelow, epsilon_greedy, greedy_action,
+                               select_action)
 from highway_rl.value_iteration import ValueTables, bellman_sweep, value_update_loop
 
 
@@ -131,6 +132,37 @@ def test_action_mask_hook():
                           action_mask=lambda s: [2, 3])
     actions = {select_action(snap, 424242) for _ in range(100)}
     assert actions <= {2, 3}
+
+
+def test_empty_action_mask_raises():
+    g, tables = _two_action_graph()
+    snap = PolicySnapshot(g, tables, action_count=4, rng_seed=0,
+                          action_mask=lambda s: [])
+    with pytest.raises(ValueError):
+        select_action(snap, 424242)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_randbelow_keeps_the_randrange_stream(seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    for n in list(range(1, 10)) * 20:
+        assert _randbelow(ours, n) == ref.randrange(n)
+    assert ours.getstate() == ref.getstate()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 8), min_size=1, max_size=9))
+def test_random_actions_keep_the_randrange_stream(seed, valid):
+    g, tables = _two_action_graph()
+    masked = PolicySnapshot(g, tables, action_count=9, action_mask=lambda s: valid)
+    plain = PolicySnapshot(g, tables, action_count=9)
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(50):
+        assert select_action(masked, -1, rng) == valid[ref.randrange(len(valid))]
+        ref.random()   # the exploration coin
+        assert epsilon_greedy(plain, 0, 1.0, rng) == ref.randrange(9)
+    assert rng.getstate() == ref.getstate()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,14 +1,15 @@
 """Q-value distillation: dataset extraction, fitting, gradients, acting."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_highway_graph
 from highway_rl.errors import DimensionMismatch
-from highway_rl.reparam import (ApproxConfig, QDataset, act, extract_dataset, fit,
-                                loss_and_gradients, policy_agreement)
+from highway_rl.reparam import (ApproxConfig, QDataset, _anchor_absent_actions, act,
+                                extract_dataset, fit, loss_and_gradients, policy_agreement)
 from highway_rl.value_iteration import value_update_loop
 
 SMALL = ApproxConfig(hidden_units=24, epochs=400, batch_size=16, init_seed=3)
@@ -121,6 +122,51 @@ def test_fit_is_bitwise_deterministic():
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
     assert a.loss_history == b.loss_history
+
+
+def _reference_fit(ds, cfg, action_count):
+    """The fit loop written out with loss_and_gradients alone: a descent step
+    per batch of permuted rows, then the full-set loss from a gradient pass."""
+    approx = fit(ds, replace(cfg, epochs=0), action_count=action_count)
+    if cfg.absent_action_anchor is not None:
+        ds = _anchor_absent_actions(ds, action_count, cfg.absent_action_anchor)
+    rng = np.random.default_rng(cfg.init_seed + 1)
+    velocity = [np.zeros_like(w) for w in approx.weights]
+    n = len(ds)
+    batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    history = []
+    for _epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            rows = order[start:start + batch]
+            _loss, grads = loss_and_gradients(approx, ds.features[rows], ds.actions[rows],
+                                              ds.targets[rows])
+            for vel, w, g in zip(velocity, approx.weights, grads):
+                vel *= cfg.momentum
+                vel -= cfg.learning_rate * g
+                w += vel
+        loss, _grads = loss_and_gradients(approx, ds.features, ds.actions, ds.targets)
+        history.append(loss)
+    return approx.weights, history
+
+
+@pytest.mark.parametrize("cfg", [
+    ApproxConfig(hidden_units=32, epochs=60, init_seed=2),
+    ApproxConfig(hidden_units=32, epochs=20, batch_size=7, init_seed=2),
+    ApproxConfig(hidden_units=32, epochs=60, init_seed=2, absent_action_anchor=None),
+], ids=["full-batch", "batch-7", "no-anchor"])
+def test_fit_matches_reference_loop(cfg):
+    rng = np.random.default_rng(8)
+    states = rng.uniform(0, 1, size=(12, 2))
+    rows = [(i, a) for i in range(12) for a in range(4) if rng.random() < 0.5]
+    ds = QDataset(features=states[[i for i, _a in rows]],
+                  actions=np.array([a for _i, a in rows], dtype=np.int64),
+                  targets=rng.normal(size=len(rows)))
+    approx = fit(ds, cfg, action_count=4)
+    weights, history = _reference_fit(ds, cfg, 4)
+    for ours, ref in zip(approx.weights, weights):
+        assert np.array_equal(ours, ref)
+    assert approx.loss_history == history
 
 
 def test_loss_moving_average_non_increasing():
