@@ -21,7 +21,6 @@ from .transition_model import (EmpiricalGraph, Trajectory, TransitionSample,
                                empirical_reward, empirical_transition, record_trajectory,
                                vanilla_value_iteration)
 from .value_iteration import (ValueTables, bellman_sweep, completeness_report,
-                              contraction_probe, interior_values, ops_per_second_benchmark,
-                              value_update_loop)
+                              contraction_probe, interior_values, value_update_loop)
 
 __version__ = "0.1.0"

@@ -195,11 +195,23 @@ def vanilla_value_iteration(graph: EmpiricalGraph, max_iter: int = 10_000,
     if not (0.0 <= graph.gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
     states = sorted(graph.nodes)
-    index = {s: i for i, s in enumerate(states)}
-    # per-state edge lists as (next_index, reward)
-    outgoing: list[list[tuple[int, float]]] = [[] for _ in states]
+    outgoing: dict[StateId, list[tuple[StateId, float]]] = {s: [] for s in states}
     for (s, _a), (nxt, r, _c) in graph.edges.items():
-        outgoing[index[s]].append((index[nxt], r))
+        outgoing[s].append((nxt, r))
+    # Internally the states are grouped by out-degree, states with no edge
+    # last, so that a sweep runs one comprehension per degree and per edge
+    # rank: column k of a group lists the k-th edge of each of its states,
+    # as next-state indices and rewards.
+    by_degree: dict[int, list[StateId]] = {}
+    for s in states:
+        by_degree.setdefault(len(outgoing[s]), []).append(s)
+    degrees = sorted(by_degree, reverse=True)
+    index = {s: i for i, s in enumerate(s for d in degrees for s in by_degree[d])}
+    plan = [[([index[outgoing[s][k][0]] for s in by_degree[d]],
+              [outgoing[s][k][1] for s in by_degree[d]]) for k in range(d)]
+            for d in degrees if d]
+    idle = [0.0] * len(by_degree.get(0, ()))
+    del outgoing, by_degree  # the sweeps need only the plan
 
     gamma = graph.gamma
     v = [0.0] * len(states)
@@ -207,16 +219,16 @@ def vanilla_value_iteration(graph: EmpiricalGraph, max_iter: int = 10_000,
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        v_next = [0.0] * len(states)
-        worst = 0.0
-        for i, edges in enumerate(outgoing):
-            if not edges:
-                continue
-            best = max(r + gamma * v[j] for j, r in edges)
-            v_next[i] = best
-            change = abs(best - v[i])
-            if change > worst:
-                worst = change
+        v_next = []
+        for first, *rest in plan:
+            best = [r + gamma * v[j] for j, r in zip(*first)]
+            for column in rest:
+                # `>` keeps the earlier edge on a tie, as max() does
+                best = [c if c > b else b
+                        for b, c in zip(best, [r + gamma * v[j] for j, r in zip(*column)])]
+            v_next += best
+        v_next += idle
+        worst = max(map(abs, map(float.__sub__, v_next, v)), default=0.0)
         v = v_next
         final_delta = worst
         if worst < delta:

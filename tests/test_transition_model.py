@@ -1,9 +1,10 @@
 """Empirical graph bookkeeping and the vanilla value-iteration oracle."""
 
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mk_traj
@@ -180,6 +181,75 @@ def test_vanilla_vi_reports_non_convergence():
     assert not res.converged
     assert res.iterations_run == 3
     assert res.final_delta > 1e-12
+
+
+def _edge_list_loop(graph: EmpiricalGraph, max_iter: int, delta: float):
+    """The per-state edge-list loop that the grouped sweep replaced: the bitwise reference."""
+    states = sorted(graph.nodes)
+    index = {s: i for i, s in enumerate(states)}
+    outgoing = [[] for _ in states]
+    for (s, _a), (nxt, r, _c) in graph.edges.items():
+        outgoing[index[s]].append((index[nxt], r))
+    gamma = graph.gamma
+    v = [0.0] * len(states)
+    final_delta = 0.0
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        v_next = [0.0] * len(states)
+        worst = 0.0
+        for i, edges in enumerate(outgoing):
+            if not edges:
+                continue
+            best = max(r + gamma * v[j] for j, r in edges)
+            v_next[i] = best
+            change = abs(best - v[i])
+            if change > worst:
+                worst = change
+        v = v_next
+        final_delta = worst
+        if worst < delta:
+            converged = True
+            break
+    return {s: v[index[s]] for s in states}, iterations, final_delta, converged
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       budget=st.sampled_from([(20_000, 1e-13), (7, 0.0), (1, 1e-6)]))
+@example(seed=3, budget=(7, 0.0))
+def test_vanilla_vi_is_bitwise_equal_to_the_edge_list_loop(seed, budget):
+    rng = random.Random(seed)
+    g = EmpiricalGraph(gamma=rng.choice([0.0, 0.5, 0.9, 0.99]))
+    n = rng.randint(1, 25)
+    g.nodes.update(range(n))  # some states never get an edge and keep 0.0
+    rewards = [-1.0, -0.0, 0.0, 0.5, 1.0]  # repeated rewards make tied backups
+    for _ in range(rng.randint(0, 3 * n)):
+        reward = rng.choice(rewards) if rng.random() < 0.5 else rng.uniform(-1, 1)
+        g.edges.setdefault((rng.randrange(n), rng.randrange(6)),
+                           [rng.randrange(n), reward, 1])
+    max_iter, delta = budget
+    res = vanilla_value_iteration(g, max_iter=max_iter, delta=delta)
+    values, iterations, final_delta, converged = _edge_list_loop(g, max_iter, delta)
+    assert list(res.values) == list(values)
+    assert (struct.pack(f"<{n}d", *res.values.values())
+            == struct.pack(f"<{n}d", *values.values()))
+    assert (res.iterations_run, res.converged) == (iterations, converged)
+    assert struct.pack("<d", res.final_delta) == struct.pack("<d", final_delta)
+
+
+@pytest.mark.parametrize("first", [-0.0, 0.0])
+def test_vanilla_vi_keeps_the_first_of_tied_backups(first):
+    # gamma 0 and V(1) = -1 make the two backups of state 0 -0.0 and 0.0 in
+    # the second sweep; equal values, so only the tie rule picks the sign
+    g = EmpiricalGraph(gamma=0.0)
+    g.add_sample(0, 0, 1, first)
+    g.add_sample(0, 1, 1, -first)
+    g.add_sample(1, 0, 2, -1.0)
+    res = vanilla_value_iteration(g, max_iter=2, delta=0.0)
+    values, _iterations, _delta, _converged = _edge_list_loop(g, 2, 0.0)
+    assert struct.pack("<d", res.values[0]) == struct.pack("<d", values[0])
+    assert struct.pack("<d", res.values[0]) == struct.pack("<d", first)
 
 
 @settings(max_examples=60, deadline=None)
