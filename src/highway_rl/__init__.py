@@ -11,10 +11,9 @@ from .encoder import encode_tabular
 from .environments import EnvSpec, StepResult, ground_truth_values, make_env
 from .errors import (DeterminismViolation, DimensionMismatch, KeyMismatch,
                      MissingArtifact, NotInterior)
-from .highway_graph import (Highway, HighwayGraph, Location, detect_intersections_against,
-                            detect_intersections_within, expand_to_empirical, graph_stats,
+from .highway_graph import (Highway, HighwayGraph, Location, expand_to_empirical, graph_stats,
                             highway_reward, locate)
-from .policy import PolicySnapshot, epsilon_greedy, greedy_action, select_action
+from .policy import PolicySnapshot, chooser, epsilon_greedy, greedy_action, select_action
 from .reparam import ApproxConfig, QApproximator, QDataset, act, extract_dataset, fit
 from .trainer import EvalResult, RunMetrics, TrainConfig, TrainResult, detect_convergence, evaluate, train
 from .transition_model import (EmpiricalGraph, Trajectory, TransitionSample,

@@ -6,10 +6,11 @@ sequence and a cached discounted reward.  The graph is grown incrementally
 from trajectories: new intersections are detected against the trajectory
 itself and against the existing graph, existing highways are split when one
 of their interior states is promoted, and the remaining sub-trajectories
-become highways.  An episode that brings nothing new (every step already
-observed with the same outcome, both endpoints already intersections) is
-recognised after one dictionary lookup per step and skipped: ingesting it in
-full would leave the graph exactly as it is.
+become highways.  Per step, ingestion pays only for passes in C: a lookup
+in the determinism memory and, when the episode brings something new, each
+state's first departure.  The Python-level work is per step that brings a
+new (state, action) pair, so an episode that brings nothing new costs one
+lookup pass and two endpoint checks.
 
 The single-step transitions behind the highways are not stored a second
 time: `transitions()` yields them from the highways' step sequences, and
@@ -25,8 +26,11 @@ optimal values untouched.
 
 from __future__ import annotations
 
-import operator
+import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import compress
+from operator import ne
 
 from .errors import DeterminismViolation, NotInterior
 from .transition_model import EmpiricalGraph, StateId, ActionId, Trajectory
@@ -93,6 +97,12 @@ class Highway:
     def interior(self) -> tuple[StateId, ...]:
         """States strictly between the endpoints (length - 1 entries)."""
         return self.step_states[:-1]
+
+    @cached_property
+    def signature(self) -> bytes:
+        """The bytes this highway adds to a topology signature, built once."""
+        return (struct.pack("<QQq", self.from_state, self.to_state, self.first_action)
+                + repr((self.actions, self.step_states, self.step_rewards)).encode())
 
 
 class HighwayGraph:
@@ -224,81 +234,85 @@ class HighwayGraph:
     # --------------------------------------------------------------- ingestion
 
     def assemble(self, trajs) -> "HighwayGraph":
-        """Ingest trajectories, updating intersections and highways in place."""
+        """Ingest trajectories, updating intersections and highways in place.
+
+        A DeterminismViolation leaves the pairs observed before the
+        conflicting step in `observed` but not in the graph, and a later
+        assemble treats them as known; discard the graph after one.
+        """
         for traj in trajs:
             traj.validate()
             self._ingest(traj)
         return self
 
-    def _nothing_new(self, traj: Trajectory) -> bool:
-        """True when ingesting traj would leave the graph exactly as it is.
-
-        Every step must already be observed with the same outcome, and the
-        episode's endpoints (the source of its first move and the target of
-        its last, or its start state if it never moves) must already be
-        intersections.  Then every step lies on an existing highway, and
-        every state the episode forks, merges or crosses at is its start or
-        has two distinct successors or predecessors in the graph, so it is an
-        intersection already: there is nothing to promote, split or insert.
-        """
-        observed = self.observed
-        froms, nexts = traj.from_states, traj.next_states
-        if not all(map(operator.eq, map(observed.get, zip(froms, traj.actions)),
-                       zip(nexts, traj.rewards))):
-            return False
-        first = next((s for s, nxt in zip(froms, nexts) if s != nxt), None)
-        if first is None:
-            return froms[0] in self.intersections
-        last = next(nxt for s, nxt in zip(reversed(froms), reversed(nexts)) if s != nxt)
-        return first in self.intersections and last in self.intersections
-
     def _ingest(self, traj: Trajectory):
-        if self._nothing_new(traj):
-            return
-        observed = self.observed
-        for s, a, nxt, r in traj.transitions():
-            prev = observed.setdefault((s, a), (nxt, r))
-            if prev != (nxt, r):
-                raise DeterminismViolation(s, a, prev, (nxt, r))
-        steps = [step for step in traj.transitions() if step[0] != step[2]]
-        if not steps:
-            # the episode never left its start state; keep it as a value node
-            self.make_intersection(traj.from_states[0])
-            return
-        flags = _detect_within(steps) | _detect_against(steps, self)
-        # episode endpoints always become intersections, so every occurrence
-        # of their states must be a cut position as well
-        flags.add(steps[0][0])
-        flags.add(steps[-1][2])
-        n = len(steps)
-        cuts = [0]
-        for pos in range(1, n):
-            st = steps[pos][0]
-            if st in flags or st in self.intersections:
-                cuts.append(pos)
-        cuts.append(n)
-        self.make_intersection(steps[0][0])
-        self.make_intersection(steps[-1][2])
-        for pos in cuts[1:-1]:
-            self.make_intersection(steps[pos][0])
-        for p, q in zip(cuts, cuts[1:]):
-            self._add_segment(steps[p:q])
+        """Fold one episode in; Python-level work is per new pair, not per step.
 
-    def _add_segment(self, seg):
-        """Add one cut of an episode, a list of (s, a, next, r) steps, as a highway."""
-        from_state, first = seg[0][0], seg[0][1]
-        to_state = seg[-1][2]
-        _states, actions, step_states, rewards = zip(*seg)
-        existing = self.out_edges.get(from_state, {}).get(first)
-        if existing is not None:
-            h = self.highways[existing]
-            same = (h.to_state == to_state and h.actions == actions
-                    and h.step_states == step_states and h.step_rewards == rewards)
-            if not same:
-                raise DeterminismViolation(from_state, first,
-                                           (h.to_state, h.actions), (to_state, actions))
-            return existing
-        return self._insert_highway(from_state, to_state, actions, rewards, step_states)
+        One lazy pass in C compares every step with `observed`; only absent
+        or conflicting steps reach the loop body.  A step whose pair it
+        inserts, and that is not a self-loop, is a *first step*.  Only first
+        steps flag states, by the fork, merge and crossing rules against the
+        visited prefix (`first_dep[x] < j`) and the exit, entry and crossing
+        rules against the graph (`contains_state`).  Every other step lies
+        on a highway or repeats a first step of this episode, and flags only
+        states that are intersections already, the episode's endpoints, or
+        states a first step flags: an interior state has exactly one in-step
+        and one out-step in the graph.  For the same reason every segment of
+        known or repeated steps equals a highway that exists once the
+        flagged states are promoted, so only first steps make new highways.
+        This relies on every step of the graph being in `observed`, as it is
+        for graphs grown by `assemble` or loaded from disk.
+        """
+        froms, acts, nexts, rews = traj.from_states, traj.actions, traj.next_states, traj.rewards
+        n = len(froms)
+        observed = self.observed
+        setdefault = observed.setdefault
+        contains = self.contains_state
+        first_dep = None
+        firsts: list[int] = []
+        flags: set[StateId] = set()
+        for j in compress(range(n), map(ne, map(observed.get, zip(froms, acts)),
+                                        zip(nexts, rews))):
+            s, a, nxt = froms[j], acts[j], nexts[j]
+            outcome = (nxt, rews[j])
+            prev = setdefault((s, a), outcome)
+            if prev is not outcome:        # the pair was there with another outcome
+                raise DeterminismViolation(s, a, prev, outcome)
+            if s == nxt:
+                continue                   # a self-loop is remembered, never embedded
+            if first_dep is None:
+                first_dep = _first_departures(froms, nexts)
+            if first_dep[s] < j or contains(s):
+                flags.add(s)
+            if first_dep.get(nxt, n) < j or contains(nxt):
+                flags.add(nxt)
+            firsts.append(j)
+        first = next(compress(froms, map(ne, froms, nexts)), None)
+        if first is None:
+            # the episode never left its start state; keep it as a value node
+            self.make_intersection(froms[0])
+            return
+        last = next(compress(reversed(nexts), map(ne, reversed(froms), reversed(nexts))))
+        # the episode's endpoints always become intersections; the flagged
+        # states follow in the order the episode first leaves them, so the
+        # splits, and with them the highway ids, keep the order of a
+        # step-by-step scan
+        self.make_intersection(first)
+        self.make_intersection(last)
+        if not firsts:
+            return
+        for s in sorted(flags, key=lambda x: first_dep.get(x, n)):
+            self.make_intersection(s)
+        intersections = self.intersections
+        cuts = [0]
+        cuts.extend(i for i in range(1, len(firsts)) if froms[firsts[i]] in intersections)
+        cuts.append(len(firsts))
+        for p, q in zip(cuts, cuts[1:]):
+            seg = firsts[p:q]
+            self._insert_highway(froms[seg[0]], nexts[seg[-1]],
+                                 tuple(map(acts.__getitem__, seg)),
+                                 tuple(map(rews.__getitem__, seg)),
+                                 tuple(map(nexts.__getitem__, seg)))
 
     # ------------------------------------------------------------------- misc
 
@@ -316,59 +330,14 @@ class HighwayGraph:
             )
 
 
-# ------------------------------------------------------------ intersection detection
+def _first_departures(froms, nexts) -> dict[StateId, int]:
+    """Each state's first step index that leaves it (self-loops skipped).
 
-def _detect_within(steps) -> set[StateId]:
-    """Intersection candidates from the trajectory's own forks, merges, crossings.
-
-    The scan keeps the visited prefix strictly before the current step, so a
-    state that merely walks into previously seen territory (a dead-end bounce,
-    a loop closure) does not itself get flagged; only genuinely branching
-    states do.  The crossing case needs both endpoints already visited and a
-    transition that was never traversed.
+    Built in C from the reversed columns, so the earliest index is written last.
     """
-    visited: set[StateId] = set()
-    seen: set[tuple[StateId, ActionId, StateId]] = set()
-    flags: set[StateId] = set()
-    for s, a, nxt, _r in steps:
-        if s in visited and nxt not in visited:
-            flags.add(s)            # forking off a revisited state
-        if s not in visited and nxt in visited:
-            flags.add(nxt)          # merging into a revisited state
-        if s in visited and nxt in visited and (nxt, a, s) not in seen:
-            flags.add(s)            # crossing: new transition between seen states
-            flags.add(nxt)
-        visited.add(s)
-        seen.add((nxt, a, s))
-    return flags
-
-
-def _detect_against(steps, graph: HighwayGraph) -> set[StateId]:
-    """Intersection candidates where the trajectory meets the existing graph."""
-    flags: set[StateId] = set()
-    for s, a, nxt, _r in steps:
-        s_on = graph.contains_state(s)
-        n_on = graph.contains_state(nxt)
-        if s_on and not n_on:
-            flags.add(s)            # exit point out of the graph
-        if not s_on and n_on:
-            flags.add(nxt)          # entry point into the graph
-        if s_on and n_on and not graph.has_transition(s, a, nxt):
-            flags.add(s)            # both on graph, connecting edge missing
-            flags.add(nxt)
-    return flags
-
-
-def detect_intersections_within(traj: Trajectory) -> set[StateId]:
-    """States of one trajectory that fork, merge, or cross its own visited prefix."""
-    traj.validate()
-    return _detect_within(traj.transitions())
-
-
-def detect_intersections_against(traj: Trajectory, graph: HighwayGraph) -> set[StateId]:
-    """States where a trajectory enters, exits, or crosses the existing graph."""
-    traj.validate()
-    return _detect_against(traj.transitions(), graph)
+    n = len(froms)
+    return dict(compress(zip(reversed(froms), range(n - 1, -1, -1)),
+                         map(ne, reversed(froms), reversed(nexts))))
 
 
 # ------------------------------------------------------------------- derived views

@@ -5,7 +5,10 @@ single greedy table: known intersections map to their argmax-Q first
 action, states inside a highway to the recorded action at their offset.
 Acting is then one dictionary lookup; states absent from the table (unseen
 states, and intersections with no outgoing highway) fall back to a uniform
-random valid action.  An epsilon-greedy wrapper adds exploration on top.
+random valid action, with exploration on top.  `chooser` compiles this once
+per episode into one function of the state, which binds the generator, the
+table and the action count; `select_action` and `epsilon_greedy` are
+one-call wrappers over it.
 """
 
 from __future__ import annotations
@@ -80,31 +83,60 @@ def _randbelow(rng: random.Random, n: int) -> int:
     return r
 
 
-def _random_action(snapshot: PolicySnapshot, s: StateId, rng: random.Random) -> ActionId:
-    if snapshot.action_mask is not None:
-        valid = list(snapshot.action_mask(s))
-        if not valid:
-            raise ValueError(f"action_mask gives no valid action at state {s}")
-        return valid[_randbelow(rng, len(valid))]
-    return _randbelow(rng, snapshot.action_count)
+def chooser(snapshot: PolicySnapshot, epsilon: float,
+            rng: random.Random | None = None) -> Callable[[StateId], ActionId]:
+    """Compile epsilon-greedy action choice into one function of the state.
+
+    With probability epsilon the choice is a uniform random action, else the
+    snapshot's greedy action, or a uniform random one for states with none.
+    Epsilon is checked once, and the generator's methods, the greedy table
+    and the action count are bound once, so a call costs one draw and one
+    lookup.  The random stream is fixed: one `rng.random()` per call when
+    epsilon > 0 (none when it is 0), then, for a random action,
+    `rng.randrange` over the actions (its getrandbits rejection loop,
+    inlined).  rng defaults to the snapshot's own generator.
+    """
+    if not (0.0 <= epsilon <= 1.0):
+        raise ValueError("epsilon must be in [0, 1]")
+    rng = rng if rng is not None else snapshot._rng
+    draw = rng.random
+    greedy = snapshot.greedy.get
+    mask = snapshot.action_mask
+    if mask is not None:
+        def choose_masked(s: StateId) -> ActionId:
+            if not epsilon or draw() >= epsilon:
+                a = greedy(s)
+                if a is not None:
+                    return a
+            valid = list(mask(s))
+            if not valid:
+                raise ValueError(f"action_mask gives no valid action at state {s}")
+            return valid[_randbelow(rng, len(valid))]
+        return choose_masked
+    n = snapshot.action_count
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+
+    def choose(s: StateId) -> ActionId:
+        if not epsilon or draw() >= epsilon:
+            a = greedy(s)
+            if a is not None:
+                return a
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+    return choose
 
 
 def select_action(snapshot: PolicySnapshot, s: StateId,
                   rng: random.Random | None = None) -> ActionId:
     """Greedy policy: argmax Q at intersections, recorded action on highways,
     uniform random for unknown states."""
-    a = snapshot.greedy.get(s)
-    if a is not None:
-        return a
-    return _random_action(snapshot, s, rng if rng is not None else snapshot._rng)
+    return chooser(snapshot, 0.0, rng)(s)
 
 
 def epsilon_greedy(snapshot: PolicySnapshot, s: StateId, epsilon: float,
                    rng: random.Random | None = None) -> ActionId:
     """With probability epsilon take a uniform random action, else be greedy."""
-    if not (0.0 <= epsilon <= 1.0):
-        raise ValueError("epsilon must be in [0, 1]")
-    rng = rng if rng is not None else snapshot._rng
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return _random_action(snapshot, s, rng)
-    return select_action(snapshot, s, rng)
+    return chooser(snapshot, epsilon, rng)(s)

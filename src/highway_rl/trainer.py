@@ -6,9 +6,11 @@ re-runs value updating, and publishes a fresh snapshot.  Everything is
 seeded: episode seeds derive from (run_seed, actor, episode index), so the
 run is reproducible regardless of actor scheduling.
 
-An episode costs, per frame, one lookup in the snapshot's compiled greedy
-table (plus the exploration draw), one environment step and one state id,
-appended to the trajectory's four columns; no per-step objects are built.
+An episode costs, per frame, one call of the episode's compiled action
+chooser (an exploration draw and one lookup in the snapshot's greedy table),
+one environment step and one state id, appended to the trajectory's four
+columns; no per-step objects are built.  The chooser and the environment's
+`step` and `state_id` are bound once per episode.
 
 Convergence is declared at the first update after which a configured number
 of consecutive updates changed neither the graph topology nor any greedy
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from .environments import (DEFAULT_EPISODES_PER_UPDATE, DEFAULT_EVAL_STEP_CAP,
                            DEFAULT_STEP_CAP, EnvSpec, make_env)
 from .highway_graph import HighwayGraph, graph_stats
-from .policy import PolicySnapshot, epsilon_greedy
+from .policy import PolicySnapshot, chooser, epsilon_greedy
 from .transition_model import Trajectory
 from .value_iteration import ValueTables, value_update_loop
 
@@ -128,10 +130,9 @@ def _topology_signature(graph: HighwayGraph) -> str:
     h = hashlib.blake2b(digest_size=16)
     for s in sorted(graph.intersections):
         h.update(struct.pack("<Q", s))
-    for hid in sorted(graph.highways):
-        hw = graph.highways[hid]
-        h.update(struct.pack("<QQq", hw.from_state, hw.to_state, hw.first_action))
-        h.update(repr((hw.actions, hw.step_states, hw.step_rewards)).encode())
+    highways = graph.highways
+    for hid in sorted(highways):
+        h.update(highways[hid].signature)
     return h.hexdigest()
 
 
@@ -145,15 +146,16 @@ def _policy_signature(graph: HighwayGraph, snapshot: PolicySnapshot) -> str:
 def run_episode(env, snapshot: PolicySnapshot, epsilon: float, episode_seed: int,
                 step_cap: int | None) -> Trajectory:
     """One full episode under the epsilon-greedy policy; truncates at step_cap."""
-    rng = random.Random(episode_seed)
+    choose = chooser(snapshot, epsilon, random.Random(episode_seed))
+    step, state_id = env.step, env.state_id
     obs = env.reset(episode_seed)
-    sid = env.state_id(obs)
+    sid = state_id(obs)
     states, actions, next_states, rewards = [], [], [], []
     terminal = False
     for _ in range(step_cap if step_cap is not None else 1 << 40):
-        action = epsilon_greedy(snapshot, sid, epsilon, rng)
-        res = env.step(obs, action)
-        nxt = env.state_id(res.next_obs)
+        action = choose(sid)
+        res = step(obs, action)
+        nxt = state_id(res.next_obs)
         states.append(sid)
         actions.append(action)
         next_states.append(nxt)

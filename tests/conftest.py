@@ -1,4 +1,5 @@
-"""Shared fixtures: trajectory builders, random graphs, invariant checks."""
+"""Shared fixtures: trajectory builders, random graphs, invariant checks,
+and the step-by-step reference ingest."""
 
 from __future__ import annotations
 
@@ -6,7 +7,9 @@ import random
 
 import pytest
 
+from highway_rl.errors import DeterminismViolation
 from highway_rl.highway_graph import HighwayGraph, highway_reward
+from highway_rl.trainer import _topology_signature
 from highway_rl.transition_model import Trajectory, TransitionSample
 
 
@@ -116,6 +119,109 @@ def check_graph_invariants(graph: HighwayGraph):
     for st in graph.membership:
         assert out_deg.get(st, 0) <= 1
         assert in_deg.get(st, 0) <= 1
+
+
+# --------------------------------------------------- step-by-step reference ingest
+#
+# HighwayGraph._ingest visits only the steps that bring a new (state, action)
+# pair.  The functions below are the rules it must agree with, applied to
+# every step of an episode: the tests compare the two graph for graph.
+
+def detect_within(steps) -> set:
+    """Intersection candidates from a trajectory's own forks, merges, crossings.
+
+    The scan keeps the visited prefix strictly before the current step, so a
+    state that merely walks into previously seen territory (a dead-end bounce,
+    a loop closure) does not itself get flagged; only genuinely branching
+    states do.  The crossing case needs both endpoints already visited and a
+    transition that was never traversed.
+    """
+    visited, seen, flags = set(), set(), set()
+    for s, a, nxt, _r in steps:
+        if s in visited and nxt not in visited:
+            flags.add(s)            # forking off a revisited state
+        if s not in visited and nxt in visited:
+            flags.add(nxt)          # merging into a revisited state
+        if s in visited and nxt in visited and (nxt, a, s) not in seen:
+            flags.add(s)            # crossing: new transition between seen states
+            flags.add(nxt)
+        visited.add(s)
+        seen.add((nxt, a, s))
+    return flags
+
+
+def detect_against(steps, graph: HighwayGraph) -> set:
+    """Intersection candidates where a trajectory meets the existing graph."""
+    flags = set()
+    for s, a, nxt, _r in steps:
+        s_on = graph.contains_state(s)
+        n_on = graph.contains_state(nxt)
+        if s_on and not n_on:
+            flags.add(s)            # exit point out of the graph
+        if not s_on and n_on:
+            flags.add(nxt)          # entry point into the graph
+        if s_on and n_on and not graph.has_transition(s, a, nxt):
+            flags.add(s)            # both on graph, connecting edge missing
+            flags.add(nxt)
+    return flags
+
+
+def reference_ingest(graph: HighwayGraph, traj: Trajectory):
+    """Fold one episode into graph by scanning every step."""
+    observed = graph.observed
+    for s, a, nxt, r in traj.transitions():
+        prev = observed.setdefault((s, a), (nxt, r))
+        if prev != (nxt, r):
+            raise DeterminismViolation(s, a, prev, (nxt, r))
+    steps = [step for step in traj.transitions() if step[0] != step[2]]
+    if not steps:
+        graph.make_intersection(traj.from_states[0])
+        return
+    flags = detect_within(steps) | detect_against(steps, graph)
+    flags.add(steps[0][0])
+    flags.add(steps[-1][2])
+    cuts = [0]
+    cuts.extend(pos for pos in range(1, len(steps))
+                if steps[pos][0] in flags or steps[pos][0] in graph.intersections)
+    cuts.append(len(steps))
+    graph.make_intersection(steps[0][0])
+    graph.make_intersection(steps[-1][2])
+    for pos in cuts[1:-1]:
+        graph.make_intersection(steps[pos][0])
+    for p, q in zip(cuts, cuts[1:]):
+        _reference_add_segment(graph, steps[p:q])
+
+
+def _reference_add_segment(graph: HighwayGraph, seg):
+    """Add one cut of an episode as a highway, unless an equal one exists."""
+    from_state, first = seg[0][0], seg[0][1]
+    to_state = seg[-1][2]
+    _states, actions, step_states, rewards = zip(*seg)
+    existing = graph.out_edges.get(from_state, {}).get(first)
+    if existing is not None:
+        h = graph.highways[existing]
+        same = (h.to_state == to_state and h.actions == actions
+                and h.step_states == step_states and h.step_rewards == rewards)
+        if not same:
+            raise DeterminismViolation(from_state, first,
+                                       (h.to_state, h.actions), (to_state, actions))
+        return
+    graph._insert_highway(from_state, to_state, actions, rewards, step_states)
+
+
+def reference_assemble(graph: HighwayGraph, trajs) -> HighwayGraph:
+    """HighwayGraph.assemble with reference_ingest in place of _ingest."""
+    for traj in trajs:
+        traj.validate()
+        reference_ingest(graph, traj)
+    return graph
+
+
+def graph_state(g: HighwayGraph):
+    """Everything ingestion writes, with `observed` in insertion order."""
+    return (set(g.intersections), dict(g.highways), dict(g.membership),
+            {s: dict(slots) for s, slots in g.out_edges.items()},
+            list(g.observed.items()), g._next_hid, _topology_signature(g))
 
 
 @pytest.fixture

@@ -1,4 +1,8 @@
-"""Highway graph construction, splitting, detection, and derived views."""
+"""Highway graph construction, splitting, detection, and derived views.
+
+The detection rule tests exercise the step-by-step reference in conftest,
+which the graph's own ingest is compared against below.
+"""
 
 import random
 
@@ -6,14 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (check_graph_invariants, mk_traj, random_deterministic_mdp,
-                      random_highway_graph, random_mdp_walks, random_walk_trajectories)
+from conftest import (check_graph_invariants, detect_against, detect_within, graph_state,
+                      mk_traj, random_deterministic_mdp, random_highway_graph,
+                      random_mdp_walks, random_walk_trajectories, reference_assemble)
 from highway_rl.errors import DeterminismViolation, NotInterior
-from highway_rl.highway_graph import (HighwayGraph, detect_intersections_against,
-                                      detect_intersections_within, expand_to_empirical,
-                                      graph_stats, highway_reward, locate, path_return,
-                                      to_dot)
-from highway_rl.trainer import _topology_signature
+from highway_rl.highway_graph import (HighwayGraph, expand_to_empirical, graph_stats,
+                                      highway_reward, locate, path_return, to_dot)
 from highway_rl.transition_model import Trajectory, vanilla_value_iteration
 from highway_rl.value_iteration import value_update_loop
 
@@ -22,19 +24,19 @@ from highway_rl.value_iteration import value_update_loop
 
 def test_within_straight_path_no_flags():
     traj = mk_traj((0, 0, 1, 0.0), (1, 0, 2, 0.0), (2, 0, 3, 0.0))
-    assert detect_intersections_within(traj) == set()
+    assert detect_within(traj.transitions()) == set()
 
 
 def test_within_revisit_flags_merge_target():
     traj = mk_traj((0, 0, 1, 0.0), (1, 0, 2, 0.0), (2, 0, 1, 0.0))
-    assert detect_intersections_within(traj) == {1}
+    assert detect_within(traj.transitions()) == {1}
 
 
 def test_within_crossing_flags_both_endpoints():
     # diamond: 0->1->2->3 then 3->1 closes onto visited ground via a new edge
     traj = mk_traj((0, 0, 1, 0.0), (1, 0, 2, 0.0), (2, 0, 3, 0.0),
                    (3, 0, 0, 0.0), (0, 1, 2, 0.0))
-    flags = detect_intersections_within(traj)
+    flags = detect_within(traj.transitions())
     assert {0, 2} <= flags  # the new 0->2 edge crosses between visited states
 
 
@@ -42,13 +44,13 @@ def test_within_retraced_edge_adds_no_flags():
     # loop A->B->C->A then retrace A->B: the crossing set stays quiet because
     # the transition was already traversed within this trajectory
     traj = mk_traj((0, 0, 1, 0.0), (1, 0, 2, 0.0), (2, 0, 0, 0.0), (0, 0, 1, 0.0))
-    flags = detect_intersections_within(traj)
+    flags = detect_within(traj.transitions())
     assert flags == {0}  # only the loop-closure target is flagged
 
 
 def test_within_fork_from_revisited_state():
     traj = mk_traj((0, 0, 1, 0.0), (1, 0, 0, 0.0), (0, 1, 5, 0.0))
-    flags = detect_intersections_within(traj)
+    flags = detect_within(traj.transitions())
     assert 0 in flags  # leaves the revisited start toward a fresh state
 
 
@@ -63,31 +65,31 @@ def _line_graph():
 def test_against_disjoint_trajectory_no_flags():
     g = _line_graph()
     traj = mk_traj((100, 0, 101, 0.0), (101, 0, 102, 0.0))
-    assert detect_intersections_against(traj, g) == set()
+    assert detect_against(traj.transitions(), g) == set()
 
 
 def test_against_exit_from_highway_interior():
     g = _line_graph()
     traj = mk_traj((11, 3, 200, 0.0))
-    assert detect_intersections_against(traj, g) == {11}
+    assert detect_against(traj.transitions(), g) == {11}
 
 
 def test_against_entry_at_highway_interior():
     g = _line_graph()
     traj = mk_traj((300, 1, 12, 0.0))
-    assert detect_intersections_against(traj, g) == {12}
+    assert detect_against(traj.transitions(), g) == {12}
 
 
 def test_against_on_graph_pair_with_missing_link():
     g = _line_graph()
     traj = mk_traj((11, 2, 13, 0.0))  # hop from interior to endpoint, edge absent
-    assert detect_intersections_against(traj, g) == {11, 13}
+    assert detect_against(traj.transitions(), g) == {11, 13}
 
 
 def test_against_retraced_known_edge_no_flags():
     g = _line_graph()
     traj = mk_traj((10, 0, 11, 0.0), (11, 0, 12, 0.0))
-    assert detect_intersections_against(traj, g) == set()
+    assert detect_against(traj.transitions(), g) == set()
 
 
 # ------------------------------------------------------------------- assemble
@@ -177,7 +179,7 @@ def test_assemble_idempotent_against_detection():
     g.assemble(trajs)
     check_graph_invariants(g)
     for traj in trajs:
-        flags = detect_intersections_against(traj, g)
+        flags = detect_against(traj.transitions(), g)
         assert flags <= g.intersections
 
 
@@ -364,58 +366,121 @@ def test_has_transition_agrees_with_transitions(seed, walks, episodes, max_len, 
                 assert g.has_transition(s, a, nxt) == (next_of.get((s, a)) == nxt)
 
 
-def _graph_state(g: HighwayGraph):
-    return (set(g.intersections), dict(g.highways), dict(g.membership),
-            {s: dict(slots) for s, slots in g.out_edges.items()},
-            dict(g.observed), g._next_hid, _topology_signature(g))
+def _replayed_walks(rng: random.Random, episodes: int, max_len: int,
+                    loop_share: float) -> list[Trajectory]:
+    """Walks over a random MDP in which about loop_share of the pairs are
+    self-loops, each followed by a replay of a whole earlier walk or of a
+    slice of one (which may start and end inside a highway).
+
+    Each state has a preferred action that the walker mostly takes, so the
+    walks lay down long highways, and a later walk that strays from them
+    promotes several interior states at once.
+    """
+    n_states = rng.randint(3, 40)
+    action_count = rng.randint(1, 4)
+    table = random_deterministic_mdp(rng, n_states=n_states, action_count=action_count)
+    for (s, a), (_nxt, r) in table.items():
+        if rng.random() < loop_share:
+            table[(s, a)] = (s, r)
+    prefer = [rng.randrange(action_count) for _ in range(n_states)]
+    walks = []
+    for _ in range(episodes):
+        s = rng.randrange(n_states)
+        froms, actions, nexts, rewards = [], [], [], []
+        for _ in range(rng.randint(1, max_len)):
+            a = prefer[s] if rng.random() < 0.8 else rng.randrange(action_count)
+            nxt, r = table[(s, a)]
+            froms.append(s + 10 ** 6)
+            actions.append(a)
+            nexts.append(nxt + 10 ** 6)
+            rewards.append(r)
+            s = nxt
+        walks.append(Trajectory.from_columns(froms, actions, nexts, rewards))
+    stream = []
+    for i, walk in enumerate(walks):
+        stream.append(walk)
+        old = rng.choice(walks[:i + 1])
+        lo = rng.randrange(len(old))
+        hi = rng.randint(lo + 1, len(old))
+        stream.append(Trajectory.from_columns(old.from_states[lo:hi], old.actions[lo:hi],
+                                              old.next_states[lo:hi], old.rewards[lo:hi]))
+    return stream
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 40), st.integers(1, 5),
+       st.sampled_from([0.0, 0.25, 0.6]))
+def test_ingest_matches_reference_on_replayed_walks(seed, episodes, max_len, batch,
+                                                    loop_share):
+    stream = _replayed_walks(random.Random(seed), episodes, max_len, loop_share)
+    fast = HighwayGraph(gamma=0.95)
+    ref = HighwayGraph(gamma=0.95)
+    for lo in range(0, len(stream), batch):
+        fast.assemble(stream[lo:lo + batch])
+        reference_assemble(ref, stream[lo:lo + batch])
+        assert graph_state(fast) == graph_state(ref)
+    check_graph_invariants(fast)
+
+
+def test_ingest_splits_in_first_departure_order():
+    # one highway 0 -> ... -> 6; the second episode enters it at 4, leaves
+    # at 6, re-enters at 2 and leaves at 3, so it splits at 4, 2 and 3 in
+    # the order it first leaves them, not in the set's order (2, 3, 4)
+    line = [(k, 0, k + 1, 0.0) for k in range(6)]
+    tour = [(20, 0, 4, 0.1), (4, 0, 5, 0.0), (5, 0, 6, 0.0), (6, 1, 21, 0.2),
+            (21, 0, 2, 0.3), (2, 0, 3, 0.0), (3, 1, 22, 0.4)]
+    fast = HighwayGraph(gamma=0.9).assemble([mk_traj(*line), mk_traj(*tour)])
+    ref = reference_assemble(HighwayGraph(gamma=0.9), [mk_traj(*line), mk_traj(*tour)])
+    assert graph_state(fast) == graph_state(ref)
+    spans = {hid: (h.from_state, h.to_state) for hid, h in fast.highways.items()}
+    # 0 -> 6 splits at 4 into 1 and 2, then 1 at 2 into 3 and 4, then 4 at
+    # 3 into 5 and 6; the episode's new segments follow
+    assert spans == {2: (4, 6), 3: (0, 2), 5: (2, 3), 6: (3, 4), 7: (20, 4), 8: (6, 2),
+                     9: (3, 22)}
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 24), st.integers(1, 5))
-def test_nothing_new_skip_matches_full_ingest(seed, episodes, max_len, batch):
-    rng = random.Random(seed)
-    _table, _action_count, trajs = random_mdp_walks(rng, episodes, max_len)
-    # each fresh episode is followed by a replay of one already ingested
-    stream, replays = [], set()
-    for i, traj in enumerate(trajs):
-        stream.append(traj)
-        replays.add(len(stream))
-        stream.append(rng.choice(trajs[:i + 1]))
-    fast = HighwayGraph(gamma=0.95)
-    full = HighwayGraph(gamma=0.95)
-    full._nothing_new = lambda traj: False      # ingest every episode in full
-    skipped = []
-    check = fast._nothing_new
-
-    def recorded_check(traj):
-        skipped.append(check(traj))
-        return skipped[-1]
-
-    fast._nothing_new = recorded_check
-    for lo in range(0, len(stream), batch):
-        fast.assemble(stream[lo:lo + batch])
-        full.assemble(stream[lo:lo + batch])
-        assert _graph_state(fast) == _graph_state(full)
-    check_graph_invariants(fast)
-    assert all(skipped[i] for i in replays)
-
-
-@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 24), st.data())
 def test_conflict_on_known_pair_still_raises(seed, episodes, max_len, data):
     _table, _action_count, trajs = random_mdp_walks(random.Random(seed), episodes, max_len)
     g = HighwayGraph(gamma=0.95).assemble(trajs)
+    ref = reference_assemble(HighwayGraph(gamma=0.95), trajs)
     traj = data.draw(st.sampled_from(trajs))
     i = data.draw(st.integers(0, len(traj) - 1))
     froms, actions = traj.from_states[:i + 1], traj.actions[:i + 1]
     nexts, rewards = traj.next_states[:i + 1], traj.rewards[:i + 1]
     if data.draw(st.booleans()):
-        rewards[i] += 1.0
+        # states the graph has never seen, so every pair is new to it; the
+        # episode returns to its start and repeats its first pair with
+        # another outcome
+        froms = [s + 10 ** 7 for s in froms]
+        nexts = [s + 10 ** 7 for s in nexts]
+        if nexts[-1] != froms[0]:
+            froms.append(nexts[-1])
+            actions.append(99)
+            nexts.append(froms[0])
+            rewards.append(0.0)
+        froms.append(froms[0])
+        actions.append(actions[0])
+        nexts.append(10 ** 9)
+        rewards.append(rewards[0])
+        k = len(froms) - 1
     else:
-        nexts[i] = 10 ** 9                       # a state the MDP never reaches
-    with pytest.raises(DeterminismViolation) as err:
-        g.assemble([Trajectory.from_columns(froms, actions, nexts, rewards)])
-    assert (err.value.state, err.value.action) == (froms[i], actions[i])
+        if data.draw(st.booleans()):
+            rewards[i] += 1.0
+        else:
+            nexts[i] = 10 ** 9                   # a state the MDP never reaches
+        k = i
+    bad = Trajectory.from_columns(froms, actions, nexts, rewards)
+    raised = []
+    for graph, assemble in ((g, HighwayGraph.assemble), (ref, reference_assemble)):
+        with pytest.raises(DeterminismViolation) as err:
+            assemble(graph, [bad])
+        e = err.value
+        raised.append((e.state, e.action, e.first, e.second))
+    assert raised[0] == raised[1]
+    assert raised[0][:2] == (froms[k], actions[k])
+    assert graph_state(g) == graph_state(ref)
 
 
 def test_cached_reward_tracks_gamma_change():

@@ -5,12 +5,16 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from highway_rl.environments import EnvSpec, StepResult, make_env
 from highway_rl.errors import DeterminismViolation
+from highway_rl.highway_graph import HighwayGraph
 from highway_rl.policy import PolicySnapshot
 from highway_rl.trainer import (RunMetrics, TrainConfig, UpdateRow, detect_convergence,
                                 epsilon_ladder, evaluate, run_episode, train)
+from highway_rl.value_iteration import ValueTables
 
 
 def _maze_cfg(**overrides):
@@ -204,3 +208,79 @@ def test_metrics_csv_golden(spec, run_seed, digest):
     stripped = "\n".join(",".join(c for i, c in enumerate(line.split(",")) if i != wall)
                          for line in lines)
     assert hashlib.sha256(stripped.encode()).hexdigest()[:16] == digest
+
+
+class _TableEnv:
+    """A random deterministic MDP over integer states, some of them terminal."""
+
+    def __init__(self, rng: random.Random, n_states: int, action_count: int):
+        self.n_states = n_states
+        self.table = {(s, a): StepResult(rng.randrange(n_states),
+                                         round(rng.uniform(-1.0, 1.0), 3),
+                                         rng.random() < 0.03)
+                      for s in range(n_states) for a in range(action_count)}
+
+    def reset(self, episode_seed=None):
+        return episode_seed % self.n_states
+
+    def state_id(self, obs):
+        return obs + 1000
+
+    def step(self, obs, action):
+        return self.table[(obs, action)]
+
+
+def _per_frame_episode(env, snapshot, epsilon, episode_seed, step_cap):
+    """A rollout that makes the epsilon-greedy choice step by step: an
+    exploration coin when epsilon > 0, else the greedy table, with a uniform
+    random (masked) action for exploration and for states not in the table."""
+    rng = random.Random(episode_seed)
+
+    def random_action(sid):
+        if snapshot.action_mask is not None:
+            valid = list(snapshot.action_mask(sid))
+            return valid[rng.randrange(len(valid))]
+        return rng.randrange(snapshot.action_count)
+
+    obs = env.reset(episode_seed)
+    sid = env.state_id(obs)
+    columns = ([], [], [], [])
+    terminal = False
+    for _ in range(step_cap):
+        if epsilon > 0.0 and rng.random() < epsilon:
+            action = random_action(sid)
+        else:
+            action = snapshot.greedy.get(sid)
+            if action is None:
+                action = random_action(sid)
+        res = env.step(obs, action)
+        nxt = env.state_id(res.next_obs)
+        for column, value in zip(columns, (sid, action, nxt, res.reward)):
+            column.append(value)
+        obs, sid = res.next_obs, nxt
+        if res.done:
+            terminal = True
+            break
+    return columns, terminal
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.booleans(),
+       st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       st.integers(1, 300))
+def test_run_episode_keeps_the_per_frame_choices(seed, action_count, masked, epsilon,
+                                                 step_cap):
+    rng = random.Random(seed)
+    env = _TableEnv(rng, rng.randint(2, 30), action_count)
+    valid = {sid: rng.sample(range(action_count), rng.randint(1, action_count))
+             for sid in range(1000, 1000 + env.n_states)}
+    snap = PolicySnapshot(HighwayGraph(), ValueTables(), action_count,
+                          action_mask=valid.__getitem__ if masked else None)
+    # a greedy table that covers some states and not others
+    snap.greedy = {sid: rng.choice(actions) for sid, actions in valid.items()
+                   if rng.random() < 0.5}
+    episode_seed = rng.getrandbits(62)
+    traj = run_episode(env, snap, epsilon, episode_seed, step_cap)
+    columns, terminal = _per_frame_episode(env, snap, epsilon, episode_seed, step_cap)
+    assert (traj.from_states, traj.actions, traj.next_states, traj.rewards) == columns
+    assert traj.terminal == terminal
