@@ -8,18 +8,15 @@ approximator).
 """
 
 from .encoder import encode_tabular
-from .environments import EnvSpec, StepResult, ground_truth_values, make_env
+from .environments import EnvSpec, StepResult, make_env
 from .errors import (DeterminismViolation, DimensionMismatch, KeyMismatch,
                      MissingArtifact, NotInterior)
-from .highway_graph import (Highway, HighwayGraph, Location, expand_to_empirical, graph_stats,
-                            highway_reward, locate)
-from .policy import PolicySnapshot, chooser, epsilon_greedy, greedy_action, select_action
+from .highway_graph import Highway, HighwayGraph, expand_to_empirical, graph_stats, highway_reward
+from .policy import PolicySnapshot, chooser, epsilon_greedy, greedy_action
 from .reparam import ApproxConfig, QApproximator, QDataset, act, extract_dataset, fit
 from .trainer import EvalResult, RunMetrics, TrainConfig, TrainResult, detect_convergence, evaluate, train
-from .transition_model import (EmpiricalGraph, Trajectory, TransitionSample,
-                               empirical_reward, empirical_transition, record_trajectory,
-                               vanilla_value_iteration)
-from .value_iteration import (ValueTables, bellman_sweep, completeness_report,
-                              contraction_probe, interior_values, value_update_loop)
+from .transition_model import EmpiricalGraph, Trajectory, TransitionSample, vanilla_value_iteration
+from .value_iteration import (ValueTables, completeness_report, contraction_probe, interior_values,
+                              value_update_loop)
 
 __version__ = "0.1.0"

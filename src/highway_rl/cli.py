@@ -3,8 +3,9 @@
 Subcommands: train, eval, bench, completeness, export, distill, eval-hgq.
 Exit codes: 0 ok, 2 usage/config error, 3 determinism violation,
 4 missing or altered artifact (every command that reads a run checks its
-manifest digests first), 5 a `bench` solver stopped at --max-iter before
-reaching --delta.  HG_RUN_DIR overrides the default output root.
+manifest digests first), 5 a solve stopped at its iteration cap before
+reaching delta (a `bench` solver at --max-iter, or the run's own solve that
+`completeness` reads).  HG_RUN_DIR overrides the default output root.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def cmd_eval(args) -> int:
     manifest, graph, tables = _load_run(args.run)
     spec = _env_spec_from_manifest(manifest)
     env = make_env(spec)
-    snapshot = PolicySnapshot(graph, tables, env.action_count, rng_seed=args.seed)
+    snapshot = PolicySnapshot(graph, tables, env.action_count)
     gamma = manifest["config"]["gamma"]
     ev = trainer.evaluate(snapshot, env, args.episodes, gamma=gamma, seed=args.seed)
     print(f"episodes: {args.episodes}")
@@ -228,6 +229,11 @@ def cmd_bench(args) -> int:
 
 def cmd_completeness(args) -> int:
     manifest, graph, tables = _load_run(args.run)
+    delta = manifest["config"]["delta"]
+    if not tables.final_delta < delta:
+        print(f"not converged: the run's solve stopped at final_delta "
+              f"{tables.final_delta!r}, not below delta {delta!r}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     spec = _env_spec_from_manifest(manifest)
     env = make_env(spec)
     gamma = manifest["config"]["gamma"]
@@ -306,17 +312,8 @@ def cmd_eval_hgq(args) -> int:
            or environments.DEFAULT_EVAL_STEP_CAP[spec.kind])
     totals, discs = [], []
     for k in range(args.episodes):
-        obs = env.reset(k)
-        total, disc, g = 0.0, 0.0, 1.0
-        for _ in range(cap):
-            action = act(approx, env.state_features(obs))
-            res = env.step(obs, action)
-            total += res.reward
-            disc += g * res.reward
-            g *= gamma
-            obs = res.next_obs
-            if res.done:
-                break
+        total, disc, _steps, _terminal = trainer.rollout(
+            env, env.reset(k), lambda obs: act(approx, env.state_features(obs)), gamma, cap)
         totals.append(total)
         discs.append(disc)
     print(f"episodes: {args.episodes}")

@@ -11,7 +11,8 @@ import struct
 
 import numpy as np
 
-DEFAULT_HASH_SEED = 0
+# the blake2b key every state id was hashed with; changing it renumbers all states
+_HASH_KEY = struct.pack("<q", 0)
 
 
 def canonical_bytes(obs) -> bytes:
@@ -28,12 +29,10 @@ def canonical_bytes(obs) -> bytes:
     raise TypeError(f"unsupported canonical encoding: {type(obs)!r}")
 
 
-def encode_tabular(obs, seed: int = DEFAULT_HASH_SEED) -> int:
+def encode_tabular(obs) -> int:
     """Stable 64-bit hash of a canonical state encoding.
 
-    Equal encodings map to equal ids on every run; the seed keys the hash so
-    independent runs can be isolated if needed.
+    Equal encodings map to equal ids on every run.
     """
-    key = struct.pack("<q", seed)
-    h = hashlib.blake2b(canonical_bytes(obs), digest_size=8, key=key)
+    h = hashlib.blake2b(canonical_bytes(obs), digest_size=8, key=_HASH_KEY)
     return int.from_bytes(h.digest(), "little")

@@ -397,18 +397,3 @@ DEFAULT_EVAL_STEP_CAP = {"maze": 50_000, "cliffwalking": 12_000, "taxi": 20_000}
 @functools.lru_cache(maxsize=32)
 def make_env(spec: EnvSpec) -> _TabularEnv:
     return _ENV_CLASSES[spec.kind](spec)
-
-
-def reset(spec: EnvSpec, episode_seed: int | None = None):
-    """Initial canonical state for a (spec, episode seed) pair."""
-    return make_env(spec).reset(episode_seed)
-
-
-def step(spec: EnvSpec, state, action: int) -> StepResult:
-    """Deterministic transition for (spec, state, action)."""
-    return make_env(spec).step(state, action)
-
-
-def ground_truth_values(spec: EnvSpec, gamma: float) -> dict[int, float]:
-    """Optimal V for every reachable state via value iteration over the whole MDP."""
-    return make_env(spec).ground_truth_values(gamma)

@@ -27,26 +27,13 @@ optimal values untouched.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from operator import ne
 
 from .errors import DeterminismViolation, NotInterior
 from .transition_model import EmpiricalGraph, StateId, ActionId, Trajectory
-
-INTERSECTION = "intersection"
-ON_HIGHWAY = "on_highway"
-UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class Location:
-    """Where a state lives: an intersection, inside a highway, or unseen."""
-
-    kind: str
-    highway: int | None = None
-    offset: int | None = None
 
 
 def highway_reward(step_rewards, gamma: float) -> float:
@@ -236,12 +223,11 @@ class HighwayGraph:
     def assemble(self, trajs) -> "HighwayGraph":
         """Ingest trajectories, updating intersections and highways in place.
 
-        A DeterminismViolation leaves the pairs observed before the
-        conflicting step in `observed` but not in the graph, and a later
-        assemble treats them as known; discard the graph after one.
+        Trajectories are checked when they are built, so they are not
+        checked again here.  A DeterminismViolation leaves the graph as the
+        episodes before the conflicting one left it.
         """
         for traj in trajs:
-            traj.validate()
             self._ingest(traj)
         return self
 
@@ -262,10 +248,15 @@ class HighwayGraph:
         flagged states are promoted, so only first steps make new highways.
         This relies on every step of the graph being in `observed`, as it is
         for graphs grown by `assemble` or loaded from disk.
+
+        A conflicting step raises before the graph structure changes; the
+        pairs this episode inserted are the newest entries of `observed`,
+        and are dropped first.
         """
         froms, acts, nexts, rews = traj.from_states, traj.actions, traj.next_states, traj.rewards
         n = len(froms)
         observed = self.observed
+        known = len(observed)
         setdefault = observed.setdefault
         contains = self.contains_state
         first_dep = None
@@ -277,6 +268,8 @@ class HighwayGraph:
             outcome = (nxt, rews[j])
             prev = setdefault((s, a), outcome)
             if prev is not outcome:        # the pair was there with another outcome
+                for key in list(islice(reversed(observed), len(observed) - known)):
+                    del observed[key]
                 raise DeterminismViolation(s, a, prev, outcome)
             if s == nxt:
                 continue                   # a self-loop is remembered, never embedded
@@ -314,21 +307,6 @@ class HighwayGraph:
                                  tuple(map(rews.__getitem__, seg)),
                                  tuple(map(nexts.__getitem__, seg)))
 
-    # ------------------------------------------------------------------- misc
-
-    def set_gamma(self, gamma: float):
-        """Change the discount factor, recomputing every cached highway reward."""
-        if not (0.0 <= gamma < 1.0):
-            raise ValueError("gamma must be in [0, 1)")
-        self.gamma = gamma
-        for hid, h in list(self.highways.items()):
-            self.highways[hid] = replace(
-                h,
-                cached_reward=highway_reward(h.step_rewards, gamma),
-                path_return=path_return(h.step_rewards, gamma),
-                gamma_pow_len=gamma ** h.length,
-            )
-
 
 def _first_departures(froms, nexts) -> dict[StateId, int]:
     """Each state's first step index that leaves it (self-loops skipped).
@@ -341,16 +319,6 @@ def _first_departures(froms, nexts) -> dict[StateId, int]:
 
 
 # ------------------------------------------------------------------- derived views
-
-def locate(graph: HighwayGraph, s: StateId) -> Location:
-    """Classify a state as intersection, highway interior (with offset), or unknown."""
-    if s in graph.intersections:
-        return Location(INTERSECTION)
-    loc = graph.membership.get(s)
-    if loc is not None:
-        return Location(ON_HIGHWAY, highway=loc[0], offset=loc[1])
-    return Location(UNKNOWN)
-
 
 def expand_to_empirical(graph: HighwayGraph) -> EmpiricalGraph:
     """Unroll every highway back into its single-step empirical transitions."""

@@ -38,12 +38,11 @@ class ApproxConfig:
     hidden_units: int = HIDDEN_UNITS
     # how actions absent from the dataset at a state are supervised:
     # "below-best" pins them one target-spread under the state's best scored
-    # action, "zero" pins them at 0 (the value an untouched table slot keeps),
-    # None leaves those heads entirely unsupervised
+    # action, None leaves those heads entirely unsupervised
     absent_action_anchor: str | None = "below-best"
 
     def __post_init__(self):
-        if self.absent_action_anchor not in (None, "below-best", "zero"):
+        if self.absent_action_anchor not in (None, "below-best"):
             raise ValueError(f"unknown anchor mode {self.absent_action_anchor!r}")
 
 
@@ -160,13 +159,12 @@ def loss_and_gradients(approx: QApproximator, features: np.ndarray,
     return loss, [dw1, db1, dw2, db2, dw3, db3]
 
 
-def _anchor_absent_actions(dataset: QDataset, action_count: int,
-                           mode: str) -> QDataset:
+def _anchor_absent_actions(dataset: QDataset, action_count: int) -> QDataset:
     """Add one row per (dataset state, action missing there).
 
-    "zero" pins missing actions at 0; "below-best" pins them one
-    target-spread under the state's best scored action, which guarantees
-    they lose the argmax without assuming anything about the reward sign.
+    Each missing action is pinned one target-spread under the state's best
+    scored action, which guarantees it loses the argmax without assuming
+    anything about the reward sign.
     """
     spread = float(dataset.targets.max() - dataset.targets.min())
     margin = spread if spread > 0 else 1.0
@@ -178,7 +176,7 @@ def _anchor_absent_actions(dataset: QDataset, action_count: int,
         present[a] = max(present.get(a, -np.inf), float(dataset.targets[i]))
     extra_f, extra_a, extra_t = [], [], []
     for _key, (feats, present) in groups.items():
-        anchor = 0.0 if mode == "zero" else max(present.values()) - margin
+        anchor = max(present.values()) - margin
         for a in range(action_count):
             if a not in present:
                 extra_f.append(feats)
@@ -206,8 +204,7 @@ def fit(dataset: QDataset, config: ApproxConfig = ApproxConfig(),
     if action_count is None:
         action_count = int(dataset.actions.max()) + 1
     if config.absent_action_anchor is not None:
-        dataset = _anchor_absent_actions(dataset, action_count,
-                                         config.absent_action_anchor)
+        dataset = _anchor_absent_actions(dataset, action_count)
     feature_dim = dataset.features.shape[1]
     scale = float(dataset.targets.std())
     approx = QApproximator(

@@ -33,6 +33,10 @@ from .transition_model import Trajectory
 from .value_iteration import ValueTables, value_update_loop
 
 METRICS_SCHEMA = "hgrl-metrics-v1"
+# sweep cap of each update's value solve
+SOLVE_MAX_ITER = 100_000
+# greedy evaluation episodes after each update
+EVAL_EPISODES = 1
 
 
 @dataclass(frozen=True)
@@ -43,12 +47,9 @@ class TrainConfig:
     frame_budget: int = 1_000_000
     gamma: float = 0.99
     delta: float = 1e-10
-    max_iter: int | None = 100_000
     convergence_patience: int = 3
     run_seed: int = 0
     episode_step_cap: int | None = None      # None: per-environment default
-    eval_episodes: int = 1
-    stop_on_convergence: bool = True
 
     def __post_init__(self):
         if self.actors < 1:
@@ -164,8 +165,7 @@ def run_episode(env, snapshot: PolicySnapshot, epsilon: float, episode_seed: int
         if res.done:
             terminal = True
             break
-    return Trajectory.from_columns(states, actions, next_states, rewards,
-                                   terminal=terminal, episode_seed=episode_seed)
+    return Trajectory.from_columns(states, actions, next_states, rewards, terminal=terminal)
 
 
 @dataclass
@@ -185,9 +185,31 @@ class EvalResult:
     episodes: list[EpisodeEval]
 
 
+def rollout(env, obs, act, gamma: float, cap: int) -> tuple[float, float, int, bool]:
+    """Step from obs with act(obs) until a terminal state or cap steps.
+
+    Returns (total reward, discounted return, steps, terminal); the discount
+    exponent is the step index.
+    """
+    total = 0.0
+    disc = 0.0
+    g = 1.0
+    steps = 0
+    while steps < cap:
+        res = env.step(obs, act(obs))
+        total += res.reward
+        disc += g * res.reward
+        g *= gamma
+        steps += 1
+        obs = res.next_obs
+        if res.done:
+            return total, disc, steps, True
+    return total, disc, steps, False
+
+
 def evaluate(snapshot: PolicySnapshot, env, episodes: int, gamma: float = 0.99,
              step_cap: int | None = None, seed: int = 0) -> EvalResult:
-    """Greedy (epsilon = 0) rollouts; discount exponent is the step index."""
+    """Greedy (epsilon = 0) rollouts, each with a generator seeded per episode."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     cap = step_cap if step_cap is not None else DEFAULT_EVAL_STEP_CAP[env.spec.kind]
@@ -195,25 +217,14 @@ def evaluate(snapshot: PolicySnapshot, env, episodes: int, gamma: float = 0.99,
     for k in range(episodes):
         episode_seed = _mix_seed(seed, 7_777, k)
         rng = random.Random(episode_seed)
-        obs = env.reset(episode_seed)
-        start = obs
-        total = 0.0
-        disc = 0.0
-        g = 1.0
-        steps = 0
-        terminal = False
-        while steps < cap:
-            action = epsilon_greedy(snapshot, env.state_id(obs), 0.0, rng=rng)
-            res = env.step(obs, action)
-            total += res.reward
-            disc += g * res.reward
-            g *= gamma
-            steps += 1
-            obs = res.next_obs
-            if res.done:
-                terminal = True
-                break
-        out.append(EpisodeEval(episode_seed, start, total, disc, steps, terminal))
+        start = env.reset(episode_seed)
+
+        def act(obs):
+            # the module's epsilon_greedy is looked up per frame, so a wrapper
+            # installed on it sees every choice
+            return epsilon_greedy(snapshot, env.state_id(obs), 0.0, rng=rng)
+
+        out.append(EpisodeEval(episode_seed, start, *rollout(env, start, act, gamma, cap)))
     return EvalResult(
         mean_total_reward=sum(e.total_reward for e in out) / len(out),
         mean_discounted_return=sum(e.discounted_return for e in out) / len(out),
@@ -245,8 +256,7 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
     step_cap = config.resolved_step_cap()
     graph = HighwayGraph(gamma=config.gamma)
     tables = ValueTables()
-    snapshot = PolicySnapshot(graph, tables, env.action_count,
-                              rng_seed=_mix_seed(config.run_seed, 0))
+    snapshot = PolicySnapshot(graph, tables, env.action_count)
     metrics = RunMetrics()
     frames = 0
     episode_index = 0
@@ -265,11 +275,10 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
             frames += len(traj)
             batch.append(traj)
         graph.assemble(batch)
-        tables = value_update_loop(graph, max_iter=config.max_iter,
+        tables = value_update_loop(graph, max_iter=SOLVE_MAX_ITER,
                                    delta=config.delta, v_init=tables.v)
-        snapshot = PolicySnapshot(graph, tables, env.action_count,
-                                  rng_seed=_mix_seed(config.run_seed, update))
-        ev = evaluate(snapshot, env, config.eval_episodes, gamma=config.gamma,
+        snapshot = PolicySnapshot(graph, tables, env.action_count)
+        ev = evaluate(snapshot, env, EVAL_EPISODES, gamma=config.gamma,
                       step_cap=step_cap, seed=_mix_seed(config.run_seed, 31, update))
         stats = graph_stats(graph)
         row = UpdateRow(
@@ -291,7 +300,6 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
         converged = detect_convergence(metrics, config.convergence_patience)
         if converged is not None:
             metrics.converged_at_update = converged
-            if config.stop_on_convergence:
-                break
+            break
     return TrainResult(config=config, metrics=metrics, graph=graph,
                        tables=tables, snapshot=snapshot)

@@ -1,10 +1,10 @@
 """Empirical state-transition graph and the vanilla value-iteration oracle.
 
 The graph stores exactly what was sampled: one deterministic
-(state, action) -> (next state, reward) edge per observed pair, with a
-sample count.  Vanilla value iteration sweeps the whole graph with
-synchronous (Jacobi) backups and serves as the uncompressed reference
-solver that the highway machinery is checked against.
+(state, action) -> (next state, reward) edge per observed pair.  Vanilla
+value iteration sweeps the whole graph with synchronous (Jacobi) backups
+and serves as the uncompressed reference solver that the highway machinery
+is checked against.
 """
 
 from __future__ import annotations
@@ -42,29 +42,27 @@ class Trajectory:
     TransitionSample objects, built on access.
     """
 
-    def __init__(self, samples: Iterable[TransitionSample], terminal: bool = False,
-                 episode_seed: int = 0):
+    def __init__(self, samples: Iterable[TransitionSample], terminal: bool = False):
         samples = list(samples)
         self._fill([s.state for s in samples], [s.action for s in samples],
                    [s.next_state for s in samples], [s.reward for s in samples],
-                   terminal, episode_seed)
+                   terminal)
 
     @classmethod
     def from_columns(cls, from_states: list[StateId], actions: list[ActionId],
                      next_states: list[StateId], rewards: list[float],
-                     terminal: bool = False, episode_seed: int = 0) -> "Trajectory":
+                     terminal: bool = False) -> "Trajectory":
         """Build from the four columns directly, with no per-step objects."""
         traj = cls.__new__(cls)
-        traj._fill(from_states, actions, next_states, rewards, terminal, episode_seed)
+        traj._fill(from_states, actions, next_states, rewards, terminal)
         return traj
 
-    def _fill(self, from_states, actions, next_states, rewards, terminal, episode_seed):
+    def _fill(self, from_states, actions, next_states, rewards, terminal):
         self.from_states = from_states
         self.actions = actions
         self.next_states = next_states
         self.rewards = rewards
         self.terminal = terminal
-        self.episode_seed = episode_seed
         self.validate()
 
     def validate(self):
@@ -89,11 +87,6 @@ class Trajectory:
     def samples(self) -> Sequence[TransitionSample]:
         return _SampleView(self)
 
-    @property
-    def states(self) -> list[StateId]:
-        """All visited states in order (length len(samples) + 1)."""
-        return self.from_states[:1] + self.next_states
-
 
 class _SampleView(Sequence):
     """Read-only sequence of a trajectory's steps as TransitionSample objects."""
@@ -117,57 +110,26 @@ class _SampleView(Sequence):
 
 @dataclass
 class EmpiricalGraph:
-    """Deterministic empirical state-transition graph with sample counts."""
+    """Deterministic empirical state-transition graph."""
 
     gamma: float = 0.99
     nodes: set[StateId] = field(default_factory=set)
-    # (state, action) -> [next_state, reward, count]
-    edges: dict[tuple[StateId, ActionId], list] = field(default_factory=dict)
-
-    def num_nodes(self) -> int:
-        return len(self.nodes)
+    # (state, action) -> (next_state, reward)
+    edges: dict[tuple[StateId, ActionId], tuple[StateId, float]] = field(default_factory=dict)
 
     def num_edges(self) -> int:
         return len(self.edges)
 
     def add_sample(self, state: StateId, action: ActionId, next_state: StateId, reward: float):
-        key = (state, action)
-        entry = self.edges.get(key)
-        if entry is None:
-            self.edges[key] = [next_state, reward, 1]
+        """Store one sample; raises DeterminismViolation if the pair was
+        stored before with a different next state or reward."""
+        outcome = (next_state, reward)
+        prev = self.edges.setdefault((state, action), outcome)
+        if prev is outcome:
             self.nodes.add(state)
             self.nodes.add(next_state)
-        else:
-            if entry[0] != next_state or entry[1] != reward:
-                raise DeterminismViolation(state, action, (entry[0], entry[1]), (next_state, reward))
-            entry[2] += 1
-
-
-def record_trajectory(graph: EmpiricalGraph, traj: Trajectory) -> EmpiricalGraph:
-    """Store every sample of the trajectory, incrementing edge counts.
-
-    Raises DeterminismViolation if any (state, action) pair was already
-    recorded with a different next state or a different reward.
-    """
-    traj.validate()
-    for s, a, nxt, r in traj.transitions():
-        graph.add_sample(s, a, nxt, r)
-    return graph
-
-
-def empirical_transition(graph: EmpiricalGraph, next_state: StateId,
-                         action: ActionId, state: StateId) -> float:
-    """1.0 if the sampled edge (state, action) -> next_state exists, else 0.0."""
-    entry = graph.edges.get((state, action))
-    if entry is not None and entry[0] == next_state:
-        return 1.0
-    return 0.0
-
-
-def empirical_reward(graph: EmpiricalGraph, state: StateId, action: ActionId) -> float:
-    """Stored reward for a sampled pair, 0.0 for a pair never sampled."""
-    entry = graph.edges.get((state, action))
-    return entry[1] if entry is not None else 0.0
+        elif prev[0] != next_state or prev[1] != reward:
+            raise DeterminismViolation(state, action, prev, outcome)
 
 
 @dataclass
@@ -196,7 +158,7 @@ def vanilla_value_iteration(graph: EmpiricalGraph, max_iter: int = 10_000,
         raise ValueError("gamma must be in [0, 1)")
     states = sorted(graph.nodes)
     outgoing: dict[StateId, list[tuple[StateId, float]]] = {s: [] for s in states}
-    for (s, _a), (nxt, r, _c) in graph.edges.items():
+    for (s, _a), (nxt, r) in graph.edges.items():
         outgoing[s].append((nxt, r))
     # Internally the states are grouped by out-degree, states with no edge
     # last, so that a sweep runs one comprehension per degree and per edge
@@ -246,7 +208,7 @@ def to_dot(graph: EmpiricalGraph, label_of=None) -> str:
     for s in sorted(graph.nodes):
         lines.append(f'  n{s} [label="{label_of(s)}"];')
     for (s, a) in sorted(graph.edges):
-        nxt, r, _count = graph.edges[(s, a)]
+        nxt, r = graph.edges[(s, a)]
         lines.append(f'  n{s} -> n{nxt} [label="{a}/{r:g}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -105,18 +105,6 @@ class _SweepEngine:
             raise ValueError(f"missing value entry for intersection {exc}") from exc
 
 
-def bellman_sweep(graph: HighwayGraph, v_prev: dict[StateId, float]):
-    """One synchronous sweep; returns (v_next, q_next) maps.
-
-    v_prev must contain an entry for every intersection.
-    """
-    eng = _SweepEngine(graph)
-    v_next, q = eng.sweep(eng.v_array(v_prev))
-    v_map = dict(zip(eng.states, v_next.tolist()))
-    q_map = dict(zip(eng.edge_keys, q.tolist()))
-    return v_map, q_map
-
-
 def value_update_loop(graph: HighwayGraph, max_iter: int | None = None,
                       delta: float = 1e-6, v_init: dict[StateId, float] | None = None
                       ) -> ValueTables:

@@ -11,12 +11,12 @@ from highway_rl.errors import DeterminismViolation
 from highway_rl.highway_graph import HighwayGraph, highway_reward
 from highway_rl.trainer import _topology_signature
 from highway_rl.transition_model import Trajectory, TransitionSample
+from highway_rl.value_iteration import value_update_loop
 
 
-def mk_traj(*steps, terminal=False, episode_seed=0) -> Trajectory:
+def mk_traj(*steps, terminal=False) -> Trajectory:
     """Build a trajectory from (state, action, next_state, reward) tuples."""
-    return Trajectory([TransitionSample(*s) for s in steps],
-                      terminal=terminal, episode_seed=episode_seed)
+    return Trajectory([TransitionSample(*s) for s in steps], terminal=terminal)
 
 
 def random_highway_graph(rng: random.Random, max_intersections: int = 50,
@@ -60,7 +60,7 @@ def random_walk_trajectories(rng: random.Random, table, n_states: int,
                              max_len: int = 30) -> list[Trajectory]:
     """Trajectories from random walks over a deterministic MDP table."""
     out = []
-    for e in range(episodes):
+    for _ in range(episodes):
         s = rng.randrange(n_states)
         samples = []
         for _ in range(rng.randint(1, max_len)):
@@ -68,7 +68,7 @@ def random_walk_trajectories(rng: random.Random, table, n_states: int,
             nxt, r = table[(s, a)]
             samples.append(TransitionSample(s + 10 ** 6, a, nxt + 10 ** 6, r))
             s = nxt
-        out.append(Trajectory(samples, terminal=False, episode_seed=e))
+        out.append(Trajectory(samples, terminal=False))
     return out
 
 
@@ -121,6 +121,12 @@ def check_graph_invariants(graph: HighwayGraph):
         assert in_deg.get(st, 0) <= 1
 
 
+def one_sweep(graph: HighwayGraph, v_prev: dict):
+    """One synchronous sweep from v_prev; returns its (V, Q) maps."""
+    tables = value_update_loop(graph, max_iter=1, delta=0.0, v_init=v_prev)
+    return tables.v, tables.q
+
+
 # --------------------------------------------------- step-by-step reference ingest
 #
 # HighwayGraph._ingest visits only the steps that bring a new (state, action)
@@ -167,12 +173,22 @@ def detect_against(steps, graph: HighwayGraph) -> set:
 
 
 def reference_ingest(graph: HighwayGraph, traj: Trajectory):
-    """Fold one episode into graph by scanning every step."""
+    """Fold one episode into graph by scanning every step.
+
+    A conflicting step raises before the graph changes, with the pairs this
+    episode added to `observed` taken out again.
+    """
     observed = graph.observed
+    added = []
     for s, a, nxt, r in traj.transitions():
-        prev = observed.setdefault((s, a), (nxt, r))
-        if prev != (nxt, r):
-            raise DeterminismViolation(s, a, prev, (nxt, r))
+        outcome = (nxt, r)
+        prev = observed.setdefault((s, a), outcome)
+        if prev is outcome:
+            added.append((s, a))
+        elif prev != outcome:
+            for key in added:
+                del observed[key]
+            raise DeterminismViolation(s, a, prev, outcome)
     steps = [step for step in traj.transitions() if step[0] != step[2]]
     if not steps:
         graph.make_intersection(traj.from_states[0])

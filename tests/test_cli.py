@@ -1,14 +1,17 @@
 """Command-line surface: exit codes, run directories, exports."""
 
+import dataclasses
 import json
 import os
 import re
+import shutil
 
 import pytest
 
 from highway_rl import cli
 from highway_rl.environments import StepResult
-from highway_rl.serialize import read_manifest, verify_manifest
+from highway_rl.serialize import (load_value_tables, read_manifest, save_value_tables,
+                                  verify_manifest, write_manifest)
 
 
 @pytest.fixture()
@@ -110,6 +113,22 @@ def test_completeness_command(run_dir, capsys):
     out = capsys.readouterr().out
     assert re.search(r"completeness: \d+\.\d\d%", out)
     assert "avg_dist:" in out
+
+
+def test_completeness_refuses_an_unconverged_solve(run_dir, tmp_path, capsys):
+    stalled = tmp_path / "stalled"
+    shutil.copytree(run_dir, stalled)
+    tables = load_value_tables(stalled / "tables.npz")
+    save_value_tables(stalled / "tables.npz", dataclasses.replace(tables, final_delta=1.0))
+    manifest = read_manifest(stalled)
+    # re-list the digests, so only the convergence check can refuse the run
+    write_manifest(stalled, manifest["config"], extra={
+        k: v for k, v in manifest.items()
+        if k not in ("tool_version", "format_version", "config", "files")})
+    assert cli.main(["completeness", "--run", str(stalled)]) == 5
+    err = capsys.readouterr().err
+    assert "1.0" in err and repr(manifest["config"]["delta"]) in err
+    assert cli.main(["completeness", "--run", str(run_dir)]) == 0
 
 
 def _parse_dot(text):

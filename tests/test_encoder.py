@@ -9,12 +9,14 @@ def test_equal_encodings_equal_ids():
     assert encode_tabular(17) == encode_tabular(17)
 
 
+def test_ids_are_pinned():
+    # every stored graph and golden digest depends on these exact ids
+    assert encode_tabular((0, 0)) == 17953760018041381138
+    assert encode_tabular(17) == 4126017524795657464
+
+
 def test_order_matters():
     assert encode_tabular((2, 3)) != encode_tabular((3, 2))
-
-
-def test_seed_isolates_id_spaces():
-    assert encode_tabular((1, 1), seed=0) != encode_tabular((1, 1), seed=1)
 
 
 def test_no_collisions_across_in_scope_state_spaces():

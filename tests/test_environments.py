@@ -2,15 +2,16 @@
 
 import pytest
 
-from highway_rl.environments import (EnvSpec, InvalidAction, MazeEnv, ground_truth_values,
-                                     make_env, reset, step, _taxi_decode, _taxi_encode)
+from highway_rl.environments import (EnvSpec, InvalidAction, MazeEnv, make_env, _taxi_decode,
+                                     _taxi_encode)
 
 
 # ---------------------------------------------------------------------- resets
 
 def test_maze_reset_deterministic():
     spec = EnvSpec(kind="maze", width=3, height=3, seed=7)
-    assert reset(spec) == reset(spec) == (0, 0)
+    env = make_env(spec)
+    assert env.reset() == env.reset() == (0, 0)
     env1 = MazeEnv(spec)
     env2 = MazeEnv(spec)
     assert env1.passages == env2.passages
@@ -18,18 +19,18 @@ def test_maze_reset_deterministic():
 
 def test_cliff_reset_is_bottom_left():
     spec = EnvSpec(kind="cliffwalking", seed=0)
-    assert reset(spec) == 3 * 12 + 0
+    assert make_env(spec).reset() == 3 * 12 + 0
 
 
 def test_taxi_reset_seeded():
-    spec = EnvSpec(kind="taxi", seed=5)
-    first = reset(spec, episode_seed=0)
-    assert first == reset(spec, episode_seed=0)
+    env = make_env(EnvSpec(kind="taxi", seed=5))
+    first = env.reset(episode_seed=0)
+    assert first == env.reset(episode_seed=0)
     row, col, pas, dest = _taxi_decode(first)
     assert 0 <= row < 5 and 0 <= col < 5
     assert pas < 4 and dest < 4 and pas != dest
     # different episode seeds eventually give different configurations
-    assert len({reset(spec, episode_seed=k) for k in range(20)}) > 1
+    assert len({env.reset(episode_seed=k) for k in range(20)}) > 1
 
 
 def test_spec_validation():
@@ -203,14 +204,14 @@ def test_taxi_optimal_total_example():
 def test_ground_truth_terminal_is_zero():
     spec = EnvSpec(kind="maze", width=3, height=3, seed=7)
     env = make_env(spec)
-    truth = ground_truth_values(spec, 0.99)
+    truth = env.ground_truth_values(0.99)
     assert truth[env.state_id(env.goal)] == 0.0
 
 
 def test_ground_truth_goal_adjacent_one_step():
     spec = EnvSpec(kind="maze", width=3, height=3, seed=7)
     env = make_env(spec)
-    truth = ground_truth_values(spec, 0.99)
+    truth = env.ground_truth_values(0.99)
     for obs in env.enumerate_states():
         if env.min_steps_to_goal(obs) == 1:
             assert truth[env.state_id(obs)] == pytest.approx(1.0 - env.move_penalty,
@@ -220,7 +221,7 @@ def test_ground_truth_goal_adjacent_one_step():
 def test_ground_truth_matches_rollout_of_optimal_path():
     spec = EnvSpec(kind="maze", width=5, height=5, seed=3)
     env = make_env(spec)
-    truth = ground_truth_values(spec, 0.99)
+    truth = env.ground_truth_values(0.99)
     # follow the greedy-on-truth policy from the start; its discounted return
     # must equal the start state's oracle value
     obs = env.reset()
@@ -243,11 +244,12 @@ def test_step_is_pure():
                  EnvSpec(kind="cliffwalking", seed=0),
                  EnvSpec(kind="taxi", seed=0)):
         env = make_env(spec)
+        twin = type(env)(spec)      # built apart from the cached instance
         for obs in env.enumerate_states()[:20]:
             if env.is_terminal(obs):
                 continue
             for a in range(env.action_count):
-                assert env.step(obs, a) == env.step(obs, a) == step(spec, obs, a)
+                assert env.step(obs, a) == env.step(obs, a) == twin.step(obs, a)
 
 
 @pytest.mark.parametrize("spec", [EnvSpec(kind="maze", width=5, height=5, seed=s)

@@ -15,7 +15,7 @@ from conftest import (check_graph_invariants, detect_against, detect_within, gra
                       random_mdp_walks, random_walk_trajectories, reference_assemble)
 from highway_rl.errors import DeterminismViolation, NotInterior
 from highway_rl.highway_graph import (HighwayGraph, expand_to_empirical, graph_stats,
-                                      highway_reward, locate, path_return, to_dot)
+                                      highway_reward, path_return, to_dot)
 from highway_rl.transition_model import Trajectory, vanilla_value_iteration
 from highway_rl.value_iteration import value_update_loop
 
@@ -128,8 +128,7 @@ def test_assemble_join_splits_existing_highway():
     assert 2 in g.intersections
     spans = sorted((h.from_state, h.to_state) for h in g.highways.values())
     assert spans == [(0, 2), (2, 4), (7, 2)]
-    assert locate(g, 1).kind == "on_highway"
-    assert locate(g, 3).kind == "on_highway"
+    assert 1 in g.membership and 3 in g.membership
 
 
 def test_assemble_self_loop_samples_are_not_embedded():
@@ -247,25 +246,13 @@ def test_path_return_exponent_starts_at_zero():
     assert path_return([0.0, 0.0, 1.0], 0.5) == pytest.approx(0.25, abs=1e-15)
 
 
-# --------------------------------------------------------------------- locate
-
-def test_locate_all_cases():
-    g = HighwayGraph(gamma=0.99)
-    g.add_highway(0, 5, [4, 3, 2, 1, 0], [0.0] * 5, interior=[1, 2, 3, 4])
-    assert locate(g, 0).kind == "intersection"
-    loc = locate(g, 3)
-    assert loc.kind == "on_highway"
-    assert loc.offset == 3
-    assert locate(g, 77).kind == "unknown"
-
-
 # --------------------------------------------------------------------- expand
 
 def test_expand_counts():
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 3, [0, 0, 0], [0.0, 0.0, 1.0], interior=[1, 2])
     emp = expand_to_empirical(g)
-    assert emp.num_nodes() == 4
+    assert emp.nodes == {0, 1, 2, 3}
     assert emp.num_edges() == 3
 
 
@@ -484,13 +471,31 @@ def test_conflict_on_known_pair_still_raises(seed, episodes, max_len, data):
 
 
 def test_cached_reward_tracks_gamma_change():
+    # the same highway under two discount factors caches each one's rewards
+    for gamma, cached, ret in ((0.99, 0.5 * 0.99 + 1.0 * 0.99 ** 2, 0.5 + 1.0 * 0.99),
+                               (0.5, 0.5 * 0.5 + 1.0 * 0.25, 0.5 + 1.0 * 0.5)):
+        g = HighwayGraph(gamma=gamma)
+        g.add_highway(0, 2, [0, 1], [0.5, 1.0], interior=[1])
+        (h,) = g.highways.values()
+        assert h.cached_reward == pytest.approx(cached)
+        assert h.path_return == pytest.approx(ret)
+        assert h.gamma_pow_len == gamma ** 2
+        check_graph_invariants(g)
+
+
+def test_violation_leaves_the_graph_unchanged():
+    # the conflicting episode's new pairs are dropped with it, so a later
+    # episode over the same steps embeds them
     g = HighwayGraph(gamma=0.99)
-    g.add_highway(0, 2, [0, 1], [0.5, 1.0], interior=[1])
-    (h,) = g.highways.values()
-    assert h.cached_reward == pytest.approx(0.5 * 0.99 + 1.0 * 0.99 ** 2)
-    g.set_gamma(0.5)
-    (h,) = g.highways.values()
-    assert h.cached_reward == pytest.approx(0.5 * 0.5 + 1.0 * 0.25)
+    g.assemble([mk_traj((0, 0, 1, 0.0))])
+    before = graph_state(g)
+    with pytest.raises(DeterminismViolation):
+        g.assemble([mk_traj((5, 0, 6, 0.0), (6, 0, 0, 0.0), (0, 0, 2, 0.0))])
+    assert graph_state(g) == before
+    again = mk_traj((5, 0, 6, 0.0), (6, 0, 0, 0.0), (0, 0, 1, 0.0))
+    g.assemble([again])
+    fresh = HighwayGraph(gamma=0.99).assemble([mk_traj((0, 0, 1, 0.0)), again])
+    assert graph_state(g) == graph_state(fresh)
     check_graph_invariants(g)
 
 

@@ -129,7 +129,7 @@ def _reference_fit(ds, cfg, action_count):
     per batch of permuted rows, then the full-set loss from a gradient pass."""
     approx = fit(ds, replace(cfg, epochs=0), action_count=action_count)
     if cfg.absent_action_anchor is not None:
-        ds = _anchor_absent_actions(ds, action_count, cfg.absent_action_anchor)
+        ds = _anchor_absent_actions(ds, action_count)
     rng = np.random.default_rng(cfg.init_seed + 1)
     velocity = [np.zeros_like(w) for w in approx.weights]
     n = len(ds)

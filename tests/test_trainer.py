@@ -42,10 +42,11 @@ def test_cold_start_zero_budget():
     # the published policy acts uniformly at random on the unseen start state
     from collections import Counter
 
-    from highway_rl.policy import select_action
+    from highway_rl.policy import epsilon_greedy
     env = make_env(res.config.env)
     sid = env.state_id(env.reset())
-    actions = Counter(select_action(res.snapshot, sid) for _ in range(4000))
+    rng = random.Random(0)
+    actions = Counter(epsilon_greedy(res.snapshot, sid, 0.0, rng) for _ in range(4000))
     for a in range(4):
         assert actions[a] / 4000 == pytest.approx(0.25, abs=0.05)
 
@@ -233,26 +234,19 @@ class _TableEnv:
 def _per_frame_episode(env, snapshot, epsilon, episode_seed, step_cap):
     """A rollout that makes the epsilon-greedy choice step by step: an
     exploration coin when epsilon > 0, else the greedy table, with a uniform
-    random (masked) action for exploration and for states not in the table."""
+    random action for exploration and for states not in the table."""
     rng = random.Random(episode_seed)
-
-    def random_action(sid):
-        if snapshot.action_mask is not None:
-            valid = list(snapshot.action_mask(sid))
-            return valid[rng.randrange(len(valid))]
-        return rng.randrange(snapshot.action_count)
-
     obs = env.reset(episode_seed)
     sid = env.state_id(obs)
     columns = ([], [], [], [])
     terminal = False
     for _ in range(step_cap):
         if epsilon > 0.0 and rng.random() < epsilon:
-            action = random_action(sid)
+            action = rng.randrange(snapshot.action_count)
         else:
             action = snapshot.greedy.get(sid)
             if action is None:
-                action = random_action(sid)
+                action = rng.randrange(snapshot.action_count)
         res = env.step(obs, action)
         nxt = env.state_id(res.next_obs)
         for column, value in zip(columns, (sid, action, nxt, res.reward)):
@@ -265,19 +259,15 @@ def _per_frame_episode(env, snapshot, epsilon, episode_seed, step_cap):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 6), st.booleans(),
+@given(st.integers(0, 10_000), st.integers(1, 6),
        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
        st.integers(1, 300))
-def test_run_episode_keeps_the_per_frame_choices(seed, action_count, masked, epsilon,
-                                                 step_cap):
+def test_run_episode_keeps_the_per_frame_choices(seed, action_count, epsilon, step_cap):
     rng = random.Random(seed)
     env = _TableEnv(rng, rng.randint(2, 30), action_count)
-    valid = {sid: rng.sample(range(action_count), rng.randint(1, action_count))
-             for sid in range(1000, 1000 + env.n_states)}
-    snap = PolicySnapshot(HighwayGraph(), ValueTables(), action_count,
-                          action_mask=valid.__getitem__ if masked else None)
+    snap = PolicySnapshot(HighwayGraph(), ValueTables(), action_count)
     # a greedy table that covers some states and not others
-    snap.greedy = {sid: rng.choice(actions) for sid, actions in valid.items()
+    snap.greedy = {sid: rng.randrange(action_count) for sid in range(1000, 1000 + env.n_states)
                    if rng.random() < 0.5}
     episode_seed = rng.getrandbits(62)
     traj = run_episode(env, snap, epsilon, episode_seed, step_cap)

@@ -9,42 +9,43 @@ from hypothesis import strategies as st
 
 from conftest import mk_traj
 from highway_rl.errors import DeterminismViolation
-from highway_rl.transition_model import (EmpiricalGraph, Trajectory, TransitionSample,
-                                         empirical_reward, empirical_transition,
-                                         record_trajectory, to_dot,
+from highway_rl.transition_model import (EmpiricalGraph, Trajectory, TransitionSample, to_dot,
                                          vanilla_value_iteration)
+
+
+def record(graph: EmpiricalGraph, *steps):
+    """Add each (state, action, next_state, reward) step to graph."""
+    for step in steps:
+        graph.add_sample(*step)
 
 
 def test_record_single_step():
     g = EmpiricalGraph(gamma=0.99)
-    record_trajectory(g, mk_traj((0, 0, 1, 1.0)))
-    assert g.num_nodes() == 2
+    record(g, (0, 0, 1, 1.0))
+    assert g.nodes == {0, 1}
     assert g.num_edges() == 1
-    assert g.edges[(0, 0)] == [1, 1.0, 1]
+    assert g.edges[(0, 0)] == (1, 1.0)
 
 
-def test_record_twice_increments_count_only():
+def test_record_twice_keeps_one_edge():
     g = EmpiricalGraph()
-    traj = mk_traj((0, 0, 1, 1.0))
-    record_trajectory(g, traj)
-    record_trajectory(g, traj)
-    assert g.num_nodes() == 2
-    assert g.num_edges() == 1
-    assert g.edges[(0, 0)][2] == 2
+    record(g, (0, 0, 1, 1.0), (0, 0, 1, 1.0))
+    assert g.nodes == {0, 1}
+    assert g.edges == {(0, 0): (1, 1.0)}
 
 
 def test_conflicting_next_state_raises():
     g = EmpiricalGraph()
-    record_trajectory(g, mk_traj((0, 0, 1, 1.0)))
+    record(g, (0, 0, 1, 1.0))
     with pytest.raises(DeterminismViolation):
-        record_trajectory(g, mk_traj((0, 0, 2, 1.0)))
+        record(g, (0, 0, 2, 1.0))
 
 
 def test_conflicting_reward_raises():
     g = EmpiricalGraph()
-    record_trajectory(g, mk_traj((0, 0, 1, 1.0)))
+    record(g, (0, 0, 1, 1.0))
     with pytest.raises(DeterminismViolation):
-        record_trajectory(g, mk_traj((0, 0, 1, 0.5)))
+        record(g, (0, 0, 1, 0.5))
 
 
 def test_trajectory_must_chain():
@@ -67,7 +68,6 @@ def test_trajectory_columns_match_samples():
                                    TransitionSample(2, 0, 4, 1.0)]
         assert t.samples[-1] == TransitionSample(2, 0, 4, 1.0)
         assert t.samples[:1] == [TransitionSample(0, 1, 2, -1.0)]
-        assert t.states == [0, 2, 2, 4]
         assert list(t.transitions()) == [(0, 1, 2, -1.0), (2, 3, 2, 0.5), (2, 0, 4, 1.0)]
 
 
@@ -83,26 +83,9 @@ def test_trajectory_columns_validated(columns):
         Trajectory.from_columns(*columns)
 
 
-def test_empirical_transition_binary():
-    g = EmpiricalGraph()
-    record_trajectory(g, mk_traj((0, 0, 1, 1.0)))
-    assert empirical_transition(g, 1, 0, 0) == 1.0
-    assert empirical_transition(g, 1, 3, 0) == 0.0   # unseen pair
-    assert empirical_transition(g, 2, 0, 0) == 0.0   # wrong next state
-
-
-def test_empirical_reward_defaults_to_zero():
-    g = EmpiricalGraph()
-    record_trajectory(g, mk_traj((0, 0, 1, -0.04)))
-    record_trajectory(g, mk_traj((1, 2, 3, 1.0), terminal=True))
-    assert empirical_reward(g, 0, 0) == -0.04
-    assert empirical_reward(g, 1, 2) == 1.0
-    assert empirical_reward(g, 5, 1) == 0.0
-
-
 def test_vanilla_vi_one_step_to_terminal():
     g = EmpiricalGraph(gamma=0.99)
-    record_trajectory(g, mk_traj((0, 0, 1, 1.0), terminal=True))
+    record(g, (0, 0, 1, 1.0))
     res = vanilla_value_iteration(g)
     assert res.values[0] == pytest.approx(1.0, abs=1e-12)
     assert res.values[1] == 0.0
@@ -111,7 +94,7 @@ def test_vanilla_vi_one_step_to_terminal():
 
 def test_vanilla_vi_chain():
     g = EmpiricalGraph(gamma=0.99)
-    record_trajectory(g, mk_traj((0, 0, 1, 0.0), (1, 0, 2, 1.0), terminal=True))
+    record(g, (0, 0, 1, 0.0), (1, 0, 2, 1.0))
     res = vanilla_value_iteration(g)
     assert res.values[1] == pytest.approx(1.0, abs=1e-12)
     assert res.values[0] == pytest.approx(0.99, abs=1e-12)
@@ -124,7 +107,7 @@ def _oracle_fixed_point(graph: EmpiricalGraph, sweeps: int = 6000) -> dict:
         nxt = {}
         for s in graph.nodes:
             candidates = [r + graph.gamma * v[n]
-                          for (src, _a), (n, r, _c) in graph.edges.items() if src == s]
+                          for (src, _a), (n, r) in graph.edges.items() if src == s]
             nxt[s] = max(candidates) if candidates else 0.0
         v = nxt
     return v
@@ -176,7 +159,7 @@ def test_vanilla_vi_contracts_toward_fixed_point():
 
 def test_vanilla_vi_reports_non_convergence():
     g = EmpiricalGraph(gamma=0.99)
-    record_trajectory(g, mk_traj((0, 0, 1, 1.0), (1, 0, 0, 1.0)))
+    record(g, (0, 0, 1, 1.0), (1, 0, 0, 1.0))
     res = vanilla_value_iteration(g, max_iter=3, delta=1e-12)
     assert not res.converged
     assert res.iterations_run == 3
@@ -188,7 +171,7 @@ def _edge_list_loop(graph: EmpiricalGraph, max_iter: int, delta: float):
     states = sorted(graph.nodes)
     index = {s: i for i, s in enumerate(states)}
     outgoing = [[] for _ in states]
-    for (s, _a), (nxt, r, _c) in graph.edges.items():
+    for (s, _a), (nxt, r) in graph.edges.items():
         outgoing[index[s]].append((index[nxt], r))
     gamma = graph.gamma
     v = [0.0] * len(states)
@@ -227,7 +210,7 @@ def test_vanilla_vi_is_bitwise_equal_to_the_edge_list_loop(seed, budget):
     for _ in range(rng.randint(0, 3 * n)):
         reward = rng.choice(rewards) if rng.random() < 0.5 else rng.uniform(-1, 1)
         g.edges.setdefault((rng.randrange(n), rng.randrange(6)),
-                           [rng.randrange(n), reward, 1])
+                           (rng.randrange(n), reward))
     max_iter, delta = budget
     res = vanilla_value_iteration(g, max_iter=max_iter, delta=delta)
     values, iterations, final_delta, converged = _edge_list_loop(g, max_iter, delta)
@@ -264,19 +247,17 @@ def test_determinism_invariant_under_adversarial_streams(samples):
             g.add_sample(s, a, nxt, r)
         except DeterminismViolation:
             pass
-    seen = {}
-    for (s, a), (nxt, r, _c) in g.edges.items():
-        assert (s, a) not in seen
-        seen[(s, a)] = (nxt, r)
-    # queries stay binary
-    for (s, a), (nxt, _r, _c) in g.edges.items():
-        assert empirical_transition(g, nxt, a, s) == 1.0
-        assert empirical_transition(g, nxt + 1000, a, s) == 0.0
+    # every pair keeps the outcome it was first recorded with
+    first = {}
+    for s, a, nxt, r in samples:
+        first.setdefault((s, a), (nxt, r))
+    assert g.edges == first
+    assert g.nodes == {x for (s, _a), (nxt, _r) in first.items() for x in (s, nxt)}
 
 
 def test_dot_export_mentions_all_edges():
     g = EmpiricalGraph()
-    record_trajectory(g, mk_traj((0, 0, 1, 0.5), (1, 1, 2, -1.0)))
+    record(g, (0, 0, 1, 0.5), (1, 1, 2, -1.0))
     dot = to_dot(g)
     assert dot.startswith("digraph")
     assert dot.count("->") == 2

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_traj, random_highway_graph
+from conftest import one_sweep, random_highway_graph
 from highway_rl.environments import EnvSpec, make_env
 from highway_rl.errors import KeyMismatch
 from highway_rl.highway_graph import HighwayGraph, expand_to_empirical
 from highway_rl.transition_model import Trajectory, TransitionSample, vanilla_value_iteration
-from highway_rl.value_iteration import (_SweepEngine, bellman_sweep, completeness_report,
-                                        contraction_probe, interior_values, q_to_csv,
-                                        solve, value_update_loop, values_to_csv)
+from highway_rl.value_iteration import (_SweepEngine, completeness_report, contraction_probe,
+                                        interior_values, q_to_csv, solve, value_update_loop,
+                                        values_to_csv)
 
 
 def test_sweep_takes_max_over_outgoing():
@@ -22,7 +22,7 @@ def test_sweep_takes_max_over_outgoing():
     g.add_highway(0, 1, [0], [0.0])
     g.add_highway(0, 2, [1], [0.5])
     v_prev = {0: 0.0, 1: 1.0, 2: 0.0}
-    v_next, q_next = bellman_sweep(g, v_prev)
+    v_next, q_next = one_sweep(g, v_prev)
     assert q_next[(0, 0)] == pytest.approx(0.99)
     assert v_next[0] == pytest.approx(max(0.99, 0.5))
 
@@ -30,7 +30,7 @@ def test_sweep_takes_max_over_outgoing():
 def test_sweep_terminal_intersection_keeps_zero():
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 1, [0], [0.0])
-    v_next, _ = bellman_sweep(g, {0: 5.0, 1: 5.0})
+    v_next, _ = one_sweep(g, {0: 5.0, 1: 5.0})
     assert v_next[1] == 0.0
 
 
@@ -46,7 +46,7 @@ def test_sweep_reads_previous_buffer_only():
     g = HighwayGraph(gamma=0.5)
     g.add_highway(0, 1, [0], [0.0])
     g.add_highway(1, 2, [0], [1.0])
-    v_next, _ = bellman_sweep(g, {0: 0.0, 1: 0.0, 2: 0.0})
+    v_next, _ = one_sweep(g, {0: 0.0, 1: 0.0, 2: 0.0})
     assert v_next[1] == pytest.approx(1.0)
     assert v_next[0] == 0.0  # sees the old value of state 1
 
@@ -54,7 +54,7 @@ def test_sweep_reads_previous_buffer_only():
 def test_sweep_q_formula_consistency():
     g = random_highway_graph(random.Random(4), max_intersections=15)
     v_prev = {s: random.Random(s).uniform(-1, 1) for s in g.intersections}
-    _v, q = bellman_sweep(g, v_prev)
+    _v, q = one_sweep(g, v_prev)
     for h in g.highways.values():
         expected = v_prev[h.to_state] * g.gamma ** h.length + h.path_return
         assert q[(h.from_state, h.first_action)] == pytest.approx(expected, abs=1e-12)
