@@ -312,8 +312,10 @@ def cmd_eval_hgq(args) -> int:
            or environments.DEFAULT_EVAL_STEP_CAP[spec.kind])
     totals, discs = [], []
     for k in range(args.episodes):
+        # episode k starts where `eval` starts its episode k
+        start = env.reset(trainer.evaluation_seed(args.seed, k))
         total, disc, _steps, _terminal = trainer.rollout(
-            env, env.reset(k), lambda obs: act(approx, env.state_features(obs)), gamma, cap)
+            env, start, lambda obs: act(approx, env.state_features(obs)), gamma, cap)
         totals.append(total)
         discs.append(disc)
     print(f"episodes: {args.episodes}")
@@ -382,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-hgq", help="evaluate the distilled approximator")
     p.add_argument("--run", required=True)
     p.add_argument("--episodes", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval_hgq)
     return parser
 

@@ -11,8 +11,12 @@ below the state's best scored action.  Without anchors the untouched output
 heads drift freely through the band real Q values live in and the argmax
 becomes a coin flip, so greedy agreement with the graph policy collapses.
 Gradients are computed analytically so they can be checked against finite
-differences.  The loss recorded after each epoch comes from a forward-only
-pass through the same code, so it equals the gradient pass's loss bit for bit.
+differences.  The loss recorded after each epoch comes from one forward-only
+pass over the full training set, in natural row order.  Full-batch descent
+takes its activations from that pass, gathered in the next epoch's row order,
+instead of running a second forward: BLAS matrix products round each output
+row the same way wherever it sits among the same number of rows, so the
+weights and losses are bit for bit those of a separate forward per epoch.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ class ApproxConfig:
     absent_action_anchor: str | None = "below-best"
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be None or >= 1, got {self.batch_size}")
         if self.absent_action_anchor not in (None, "below-best"):
             raise ValueError(f"unknown anchor mode {self.absent_action_anchor!r}")
 
@@ -118,9 +126,15 @@ def _init_weights(feature_dim: int, action_count: int, cfg: ApproxConfig) -> lis
 def _forward(weights: list, x: np.ndarray):
     """Hidden activations h1, h2 and the outputs, in standardized units."""
     w1, b1, w2, b2, w3, b3 = weights
-    h1 = np.maximum(x @ w1 + b1, 0.0)
-    h2 = np.maximum(h1 @ w2 + b2, 0.0)
-    return h1, h2, h2 @ w3 + b3
+    h1 = x @ w1
+    h1 += b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = h1 @ w2
+    h2 += b2
+    np.maximum(h2, 0.0, out=h2)
+    out = h2 @ w3
+    out += b3
+    return h1, h2, out
 
 
 def _picked_errors(approx: QApproximator, features: np.ndarray, actions: np.ndarray,
@@ -140,23 +154,29 @@ def loss_and_gradients(approx: QApproximator, features: np.ndarray,
     targets are given in the original Q scale; the loss lives in the
     approximator's standardized space.
     """
-    _w1, _b1, w2, _b2, w3, _b3 = approx.weights
     x, h1, h2, pred, err = _picked_errors(approx, features, actions, targets)
+    return (float(np.mean(err ** 2)),
+            _backward(approx.weights, x, h1, h2, pred, actions, err))
+
+
+def _backward(weights: list, x: np.ndarray, h1: np.ndarray, h2: np.ndarray,
+              pred: np.ndarray, actions: np.ndarray, err: np.ndarray) -> list:
+    """Gradients of the mean squared picked error, from one forward's activations."""
+    _w1, _b1, w2, _b2, w3, _b3 = weights
     n = len(err)
-    loss = float(np.mean(err ** 2))
     dpred = np.zeros_like(pred)
     dpred[np.arange(n), actions] = 2.0 * err / n
     dw3 = h2.T @ dpred
     db3 = dpred.sum(axis=0)
-    dh2 = dpred @ w3.T
-    dz2 = dh2 * (h2 > 0.0)   # h > 0 exactly where the pre-activation is > 0
+    dz2 = dpred @ w3.T
+    dz2 *= h2 > 0.0   # h > 0 exactly where the pre-activation is > 0
     dw2 = h1.T @ dz2
     db2 = dz2.sum(axis=0)
-    dh1 = dz2 @ w2.T
-    dz1 = dh1 * (h1 > 0.0)
+    dz1 = dz2 @ w2.T
+    dz1 *= h1 > 0.0
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
-    return loss, [dw1, db1, dw2, db2, dw3, db3]
+    return [dw1, db1, dw2, db2, dw3, db3]
 
 
 def _anchor_absent_actions(dataset: QDataset, action_count: int) -> QDataset:
@@ -196,8 +216,12 @@ def fit(dataset: QDataset, config: ApproxConfig = ApproxConfig(),
         action_count: int | None = None) -> QApproximator:
     """SGD with momentum on the MSE over selected outputs; deterministic per seed.
 
-    After each epoch's updates, a forward-only pass over the full training
-    set records the loss in loss_history; no gradients are computed for it.
+    After each epoch's updates, one forward-only pass over the full training
+    set, in natural row order, records the loss in loss_history.  Full-batch
+    descent (batch_size None, or at least the row count) gathers the next
+    epoch's activations from that pass in the epoch's permuted order, so an
+    epoch costs one forward and one backward; mini-batches run their own
+    forward, because a row's products round differently among fewer rows.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -219,19 +243,30 @@ def fit(dataset: QDataset, config: ApproxConfig = ApproxConfig(),
     velocity = [np.zeros_like(w) for w in approx.weights]
     n = len(dataset)
     batch = n if config.batch_size is None else min(config.batch_size, n)
+    x = np.asarray(dataset.features, dtype=np.float64)
+    actions = dataset.actions
+    scaled = (np.asarray(dataset.targets, dtype=np.float64)
+              - approx.target_mean) / approx.target_scale
+    every_row = np.arange(n)
+    full_set = _forward(approx.weights, x) if batch == n else None
     for _epoch in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             rows = order[start:start + batch]
-            _loss, grads = loss_and_gradients(
-                approx, dataset.features[rows], dataset.actions[rows],
-                dataset.targets[rows])
+            xb, ab = x[rows], actions[rows]
+            h1, h2, pred = ((a[rows] for a in full_set) if batch == n
+                            else _forward(approx.weights, xb))
+            err = pred[np.arange(len(rows)), ab] - scaled[rows]
+            grads = _backward(approx.weights, xb, h1, h2, pred, ab, err)
+            # free this step's activations, so the next forward reuses their memory
+            del h1, h2, pred
             for vel, w, g in zip(velocity, approx.weights, grads):
                 vel *= config.momentum
-                vel -= config.learning_rate * g
+                g *= config.learning_rate
+                vel -= g
                 w += vel
-        err = _picked_errors(approx, dataset.features, dataset.actions,
-                             dataset.targets)[-1]
+        full_set = _forward(approx.weights, x)
+        err = full_set[2][every_row, actions] - scaled
         approx.loss_history.append(float(np.mean(err ** 2)))
     return approx
 

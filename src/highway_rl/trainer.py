@@ -207,6 +207,11 @@ def rollout(env, obs, act, gamma: float, cap: int) -> tuple[float, float, int, b
     return total, disc, steps, False
 
 
+def evaluation_seed(seed: int, k: int) -> int:
+    """Episode k's seed in a greedy evaluation: it picks the start state."""
+    return _mix_seed(seed, 7_777, k)
+
+
 def evaluate(snapshot: PolicySnapshot, env, episodes: int, gamma: float = 0.99,
              step_cap: int | None = None, seed: int = 0) -> EvalResult:
     """Greedy (epsilon = 0) rollouts, each with a generator seeded per episode."""
@@ -215,7 +220,7 @@ def evaluate(snapshot: PolicySnapshot, env, episodes: int, gamma: float = 0.99,
     cap = step_cap if step_cap is not None else DEFAULT_EVAL_STEP_CAP[env.spec.kind]
     out = []
     for k in range(episodes):
-        episode_seed = _mix_seed(seed, 7_777, k)
+        episode_seed = evaluation_seed(seed, k)
         rng = random.Random(episode_seed)
         start = env.reset(episode_seed)
 

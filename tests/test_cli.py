@@ -209,3 +209,41 @@ def test_determinism_violation_exits_3(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "x")])
     assert code == 3
     assert "determinism violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--batch-size", "-3"]])
+def test_distill_rejects_non_positive_epochs_and_batch_size(run_dir, capsys, flags):
+    assert cli.main(["distill", "--run", str(run_dir)] + flags) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (run_dir / "approximator.npz").exists()
+
+
+def test_distill_batch_size_0_means_full_batch(run_dir):
+    from highway_rl.serialize import load_approximator
+    assert cli.main(["distill", "--run", str(run_dir), "--epochs", "2",
+                     "--batch-size", "0"]) == 0
+    assert load_approximator(run_dir / "approximator.npz").config.batch_size is None
+
+
+def test_eval_and_eval_hgq_start_from_the_same_states(tmp_path, monkeypatch, capsys):
+    from highway_rl import trainer
+    run = tmp_path / "taxi"
+    assert cli.main(["train", "--env", "taxi", "--seed", "0", "--run-seed", "0",
+                     "--out", str(run)]) == 0
+    assert cli.main(["distill", "--run", str(run), "--epochs", "1"]) == 0
+    starts = []
+
+    def recording_rollout(env, obs, act, gamma, cap):
+        starts.append(obs)
+        return 0.0, 0.0, 0, True   # only the start state is under test
+
+    monkeypatch.setattr(trainer, "rollout", recording_rollout)
+    by_command = {}
+    for command in ("eval", "eval-hgq"):
+        starts.clear()
+        assert cli.main([command, "--run", str(run), "--episodes", "6",
+                         "--seed", "3"]) == 0
+        by_command[command] = list(starts)
+    capsys.readouterr()
+    assert by_command["eval"] == by_command["eval-hgq"]
+    assert len(set(by_command["eval"])) > 1   # taxi resets do vary

@@ -1,15 +1,16 @@
 """Q-value distillation: dataset extraction, fitting, gradients, acting."""
 
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_highway_graph
 from highway_rl.errors import DimensionMismatch
-from highway_rl.reparam import (ApproxConfig, QDataset, _anchor_absent_actions, act,
-                                extract_dataset, fit, loss_and_gradients, policy_agreement)
+from highway_rl import reparam
+from highway_rl.reparam import (ApproxConfig, QApproximator, QDataset, _anchor_absent_actions,
+                                _forward, _init_weights, act, extract_dataset, fit,
+                                loss_and_gradients, policy_agreement)
 from highway_rl.value_iteration import value_update_loop
 
 SMALL = ApproxConfig(hidden_units=24, epochs=400, batch_size=16, init_seed=3)
@@ -127,9 +128,13 @@ def test_fit_is_bitwise_deterministic():
 def _reference_fit(ds, cfg, action_count):
     """The fit loop written out with loss_and_gradients alone: a descent step
     per batch of permuted rows, then the full-set loss from a gradient pass."""
-    approx = fit(ds, replace(cfg, epochs=0), action_count=action_count)
     if cfg.absent_action_anchor is not None:
         ds = _anchor_absent_actions(ds, action_count)
+    scale = float(ds.targets.std())
+    approx = QApproximator(
+        weights=_init_weights(ds.features.shape[1], action_count, cfg),
+        feature_dim=ds.features.shape[1], action_count=action_count, config=cfg,
+        target_mean=float(ds.targets.mean()), target_scale=scale if scale > 0 else 1.0)
     rng = np.random.default_rng(cfg.init_seed + 1)
     velocity = [np.zeros_like(w) for w in approx.weights]
     n = len(ds)
@@ -150,23 +155,101 @@ def _reference_fit(ds, cfg, action_count):
     return approx.weights, history
 
 
-@pytest.mark.parametrize("cfg", [
-    ApproxConfig(hidden_units=32, epochs=60, init_seed=2),
-    ApproxConfig(hidden_units=32, epochs=20, batch_size=7, init_seed=2),
-    ApproxConfig(hidden_units=32, epochs=60, init_seed=2, absent_action_anchor=None),
-], ids=["full-batch", "batch-7", "no-anchor"])
-def test_fit_matches_reference_loop(cfg):
-    rng = np.random.default_rng(8)
+def _mixed_rows(rng):
+    """12 states, each action present with probability 1/2."""
     states = rng.uniform(0, 1, size=(12, 2))
     rows = [(i, a) for i in range(12) for a in range(4) if rng.random() < 0.5]
-    ds = QDataset(features=states[[i for i, _a in rows]],
-                  actions=np.array([a for _i, a in rows], dtype=np.int64),
-                  targets=rng.normal(size=len(rows)))
+    return QDataset(features=states[[i for i, _a in rows]],
+                    actions=np.array([a for _i, a in rows], dtype=np.int64),
+                    targets=rng.normal(size=len(rows)))
+
+
+def _acceptance_shaped_rows(rng):
+    """21 states with 1-4 scored actions each: 84 rows once anchored, the shape
+    of the maze 5x5 distillation dataset."""
+    states = rng.uniform(0, 1, size=(21, 2))
+    rows = [(i, a) for i in range(21)
+            for a in np.sort(rng.choice(4, size=rng.integers(1, 5), replace=False))]
+    return QDataset(features=states[[i for i, _a in rows]],
+                    actions=np.array([a for _i, a in rows], dtype=np.int64),
+                    targets=rng.normal(size=len(rows)))
+
+
+def _odd_rows(rng):
+    """85 rows at distinct states."""
+    return QDataset(features=rng.uniform(0, 1, size=(85, 2)),
+                    actions=rng.integers(0, 4, size=85), targets=rng.normal(size=85))
+
+
+def _one_row(_rng):
+    return QDataset(features=np.array([[0.3, 0.7]]), actions=np.array([1]),
+                    targets=np.array([0.5]))
+
+
+@pytest.mark.parametrize("cfg, make_rows, rows_fitted", [
+    (ApproxConfig(hidden_units=32, epochs=60, init_seed=2), _mixed_rows, 48),
+    (ApproxConfig(hidden_units=32, epochs=20, batch_size=7, init_seed=2), _mixed_rows, 48),
+    (ApproxConfig(hidden_units=32, epochs=60, init_seed=2, absent_action_anchor=None),
+     _mixed_rows, 30),
+    (ApproxConfig(epochs=5, init_seed=2), _acceptance_shaped_rows, 84),
+    (ApproxConfig(epochs=5, init_seed=2, absent_action_anchor=None), _odd_rows, 85),
+    (ApproxConfig(epochs=5, init_seed=2, absent_action_anchor=None), _one_row, 1),
+], ids=["full-batch", "batch-7", "no-anchor", "512-units-84-rows", "512-units-85-rows",
+        "512-units-1-row"])
+def test_fit_matches_reference_loop(cfg, make_rows, rows_fitted):
+    ds = make_rows(np.random.default_rng(8))
     approx = fit(ds, cfg, action_count=4)
     weights, history = _reference_fit(ds, cfg, 4)
+    if cfg.absent_action_anchor is not None:
+        ds = _anchor_absent_actions(ds, 4)
+    assert len(ds) == rows_fitted
     for ours, ref in zip(approx.weights, weights):
         assert np.array_equal(ours, ref)
     assert approx.loss_history == history
+
+
+@pytest.mark.parametrize("n", [84, 85])
+def test_forward_rows_do_not_depend_on_their_position(n):
+    """Full-batch fitting gathers each epoch's activations from the full-set
+    forward in natural order; that is exact only if the matrix products round
+    a row the same way wherever it sits among the same number of rows."""
+    rng = np.random.default_rng(n)
+    weights = _init_weights(2, 4, ApproxConfig(init_seed=n))
+    weights[1], weights[3], weights[5] = (rng.normal(size=w.shape) * 0.1
+                                          for w in weights[1::2])
+    x = rng.uniform(0, 1, size=(n, 2))
+    natural = _forward(weights, x)
+    for _ in range(3):
+        p = rng.permutation(n)
+        for ours, gathered in zip(_forward(weights, x[p]), natural):
+            assert np.array_equal(ours, gathered[p])
+
+
+@pytest.mark.parametrize("batch_size, forwards_per_epoch", [(None, 1), (7, 4 + 1)])
+def test_fit_runs_one_full_set_forward_per_epoch(monkeypatch, batch_size,
+                                                 forwards_per_epoch):
+    calls = []
+
+    def counting_forward(weights, x):
+        calls.append(len(x))
+        return _forward(weights, x)
+
+    monkeypatch.setattr(reparam, "_forward", counting_forward)
+    ds = _odd_rows(np.random.default_rng(3))
+    ds = QDataset(ds.features[:25], ds.actions[:25], ds.targets[:25])
+    epochs = 6
+    fit(ds, ApproxConfig(hidden_units=8, epochs=epochs, batch_size=batch_size,
+                         absent_action_anchor=None), action_count=4)
+    full_batch = batch_size is None
+    assert len(calls) == epochs * forwards_per_epoch + full_batch
+    assert calls.count(25) == epochs + full_batch
+
+
+@pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -1),
+                                          ("batch_size", 0), ("batch_size", -3)])
+def test_config_rejects_non_positive_epochs_and_batch_size(field, value):
+    with pytest.raises(ValueError, match=field):
+        ApproxConfig(**{field: value})
 
 
 def test_loss_moving_average_non_increasing():
