@@ -305,6 +305,8 @@ def cmd_distill(args) -> int:
 def cmd_eval_hgq(args) -> int:
     manifest, _graph, _tables = _load_run(args.run)
     approx = serialize.load_approximator(os.path.join(args.run, "approximator.npz"))
+    if args.episodes < 1:
+        raise ValueError("episodes must be >= 1")
     spec = _env_spec_from_manifest(manifest)
     env = make_env(spec)
     gamma = manifest["config"]["gamma"]

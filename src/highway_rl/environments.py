@@ -87,11 +87,16 @@ class _TabularEnv:
         raise NotImplementedError
 
     def step(self, obs, action: int) -> StepResult:
-        if not (0 <= action < self.action_count):
-            raise InvalidAction(f"action {action} not in [0, {self.action_count})")
-        if obs in self._terminal:
-            raise ValueError("cannot step a terminal state")
-        return self._table[(obs, action)]
+        try:
+            return self._table[(obs, action)]
+        except (KeyError, TypeError):
+            # only a bad call misses the table; say why, as the checks did
+            # when they ran before the lookup
+            if not (0 <= action < self.action_count):
+                raise InvalidAction(f"action {action} not in [0, {self.action_count})")
+            if obs in self._terminal:
+                raise ValueError("cannot step a terminal state")
+            raise
 
     def is_terminal(self, obs) -> bool:
         return obs in self._terminal

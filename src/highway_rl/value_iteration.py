@@ -10,10 +10,14 @@ summed absolute Q change drops below delta.
 The per-sweep work is one update per highway plus one reduction per
 intersection; it does not grow with the expanded number of states covered
 by the highways.  A sweep is vectorised: one numpy gather, multiply and add
-over arrays of the highways, then a segmented max per intersection.  It
-does the same rounded operations in the same order as a per-highway Python
-backup, so V, Q, the sweep count and the final delta are identical to it
-bit for bit.
+over the highways, then one elementwise max per rank of a highway among
+its source's out-highways, over leading slices of the intersections,
+which are laid out by out-degree.  The summed |dQ| is a sequential pass,
+taken only once the largest |dQ| is below delta: the sum is never below
+its largest term, so until then it cannot be either.  The sweep does the
+same rounded operations as a per-highway Python backup and the sum adds in
+the same order, so V, Q, the sweep count and the final delta are identical
+to it bit for bit.
 """
 
 from __future__ import annotations
@@ -41,48 +45,66 @@ class ValueTables:
 class _SweepEngine:
     """Edge arrays of one graph snapshot for repeated synchronous sweeps.
 
-    Highways are ordered by (from_state, first_action), the order of `edge_keys`
-    and of every Q array.  For the max, each highway also has a slot in a
-    (width, intersections) table, one column per intersection and one row
-    per rank of the highway among its source's out-highways; width is the
-    largest out-degree.  Slots no highway fills hold -inf, except row 0 of
-    an intersection with no out-highway, which holds its value 0.0.
+    `states` lists the intersections by out-degree, largest first, and by
+    state id among equal degrees, so those with no out-highway come last.
+    A highway's rank is its place among its source's out-highways in
+    first-action order.  The edge arrays list the rank-0 highways, then
+    the rank-1 ones, and so on, each block in `states` order of its
+    source, so the rank-r block backs up the first c_r intersections,
+    where c_r is its length.  `edge_keys` stays in (from_state,
+    first_action) order, the order of the result's Q: q[_q_perm] is an edge
+    array in that order, and v[_v_perm] a V array in sorted-state order.
     """
 
     def __init__(self, graph: HighwayGraph):
-        self.states = sorted(graph.intersections)
-        index = {s: i for i, s in enumerate(self.states)}
-        hws = list(graph.highways.values())
-        n, m = len(self.states), len(hws)
-        src = np.array([index[h.from_state] for h in hws], np.intp)
+        states = sorted(graph.intersections)
+        index = {s: i for i, s in enumerate(states)}
+        hws = graph.highways.values()
+        n, m = len(states), len(hws)
+        # the highways are read in the graph's own order, which is cheaper
+        # than in key order, and the arrays permuted afterwards
+        sources = [h.from_state for h in hws]
+        firsts = [h.actions[0] for h in hws]
+        src = np.array([index[s] for s in sources], np.intp)
         # indices follow state order, so this sorts by (from_state, first_action)
-        order = np.lexsort((np.array([h.actions[0] for h in hws], np.int64), src))
-        hws = [hws[i] for i in order.tolist()]
+        order = np.lexsort((np.array(firsts, np.int64), src))
+        self.edge_keys = [(sources[i], firsts[i]) for i in order.tolist()]
         src = src[order]
-        self.edge_keys = [(h.from_state, h.actions[0]) for h in hws]
-        self.dst = np.array([index[h.to_state] for h in hws], np.intp)
-        self.gamma_pow_len = np.array([h.gamma_pow_len for h in hws], np.float64)
-        self.path_return = np.array([h.path_return for h in hws], np.float64)
+        out_degree = np.bincount(src, minlength=n)
+        # lexsort is stable: equal degrees stay in state order
+        by_degree = np.lexsort((-out_degree,))
+        self.states = [states[i] for i in by_degree.tolist()]
+        self._state_keys = states
+        self._v_perm = np.empty(n, np.intp)
+        self._v_perm[by_degree] = np.arange(n)
+        rank = np.arange(m) - np.repeat(np.cumsum(out_degree) - out_degree, out_degree)
+        # the rank-r block is as long as the number of rank-r highways
+        heads = np.bincount(rank).tolist()
+        offsets = np.cumsum([0] + heads)
+        self._head = heads[0] if heads else 0
+        self._blocks = [(c, slice(o, o + c)) for c, o in zip(heads[1:], offsets[1:].tolist())]
+        self._q_perm = offsets[rank] + self._v_perm[src]
+        slot = np.empty(m, np.intp)
+        slot[order] = self._q_perm
+        self.dst = np.empty(m, np.intp)
+        self.dst[slot] = self._v_perm[np.array([index[h.to_state] for h in hws], np.intp)]
+        self.gamma_pow_len = np.empty(m)
+        self.gamma_pow_len[slot] = [h.gamma_pow_len for h in hws]
+        self.path_return = np.empty(m)
+        self.path_return[slot] = [h.path_return for h in hws]
         self.covered_transitions = sum([len(h.actions) for h in hws])
-        starts = np.flatnonzero(np.diff(src, prepend=-1))
-        rank = np.arange(m) - np.repeat(starts, np.diff(starts, append=m))
-        self._table = np.full((int(rank.max(initial=0)) + 1, n), -np.inf)
-        no_out = np.ones(n, bool)
-        no_out[src] = False
-        self._table[0, no_out] = 0.0
-        self._flat_table = self._table.reshape(-1)
-        self._slots = rank * n + src
 
     def sweep(self, v, v_out=None, q_out=None) -> tuple[np.ndarray, np.ndarray]:
         """One synchronous sweep from v (in `states` order); returns (v_next, q).
 
-        q = path_return + gamma^len * v[to] as two rounded operations, the
-        same arithmetic as Python floats.  v_next is the max of q over each
-        intersection's out-highways, and 0.0 where none starts.  The max is
-        exact, and q is never -0.0 (path_return sums from +0.0), so it has
-        the bits a `>` scan over the highways would pick.  v_out and q_out
-        are reused when given; v_out may be v, since q is complete before
-        v_out is written.
+        q, in edge-array order, is path_return + gamma^len * v[to] as two
+        rounded operations, the same arithmetic as Python floats.  v_next
+        is the max of q over each intersection's out-highways, taken rank
+        by rank, and 0.0 where none starts.  The max is exact, and q is
+        never -0.0 (path_return sums from +0.0), so it has the bits a `>`
+        scan over the highways would pick.  v_out and q_out are reused
+        when given; v_out may be v, since q is complete before v_out is
+        written.
         """
         if v_out is None:
             v_out = np.empty(len(self.states))
@@ -92,10 +114,11 @@ class _SweepEngine:
         np.take(v, self.dst, out=q_out, mode="clip")
         np.multiply(self.gamma_pow_len, q_out, out=q_out)
         np.add(self.path_return, q_out, out=q_out)
-        self._flat_table[self._slots] = q_out
-        np.copyto(v_out, self._table[0])
-        for row in self._table[1:]:
-            np.maximum(v_out, row, out=v_out)
+        head = self._head
+        v_out[:head] = q_out[:head]
+        v_out[head:] = 0.0
+        for c, block in self._blocks:
+            np.maximum(v_out[:c], q_out[block], out=v_out[:c])
         return v_out, q_out
 
     def v_array(self, v_map: dict[StateId, float]) -> np.ndarray:
@@ -130,26 +153,35 @@ def _sweep_until(eng: _SweepEngine, max_iter: int | None, delta: float,
         v = np.array([v_init.get(s, 0.0) for s in eng.states], dtype=np.float64)
     else:
         v = np.zeros(n)
-    q, q_prev, change = np.empty(m), np.zeros(m), np.empty(m)
+    q, q_prev, change, summed = np.empty(m), np.zeros(m), np.empty(m), np.empty(m)
     iterations = 0
     final_delta = 0
     for iterations in range(1, max_iter + 1):
         v, q = eng.sweep(v, v, q)
-        if m:
-            np.subtract(q, q_prev, out=change)
-            np.abs(change, out=change)
-            # a running sum adds left to right, as a plain loop would;
-            # np.sum adds pairwise and rounds differently
-            np.cumsum(change, out=change)
-            final_delta = float(change[-1])
         q, q_prev = q_prev, q
+        if m:
+            np.subtract(q_prev, q, out=change)
+            np.abs(change, out=change)
+            # A left-to-right sum of non-negative terms is never below its
+            # largest term (rounding is monotone), so while that term is
+            # >= delta the loop cannot stop and the sum is not needed.  A
+            # NaN term fails the test, and the last sweep always sums, so
+            # final_delta is exact whenever the loop ends.
+            if np.maximum.reduce(change) >= delta and iterations < max_iter:
+                continue
+            # a running sum in (from_state, first_action) order adds left
+            # to right, as a plain loop would; np.sum adds pairwise and
+            # rounds differently
+            np.take(change, eng._q_perm, out=summed, mode="clip")
+            np.cumsum(summed, out=summed)
+            final_delta = float(summed[-1])
         if final_delta < delta:
             break
     if not n:
         iterations = 0
     return ValueTables(
-        v=dict(zip(eng.states, v.tolist())),
-        q=dict(zip(eng.edge_keys, q_prev.tolist())),
+        v=dict(zip(eng._state_keys, v[eng._v_perm].tolist())),
+        q=dict(zip(eng.edge_keys, q_prev[eng._q_perm].tolist())),
         iterations_run=iterations,
         final_delta=final_delta,
     )

@@ -21,8 +21,13 @@ def mk_traj(*steps, terminal=False) -> Trajectory:
 
 def random_highway_graph(rng: random.Random, max_intersections: int = 50,
                          action_count: int = 4, gamma: float = 0.99,
-                         allow_self_loops: bool = True) -> HighwayGraph:
-    """Random deterministic highway graph with cycles and self-loop highways."""
+                         allow_self_loops: bool = True,
+                         max_out_degree: int = 3) -> HighwayGraph:
+    """Random deterministic highway graph with cycles and self-loop highways.
+
+    Each intersection gets no out-highway (about 15%) or 1 to
+    min(max_out_degree, action_count) of them.
+    """
     n = rng.randint(2, max_intersections)
     graph = HighwayGraph(gamma=gamma)
     inter = [rng.getrandbits(63) for _ in range(n)]
@@ -32,7 +37,8 @@ def random_highway_graph(rng: random.Random, max_intersections: int = 50,
     for i, s in enumerate(inter):
         if rng.random() < 0.15:
             continue  # leave some terminals with no outgoing highways
-        for a in rng.sample(range(action_count), rng.randint(1, min(3, action_count))):
+        degree = rng.randint(1, min(max_out_degree, action_count))
+        for a in rng.sample(range(action_count), degree):
             if allow_self_loops and rng.random() < 0.1:
                 to = s
             else:

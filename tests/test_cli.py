@@ -173,6 +173,17 @@ def test_distill_and_eval_hgq(run_dir, capsys):
     assert "mean_total_reward:" in out
 
 
+@pytest.mark.parametrize("command", ["eval", "eval-hgq"])
+@pytest.mark.parametrize("episodes", ["0", "-2"])
+def test_eval_commands_reject_non_positive_episodes(run_dir, capsys, command, episodes):
+    assert cli.main(["distill", "--run", str(run_dir), "--epochs", "2"]) == 0
+    capsys.readouterr()
+    assert cli.main([command, "--run", str(run_dir), "--episodes", episodes]) == 2
+    captured = capsys.readouterr()
+    assert "config error: episodes must be >= 1" in captured.err
+    assert "mean_total_reward" not in captured.out
+
+
 def test_eval_hgq_without_distill_exits_4(run_dir):
     os.remove(run_dir / "approximator.npz") if (run_dir / "approximator.npz").exists() else None
     assert cli.main(["eval-hgq", "--run", str(run_dir)]) == 4

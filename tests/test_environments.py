@@ -94,6 +94,27 @@ def test_maze_invalid_action():
         env.step((0, 0), 4)
 
 
+@pytest.mark.parametrize("kind", ["maze", "cliffwalking", "taxi"])
+def test_step_errors_keep_their_precedence(kind):
+    env = make_env(EnvSpec(kind=kind, width=3, height=3, seed=0))
+    goal = next(obs for obs in env.enumerate_states() if env.is_terminal(obs))
+    live = env.reset(0)
+    assert env.step(live, 0) is env._table[(live, 0)]
+    # a bad action is named before a terminal or unknown state
+    for obs in (live, goal, "nowhere", ["unhashable"]):
+        for action in (-1, env.action_count):
+            with pytest.raises(InvalidAction):
+                env.step(obs, action)
+    with pytest.raises(ValueError, match="terminal"):
+        env.step(goal, 0)
+    with pytest.raises(KeyError):
+        env.step("nowhere", 0)
+    with pytest.raises(TypeError):
+        env.step(["unhashable"], 0)
+    with pytest.raises(TypeError):
+        env.step(live, "up")
+
+
 def test_maze_ascii_art():
     env = make_env(EnvSpec(kind="maze", width=4, height=3, seed=1))
     art = env.ascii_art()

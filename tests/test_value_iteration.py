@@ -1,5 +1,6 @@
 """Graph Bellman sweeps, the update loop, interior values, and probes."""
 
+import math
 import random
 import struct
 
@@ -153,7 +154,7 @@ def _bits(table):
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       shape=st.sampled_from(["random", "no_highways", "empty"]),
+       shape=st.sampled_from(["random", "no_highways", "empty", "wide"]),
        budget=st.sampled_from([(20_000, 1e-13), (7, 0.0), (None, 1e-6)]),
        warm=st.booleans())
 @example(seed=0, shape="empty", budget=(7, 0.0), warm=False)
@@ -161,10 +162,14 @@ def _bits(table):
 @example(seed=1, shape="no_highways", budget=(7, 0.0), warm=True)
 @example(seed=1, shape="no_highways", budget=(None, 1e-6), warm=False)
 @example(seed=5, shape="random", budget=(7, 0.0), warm=True)
+@example(seed=3, shape="wide", budget=(20_000, 1e-13), warm=False)
 def test_loop_is_bitwise_equal_to_the_per_highway_loop(seed, shape, budget, warm):
     rng = random.Random(seed)
     if shape == "random":
         g = random_highway_graph(rng, max_intersections=15)
+    elif shape == "wide":
+        # out-degrees up to 6, as on taxi: every rank block is filled
+        g = random_highway_graph(rng, max_intersections=15, action_count=6, max_out_degree=6)
     else:
         g = HighwayGraph(gamma=0.9)
         for s in range(rng.randint(1, 4) if shape == "no_highways" else 0):
@@ -183,6 +188,51 @@ def test_loop_is_bitwise_equal_to_the_per_highway_loop(seed, shape, budget, warm
     assert tables.iterations_run == iterations
     assert type(tables.final_delta) is type(final_delta)
     assert struct.pack("<d", tables.final_delta) == struct.pack("<d", final_delta)
+
+
+def _uneven_graph():
+    """Four intersections of out-degree 3, 2, 1 and 0, with one-step highways."""
+    g = HighwayGraph(gamma=0.5)
+    for s in (10, 20, 30, 40):
+        g.make_intersection(s)
+    for s, a, to, r in [(10, 0, 10, 0.7), (10, 1, 20, 0.1), (20, 0, 20, 0.3),
+                        (30, 2, 30, 0.9), (30, 0, 40, 0.2), (30, 1, 10, 0.6)]:
+        g.add_highway(s, to, [a], [r])
+    return g
+
+
+def _assert_same_as_the_per_highway_loop(g, max_iter, delta, v_init=None):
+    tables = value_update_loop(g, max_iter=max_iter, delta=delta, v_init=v_init)
+    v, q, iterations, final_delta = _per_highway_loop(g, max_iter, delta, v_init)
+    assert _bits(tables.v) == _bits(v)
+    assert _bits(tables.q) == _bits(q)
+    assert tables.iterations_run == iterations
+    assert struct.pack("<d", tables.final_delta) == struct.pack("<d", final_delta)
+    return tables
+
+
+def test_loop_keeps_going_while_the_largest_change_is_below_delta_but_the_sum_is_not():
+    g = _uneven_graph()
+    # |dQ| after sweeps 3, 4, 5: max 0.225, 0.1125, 0.05625; sum 0.725,
+    # 0.3625, 0.18125.  Sweep 4 must take the exact sum and carry on.
+    q3 = _per_highway_loop(g, 3, 0.0, None)[1]
+    _v, q4, _iterations, sum4 = _per_highway_loop(g, 4, 0.0, None)
+    assert max(abs(q4[k] - q3[k]) for k in q4) < 0.2 <= sum4
+    tables = _assert_same_as_the_per_highway_loop(g, 100, 0.2)
+    assert tables.iterations_run == 5
+
+
+def test_loop_sums_the_change_exactly_on_the_capped_sweep():
+    # delta 0.0 never lets the largest change decide; the last sweep sums
+    tables = _assert_same_as_the_per_highway_loop(_uneven_graph(), 9, 0.0)
+    assert tables.iterations_run == 9 and tables.final_delta > 0.0
+
+
+def test_loop_sums_a_nan_change_and_runs_to_the_cap():
+    g = _uneven_graph()
+    tables = value_update_loop(g, max_iter=6, delta=1e-6, v_init={10: float("nan")})
+    assert tables.iterations_run == 6
+    assert math.isnan(tables.final_delta)
 
 
 def test_loop_warm_start_reaches_same_fixed_point():
