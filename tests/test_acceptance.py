@@ -6,8 +6,12 @@ Taxi), so it is the slow part of the test tree; everything is seeded and
 deterministic.
 """
 
+import hashlib
+import json
 import random
+import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,26 +43,36 @@ def _verdict(num, name, ok, detail=""):
 
 # ------------------------------------------------------------ shared training
 
+def train_run(spec: EnvSpec, run_seed: int):
+    return train(TrainConfig(env=spec, run_seed=run_seed))
+
+
+def train_maze_runs() -> dict:
+    """The 30 maze runs, keyed by (size, seed); maze seed k trains with run seed k."""
+    return {(size, seed): train_run(EnvSpec(kind="maze", width=size, height=size,
+                                            seed=seed), seed)
+            for size in MAZE_SIZES for seed in SEEDS}
+
+
+CLIFF_SPEC = EnvSpec(kind="cliffwalking", seed=0)
+TAXI_SPEC = EnvSpec(kind="taxi", seed=0)
+
+
 @pytest.fixture(scope="module")
 def maze_runs():
     started = time.perf_counter()
-    runs = {}
-    for size in MAZE_SIZES:
-        for seed in SEEDS:
-            cfg = TrainConfig(env=EnvSpec(kind="maze", width=size, height=size,
-                                          seed=seed), run_seed=seed)
-            runs[(size, seed)] = train(cfg)
+    runs = train_maze_runs()
     return runs, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
 def cliff_run():
-    return train(TrainConfig(env=EnvSpec(kind="cliffwalking", seed=0), run_seed=0))
+    return train_run(CLIFF_SPEC, 0)
 
 
 @pytest.fixture(scope="module")
 def taxi_run():
-    return train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=0))
+    return train_run(TAXI_SPEC, 0)
 
 
 def _frames_at_convergence(result):
@@ -321,10 +335,8 @@ def test_09_speed_ratio(maze_runs):
                     f"{vanilla_time * 1e3:.1f}ms)")
 
 
-@pytest.fixture(scope="module")
-def distilled_approximator(maze_runs):
-    runs, _wall = maze_runs
-    res = runs[(5, 2)]
+def distill(res):
+    """Fit the default approximator to a trained run's tables."""
     env = make_env(res.config.env)
 
     def features_of(sid):
@@ -333,6 +345,12 @@ def distilled_approximator(maze_runs):
     dataset = extract_dataset(res.graph, res.tables, features_of)
     approx = fit(dataset, ApproxConfig(), action_count=env.action_count)
     return res, env, features_of, approx
+
+
+@pytest.fixture(scope="module")
+def distilled_approximator(maze_runs):
+    runs, _wall = maze_runs
+    return distill(runs[(5, 2)])
 
 
 def test_10a_reparam_gradients_and_agreement(distilled_approximator):
@@ -437,3 +455,88 @@ def test_11_determinism_guardrail(tmp_path, monkeypatch, capsys):
     ok = code == 3 and "determinism violation" in err and "state=" in err
     assert _verdict(11, "stochastic stream aborts with exit code 3", ok,
                     f"exit {code}")
+
+
+# ------------------------------------------------------------- results ledger
+#
+# tests/golden/acceptance.json pins the results of every acceptance run bit
+# for bit.  It is rewritten only by tests/repin_acceptance.py, and every
+# re-pin is logged in CHANGES.md with its reason.
+
+LEDGER_PATH = Path(__file__).parent / "golden" / "acceptance.json"
+# taxi run seed 8 declares convergence early (see README); the ledger pins it
+# beside the taxi fixture's run seed 0
+TAXI_EXTRA_RUN_SEED = 8
+
+
+def ledger_key(res) -> str:
+    spec = res.config.env
+    return f"{spec.kind}/{spec.width}x{spec.height}/seed{spec.seed}/run{res.config.run_seed}"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def metrics_without_wall_clock(res) -> str:
+    lines = res.metrics.to_csv().splitlines()
+    wall = lines[1].split(",").index("wall_ms")
+    return "\n".join(",".join(c for i, c in enumerate(line.split(",")) if i != wall)
+                     for line in lines)
+
+
+def _graph_arrays_digest(graph, path) -> str:
+    """sha256 over the arrays save_highway_graph writes (name, dtype, shape,
+    bytes, in name order); the npz file itself carries zip timestamps."""
+    save_highway_graph(path, graph)
+    h = hashlib.sha256()
+    with np.load(path, allow_pickle=False) as npz:
+        for name in sorted(npz.files):
+            arr = npz[name]
+            h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def ledger_record(res, scratch_dir) -> dict:
+    tables = res.tables
+    v = np.array([tables.v[k] for k in sorted(tables.v)], dtype="<f8")
+    q = np.array([tables.q[k] for k in sorted(tables.q)], dtype="<f8")
+    return {
+        "metrics_csv": _sha256(metrics_without_wall_clock(res).encode()),
+        "v": _sha256(v.tobytes()),
+        "q": _sha256(q.tobytes()),
+        "iterations_run": tables.iterations_run,
+        "final_delta": struct.pack("<d", tables.final_delta).hex(),
+        "graph_arrays": _graph_arrays_digest(res.graph, Path(scratch_dir) / "graph.npz"),
+    }
+
+
+def weights_digest(approx) -> str:
+    h = hashlib.sha256()
+    for w in approx.weights:
+        h.update(np.ascontiguousarray(w, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def build_ledger(runs, approx, scratch_dir) -> dict:
+    """The ledger of the given trained runs and of the approximator the
+    distillation fixture fits (to maze 5x5 seed 2)."""
+    return {"runs": {ledger_key(res): ledger_record(res, scratch_dir) for res in runs},
+            "distilled_weights": weights_digest(approx)}
+
+
+def test_results_ledger(maze_runs, cliff_run, taxi_run, distilled_approximator, tmp_path):
+    runs, _wall = maze_runs
+    trained = [*runs.values(), cliff_run, taxi_run, train_run(TAXI_SPEC, TAXI_EXTRA_RUN_SEED)]
+    got = build_ledger(trained, distilled_approximator[3], tmp_path)
+    want = json.loads(LEDGER_PATH.read_text())
+    keys = sorted(want["runs"].keys() | got["runs"].keys())
+    fields = sorted({f for r in (*want["runs"].values(), *got["runs"].values()) for f in r})
+    moved = [f"{key} {field}" for key in keys for field in fields
+             if want["runs"].get(key, {}).get(field) != got["runs"].get(key, {}).get(field)]
+    if got["distilled_weights"] != want["distilled_weights"]:
+        moved.append("distilled weights")
+    ok = got == want
+    assert _verdict(12, "every acceptance run matches its pinned results bit for bit", ok,
+                    f"{len(got['runs'])} runs; moved: {', '.join(moved[:8]) or 'none'}")
