@@ -17,7 +17,7 @@ import time
 
 from . import environments, serialize, trainer
 from .environments import EnvSpec, make_env
-from .errors import DeterminismViolation, MissingArtifact
+from .errors import DeterminismViolation, KeyMismatch, MissingArtifact
 from .highway_graph import expand_to_empirical, graph_stats
 from .highway_graph import to_dot as highway_dot
 from .policy import PolicySnapshot, greedy_action
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     except MissingArtifact as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, KeyMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

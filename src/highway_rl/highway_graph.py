@@ -111,6 +111,11 @@ class HighwayGraph:
 
     # ------------------------------------------------------------------ queries
 
+    @property
+    def version(self) -> tuple[int, int]:
+        """Moves with the topology: no intersection is removed, and new highways get new ids."""
+        return self._next_hid, len(self.intersections)
+
     def contains_state(self, s: StateId) -> bool:
         return s in self.intersections or s in self.membership
 
@@ -337,7 +342,7 @@ def graph_stats(graph: HighwayGraph) -> dict:
         "intersections": len(graph.intersections),
         "highways": len(graph.highways),
         "expanded_states": expanded_states,
-        "expanded_edges": sum(h.length for h in graph.highways.values()),
+        "expanded_edges": len(graph.highways) + len(graph.membership),  # summed lengths
         "z": z,
     }
 

@@ -1,15 +1,16 @@
 """Action selection from a highway graph plus converged value tables.
 
 A snapshot compiles the graph and its tables once, when it is built, into a
-single greedy table: known intersections map to their argmax-Q first
-action, states inside a highway to the recorded action at their offset.
-Acting is then one dictionary lookup; states absent from the table (unseen
-states, and intersections with no outgoing highway) fall back to a uniform
-random action, with exploration on top.  The snapshot holds no generator:
-every random choice draws from the one the caller passes in.  `chooser`
-compiles this once per episode into one function of the state, which binds
-the generator, the table and the action count; `epsilon_greedy` is a
-one-call wrapper over it.
+single greedy table: states inside a highway map to the recorded action at
+their offset, read from the graph's membership index, and intersections to
+their argmax-Q first action, from one pass over Q in key order.  Acting is
+then one dictionary lookup; states absent from the table (unseen states, and
+intersections with no outgoing highway) fall back to a uniform random
+action, with exploration on top.  The snapshot holds no generator: every
+random choice draws from the one the caller passes in.  `chooser` compiles
+this once per episode into one function of the state, which binds the
+generator, the table and the action count; `epsilon_greedy` is a one-call
+wrapper over it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import random
 from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
+from .errors import KeyMismatch
 from .highway_graph import HighwayGraph
 from .transition_model import StateId, ActionId
 from .value_iteration import ValueTables
@@ -27,9 +29,10 @@ from .value_iteration import ValueTables
 class PolicySnapshot:
     """Immutable bundle of everything action selection needs.
 
-    The tables must have been produced from exactly this graph topology.
-    Neither is kept: the snapshot holds only the greedy table compiled from
-    them, so later changes to the graph do not change its actions.
+    The tables' Q keys must be exactly the graph's (from_state, first_action)
+    pairs, or KeyMismatch is raised.  Neither is kept: the snapshot holds only
+    the greedy table compiled from them, so later changes to the graph do not
+    change its actions.
     """
 
     graph: InitVar[HighwayGraph]
@@ -41,13 +44,18 @@ class PolicySnapshot:
     def __post_init__(self, graph: HighwayGraph, tables: ValueTables):
         if self.action_count < 1:
             raise ValueError("action_count must be >= 1")
-        greedy = {}
-        for h in graph.highways.values():
-            greedy.update(zip(h.interior, h.actions[1:]))
-        for s in graph.intersections:
-            a = greedy_action(graph, tables, s)
-            if a is not None:
-                greedy[s] = a
+        greedy = {s: graph.highways[hid].actions[k] for s, (hid, k) in graph.membership.items()}
+        if len(tables.q) != len(graph.highways):
+            raise KeyMismatch(f"{len(tables.q)} Q entries for {len(graph.highways)} highways")
+        # greedy_action's rule (a strict `>`) in one pass over Q in key order
+        last = best = None
+        for (s, a), q in sorted(tables.q.items()):
+            if s != last:
+                last, best, greedy[s], slots = s, q, a, graph.out_edges.get(s, ())
+            elif q > best:
+                best, greedy[s] = q, a
+            if a not in slots:
+                raise KeyMismatch(f"Q entry ({s:#x}, {a}) is not a highway of the graph")
         self.greedy = greedy
 
 

@@ -114,9 +114,9 @@ def save_value_tables(path, tables: ValueTables):
 
 def load_value_tables(path) -> ValueTables:
     data = _load(path, "value_tables")
-    v = {int(s): float(x) for s, x in zip(data["v_state"], data["v_value"])}
-    q = {(int(s), int(a)): float(x)
-         for s, a, x in zip(data["q_state"], data["q_action"], data["q_value"])}
+    v = dict(zip(data["v_state"].tolist(), data["v_value"].tolist()))
+    q = dict(zip(zip(data["q_state"].tolist(), data["q_action"].tolist()),
+                 data["q_value"].tolist()))
     return ValueTables(v=v, q=q, iterations_run=int(data["iterations_run"]),
                        final_delta=float(data["final_delta"]))
 

@@ -9,8 +9,9 @@ run is reproducible regardless of actor scheduling.
 An episode costs, per frame, one call of the episode's compiled action
 chooser (an exploration draw and one lookup in the snapshot's greedy table),
 one environment step and one state id, appended to the trajectory's four
-columns; no per-step objects are built.  The chooser and the environment's
-`step` and `state_id` are bound once per episode.
+columns; the chooser, `step` and `state_id` are bound once per episode.  An
+update's learner work around its value solve is per change: the topology
+signature is recomputed only when the graph's `version` moves.
 
 Convergence is declared at the first update after which a configured number
 of consecutive updates changed neither the graph topology nor any greedy
@@ -27,9 +28,9 @@ from dataclasses import dataclass, field
 
 from .environments import (DEFAULT_EPISODES_PER_UPDATE, DEFAULT_EVAL_STEP_CAP,
                            DEFAULT_STEP_CAP, EnvSpec, make_env)
-from .highway_graph import HighwayGraph, graph_stats
+from .highway_graph import Highway, HighwayGraph, graph_stats
 from .policy import PolicySnapshot, chooser, epsilon_greedy
-from .transition_model import Trajectory
+from .transition_model import StateId, Trajectory
 from .value_iteration import ValueTables, value_update_loop
 
 METRICS_SCHEMA = "hgrl-metrics-v1"
@@ -127,21 +128,18 @@ def _mix_seed(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little") >> 1
 
 
-def _topology_signature(graph: HighwayGraph) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for s in sorted(graph.intersections):
-        h.update(struct.pack("<Q", s))
-    highways = graph.highways
-    for hid in sorted(highways):
-        h.update(highways[hid].signature)
-    return h.hexdigest()
+def _topology_signature(states: list[StateId], highways: dict[int, Highway]) -> str:
+    """Digest of the sorted intersections (each <Q), then of each highway's signature."""
+    data = struct.pack(f"<{len(states)}Q", *states)
+    data += b"".join([highways[hid].signature for hid in sorted(highways)])
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
-def _policy_signature(graph: HighwayGraph, snapshot: PolicySnapshot) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for s in sorted(graph.intersections):
-        h.update(struct.pack("<Qq", s, snapshot.greedy.get(s, -1)))
-    return h.hexdigest()
+def _policy_signature(states: list[StateId], snapshot: PolicySnapshot) -> str:
+    """Digest of each sorted intersection's greedy action (-1 for none), as <Qq."""
+    greedy = snapshot.greedy
+    data = b"".join([struct.pack("<Qq", s, greedy.get(s, -1)) for s in states])
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 def run_episode(env, snapshot: PolicySnapshot, epsilon: float, episode_seed: int,
@@ -263,6 +261,7 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
     tables = ValueTables()
     snapshot = PolicySnapshot(graph, tables, env.action_count)
     metrics = RunMetrics()
+    version = None
     frames = 0
     episode_index = 0
     update = 0
@@ -286,6 +285,9 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
         ev = evaluate(snapshot, env, EVAL_EPISODES, gamma=config.gamma,
                       step_cap=step_cap, seed=_mix_seed(config.run_seed, 31, update))
         stats = graph_stats(graph)
+        if graph.version != version:
+            version, states = graph.version, sorted(graph.intersections)
+            topology_sig = _topology_signature(states, graph.highways)
         row = UpdateRow(
             update=update,
             frames_so_far=frames,
@@ -296,8 +298,8 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
             highways=stats["highways"],
             z=stats["z"],
             vi_sweeps=tables.iterations_run,
-            topology_sig=_topology_signature(graph),
-            policy_sig=_policy_signature(graph, snapshot),
+            topology_sig=topology_sig,
+            policy_sig=_policy_signature(states, snapshot),
         )
         metrics.rows.append(row)
         if on_update is not None:

@@ -92,7 +92,7 @@ class _SweepEngine:
         self.gamma_pow_len[slot] = [h.gamma_pow_len for h in hws]
         self.path_return = np.empty(m)
         self.path_return[slot] = [h.path_return for h in hws]
-        self.covered_transitions = sum([len(h.actions) for h in hws])
+        self.covered_transitions = m + len(graph.membership)  # the highways' summed lengths
 
     def sweep(self, v, v_out=None, q_out=None) -> tuple[np.ndarray, np.ndarray]:
         """One synchronous sweep from v (in `states` order); returns (v_next, q).

@@ -243,7 +243,8 @@ def graph_state(g: HighwayGraph):
     """Everything ingestion writes, with `observed` in insertion order."""
     return (set(g.intersections), dict(g.highways), dict(g.membership),
             {s: dict(slots) for s, slots in g.out_edges.items()},
-            list(g.observed.items()), g._next_hid, _topology_signature(g))
+            list(g.observed.items()), g._next_hid,
+            _topology_signature(sorted(g.intersections), g.highways))
 
 
 @pytest.fixture

@@ -464,8 +464,9 @@ def test_11_determinism_guardrail(tmp_path, monkeypatch, capsys):
 # re-pin is logged in CHANGES.md with its reason.
 
 LEDGER_PATH = Path(__file__).parent / "golden" / "acceptance.json"
-# taxi run seed 8 declares convergence early (see README); the ledger pins it
-# beside the taxi fixture's run seed 0
+# taxi run seed 8 declares convergence at update 2, before its policy is
+# optimal from every start (see ROADMAP); the ledger pins it beside the taxi
+# fixture's run seed 0
 TAXI_EXTRA_RUN_SEED = 8
 
 

@@ -328,6 +328,53 @@ def test_assemble_invariants_under_random_walks(seed, episodes, max_len):
         assert table[(s - 10 ** 6, a)] == (nxt - 10 ** 6, r)
 
 
+# -------------------------------------------------------------------- version
+
+def test_version_moves_on_every_structural_edit():
+    g = HighwayGraph(gamma=0.9)
+    versions = [g.version]
+
+    def moved():
+        versions.append(g.version)
+        return versions[-1] != versions[-2]
+
+    g.make_intersection(1)
+    assert moved()
+    g.make_intersection(1)
+    assert not moved()
+    hid = g.add_highway(1, 2, [0, 1, 0, 1], [0.0] * 4, interior=[10, 11, 12])
+    assert moved()
+    g.split_highway(hid, 10)
+    assert moved()
+    g.make_intersection(11)             # interior: splits its highway
+    assert moved()
+    g.add_highway(2, 1, [3], [1.0])     # both endpoints known: only a new highway
+    assert moved()
+
+
+def test_version_stays_on_an_assemble_that_brings_nothing_new():
+    g = HighwayGraph(gamma=0.9)
+    walk = mk_traj((1, 0, 2, 0.0), (2, 0, 3, 0.0), (3, 1, 4, 1.0))
+    g.assemble([walk])
+    before = g.version
+    g.assemble([walk])
+    g.assemble([mk_traj((1, 2, 1, -1.0))])     # a new self-loop is not embedded
+    assert g.version == before
+    g.assemble([mk_traj((2, 1, 5, 0.0))])
+    assert g.version != before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 10), st.integers(1, 24))
+def test_version_moves_exactly_when_the_topology_does(seed, episodes, max_len):
+    _table, _action_count, trajs = random_mdp_walks(random.Random(seed), episodes, max_len)
+    g = HighwayGraph(gamma=0.95)
+    for traj in trajs + trajs:          # the replay brings nothing new
+        version, before = g.version, (set(g.intersections), dict(g.highways))
+        g.assemble([traj])
+        assert (g.version != version) == ((set(g.intersections), dict(g.highways)) != before)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.booleans(), st.integers(1, 10), st.integers(1, 24),
        st.data())

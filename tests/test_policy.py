@@ -1,6 +1,7 @@
 """Action selection rules and the exploration wrapper."""
 
 import dataclasses
+import math
 import random
 from collections import Counter
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_sweep, random_mdp_walks
+from conftest import one_sweep, random_highway_graph, random_mdp_walks
+from highway_rl.errors import KeyMismatch
 from highway_rl.highway_graph import HighwayGraph
 from highway_rl.policy import PolicySnapshot, chooser, epsilon_greedy, greedy_action
 from highway_rl.value_iteration import ValueTables, value_update_loop
@@ -149,6 +151,16 @@ def test_random_actions_keep_the_randrange_stream(seed, action_count):
         assert epsilon_greedy(snap, 0, 1.0, rng) == ref.randrange(action_count)
     assert rng.getstate() == ref.getstate()
 
+def _expected_greedy(g, tables):
+    """The table a snapshot must compile: the recorded action at each interior
+    state, and greedy_action at each intersection with an outgoing highway."""
+    expected = {s: g.highways[hid].actions[k] for s, (hid, k) in g.membership.items()}
+    for s in g.intersections:
+        a = greedy_action(g, tables, s)
+        if a is not None:
+            expected[s] = a
+    return expected
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 24))
@@ -159,10 +171,7 @@ def test_snapshot_is_unaffected_by_later_assemble(seed, episodes, max_len):
     tables = value_update_loop(g, max_iter=10_000, delta=1e-12)
     snap = PolicySnapshot(g, tables, action_count=action_count)
     # the compiled table holds exactly the choices the graph records
-    expected = {s: g.highways[hid].actions[offset] for s, (hid, offset) in g.membership.items()}
-    for s in g.intersections:
-        if g.out_edges.get(s):
-            expected[s] = greedy_action(g, tables, s)
+    expected = _expected_greedy(g, tables)
     assert snap.greedy == expected
     probe = sorted(g.states()) + [-1]
     before = [_greedy(snap, s, random.Random(s)) for s in probe]
@@ -178,3 +187,37 @@ def test_snapshot_holds_only_the_greedy_table():
     assert [f.name for f in dataclasses.fields(snap)] == ["action_count", "greedy"]
     with pytest.raises(TypeError):
         chooser(snap, 0.0)
+
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000),
+       st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.nan, math.inf]),
+                min_size=1, max_size=4))
+def test_snapshot_compiles_greedy_action_on_ties_and_nan(seed, pool):
+    # Q drawn from a small pool forces ties and NaNs; the insertion order of
+    # tables.q is shuffled, so only the key order may decide
+    rng = random.Random(seed)
+    g = random_highway_graph(rng, max_intersections=12, action_count=4, max_out_degree=4)
+    keys = [(h.from_state, h.first_action) for h in g.highways.values()]
+    rng.shuffle(keys)
+    tables = ValueTables(q={k: rng.choice(pool) for k in keys})
+    snap = PolicySnapshot(g, tables, action_count=4)
+    assert snap.greedy == _expected_greedy(g, tables)
+
+
+def test_snapshot_rejects_tables_of_another_topology():
+    g, tables = _two_action_graph()
+    missing = ValueTables(q={(0, 1): 0.9})
+    with pytest.raises(KeyMismatch):
+        PolicySnapshot(g, missing, action_count=4)
+    extra = ValueTables(q={**tables.q, (1, 0): 0.0})
+    with pytest.raises(KeyMismatch):
+        PolicySnapshot(g, extra, action_count=4)
+    # as many entries as highways, but one pair is not a highway's
+    swapped = ValueTables(q={(0, 0): 0.5, (0, 2): 0.9})
+    with pytest.raises(KeyMismatch):
+        PolicySnapshot(g, swapped, action_count=4)
+    stray = ValueTables(q={(0, 0): 0.5, (7, 1): 0.9})
+    with pytest.raises(KeyMismatch):
+        PolicySnapshot(g, stray, action_count=4)

@@ -1,6 +1,8 @@
 """Artifact round-trips and run-directory manifests."""
 
+import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from highway_rl.reparam import ApproxConfig, QDataset, fit
 from highway_rl.serialize import (load_approximator, load_highway_graph, load_value_tables,
                                   read_manifest, save_approximator, save_highway_graph,
                                   save_value_tables, verify_manifest, write_manifest)
-from highway_rl.value_iteration import value_update_loop
+from highway_rl.value_iteration import ValueTables, value_update_loop
 
 
 def test_highway_graph_round_trip(tmp_path):
@@ -43,6 +45,22 @@ def test_value_tables_round_trip(tmp_path):
     assert loaded.iterations_run == tables.iterations_run
     assert loaded.final_delta == tables.final_delta
 
+
+def test_value_tables_load_python_scalars_in_key_order(tmp_path):
+    big = 2 ** 64 - 1
+    tables = ValueTables(v={big: -0.0, 3: math.inf, 1: math.nan},
+                         q={(big, 2): 5e-324, (3, 0): -1.5, (1, 1): math.nan, (1, 0): 0.0},
+                         iterations_run=7, final_delta=0.25)
+    path = tmp_path / "tables.npz"
+    save_value_tables(path, tables)
+    loaded = load_value_tables(path)
+    bits = lambda x: struct.pack("<d", x)
+    for want, got in ((tables.v, loaded.v), (tables.q, loaded.q)):
+        assert list(got) == sorted(want)
+        assert all(type(x) is float for x in got.values())
+        assert [bits(got[k]) for k in got] == [bits(want[k]) for k in got]
+    assert all(type(s) is int for s in loaded.v)
+    assert all(type(s) is int and type(a) is int for s, a in loaded.q)
 
 def test_approximator_round_trip(tmp_path):
     rng = np.random.default_rng(0)

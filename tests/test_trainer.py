@@ -3,18 +3,21 @@
 import dataclasses
 import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_mdp_walks
 from highway_rl.environments import EnvSpec, StepResult, make_env
 from highway_rl.errors import DeterminismViolation
 from highway_rl.highway_graph import HighwayGraph
 from highway_rl.policy import PolicySnapshot
-from highway_rl.trainer import (RunMetrics, TrainConfig, UpdateRow, detect_convergence,
-                                epsilon_ladder, evaluate, run_episode, train)
-from highway_rl.value_iteration import ValueTables
+from highway_rl.trainer import (RunMetrics, TrainConfig, UpdateRow, _policy_signature,
+                                _topology_signature, detect_convergence, epsilon_ladder,
+                                evaluate, run_episode, train)
+from highway_rl.value_iteration import ValueTables, value_update_loop
 
 
 def _maze_cfg(**overrides):
@@ -274,3 +277,81 @@ def test_run_episode_keeps_the_per_frame_choices(seed, action_count, epsilon, st
     columns, terminal = _per_frame_episode(env, snap, epsilon, episode_seed, step_cap)
     assert (traj.from_states, traj.actions, traj.next_states, traj.rewards) == columns
     assert traj.terminal == terminal
+
+
+# ------------------------------------------------------------- signatures
+
+def _reference_topology_signature(graph):
+    """The per-item digest the topology signature must equal."""
+    h = hashlib.blake2b(digest_size=16)
+    for s in sorted(graph.intersections):
+        h.update(struct.pack("<Q", s))
+    for hid in sorted(graph.highways):
+        h.update(graph.highways[hid].signature)
+    return h.hexdigest()
+
+
+def _reference_policy_signature(graph, snapshot):
+    """The per-item digest the policy signature must equal."""
+    h = hashlib.blake2b(digest_size=16)
+    for s in sorted(graph.intersections):
+        h.update(struct.pack("<Qq", s, snapshot.greedy.get(s, -1)))
+    return h.hexdigest()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 24))
+def test_signatures_equal_the_per_item_digests(seed, episodes, max_len):
+    rng = random.Random(seed)
+    _table, action_count, trajs = random_mdp_walks(rng, episodes, max_len)
+    g = HighwayGraph(gamma=0.95)
+    for traj in trajs:
+        g.assemble([traj])
+        states = sorted(g.intersections)
+        assert _topology_signature(states, g.highways) == _reference_topology_signature(g)
+        snap = PolicySnapshot(g, value_update_loop(g, max_iter=50, delta=1e-9), action_count)
+        assert _policy_signature(states, snap) == _reference_policy_signature(g, snap)
+
+
+def test_every_update_signs_the_graph_it_trained(monkeypatch):
+    # train recomputes the topology signature only when the graph's version
+    # moves; every row must still sign the graph as it stands at that update
+    graphs = []
+    assemble = HighwayGraph.assemble
+
+    def capture(graph, trajs):
+        graphs.append(graph)
+        return assemble(graph, trajs)
+
+    monkeypatch.setattr(HighwayGraph, "assemble", capture)
+    seen = []
+
+    def check(row):
+        graph = graphs[-1]
+        seen.append(row.topology_sig)
+        assert row.topology_sig == _topology_signature(sorted(graph.intersections),
+                                                       graph.highways)
+
+    res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=0), on_update=check)
+    assert len(seen) == len(res.metrics.rows) > 1
+    assert {id(g) for g in graphs} == {id(res.graph)}
+    # some updates leave the topology as it was, and some move it
+    assert 1 < len(set(seen)) < len(seen)
+
+
+def test_one_value_solve_per_update_on_the_trained_graph(monkeypatch):
+    # the benchmark traces every training solve through this module-level
+    # name: train must call it once per update, with its own graph
+    import highway_rl.trainer as trainer_module
+
+    calls = []
+    solve = trainer_module.value_update_loop
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "value_update_loop", counting)
+    res = train(_maze_cfg(convergence_patience=5))
+    assert len(calls) == len(res.metrics.rows)
+    assert all(args[0] is res.graph for args in calls)
