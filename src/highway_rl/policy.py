@@ -3,7 +3,7 @@
 A snapshot compiles the graph and its tables once, when it is built, into a
 single greedy table: states inside a highway map to the recorded action at
 their offset, read from the graph's membership index, and intersections to
-their argmax-Q first action, from one pass over Q in key order.  Acting is
+their greedy first action, from one pass over Q in key order.  Acting is
 then one dictionary lookup; states absent from the table (unseen states, and
 intersections with no outgoing highway) fall back to a uniform random
 action, with exploration on top.  The snapshot holds no generator: every
@@ -23,6 +23,10 @@ from .errors import KeyMismatch
 from .highway_graph import HighwayGraph
 from .transition_model import StateId, ActionId
 from .value_iteration import ValueTables
+
+# two Q values tie when they differ by at most this share of max(1, |best Q|),
+# so rounding noise in the solve never decides between equal choices
+TIE_RTOL = 1e-9
 
 
 @dataclass
@@ -47,30 +51,53 @@ class PolicySnapshot:
         greedy = {s: graph.highways[hid].actions[k] for s, (hid, k) in graph.membership.items()}
         if len(tables.q) != len(graph.highways):
             raise KeyMismatch(f"{len(tables.q)} Q entries for {len(graph.highways)} highways")
-        # greedy_action's rule (a strict `>`) in one pass over Q in key order
-        last = best = None
+        # one pass over Q in key order finds each intersection's first largest
+        # Q, as a strict `>` scan; near is the largest Q of the lower actions
+        last = best = near = None
+        outranked = []
         for (s, a), q in sorted(tables.q.items()):
             if s != last:
-                last, best, greedy[s], slots = s, q, a, graph.out_edges.get(s, ())
+                if near is not None:
+                    outranked.append((last, near, best))
+                last, best, near, greedy[s], slots = s, q, None, a, graph.out_edges.get(s, ())
             elif q > best:
-                best, greedy[s] = q, a
+                best, near, greedy[s] = q, best, a
             if a not in slots:
                 raise KeyMismatch(f"Q entry ({s:#x}, {a}) is not a highway of the graph")
+        if near is not None:
+            outranked.append((last, near, best))
+        # where a lower action's Q is within the tie tolerance of the largest,
+        # greedy_action's rule picks among them
+        for s, near, best in outranked:
+            if near >= best - TIE_RTOL * max(1.0, abs(best)):
+                greedy[s] = greedy_action(graph, tables, s)
         self.greedy = greedy
 
 
+def _tie_break(run: list[tuple[ActionId, float]]) -> ActionId:
+    """The lowest action of run, (action, q) pairs in action order, whose q
+    ties the largest: q >= best - TIE_RTOL * max(1, |best|), or q == best.
+
+    best is the first largest q by a strict `>` scan, so a NaN is best only
+    when it comes first; then no q ties and the first action wins.  A NaN
+    after the first never ties.
+    """
+    best = max(q for _a, q in run)
+    floor = best - TIE_RTOL * max(1.0, abs(best))
+    for a, q in run:
+        if q >= floor or q == best:
+            return a
+    return run[0][0]
+
+
 def greedy_action(graph: HighwayGraph, tables: ValueTables, s: StateId) -> ActionId | None:
-    """Argmax-Q first action at an intersection; ties go to the lowest action.
+    """Argmax-Q first action at an intersection; near-ties (within TIE_RTOL)
+    go to the lowest action.
 
     Returns None when the intersection has no outgoing highways.
     """
-    best_a = None
-    best_q = None
-    for a in sorted(graph.out_edges.get(s, {})):
-        q = tables.q[(s, a)]
-        if best_q is None or q > best_q:
-            best_a, best_q = a, q
-    return best_a
+    run = [(a, tables.q[(s, a)]) for a in sorted(graph.out_edges.get(s, {}))]
+    return _tie_break(run) if run else None
 
 
 def chooser(snapshot: PolicySnapshot, epsilon: float,

@@ -43,6 +43,51 @@ def test_select_tie_breaks_to_lowest_action():
     assert _greedy(snap, 0) == 0
 
 
+def _one_state_tables(qs):
+    """Intersection 0 with one highway per action, Q from qs in action order."""
+    g = HighwayGraph(gamma=0.99)
+    for a in range(len(qs)):
+        g.add_highway(0, a + 1, [a], [0.0])
+    return g, ValueTables(q={(0, a): q for a, q in enumerate(qs)})
+
+
+@pytest.mark.parametrize("qs, want", [
+    # a 1-ulp gap is a tie, whichever side is larger
+    ([1.0, math.nextafter(1.0, 2.0)], 0),
+    ([math.nextafter(-3.0, 0.0), -3.0, -3.0], 0),
+    # the tolerance scales with |best| above 1 and is absolute below
+    ([1000.0, 1000.0 + 0.9e-6], 0),
+    ([1000.0, 1000.0 + 1.1e-6], 1),
+    ([0.0, 0.9e-9], 0),
+    ([0.0, 1.1e-9], 1),
+    ([0.5, 0.5 + 1.1e-9, 0.5 + 1.5e-9], 1),
+    # a NaN first stays chosen; a NaN later never ties
+    ([math.nan, 1.0], 0),
+    ([1.0, math.nan, 1.0], 0),
+    ([0.0, math.nan, 1.0], 2),
+])
+def test_greedy_action_ties_within_the_tolerance(qs, want):
+    g, tables = _one_state_tables(qs)
+    assert greedy_action(g, tables, 0) == want
+    assert PolicySnapshot(g, tables, action_count=len(qs)).greedy[0] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([1.0, math.nextafter(1.0, 2.0), 1.0 - 5e-10, 1.0 + 8e-10,
+                                 1.0 - 2e-9, 1.0 + 3e-9, -1.0]),
+                min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+def test_greedy_action_is_the_lowest_action_near_the_best_in_any_q_order(qs, rng):
+    best = max(qs)
+    want = min(a for a, q in enumerate(qs) if best - q <= 1e-9 * max(1.0, abs(best)))
+    g, tables = _one_state_tables(qs)
+    keys = list(tables.q)
+    rng.shuffle(keys)
+    tables = ValueTables(q={k: tables.q[k] for k in keys})
+    assert greedy_action(g, tables, 0) == want
+    assert PolicySnapshot(g, tables, action_count=len(qs)).greedy[0] == want
+
+
 def test_select_recorded_action_on_highway():
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 9, [3, 0, 2, 1], [0.0] * 4, interior=[5, 6, 7])
@@ -192,10 +237,11 @@ def test_snapshot_holds_only_the_greedy_table():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000),
-       st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.nan, math.inf]),
+       st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.nan, math.inf,
+                                 math.nextafter(1.0, 2.0), 1.0 - 5e-10, 1.0 - 2e-9]),
                 min_size=1, max_size=4))
 def test_snapshot_compiles_greedy_action_on_ties_and_nan(seed, pool):
-    # Q drawn from a small pool forces ties and NaNs; the insertion order of
+    # Q drawn from a small pool forces ties, near-ties and NaNs; the insertion order of
     # tables.q is shuffled, so only the key order may decide
     rng = random.Random(seed)
     g = random_highway_graph(rng, max_intersections=12, action_count=4, max_out_degree=4)
