@@ -479,10 +479,12 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def metrics_without_wall_clock(res) -> str:
+def metrics_without(res, dropped) -> str:
+    """metrics.csv with the named columns left out."""
     lines = res.metrics.to_csv().splitlines()
-    wall = lines[1].split(",").index("wall_ms")
-    return "\n".join(",".join(c for i, c in enumerate(line.split(",")) if i != wall)
+    header = lines[1].split(",")
+    gone = {header.index(name) for name in dropped}
+    return "\n".join(",".join(c for i, c in enumerate(line.split(",")) if i not in gone)
                      for line in lines)
 
 
@@ -504,7 +506,10 @@ def ledger_record(res, scratch_dir) -> dict:
     v = np.array([tables.v[k] for k in sorted(tables.v)], dtype="<f8")
     q = np.array([tables.q[k] for k in sorted(tables.q)], dtype="<f8")
     return {
-        "metrics_csv": _sha256(metrics_without_wall_clock(res).encode()),
+        # the solver's sweep counts are listed on their own, so a re-pin for a
+        # solver change shows that nothing else in metrics.csv moved
+        "metrics_csv": _sha256(metrics_without(res, ("wall_ms", "vi_sweeps")).encode()),
+        "vi_sweeps": [row.vi_sweeps for row in res.metrics.rows],
         "v": _sha256(v.tobytes()),
         "q": _sha256(q.tobytes()),
         "iterations_run": tables.iterations_run,
