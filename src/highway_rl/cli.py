@@ -212,6 +212,11 @@ def cmd_bench(args) -> int:
     lines.append(f"# z_squared={z * z!r}")
     lines.append(f"# counted_work_ratio={counted!r}")
     lines.append(f"# wall_ratio={hstats['wall_seconds'] / max(v_wall, 1e-12)!r}")
+    # the highway sweeps split into the corridor-contracted start's and the
+    # full graph's; --max-iter caps the full-graph loop
+    for name in ("contracted", "reduced_intersections", "reduced_highways",
+                 "reduced_sweeps", "full_sweeps"):
+        lines.append(f"# {name}={hstats[name]}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as f:

@@ -7,6 +7,26 @@ so a sweep is a max-norm gamma-contraction and the loop converges to the
 unique fixed point regardless of initialization.  The loop stops when the
 summed absolute Q change drops below delta.
 
+A cold solve (no v_init) first finds its starting values on a smaller
+graph.  A corridor intersection has exactly two out-highways, to two
+distinct other intersections, and those two as its only predecessors, like
+a two-way maze corridor cell.  Entered from one of them, its only way on
+that does not turn back leads to the other.  So each maximal chain of
+corridor intersections, entered from the intersection at one end, composes
+into one edge to the intersection at the other end: (R1 + G1 R2, G1 G2)
+for each pair of steps, found by pointer jumping in about log2(chain
+length) numpy passes.  The same sweep engine solves the graph of the other
+intersections joined by the composed edges, until no value moves by delta
+(only the values are used), and each corridor intersection starts at the
+larger of its two chain exits.  A ring of corridor intersections has no
+exit and starts at zero.  The start is wrong there, and where a corridor
+holds a loop worth going round, since that graph leaves out turning back.
+The full-graph loop then runs from the start with its stopping rule
+unchanged, and it alone decides the result: it converges to the unique
+fixed point from any start, and from a right one it stops after two
+sweeps.  A warm-started solve, or a graph with no corridor intersection,
+sweeps the full graph only, from v_init or zero.
+
 The per-sweep work is one update per highway plus one reduction per
 intersection; it does not grow with the expanded number of states covered
 by the highways.  A sweep is vectorised: one numpy gather, multiply and add
@@ -16,8 +36,8 @@ which are laid out by out-degree.  The summed |dQ| is a sequential pass,
 taken only once the largest |dQ| is below delta: the sum is never below
 its largest term, so until then it cannot be either.  The sweep does the
 same rounded operations as a per-highway Python backup and the sum adds in
-the same order, so V, Q, the sweep count and the final delta are identical
-to it bit for bit.
+the same order, so from the same starting values V, Q, the sweep count and
+the final delta are identical to it bit for bit.
 """
 
 from __future__ import annotations
@@ -42,74 +62,84 @@ class ValueTables:
     final_delta: float = 0.0
 
 
-class _SweepEngine:
-    """Edge arrays of one graph snapshot for repeated synchronous sweeps.
+def _edge_arrays(graph: HighwayGraph):
+    """The graph as (states, keys, src, dst, path_return, gamma_pow_len).
 
-    `states` lists the intersections by out-degree, largest first, and by
-    state id among equal degrees, so those with no out-highway come last.
-    A highway's rank is its place among its source's out-highways in
-    first-action order.  The edge arrays list the rank-0 highways, then
-    the rank-1 ones, and so on, each block in `states` order of its
-    source, so the rank-r block backs up the first c_r intersections,
-    where c_r is its length.  `edge_keys` stays in (from_state,
-    first_action) order, the order of the result's Q: q[_q_perm] is an edge
-    array in that order, and v[_v_perm] a V array in sorted-state order.
+    states are the intersections in sorted order and keys the highways'
+    (from_state, first_action) pairs in sorted order; the arrays list the
+    highways in key order, with src and dst indexing states.
+    """
+    states = sorted(graph.intersections)
+    index = {s: i for i, s in enumerate(states)}
+    # the highways are read in the graph's own order, which is cheaper
+    # than in key order, and the arrays permuted afterwards
+    hws = graph.highways.values()
+    sources = [h.from_state for h in hws]
+    firsts = [h.actions[0] for h in hws]
+    src = np.array([index[s] for s in sources], np.intp)
+    # indices follow state order, so this sorts by (from_state, first_action)
+    order = np.lexsort((np.array(firsts, np.int64), src))
+    keys = [(sources[i], firsts[i]) for i in order.tolist()]
+    dst = np.array([index[h.to_state] for h in hws], np.intp)
+    path_return = np.array([h.path_return for h in hws], np.float64)
+    gamma_pow_len = np.array([h.gamma_pow_len for h in hws], np.float64)
+    return states, keys, src[order], dst[order], path_return[order], gamma_pow_len[order]
+
+
+class _SweepEngine:
+    """Edge arrays of one graph for repeated synchronous sweeps.
+
+    The graph has states 0..n-1, and edge j runs from src[j] to dst[j] with
+    path_return[j] and gamma_pow_len[j].  The edges come in key order: by
+    source, and within a source in the order their Q are listed.
+    Internally the states are laid out by out-degree, largest first, and by
+    index among equal degrees, so those with no out-edge come last:
+    `order[i]` is the state at place i, so v[order] lays out a V array and
+    v[_v_perm] takes it back.  An edge's rank is its place among its
+    source's out-edges.  The internal edge arrays list the rank-0 edges,
+    then the rank-1 ones, and so on, each block in layout order of its
+    source, so the rank-r block backs up the first c_r states, where c_r
+    is its length; q[_q_perm] lists an internal Q array in key order.
     """
 
-    def __init__(self, graph: HighwayGraph):
-        states = sorted(graph.intersections)
-        index = {s: i for i, s in enumerate(states)}
-        hws = graph.highways.values()
-        n, m = len(states), len(hws)
-        # the highways are read in the graph's own order, which is cheaper
-        # than in key order, and the arrays permuted afterwards
-        sources = [h.from_state for h in hws]
-        firsts = [h.actions[0] for h in hws]
-        src = np.array([index[s] for s in sources], np.intp)
-        # indices follow state order, so this sorts by (from_state, first_action)
-        order = np.lexsort((np.array(firsts, np.int64), src))
-        self.edge_keys = [(sources[i], firsts[i]) for i in order.tolist()]
-        src = src[order]
+    def __init__(self, n: int, src, dst, path_return, gamma_pow_len):
+        m = len(src)
+        self.n = n
         out_degree = np.bincount(src, minlength=n)
-        # lexsort is stable: equal degrees stay in state order
-        by_degree = np.lexsort((-out_degree,))
-        self.states = [states[i] for i in by_degree.tolist()]
-        self._state_keys = states
+        # lexsort is stable: equal degrees stay in index order
+        self.order = np.lexsort((-out_degree,))
         self._v_perm = np.empty(n, np.intp)
-        self._v_perm[by_degree] = np.arange(n)
+        self._v_perm[self.order] = np.arange(n)
         rank = np.arange(m) - np.repeat(np.cumsum(out_degree) - out_degree, out_degree)
-        # the rank-r block is as long as the number of rank-r highways
+        # the rank-r block is as long as the number of rank-r edges
         heads = np.bincount(rank).tolist()
         offsets = np.cumsum([0] + heads)
         self._head = heads[0] if heads else 0
         self._blocks = [(c, slice(o, o + c)) for c, o in zip(heads[1:], offsets[1:].tolist())]
         self._q_perm = offsets[rank] + self._v_perm[src]
-        slot = np.empty(m, np.intp)
-        slot[order] = self._q_perm
         self.dst = np.empty(m, np.intp)
-        self.dst[slot] = self._v_perm[np.array([index[h.to_state] for h in hws], np.intp)]
+        self.dst[self._q_perm] = self._v_perm[dst]
         self.gamma_pow_len = np.empty(m)
-        self.gamma_pow_len[slot] = [h.gamma_pow_len for h in hws]
+        self.gamma_pow_len[self._q_perm] = gamma_pow_len
         self.path_return = np.empty(m)
-        self.path_return[slot] = [h.path_return for h in hws]
-        self.covered_transitions = m + len(graph.membership)  # the highways' summed lengths
+        self.path_return[self._q_perm] = path_return
 
     def sweep(self, v, v_out=None, q_out=None) -> tuple[np.ndarray, np.ndarray]:
-        """One synchronous sweep from v (in `states` order); returns (v_next, q).
+        """One synchronous sweep from v (laid out); returns (v_next, q).
 
-        q, in edge-array order, is path_return + gamma^len * v[to] as two
+        q, in internal edge order, is path_return + gamma^len * v[to] as two
         rounded operations, the same arithmetic as Python floats.  v_next
-        is the max of q over each intersection's out-highways, taken rank
-        by rank, and 0.0 where none starts.  The max is exact, and q is
-        never -0.0 (path_return sums from +0.0), so it has the bits a `>`
-        scan over the highways would pick.  v_out and q_out are reused
-        when given; v_out may be v, since q is complete before v_out is
-        written.
+        is the max of q over each state's out-edges, taken rank by rank,
+        and 0.0 where none starts.  The max is exact, and q is never -0.0
+        (a highway's path_return sums from +0.0, and a composed one adds
+        to it), so it has the bits a `>` scan over the edges would pick.
+        v_out and q_out are reused when given; v_out may be v, since q is
+        complete before v_out is written.
         """
         if v_out is None:
-            v_out = np.empty(len(self.states))
+            v_out = np.empty(self.n)
         if q_out is None:
-            q_out = np.empty(len(self.edge_keys))
+            q_out = np.empty(len(self.dst))
         # the indices are valid; mode="raise" would copy through a buffer
         np.take(v, self.dst, out=q_out, mode="clip")
         np.multiply(self.gamma_pow_len, q_out, out=q_out)
@@ -121,38 +151,17 @@ class _SweepEngine:
             np.maximum(v_out[:c], q_out[block], out=v_out[:c])
         return v_out, q_out
 
-    def v_array(self, v_map: dict[StateId, float]) -> np.ndarray:
-        try:
-            return np.array([v_map[s] for s in self.states], dtype=np.float64)
-        except KeyError as exc:
-            raise ValueError(f"missing value entry for intersection {exc}") from exc
 
+def _sweep_until(eng: _SweepEngine, max_iter: int | None, delta: float, v0):
+    """Sweep from v0 (key order, or zeros when None) until the summed |dQ|
+    falls below delta or max_iter sweeps have run (10 per state by default).
 
-def value_update_loop(graph: HighwayGraph, max_iter: int | None = None,
-                      delta: float = 1e-6, v_init: dict[StateId, float] | None = None
-                      ) -> ValueTables:
-    """Sweep until the summed absolute Q change falls below delta.
-
-    Values start at zero (or warm-start from v_init where intersections
-    persist); Q entries are rebuilt from scratch.  Hitting max_iter without
-    reaching delta is recorded in the result, not raised.
+    Returns (v, q, sweeps, final_delta) with V and Q in key order.
     """
-    return _sweep_until(_SweepEngine(graph), max_iter, delta, v_init)
-
-
-def _sweep_until(eng: _SweepEngine, max_iter: int | None, delta: float,
-                 v_init: dict[StateId, float] | None) -> ValueTables:
     if max_iter is None:
-        max_iter = 10 * max(1, len(eng.states))
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    n, m = len(eng.states), len(eng.edge_keys)
-    if v_init:
-        v = np.array([v_init.get(s, 0.0) for s in eng.states], dtype=np.float64)
-    else:
-        v = np.zeros(n)
+        max_iter = 10 * max(1, eng.n)
+    m = len(eng.dst)
+    v = np.zeros(eng.n) if v0 is None else v0[eng.order]
     q, q_prev, change, summed = np.empty(m), np.zeros(m), np.empty(m), np.empty(m)
     iterations = 0
     final_delta = 0
@@ -169,22 +178,146 @@ def _sweep_until(eng: _SweepEngine, max_iter: int | None, delta: float,
             # final_delta is exact whenever the loop ends.
             if np.maximum.reduce(change) >= delta and iterations < max_iter:
                 continue
-            # a running sum in (from_state, first_action) order adds left
-            # to right, as a plain loop would; np.sum adds pairwise and
-            # rounds differently
+            # a running sum in key order adds left to right, as a plain
+            # loop would; np.sum adds pairwise and rounds differently
             np.take(change, eng._q_perm, out=summed, mode="clip")
             np.cumsum(summed, out=summed)
             final_delta = float(summed[-1])
         if final_delta < delta:
             break
-    if not n:
+    if not eng.n:
         iterations = 0
-    return ValueTables(
-        v=dict(zip(eng._state_keys, v[eng._v_perm].tolist())),
-        q=dict(zip(eng.edge_keys, q_prev[eng._q_perm].tolist())),
-        iterations_run=iterations,
+    return v[eng._v_perm], q_prev[eng._q_perm], iterations, final_delta
+
+
+def _corridor_start(n: int, src, dst, path_return, gamma_pow_len,
+                    max_iter: int | None, delta: float):
+    """Starting values for a cold solve from the corridor-contracted graph.
+
+    Takes the graph as key-order arrays and returns (v0, counts): v0 in key
+    order, or None when no state is a corridor intersection, and the counts
+    `solve` reports.
+    """
+    m = len(src)
+    out_degree = np.bincount(src, minlength=n)
+    first = np.cumsum(out_degree) - out_degree
+    # two out-edges, to two distinct states other than itself
+    cand = np.flatnonzero(out_degree == 2)
+    one, two = dst[first[cand]], dst[first[cand] + 1]
+    cand = cand[(one != two) & (one != cand) & (two != cand)]
+    if not cand.size:
+        return None, _no_contraction()
+    neighbour = np.full(n, -1)
+    neighbour[cand] = dst[first[cand]]
+    other = np.full(n, -1)
+    other[cand] = dst[first[cand] + 1]
+    # and those two as its only predecessors
+    from_one, from_other = src == neighbour[dst], src == other[dst]
+    corridor = np.zeros(n, bool)
+    corridor[dst[from_one]] = True
+    reached = np.zeros(n, bool)
+    reached[dst[from_other]] = True
+    corridor &= reached
+    corridor[dst[~(from_one | from_other)]] = False
+    if not corridor.any():
+        return None, _no_contraction()
+    # An edge into a corridor state goes on along that state's out-edge to
+    # the neighbour it did not come from.  Pointer jumping composes each
+    # edge with the edges after it until it reaches a kept state: `end` is
+    # the state the composed edge reaches so far, `after` the edge that
+    # follows it, and each round doubles the length of every open chain.
+    # Chains entered from a kept state always end (a chain that came back
+    # to a corridor state would have to turn back); only rings of corridor
+    # states stay open, and then a round closes nothing.
+    ret, disc, end = path_return.copy(), gamma_pow_len.copy(), dst.copy()
+    open_ = np.flatnonzero(corridor[dst])
+    after = np.arange(m)
+    into = dst[open_]
+    after[open_] = first[into] + (src[open_] == neighbour[into])
+    while open_.size:
+        nxt = after[open_]
+        ret[open_] = ret[open_] + disc[open_] * ret[nxt]
+        disc[open_] = disc[open_] * disc[nxt]
+        end[open_] = end[nxt]
+        after[open_] = after[nxt]
+        still = corridor[end[open_]]
+        if still.all():
+            break
+        open_ = open_[still]
+    kept = np.flatnonzero(~corridor)
+    renumber = np.empty(n, np.intp)
+    renumber[kept] = np.arange(kept.size)
+    edges = np.flatnonzero(~corridor[src])
+    reduced = _SweepEngine(kept.size, renumber[src[edges]], renumber[end[edges]],
+                           ret[edges], disc[edges])
+    # Only the values are used, so the loop stops once they move by less
+    # than delta, a sweep before their Q would (10 sweeps per state by
+    # default, as the full loop).
+    if max_iter is None:
+        max_iter = 10 * kept.size
+    v, v_prev, q = np.zeros(kept.size), np.empty(kept.size), np.empty(edges.size)
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1 if kept.size else 1):
+        v, v_prev = v_prev, v
+        reduced.sweep(v_prev, v, q)
+        if np.maximum.reduce(np.abs(v - v_prev)) < delta:
+            break
+    v0 = np.zeros(n)
+    v0[kept] = v[reduced._v_perm]
+    # each corridor state takes the larger of its two chain exits; a ring
+    # of corridor states has no exit and starts at zero
+    inner = np.flatnonzero(corridor)
+    inner = inner[~corridor[end[first[inner]]]]
+    exits = ret + disc * v0[end]
+    v0[inner] = np.maximum(exits[first[inner]], exits[first[inner] + 1])
+    return v0, {"contracted": n - kept.size, "reduced_intersections": int(kept.size),
+                "reduced_highways": int(edges.size), "reduced_sweeps": sweeps}
+
+
+def _no_contraction() -> dict:
+    return {"contracted": 0, "reduced_intersections": 0, "reduced_highways": 0,
+            "reduced_sweeps": 0}
+
+
+def _solve(graph: HighwayGraph, max_iter: int | None, delta: float,
+           v_init: dict[StateId, float] | None) -> tuple[ValueTables, dict]:
+    """The tables of value_update_loop plus the counts `solve` reports."""
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    states, keys, src, dst, path_return, gamma_pow_len = _edge_arrays(graph)
+    n = len(states)
+    if v_init:
+        v0 = np.array([v_init.get(s, 0.0) for s in states], dtype=np.float64)
+        counts = _no_contraction()
+    else:
+        v0, counts = _corridor_start(n, src, dst, path_return, gamma_pow_len, max_iter, delta)
+    eng = _SweepEngine(n, src, dst, path_return, gamma_pow_len)
+    v, q, sweeps, final_delta = _sweep_until(eng, max_iter, delta, v0)
+    counts["full_sweeps"] = sweeps
+    tables = ValueTables(
+        v=dict(zip(states, v.tolist())),
+        q=dict(zip(keys, q.tolist())),
+        iterations_run=counts["reduced_sweeps"] + sweeps,
         final_delta=final_delta,
     )
+    return tables, counts
+
+
+def value_update_loop(graph: HighwayGraph, max_iter: int | None = None,
+                      delta: float = 1e-6, v_init: dict[StateId, float] | None = None
+                      ) -> ValueTables:
+    """Sweep until the summed absolute Q change falls below delta.
+
+    Values warm-start from v_init where intersections persist (missing ones
+    start at zero); without it, from the corridor-contracted solve.  Q
+    entries are rebuilt from scratch.  max_iter caps the full-graph sweeps
+    (and, separately, the contracted graph's); iterations_run counts both.
+    Hitting max_iter without reaching delta is recorded in the result, not
+    raised.
+    """
+    return _solve(graph, max_iter, delta, v_init)[0]
 
 
 def interior_values(graph: HighwayGraph, tables: ValueTables) -> dict[StateId, float]:
@@ -223,10 +356,14 @@ def completeness_report(values: dict[StateId, float], ground_truth: dict[StateId
 def contraction_probe(graph: HighwayGraph, w: dict[StateId, float],
                       v: dict[StateId, float]) -> dict:
     """One-sweep contraction measurement: lhs = d(Gw, Gv), rhs = gamma * d(w, v)."""
-    eng = _SweepEngine(graph)
-    wa, va = eng.v_array(w), eng.v_array(v)
-    gw, _ = eng.sweep(wa)
-    gv, _ = eng.sweep(va)
+    states, _keys, *arrays = _edge_arrays(graph)
+    eng = _SweepEngine(len(states), *arrays)
+    try:
+        wa, va = (np.array([x[s] for s in states], dtype=np.float64) for x in (w, v))
+    except KeyError as exc:
+        raise ValueError(f"missing value entry for intersection {exc}") from exc
+    gw, _ = eng.sweep(wa[eng.order])
+    gv, _ = eng.sweep(va[eng.order])
     lhs = float(np.max(np.abs(gw - gv), initial=0.0))
     rhs = graph.gamma * float(np.max(np.abs(wa - va), initial=0.0))
     return {"lhs": lhs, "rhs": rhs}
@@ -236,22 +373,30 @@ def solve(graph: HighwayGraph, delta: float = 1e-6, max_iter: int | None = None,
           v_init: dict[StateId, float] | None = None):
     """Converged tables plus benchmark counters for one solve.
 
-    Returns (tables, stats) where stats carries the per-sweep highway update
-    count, total updates, covered-transition operation count, wall time, and
-    whether the loop reached delta before max_iter.
+    Returns (tables, stats).  stats carries the sweep count (contracted
+    plus full, as iterations_run), the per-sweep highway update count,
+    the highway updates actually made, the covered-transition operation
+    count (every sweep counts each transition the highways cover once),
+    wall time, and whether the loop reached delta before max_iter.  It
+    also carries how many intersections the contracted start folded into
+    corridor edges, the contracted graph's intersections and edges, and
+    its sweeps apart from the full-graph ones (all 0 when nothing was
+    contracted).
     """
     start = time.perf_counter()
-    eng = _SweepEngine(graph)
-    tables = _sweep_until(eng, max_iter, delta, v_init)
+    tables, counts = _solve(graph, max_iter, delta, v_init)
     elapsed = time.perf_counter() - start
-    updates = len(eng.edge_keys)
+    updates = len(graph.highways)
     stats = {
         "sweeps": tables.iterations_run,
         "per_sweep_updates": updates,
-        "total_updates": tables.iterations_run * updates,
-        "covered_ops": tables.iterations_run * eng.covered_transitions,
+        "total_updates": (counts["full_sweeps"] * updates
+                          + counts["reduced_sweeps"] * counts["reduced_highways"]),
+        # each highway covers its length in transitions
+        "covered_ops": tables.iterations_run * (updates + len(graph.membership)),
         "wall_seconds": elapsed,
         "converged": tables.final_delta < delta,
+        **counts,
     }
     return tables, stats
 

@@ -51,6 +51,49 @@ def random_highway_graph(rng: random.Random, max_intersections: int = 50,
     return graph
 
 
+def corridor_highway_graph(rng: random.Random, gamma: float = 0.9) -> HighwayGraph:
+    """Random hubs joined by two-way corridor chains.
+
+    A chain runs between two hubs or back to its own hub, and up to two
+    rings of corridor intersections stand alone, with no hub to keep (a
+    graph may have no hub at all).  Some hubs also get one-way highways
+    between them, and some graphs a terminal that a hub leads into.  Steps
+    cost, but in half of the graphs a fifth of the two-way links pay both
+    ways, enough that going back and forth beats going through.
+    """
+    g = HighwayGraph(gamma=gamma)
+    ids = iter(range(1, 10 ** 9))
+    actions: dict = {}
+    paying_share = rng.choice([0.0, 0.2])
+
+    def link(s, to, paying=False):
+        a = actions[s] = actions.get(s, -1) + 1
+        length = rng.randint(1, 3)
+        rewards = [rng.uniform(0.5, 1.0) if paying else round(rng.uniform(-1.0, -0.05), 3)
+                   for _ in range(length)]
+        g.add_highway(s, to, [a] + [0] * (length - 1), rewards,
+                      [next(ids) for _ in range(length - 1)])
+
+    def two_way(path):
+        for x, y in zip(path, path[1:]):
+            paying = rng.random() < paying_share
+            link(x, y, paying)
+            link(y, x, paying)
+
+    hubs = [next(ids) for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(1, 4) if hubs else 0):
+        two_way([rng.choice(hubs)] + [next(ids) for _ in range(rng.randint(1, 8))]
+                + [rng.choice(hubs)])
+    for _ in range(rng.randint(0 if hubs else 1, 2)):
+        ring = [next(ids) for _ in range(rng.randint(3, 6))]
+        two_way(ring + ring[:1])
+    for _ in range(rng.randint(0, 3) if hubs else 0):
+        link(rng.choice(hubs), rng.choice(hubs))
+    if hubs and rng.random() < 0.5:
+        link(rng.choice(hubs), next(ids))
+    return g
+
+
 def random_deterministic_mdp(rng: random.Random, n_states: int = 12,
                              action_count: int = 3):
     """Random deterministic MDP as a dict (state, action) -> (next, reward)."""

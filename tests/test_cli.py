@@ -87,12 +87,17 @@ def test_bench_command(run_dir, capsys):
     assert highway.startswith("highway,")
     assert vanilla.startswith("vanilla,")
     assert "# z=" in out and "# z_squared=" in out
+    assert "# contracted=" in out and "# reduced_highways=" in out
 
 
 def test_bench_not_converged_exits_5(run_dir, capsys):
     assert cli.main(["bench", "--run", str(run_dir), "--max-iter", "1"]) == 5
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[1].startswith("highway,1,")
+    # the cap stops the full-graph loop after one sweep, on top of the
+    # contracted start's sweeps
+    reduced = int(re.search(r"^# reduced_sweeps=(\d+)$", captured.out, re.M).group(1))
+    assert "\n# full_sweeps=1\n" in captured.out
+    assert captured.out.splitlines()[1].startswith(f"highway,{reduced + 1},")
     assert captured.out.splitlines()[2].startswith("vanilla,1,")
     assert "not converged: highway and vanilla" in captured.err
 

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import one_sweep, random_highway_graph
+from conftest import corridor_highway_graph, one_sweep, random_highway_graph
 from highway_rl.environments import EnvSpec, make_env
 from highway_rl.errors import KeyMismatch
 from highway_rl.highway_graph import HighwayGraph, expand_to_empirical
 from highway_rl.transition_model import Trajectory, TransitionSample, vanilla_value_iteration
-from highway_rl.value_iteration import (_SweepEngine, completeness_report, contraction_probe,
-                                        interior_values, q_to_csv, solve, value_update_loop,
-                                        values_to_csv)
+from highway_rl.value_iteration import (_SweepEngine, _corridor_start, _edge_arrays,
+                                        completeness_report, contraction_probe, interior_values,
+                                        q_to_csv, solve, value_update_loop, values_to_csv)
 
 
 def test_sweep_takes_max_over_outgoing():
@@ -152,9 +152,18 @@ def _bits(table):
     return list(table), struct.pack(f"<{len(table)}d", *table.values())
 
 
-@settings(max_examples=120, deadline=None)
+def _contracted_start(graph, max_iter, delta):
+    """A cold solve's starting values, as a map, and its contracted sweeps
+    (None and 0 when no intersection is a corridor)."""
+    states, _keys, *arrays = _edge_arrays(graph)
+    v0, counts = _corridor_start(len(states), *arrays, max_iter, delta)
+    start = None if v0 is None else dict(zip(states, v0.tolist()))
+    return start, counts["reduced_sweeps"]
+
+
+@settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       shape=st.sampled_from(["random", "no_highways", "empty", "wide"]),
+       shape=st.sampled_from(["random", "no_highways", "empty", "wide", "corridors"]),
        budget=st.sampled_from([(20_000, 1e-13), (7, 0.0), (None, 1e-6)]),
        warm=st.booleans())
 @example(seed=0, shape="empty", budget=(7, 0.0), warm=False)
@@ -163,31 +172,81 @@ def _bits(table):
 @example(seed=1, shape="no_highways", budget=(None, 1e-6), warm=False)
 @example(seed=5, shape="random", budget=(7, 0.0), warm=True)
 @example(seed=3, shape="wide", budget=(20_000, 1e-13), warm=False)
+@example(seed=2, shape="corridors", budget=(7, 0.0), warm=False)
+@example(seed=4, shape="corridors", budget=(20_000, 1e-13), warm=False)
 def test_loop_is_bitwise_equal_to_the_per_highway_loop(seed, shape, budget, warm):
+    # a cold solve sweeps the full graph from the contracted start, which is
+    # zero (today's cold start) when no intersection is a corridor
     rng = random.Random(seed)
     if shape == "random":
         g = random_highway_graph(rng, max_intersections=15)
     elif shape == "wide":
         # out-degrees up to 6, as on taxi: every rank block is filled
         g = random_highway_graph(rng, max_intersections=15, action_count=6, max_out_degree=6)
+    elif shape == "corridors":
+        g = corridor_highway_graph(rng)
     else:
         g = HighwayGraph(gamma=0.9)
         for s in range(rng.randint(1, 4) if shape == "no_highways" else 0):
             g.make_intersection(s)
-    v_init = None
+    max_iter, delta = budget
     if warm:
         # some intersections missing (they start at 0.0) and one stray key
         v_init = {s: rng.uniform(-5, 5) for s in g.intersections if rng.random() < 0.8}
         v_init[-1] = 3.0
-    max_iter, delta = budget
+        start, contracted_sweeps = v_init, 0
+    else:
+        v_init = None
+        start, contracted_sweeps = _contracted_start(g, max_iter, delta)
     tables = value_update_loop(g, max_iter=max_iter, delta=delta, v_init=v_init)
-    v, q, iterations, final_delta = _per_highway_loop(g, max_iter, delta, v_init)
+    v, q, iterations, final_delta = _per_highway_loop(g, max_iter, delta, start)
     assert _bits(tables.v) == _bits(v)
     assert _bits(tables.q) == _bits(q)
     assert all(type(x) is float for x in [*tables.v.values(), *tables.q.values()])
-    assert tables.iterations_run == iterations
+    assert tables.iterations_run == contracted_sweeps + iterations
     assert type(tables.final_delta) is type(final_delta)
     assert struct.pack("<d", tables.final_delta) == struct.pack("<d", final_delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_cold_solve_matches_vanilla_on_corridor_graphs(seed):
+    g = corridor_highway_graph(random.Random(seed))
+    tables = value_update_loop(g, max_iter=20_000, delta=1e-13)
+    oracle = vanilla_value_iteration(expand_to_empirical(g), max_iter=100_000, delta=1e-14)
+    assert oracle.converged and tables.final_delta < 1e-13
+    for s in g.intersections:
+        assert tables.v[s] == pytest.approx(oracle.values[s], abs=1e-9)
+
+
+def test_corridor_graphs_cover_every_kind_of_start():
+    # over these seeds the corridor shape keeps no state at all (rings
+    # only), gives an exact start (the full loop confirms it in two sweeps),
+    # and gives starts the full loop has to correct (a corridor ring starts
+    # at zero, and a two-cycle worth going round is left out)
+    stats = [solve(corridor_highway_graph(random.Random(seed)), delta=1e-13,
+                   max_iter=20_000)[1] for seed in range(40)]
+    assert all(st["contracted"] for st in stats)
+    assert any(st["reduced_intersections"] == 0 for st in stats)
+    assert any(st["full_sweeps"] == 2 for st in stats)
+    assert any(st["reduced_intersections"] and st["full_sweeps"] > 10 for st in stats)
+
+
+def test_a_long_two_way_chain_solves_cold_in_a_few_sweeps():
+    # 200 cells, each stepping to both neighbours; the last one also steps
+    # into a terminal goal.  The sweep loop alone needs about 200 sweeps.
+    g = HighwayGraph(gamma=0.99)
+    cells = list(range(200))
+    for a, b in zip(cells, cells[1:]):
+        g.add_highway(a, b, [0], [-0.01])
+        g.add_highway(b, a, [1], [-0.01])
+    g.add_highway(cells[-1], 999, [2], [1.0])
+    tables, stats = solve(g, delta=1e-10)
+    assert stats["contracted"] == 198 and stats["reduced_intersections"] == 3
+    assert tables.iterations_run <= 5 and stats["full_sweeps"] == 2
+    oracle = vanilla_value_iteration(expand_to_empirical(g), max_iter=10_000, delta=1e-12)
+    for s in g.intersections:
+        assert tables.v[s] == pytest.approx(oracle.values[s], abs=1e-9)
 
 
 def _uneven_graph():
@@ -352,8 +411,6 @@ def test_contraction_probe_constant_shift_on_unit_highways():
 def test_ops_counting_rule():
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 100, [0] * 100, [0.0] * 100, interior=list(range(1, 100)))
-    eng = _SweepEngine(g)
-    assert eng.covered_transitions == 100
     _tables, stats = solve(g, delta=0.0, max_iter=10)
     assert stats["covered_ops"] == 10 * 100
     assert stats["per_sweep_updates"] == 1
@@ -364,7 +421,7 @@ def test_per_sweep_update_count_independent_of_highway_length():
     short.add_highway(0, 1, [0] * 3, [0.1] * 3, interior=[10, 11])
     long = HighwayGraph(gamma=0.99)
     long.add_highway(0, 1, [0] * 6, [0.1] * 6, interior=[10, 11, 12, 13, 14])
-    assert len(_SweepEngine(short).edge_keys) == len(_SweepEngine(long).edge_keys) == 1
+    assert solve(short)[1]["per_sweep_updates"] == solve(long)[1]["per_sweep_updates"] == 1
 
 
 def test_monotone_convergence_from_zero_with_nonnegative_rewards():
@@ -379,8 +436,9 @@ def test_monotone_convergence_from_zero_with_nonnegative_rewards():
                           [a] + [0] * (length - 1),
                           [round(rng.uniform(0, 1), 6)] * length,
                           [next(interior) for _ in range(length - 1)])
-    eng = _SweepEngine(g)
-    v = [0.0] * len(eng.states)
+    states, _keys, *arrays = _edge_arrays(g)
+    eng = _SweepEngine(len(states), *arrays)
+    v = [0.0] * eng.n
     for _ in range(50):
         v_next, _ = eng.sweep(v)
         assert all(b >= a - 1e-12 for a, b in zip(v, v_next))
