@@ -21,11 +21,9 @@ def canonical_bytes(obs) -> bytes:
         raise TypeError("bool is not a canonical state encoding")
     if isinstance(obs, (int, np.integer)):
         return b"i" + struct.pack("<q", int(obs))
-    if isinstance(obs, (tuple, list)):
+    if isinstance(obs, tuple):
         inner = b"".join(canonical_bytes(x) for x in obs)
         return b"t" + struct.pack("<I", len(obs)) + inner
-    if isinstance(obs, bytes):
-        return b"b" + struct.pack("<I", len(obs)) + obs
     raise TypeError(f"unsupported canonical encoding: {type(obs)!r}")
 
 
