@@ -74,30 +74,24 @@ class PolicySnapshot:
         self.greedy = greedy
 
 
-def _tie_break(run: list[tuple[ActionId, float]]) -> ActionId:
-    """The lowest action of run, (action, q) pairs in action order, whose q
-    ties the largest: q >= best - TIE_RTOL * max(1, |best|), or q == best.
+def greedy_action(graph: HighwayGraph, tables: ValueTables, s: StateId) -> ActionId | None:
+    """The lowest first action at an intersection whose Q ties the largest:
+    q >= best - TIE_RTOL * max(1, |best|), or q == best.
 
-    best is the first largest q by a strict `>` scan, so a NaN is best only
-    when it comes first; then no q ties and the first action wins.  A NaN
-    after the first never ties.
+    best is the first largest Q in action order by a strict `>` scan, so a
+    NaN is best only when it comes first; then no Q ties and the first
+    action wins.  A NaN after the first never ties.  Returns None when the
+    intersection has no outgoing highways.
     """
+    run = [(a, tables.q[(s, a)]) for a in sorted(graph.out_edges.get(s, {}))]
+    if not run:
+        return None
     best = max(q for _a, q in run)
     floor = best - TIE_RTOL * max(1.0, abs(best))
     for a, q in run:
         if q >= floor or q == best:
             return a
     return run[0][0]
-
-
-def greedy_action(graph: HighwayGraph, tables: ValueTables, s: StateId) -> ActionId | None:
-    """Argmax-Q first action at an intersection; near-ties (within TIE_RTOL)
-    go to the lowest action.
-
-    Returns None when the intersection has no outgoing highways.
-    """
-    run = [(a, tables.q[(s, a)]) for a in sorted(graph.out_edges.get(s, {}))]
-    return _tie_break(run) if run else None
 
 
 def chooser(snapshot: PolicySnapshot, epsilon: float,

@@ -198,7 +198,6 @@ def _corridor_start(n: int, src, dst, path_return, gamma_pow_len,
     order, or None when no state is a corridor intersection, and the counts
     `solve` reports.
     """
-    m = len(src)
     out_degree = np.bincount(src, minlength=n)
     first = np.cumsum(out_degree) - out_degree
     # two out-edges, to two distinct states other than itself
@@ -207,10 +206,8 @@ def _corridor_start(n: int, src, dst, path_return, gamma_pow_len,
     cand = cand[(one != two) & (one != cand) & (two != cand)]
     if not cand.size:
         return None, _no_contraction()
-    neighbour = np.full(n, -1)
-    neighbour[cand] = dst[first[cand]]
-    other = np.full(n, -1)
-    other[cand] = dst[first[cand] + 1]
+    neighbour, other = np.full(n, -1), np.full(n, -1)
+    neighbour[cand], other[cand] = dst[first[cand]], dst[first[cand] + 1]
     # and those two as its only predecessors
     from_one, from_other = src == neighbour[dst], src == other[dst]
     corridor = np.zeros(n, bool)
@@ -231,7 +228,7 @@ def _corridor_start(n: int, src, dst, path_return, gamma_pow_len,
     # states stay open, and then a round closes nothing.
     ret, disc, end = path_return.copy(), gamma_pow_len.copy(), dst.copy()
     open_ = np.flatnonzero(corridor[dst])
-    after = np.arange(m)
+    after = np.arange(len(src))
     into = dst[open_]
     after[open_] = first[into] + (src[open_] == neighbour[into])
     while open_.size:
@@ -257,7 +254,8 @@ def _corridor_start(n: int, src, dst, path_return, gamma_pow_len,
         max_iter = 10 * kept.size
     v, v_prev, q = np.zeros(kept.size), np.empty(kept.size), np.empty(edges.size)
     sweeps = 0
-    for sweeps in range(1, max_iter + 1 if kept.size else 1):
+    while kept.size and sweeps < max_iter:
+        sweeps += 1
         v, v_prev = v_prev, v
         reduced.sweep(v_prev, v, q)
         if np.maximum.reduce(np.abs(v - v_prev)) < delta:
