@@ -213,7 +213,7 @@ def cmd_bench(args) -> int:
     lines.append(f"# counted_work_ratio={counted!r}")
     lines.append(f"# wall_ratio={hstats['wall_seconds'] / max(v_wall, 1e-12)!r}")
     # the highway sweeps split into the corridor-contracted start's and the
-    # full graph's; --max-iter caps the full-graph loop
+    # full graph's; --max-iter caps each of the two loops
     for name in ("contracted", "reduced_intersections", "reduced_highways",
                  "reduced_sweeps", "full_sweeps"):
         lines.append(f"# {name}={hstats[name]}")
