@@ -525,10 +525,19 @@ def weights_digest(approx) -> str:
     return h.hexdigest()
 
 
+def oracle_digest(res) -> str:
+    """sha256 of the ground-truth V of a run's environment, as little-endian
+    float64 in sorted key order."""
+    truth = make_env(res.config.env).ground_truth_values(res.config.gamma)
+    return _sha256(np.array([truth[s] for s in sorted(truth)], dtype="<f8").tobytes())
+
+
 def build_ledger(runs, approx, scratch_dir) -> dict:
-    """The ledger of the given trained runs and of the approximator the
-    distillation fixture fits (to maze 5x5 seed 2)."""
+    """The ledger of the given trained runs, of the ground truth of their
+    environments (keyed like the runs, without the run seed) and of the
+    approximator the distillation fixture fits (to maze 5x5 seed 2)."""
     return {"runs": {ledger_key(res): ledger_record(res, scratch_dir) for res in runs},
+            "oracle_v": {ledger_key(res).rsplit("/", 1)[0]: oracle_digest(res) for res in runs},
             "distilled_weights": weights_digest(approx)}
 
 
@@ -541,6 +550,8 @@ def test_results_ledger(maze_runs, cliff_run, taxi_run, distilled_approximator, 
     fields = sorted({f for r in (*want["runs"].values(), *got["runs"].values()) for f in r})
     moved = [f"{key} {field}" for key in keys for field in fields
              if want["runs"].get(key, {}).get(field) != got["runs"].get(key, {}).get(field)]
+    moved += [f"{env} oracle_v" for env in sorted(want["oracle_v"].keys() | got["oracle_v"].keys())
+              if want["oracle_v"].get(env) != got["oracle_v"].get(env)]
     if got["distilled_weights"] != want["distilled_weights"]:
         moved.append("distilled weights")
     ok = got == want
