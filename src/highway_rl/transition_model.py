@@ -2,9 +2,10 @@
 
 The graph stores exactly what was sampled: one deterministic
 (state, action) -> (next state, reward) edge per observed pair.  Vanilla
-value iteration sweeps the whole graph with synchronous (Jacobi) backups
-and serves as the uncompressed reference solver that the highway machinery
-is checked against.
+value iteration sweeps the whole graph with synchronous (Jacobi) backups,
+one edge per recorded pair on the highway solve's engine (`bellman`), and
+serves as the uncompressed reference solver that the highway machinery is
+checked against.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .bellman import _SweepEngine, check_budget, sweep_values
 from .errors import DeterminismViolation
 
 StateId = int
@@ -148,57 +152,28 @@ def vanilla_value_iteration(graph: EmpiricalGraph, max_iter: int = 10_000,
 
     Every sweep reads only the previous sweep's values (Jacobi style) and
     replaces each state's value with the best one-step backup
-    max_a [r(s, a) + gamma * V(next)].  States with no outgoing edges keep
-    value 0.  Stops when the max-norm change drops below delta; hitting
-    max_iter first is reported in the result, not raised.
+    max_a [r(s, a) + gamma * V(next)], the first recorded edge winning a
+    tie.  States with no outgoing edges keep value 0.  Stops when the
+    max-norm change drops below delta; hitting max_iter first is reported
+    in the result, not raised.
     """
     if not graph.nodes:
         raise ValueError("graph is empty")
     if not (0.0 <= graph.gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
+    check_budget(max_iter, delta)
     states = sorted(graph.nodes)
-    outgoing: dict[StateId, list[tuple[StateId, float]]] = {s: [] for s in states}
-    for (s, _a), (nxt, r) in graph.edges.items():
-        outgoing[s].append((nxt, r))
-    # Internally the states are grouped by out-degree, states with no edge
-    # last, so that a sweep runs one comprehension per degree and per edge
-    # rank: column k of a group lists the k-th edge of each of its states,
-    # as next-state indices and rewards.
-    by_degree: dict[int, list[StateId]] = {}
-    for s in states:
-        by_degree.setdefault(len(outgoing[s]), []).append(s)
-    degrees = sorted(by_degree, reverse=True)
-    index = {s: i for i, s in enumerate(s for d in degrees for s in by_degree[d])}
-    plan = [[([index[outgoing[s][k][0]] for s in by_degree[d]],
-              [outgoing[s][k][1] for s in by_degree[d]]) for k in range(d)]
-            for d in degrees if d]
-    idle = [0.0] * len(by_degree.get(0, ()))
-    del outgoing, by_degree  # the sweeps need only the plan
-
-    gamma = graph.gamma
-    v = [0.0] * len(states)
-    final_delta = 0.0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        v_next = []
-        for first, *rest in plan:
-            best = [r + gamma * v[j] for j, r in zip(*first)]
-            for column in rest:
-                # `>` keeps the earlier edge on a tie, as max() does
-                best = [c if c > b else b
-                        for b, c in zip(best, [r + gamma * v[j] for j, r in zip(*column)])]
-            v_next += best
-        v_next += idle
-        worst = max(map(abs, map(float.__sub__, v_next, v)), default=0.0)
-        v = v_next
-        final_delta = worst
-        if worst < delta:
-            converged = True
-            break
-    values = {s: v[index[s]] for s in states}
-    return VanillaVIResult(values=values, iterations_run=iterations,
-                           final_delta=final_delta, converged=converged)
+    index = {s: i for i, s in enumerate(states)}
+    src = np.array([index[s] for s, _a in graph.edges], np.intp)
+    dst = np.array([index[nxt] for nxt, _r in graph.edges.values()], np.intp)
+    reward = np.array([r for _nxt, r in graph.edges.values()], np.float64)
+    # by source, each source's edges in the order they were recorded
+    order = np.argsort(src, kind="stable")
+    eng = _SweepEngine(len(states), src[order], dst[order], reward[order],
+                       np.full(len(src), graph.gamma))
+    v, iterations, final_delta = sweep_values(eng, max_iter, delta)
+    return VanillaVIResult(values=dict(zip(states, v.tolist())), iterations_run=iterations,
+                           final_delta=final_delta, converged=final_delta < delta)
 
 
 def to_dot(graph: EmpiricalGraph, label_of=None) -> str:

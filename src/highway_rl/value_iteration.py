@@ -15,12 +15,13 @@ that does not turn back leads to the other.  So each maximal chain of
 corridor intersections, entered from the intersection at one end, composes
 into one edge to the intersection at the other end: (R1 + G1 R2, G1 G2)
 for each pair of steps, found by pointer jumping in about log2(chain
-length) numpy passes.  The same sweep engine solves the graph of the other
-intersections joined by the composed edges, until no value moves by delta
-(only the values are used), and each corridor intersection starts at the
-larger of its two chain exits.  A ring of corridor intersections has no
-exit and starts at zero.  The start is wrong there, and where a corridor
-holds a loop worth going round, since that graph leaves out turning back.
+length) numpy passes.  `bellman.sweep_values`, the loop vanilla value
+iteration runs, solves the graph of the other intersections joined by the
+composed edges (only the values are used), and each corridor intersection
+starts at the larger of its two chain exits.  A ring of corridor
+intersections has no exit and starts at zero.  The start is wrong there,
+and where a corridor holds a loop worth going round, since that graph
+leaves out turning back.
 The full-graph loop then runs from the start with its stopping rule
 unchanged, and it alone decides the result: it converges to the unique
 fixed point from any start, and from a right one it stops after two
@@ -29,15 +30,12 @@ sweeps the full graph only, from v_init or zero.
 
 The per-sweep work is one update per highway plus one reduction per
 intersection; it does not grow with the expanded number of states covered
-by the highways.  A sweep is vectorised: one numpy gather, multiply and add
-over the highways, then one elementwise max per rank of a highway among
-its source's out-highways, over leading slices of the intersections,
-which are laid out by out-degree.  The summed |dQ| is a sequential pass,
-taken only once the largest |dQ| is below delta: the sum is never below
-its largest term, so until then it cannot be either.  The sweep does the
-same rounded operations as a per-highway Python backup and the sum adds in
-the same order, so from the same starting values V, Q, the sweep count and
-the final delta are identical to it bit for bit.
+by the highways.  The sweep is `bellman`'s, over the highways.  The summed
+|dQ| is a sequential pass, taken only once the largest |dQ| is below
+delta: the sum is never below its largest term, so until then it cannot be
+either.  It adds in key order, as a per-highway Python loop does, so from
+the same starting values V, Q, the sweep count and the final delta are
+identical to that loop bit for bit.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bellman import _SweepEngine, check_budget, sweep_values
 from .errors import KeyMismatch
 from .highway_graph import HighwayGraph
 from .transition_model import StateId, ActionId
@@ -84,72 +83,6 @@ def _edge_arrays(graph: HighwayGraph):
     path_return = np.array([h.path_return for h in hws], np.float64)
     gamma_pow_len = np.array([h.gamma_pow_len for h in hws], np.float64)
     return states, keys, src[order], dst[order], path_return[order], gamma_pow_len[order]
-
-
-class _SweepEngine:
-    """Edge arrays of one graph for repeated synchronous sweeps.
-
-    The graph has states 0..n-1, and edge j runs from src[j] to dst[j] with
-    path_return[j] and gamma_pow_len[j].  The edges come in key order: by
-    source, and within a source in the order their Q are listed.
-    Internally the states are laid out by out-degree, largest first, and by
-    index among equal degrees, so those with no out-edge come last:
-    `order[i]` is the state at place i, so v[order] lays out a V array and
-    v[_v_perm] takes it back.  An edge's rank is its place among its
-    source's out-edges.  The internal edge arrays list the rank-0 edges,
-    then the rank-1 ones, and so on, each block in layout order of its
-    source, so the rank-r block backs up the first c_r states, where c_r
-    is its length; q[_q_perm] lists an internal Q array in key order.
-    """
-
-    def __init__(self, n: int, src, dst, path_return, gamma_pow_len):
-        m = len(src)
-        self.n = n
-        out_degree = np.bincount(src, minlength=n)
-        # lexsort is stable: equal degrees stay in index order
-        self.order = np.lexsort((-out_degree,))
-        self._v_perm = np.empty(n, np.intp)
-        self._v_perm[self.order] = np.arange(n)
-        rank = np.arange(m) - np.repeat(np.cumsum(out_degree) - out_degree, out_degree)
-        # the rank-r block is as long as the number of rank-r edges
-        heads = np.bincount(rank).tolist()
-        offsets = np.cumsum([0] + heads)
-        self._head = heads[0] if heads else 0
-        self._blocks = [(c, slice(o, o + c)) for c, o in zip(heads[1:], offsets[1:].tolist())]
-        self._q_perm = offsets[rank] + self._v_perm[src]
-        self.dst = np.empty(m, np.intp)
-        self.dst[self._q_perm] = self._v_perm[dst]
-        self.gamma_pow_len = np.empty(m)
-        self.gamma_pow_len[self._q_perm] = gamma_pow_len
-        self.path_return = np.empty(m)
-        self.path_return[self._q_perm] = path_return
-
-    def sweep(self, v, v_out=None, q_out=None) -> tuple[np.ndarray, np.ndarray]:
-        """One synchronous sweep from v (laid out); returns (v_next, q).
-
-        q, in internal edge order, is path_return + gamma^len * v[to] as two
-        rounded operations, the same arithmetic as Python floats.  v_next
-        is the max of q over each state's out-edges, taken rank by rank,
-        and 0.0 where none starts.  The max is exact, and q is never -0.0
-        (a highway's path_return sums from +0.0, and a composed one adds
-        to it), so it has the bits a `>` scan over the edges would pick.
-        v_out and q_out are reused when given; v_out may be v, since q is
-        complete before v_out is written.
-        """
-        if v_out is None:
-            v_out = np.empty(self.n)
-        if q_out is None:
-            q_out = np.empty(len(self.dst))
-        # the indices are valid; mode="raise" would copy through a buffer
-        np.take(v, self.dst, out=q_out, mode="clip")
-        np.multiply(self.gamma_pow_len, q_out, out=q_out)
-        np.add(self.path_return, q_out, out=q_out)
-        head = self._head
-        v_out[:head] = q_out[:head]
-        v_out[head:] = 0.0
-        for c, block in self._blocks:
-            np.maximum(v_out[:c], q_out[block], out=v_out[:c])
-        return v_out, q_out
 
 
 def _sweep_until(eng: _SweepEngine, max_iter: int | None, delta: float, v0):
@@ -247,21 +180,11 @@ def _corridor_start(n: int, src, dst, path_return, gamma_pow_len,
     edges = np.flatnonzero(~corridor[src])
     reduced = _SweepEngine(kept.size, renumber[src[edges]], renumber[end[edges]],
                            ret[edges], disc[edges])
-    # Only the values are used, so the loop stops once they move by less
-    # than delta, a sweep before their Q would (10 sweeps per state by
-    # default, as the full loop).
-    if max_iter is None:
-        max_iter = 10 * kept.size
-    v, v_prev, q = np.zeros(kept.size), np.empty(kept.size), np.empty(edges.size)
-    sweeps = 0
-    while kept.size and sweeps < max_iter:
-        sweeps += 1
-        v, v_prev = v_prev, v
-        reduced.sweep(v_prev, v, q)
-        if np.maximum.reduce(np.abs(v - v_prev)) < delta:
-            break
+    # only the values are used, so the loop stops once they move by less than
+    # delta, a sweep before their Q would (10 sweeps per state by default)
+    v, sweeps, _ = sweep_values(reduced, 10 * kept.size if max_iter is None else max_iter, delta)
     v0 = np.zeros(n)
-    v0[kept] = v[reduced._v_perm]
+    v0[kept] = v
     # each corridor state takes the larger of its two chain exits; a ring
     # of corridor states has no exit and starts at zero
     inner = np.flatnonzero(corridor)
@@ -280,10 +203,7 @@ def _no_contraction() -> dict:
 def _solve(graph: HighwayGraph, max_iter: int | None, delta: float,
            v_init: dict[StateId, float] | None) -> tuple[ValueTables, dict]:
     """The tables of value_update_loop plus the counts `solve` reports."""
-    if max_iter is not None and max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    check_budget(max_iter, delta)
     states, keys, src, dst, path_return, gamma_pow_len = _edge_arrays(graph)
     n = len(states)
     if v_init:

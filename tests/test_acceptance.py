@@ -25,8 +25,8 @@ from highway_rl.reparam import ApproxConfig, extract_dataset, fit, loss_and_grad
 from highway_rl.serialize import save_approximator, save_highway_graph
 from highway_rl.trainer import TrainConfig, train, evaluate
 from highway_rl.transition_model import Trajectory, TransitionSample, vanilla_value_iteration
-from highway_rl.value_iteration import (_SweepEngine, completeness_report, contraction_probe,
-                                        interior_values, solve, value_update_loop)
+from highway_rl.value_iteration import (completeness_report, contraction_probe, interior_values,
+                                        solve, value_update_loop)
 
 MAZE_SIZES = (3, 5, 15)
 SEEDS = tuple(range(10))

@@ -166,6 +166,17 @@ def test_vanilla_vi_reports_non_convergence():
     assert res.final_delta > 1e-12
 
 
+@pytest.mark.parametrize("max_iter, delta, message", [
+    (0, 1e-6, "max_iter must be >= 1"), (-1, 1e-6, "max_iter must be >= 1"),
+    (10, -1.0, "delta must be >= 0")])
+def test_vanilla_vi_rejects_a_bad_budget(max_iter, delta, message):
+    # the same checks, with the same messages, as value_update_loop
+    g = EmpiricalGraph(gamma=0.99)
+    record(g, (0, 0, 1, 1.0))
+    with pytest.raises(ValueError, match=message):
+        vanilla_value_iteration(g, max_iter=max_iter, delta=delta)
+
+
 def _edge_list_loop(graph: EmpiricalGraph, max_iter: int, delta: float):
     """The per-state edge-list loop that the grouped sweep replaced: the bitwise reference."""
     states = sorted(graph.nodes)
@@ -221,13 +232,16 @@ def test_vanilla_vi_is_bitwise_equal_to_the_edge_list_loop(seed, budget):
     assert struct.pack("<d", res.final_delta) == struct.pack("<d", final_delta)
 
 
-@pytest.mark.parametrize("first", [-0.0, 0.0])
-def test_vanilla_vi_keeps_the_first_of_tied_backups(first):
+@pytest.mark.parametrize("first, actions", [(-0.0, (0, 1)), (0.0, (0, 1)),
+                                             (-0.0, (1, 0)), (0.0, (1, 0))],
+                         ids=["-0.0", "0.0", "-0.0-descending", "0.0-descending"])
+def test_vanilla_vi_keeps_the_first_of_tied_backups(first, actions):
     # gamma 0 and V(1) = -1 make the two backups of state 0 -0.0 and 0.0 in
-    # the second sweep; equal values, so only the tie rule picks the sign
+    # the second sweep; equal values, so only the tie rule picks the sign.
+    # The first recorded edge wins, whether or not it has the lower action.
     g = EmpiricalGraph(gamma=0.0)
-    g.add_sample(0, 0, 1, first)
-    g.add_sample(0, 1, 1, -first)
+    g.add_sample(0, actions[0], 1, first)
+    g.add_sample(0, actions[1], 1, -first)
     g.add_sample(1, 0, 2, -1.0)
     res = vanilla_value_iteration(g, max_iter=2, delta=0.0)
     values, _iterations, _delta, _converged = _edge_list_loop(g, 2, 0.0)

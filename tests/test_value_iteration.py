@@ -9,13 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corridor_highway_graph, one_sweep, random_highway_graph
+from highway_rl.bellman import _SweepEngine
 from highway_rl.environments import EnvSpec, make_env
 from highway_rl.errors import KeyMismatch
 from highway_rl.highway_graph import HighwayGraph, expand_to_empirical
 from highway_rl.transition_model import Trajectory, TransitionSample, vanilla_value_iteration
-from highway_rl.value_iteration import (_SweepEngine, _corridor_start, _edge_arrays,
-                                        completeness_report, contraction_probe, interior_values,
-                                        q_to_csv, solve, value_update_loop, values_to_csv)
+from highway_rl.value_iteration import (_corridor_start, _edge_arrays, completeness_report,
+                                        contraction_probe, interior_values, q_to_csv, solve,
+                                        value_update_loop, values_to_csv)
 
 
 def test_sweep_takes_max_over_outgoing():
