@@ -1,8 +1,9 @@
-"""The Bellman sweep and value loop that every solver runs.
+"""The Bellman sweep every solver runs, and the value loop two of them share.
 
-The highway solve sweeps its highways (path return, gamma^len), the
-corridor pre-pass its composed chain edges, and vanilla value iteration
-and the ground-truth oracle one edge per recorded pair (r, gamma).
+The highway solve sweeps its highways (path return, gamma^len) in its own
+summed-|dQ| loop; the corridor pre-pass its composed chain edges, and
+vanilla value iteration and the ground-truth oracle one edge per recorded
+pair (r, gamma), both in `sweep_values`.
 """
 
 from __future__ import annotations

@@ -178,7 +178,7 @@ def test_vanilla_vi_rejects_a_bad_budget(max_iter, delta, message):
 
 
 def _edge_list_loop(graph: EmpiricalGraph, max_iter: int, delta: float):
-    """The per-state edge-list loop that the grouped sweep replaced: the bitwise reference."""
+    """A plain per-state loop over edge lists: the bitwise reference for vanilla VI."""
     states = sorted(graph.nodes)
     index = {s: i for i, s in enumerate(states)}
     outgoing = [[] for _ in states]

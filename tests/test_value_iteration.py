@@ -229,6 +229,8 @@ def test_corridor_graphs_cover_every_kind_of_start():
                    max_iter=20_000)[1] for seed in range(40)]
     assert all(st["contracted"] for st in stats)
     assert any(st["reduced_intersections"] == 0 for st in stats)
+    # a contracted graph with no state left takes no sweep
+    assert all(st["reduced_sweeps"] == 0 for st in stats if not st["reduced_intersections"])
     assert any(st["full_sweeps"] == 2 for st in stats)
     assert any(st["reduced_intersections"] and st["full_sweeps"] > 10 for st in stats)
 
