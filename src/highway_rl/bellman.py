@@ -1,9 +1,12 @@
-"""The Bellman sweep every solver runs, and the value loop two of them share.
+"""The Bellman sweep every solver runs, and the value loop they all share.
 
-The highway solve sweeps its highways (path return, gamma^len) in its own
-summed-|dQ| loop; the corridor pre-pass its composed chain edges, and
-vanilla value iteration and the ground-truth oracle one edge per recorded
-pair (r, gamma), both in `sweep_values`.
+The highway solve sweeps its highways (path return, gamma^len), the
+corridor pre-pass its composed chain edges, and vanilla value iteration and
+the ground-truth oracle one edge per recorded pair (r, gamma), all in
+`sweep_values`, which stops once no value moves by delta.  Every edge
+discounts by at most gamma, so a sweep is a max-norm gamma-contraction and
+every solver's values are within gamma / (1 - gamma) * final_delta of the
+fixed point of the graph it solved (in exact arithmetic).
 """
 
 from __future__ import annotations
@@ -85,13 +88,18 @@ def check_budget(max_iter: int | None, delta: float):
         raise ValueError("delta must be >= 0")
 
 
-def sweep_values(eng: _SweepEngine, max_iter: int, delta: float):
-    """Sweep from V = 0 until no value moves by delta, or for max_iter sweeps.
+def sweep_values(eng: _SweepEngine, max_iter: int | None, delta: float, v0=None):
+    """Sweep from v0 (key order, or zeros when None) until no value moves by
+    delta, or for max_iter sweeps (10 per state when None).
 
-    Returns (v, sweeps, final_delta): V in key order and the last max |dV|
-    (0.0, after no sweep, for a graph with no state).
+    Returns (v, q, sweeps, final_delta): V in key order, the last sweep's Q
+    in the engine's internal order (q[eng._q_perm] is key order) and the
+    last max |dV| (0.0, after no sweep, for a graph with no state).
     """
-    v, v_prev, q = np.zeros(eng.n), np.empty(eng.n), np.empty(len(eng.dst))
+    if max_iter is None:
+        max_iter = 10 * eng.n
+    v = np.zeros(eng.n) if v0 is None else v0[eng.order]
+    v_prev, q = np.empty(eng.n), np.empty(len(eng.dst))
     sweeps = 0
     final_delta = 0.0
     while eng.n and sweeps < max_iter:
@@ -101,4 +109,4 @@ def sweep_values(eng: _SweepEngine, max_iter: int, delta: float):
         final_delta = float(np.maximum.reduce(np.abs(v - v_prev)))
         if final_delta < delta:
             break
-    return v[eng._v_perm], sweeps, final_delta
+    return v[eng._v_perm], q, sweeps, final_delta

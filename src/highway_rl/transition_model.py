@@ -171,7 +171,7 @@ def vanilla_value_iteration(graph: EmpiricalGraph, max_iter: int = 10_000,
     order = np.argsort(src, kind="stable")
     eng = _SweepEngine(len(states), src[order], dst[order], reward[order],
                        np.full(len(src), graph.gamma))
-    v, iterations, final_delta = sweep_values(eng, max_iter, delta)
+    v, _q, iterations, final_delta = sweep_values(eng, max_iter, delta)
     return VanillaVIResult(values=dict(zip(states, v.tolist())), iterations_run=iterations,
                            final_delta=final_delta, converged=final_delta < delta)
 

@@ -4,8 +4,9 @@ Each synchronous sweep backs every highway up in one operation:
 q(s, a) = path_return(h) + gamma^len(h) * V_prev(to(h)), and V(s) is the max
 over the outgoing highways.  All reads come from the previous sweep's buffer,
 so a sweep is a max-norm gamma-contraction and the loop converges to the
-unique fixed point regardless of initialization.  The loop stops when the
-summed absolute Q change drops below delta.
+unique fixed point regardless of initialization.  The loop is
+`bellman.sweep_values`, the one vanilla value iteration runs: it stops when
+no intersection value moves by delta.
 
 A cold solve (no v_init) first finds its starting values on a smaller
 graph.  A corridor intersection has exactly two out-highways, to two
@@ -15,27 +16,22 @@ that does not turn back leads to the other.  So each maximal chain of
 corridor intersections, entered from the intersection at one end, composes
 into one edge to the intersection at the other end: (R1 + G1 R2, G1 G2)
 for each pair of steps, found by pointer jumping in about log2(chain
-length) numpy passes.  `bellman.sweep_values`, the loop vanilla value
-iteration runs, solves the graph of the other intersections joined by the
-composed edges (only the values are used), and each corridor intersection
-starts at the larger of its two chain exits.  A ring of corridor
-intersections has no exit and starts at zero.  The start is wrong there,
-and where a corridor holds a loop worth going round, since that graph
-leaves out turning back.
-The full-graph loop then runs from the start with its stopping rule
-unchanged, and it alone decides the result: it converges to the unique
-fixed point from any start, and from a right one it stops after two
-sweeps.  A warm-started solve, or a graph with no corridor intersection,
-sweeps the full graph only, from v_init or zero.
+length) numpy passes.  The same loop solves the graph of the other
+intersections joined by the composed edges (only the values are used), and
+each corridor intersection starts at the larger of its two chain exits.  A
+ring of corridor intersections has no exit and starts at zero.  The start
+is wrong there, and where a corridor holds a loop worth going round, since
+that graph leaves out turning back.
+The full-graph loop then runs from the start, and it alone decides the
+result: it converges to the unique fixed point from any start, and from a
+right one it stops after one sweep.  A warm-started solve, or a graph with
+no corridor intersection, sweeps the full graph only, from v_init or zero.
 
 The per-sweep work is one update per highway plus one reduction per
 intersection; it does not grow with the expanded number of states covered
-by the highways.  The sweep is `bellman`'s, over the highways.  The summed
-|dQ| is a sequential pass, taken only once the largest |dQ| is below
-delta: the sum is never below its largest term, so until then it cannot be
-either.  It adds in key order, as a per-highway Python loop does, so from
-the same starting values V, Q, the sweep count and the final delta are
-identical to that loop bit for bit.
+by the highways.  The sweep is `bellman`'s, over the highways.  Its max is
+exact, so from the same starting values V, Q, the sweep count and the
+final delta are identical to a per-highway Python loop bit for bit.
 """
 
 from __future__ import annotations
@@ -83,44 +79,6 @@ def _edge_arrays(graph: HighwayGraph):
     path_return = np.array([h.path_return for h in hws], np.float64)
     gamma_pow_len = np.array([h.gamma_pow_len for h in hws], np.float64)
     return states, keys, src[order], dst[order], path_return[order], gamma_pow_len[order]
-
-
-def _sweep_until(eng: _SweepEngine, max_iter: int | None, delta: float, v0):
-    """Sweep from v0 (key order, or zeros when None) until the summed |dQ|
-    falls below delta or max_iter sweeps have run (10 per state by default).
-
-    Returns (v, q, sweeps, final_delta) with V and Q in key order.
-    """
-    if max_iter is None:
-        max_iter = 10 * max(1, eng.n)
-    m = len(eng.dst)
-    v = np.zeros(eng.n) if v0 is None else v0[eng.order]
-    q, q_prev, change, summed = np.empty(m), np.zeros(m), np.empty(m), np.empty(m)
-    iterations = 0
-    final_delta = 0
-    for iterations in range(1, max_iter + 1):
-        v, q = eng.sweep(v, v, q)
-        q, q_prev = q_prev, q
-        if m:
-            np.subtract(q_prev, q, out=change)
-            np.abs(change, out=change)
-            # A left-to-right sum of non-negative terms is never below its
-            # largest term (rounding is monotone), so while that term is
-            # >= delta the loop cannot stop and the sum is not needed.  A
-            # NaN term fails the test, and the last sweep always sums, so
-            # final_delta is exact whenever the loop ends.
-            if np.maximum.reduce(change) >= delta and iterations < max_iter:
-                continue
-            # a running sum in key order adds left to right, as a plain
-            # loop would; np.sum adds pairwise and rounds differently
-            np.take(change, eng._q_perm, out=summed, mode="clip")
-            np.cumsum(summed, out=summed)
-            final_delta = float(summed[-1])
-        if final_delta < delta:
-            break
-    if not eng.n:
-        iterations = 0
-    return v[eng._v_perm], q_prev[eng._q_perm], iterations, final_delta
 
 
 def _corridor_start(n: int, src, dst, path_return, gamma_pow_len,
@@ -180,9 +138,7 @@ def _corridor_start(n: int, src, dst, path_return, gamma_pow_len,
     edges = np.flatnonzero(~corridor[src])
     reduced = _SweepEngine(kept.size, renumber[src[edges]], renumber[end[edges]],
                            ret[edges], disc[edges])
-    # only the values are used, so the loop stops once they move by less than
-    # delta, a sweep before their Q would (10 sweeps per state by default)
-    v, sweeps, _ = sweep_values(reduced, 10 * kept.size if max_iter is None else max_iter, delta)
+    v, _q, sweeps, _ = sweep_values(reduced, max_iter, delta)
     v0 = np.zeros(n)
     v0[kept] = v
     # each corridor state takes the larger of its two chain exits; a ring
@@ -212,11 +168,11 @@ def _solve(graph: HighwayGraph, max_iter: int | None, delta: float,
     else:
         v0, counts = _corridor_start(n, src, dst, path_return, gamma_pow_len, max_iter, delta)
     eng = _SweepEngine(n, src, dst, path_return, gamma_pow_len)
-    v, q, sweeps, final_delta = _sweep_until(eng, max_iter, delta, v0)
+    v, q, sweeps, final_delta = sweep_values(eng, max_iter, delta, v0)
     counts["full_sweeps"] = sweeps
     tables = ValueTables(
         v=dict(zip(states, v.tolist())),
-        q=dict(zip(keys, q.tolist())),
+        q=dict(zip(keys, q[eng._q_perm].tolist())),
         iterations_run=counts["reduced_sweeps"] + sweeps,
         final_delta=final_delta,
     )
@@ -226,14 +182,15 @@ def _solve(graph: HighwayGraph, max_iter: int | None, delta: float,
 def value_update_loop(graph: HighwayGraph, max_iter: int | None = None,
                       delta: float = 1e-6, v_init: dict[StateId, float] | None = None
                       ) -> ValueTables:
-    """Sweep until the summed absolute Q change falls below delta.
+    """Sweep until no intersection value moves by delta.
 
-    Values warm-start from v_init where intersections persist (missing ones
-    start at zero); without it, from the corridor-contracted solve.  Q
-    entries are rebuilt from scratch.  max_iter caps the full-graph sweeps
-    (and, separately, the contracted graph's); iterations_run counts both.
-    Hitting max_iter without reaching delta is recorded in the result, not
-    raised.
+    final_delta is the last sweep's max |dV|, as in every solver.  Values
+    warm-start from v_init where intersections persist (missing ones start
+    at zero); without it, from the corridor-contracted solve.  Q is the
+    last sweep's.  max_iter (10 sweeps per state when None) caps the
+    full-graph sweeps (and, separately, the contracted graph's);
+    iterations_run counts both.  Hitting max_iter without reaching delta is
+    recorded in the result, not raised.
     """
     return _solve(graph, max_iter, delta, v_init)[0]
 

@@ -2,8 +2,9 @@
 
 The ledger pins every acceptance run bit for bit, and `test_results_ledger`
 compares against it.  Re-pin only for a change that means to move results,
-and log the re-pin in CHANGES.md with its reason.  Run from the repository
-root:
+and log the re-pin in CHANGES.md with its reason.  Before it writes, the
+script prints every entry that moves against the ledger on disk.  Run from
+the repository root:
 
     PYTHONPATH=src python tests/repin_acceptance.py
 """
@@ -21,6 +22,9 @@ def main():
     approx = acc.distill(runs[(5, 2)])[3]
     with tempfile.TemporaryDirectory() as scratch:
         ledger = acc.build_ledger(trained, approx, scratch)
+    if acc.LEDGER_PATH.exists():
+        moved = acc.ledger_moves(json.loads(acc.LEDGER_PATH.read_text()), ledger)
+        print(f"{len(moved)} moved:", *moved, sep="\n  ")
     acc.LEDGER_PATH.parent.mkdir(exist_ok=True)
     acc.LEDGER_PATH.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
     print(f"pinned {len(ledger['runs'])} runs to {acc.LEDGER_PATH}")

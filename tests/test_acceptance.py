@@ -541,11 +541,9 @@ def build_ledger(runs, approx, scratch_dir) -> dict:
             "distilled_weights": weights_digest(approx)}
 
 
-def test_results_ledger(maze_runs, cliff_run, taxi_run, distilled_approximator, tmp_path):
-    runs, _wall = maze_runs
-    trained = [*runs.values(), cliff_run, taxi_run, train_run(TAXI_SPEC, TAXI_EXTRA_RUN_SEED)]
-    got = build_ledger(trained, distilled_approximator[3], tmp_path)
-    want = json.loads(LEDGER_PATH.read_text())
+def ledger_moves(want, got) -> list[str]:
+    """What differs between two ledgers: "<run> <field>", "<env> oracle_v"
+    and "distilled weights" entries, in key order."""
     keys = sorted(want["runs"].keys() | got["runs"].keys())
     fields = sorted({f for r in (*want["runs"].values(), *got["runs"].values()) for f in r})
     moved = [f"{key} {field}" for key in keys for field in fields
@@ -554,6 +552,15 @@ def test_results_ledger(maze_runs, cliff_run, taxi_run, distilled_approximator, 
               if want["oracle_v"].get(env) != got["oracle_v"].get(env)]
     if got["distilled_weights"] != want["distilled_weights"]:
         moved.append("distilled weights")
+    return moved
+
+
+def test_results_ledger(maze_runs, cliff_run, taxi_run, distilled_approximator, tmp_path):
+    runs, _wall = maze_runs
+    trained = [*runs.values(), cliff_run, taxi_run, train_run(TAXI_SPEC, TAXI_EXTRA_RUN_SEED)]
+    got = build_ledger(trained, distilled_approximator[3], tmp_path)
+    want = json.loads(LEDGER_PATH.read_text())
+    moved = ledger_moves(want, got)
     ok = got == want
     assert _verdict(12, "every acceptance run matches its pinned results bit for bit", ok,
                     f"{len(got['runs'])} runs; moved: {', '.join(moved[:8]) or 'none'}")

@@ -201,8 +201,8 @@ def test_metrics_csv_schema():
 
 
 @pytest.mark.parametrize("spec, run_seed, digest", [
-    (EnvSpec(kind="maze", width=15, height=15, seed=1), 1, "379bbee2ed5951e4"),
-    (EnvSpec(kind="taxi", seed=0), 8, "051f759763064f74"),
+    (EnvSpec(kind="maze", width=15, height=15, seed=1), 1, "20305f3506b660e2"),
+    (EnvSpec(kind="taxi", seed=0), 8, "b3fceeb1467d643d"),
 ])
 def test_metrics_csv_golden(spec, run_seed, digest):
     # metrics.csv minus its wall-clock column is fixed bit for bit by the

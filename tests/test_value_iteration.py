@@ -114,8 +114,8 @@ def _per_highway_loop(graph, max_iter, delta, v_init):
     """The per-highway Python backup loop that the numpy sweep replaced.
 
     It is the bitwise reference: q from the previous sweep's V, V the first
-    largest q per intersection, 0.0 where no highway starts, and the summed
-    |dQ| added left to right from the int 0, as `sum` does on Python 3.11.
+    largest q per intersection, 0.0 where no highway starts, and the loop
+    stops once the largest |dV|, taken from 0.0, is below delta.
     """
     states = sorted(graph.intersections)
     index = {s: i for i, s in enumerate(states)}
@@ -125,27 +125,26 @@ def _per_highway_loop(graph, max_iter, delta, v_init):
     if max_iter is None:
         max_iter = 10 * max(1, len(states))
     v = [v_init.get(s, 0.0) for s in states] if v_init else [0.0] * len(states)
-    q_prev = [0.0] * len(edges)
+    q = [0.0] * len(edges)
     iterations = 0
     final_delta = 0.0
     for iterations in range(1, max_iter + 1):
         v_next = [None] * len(states)
-        q = [0.0] * len(edges)
         for j, (f, t, g_len, ret) in enumerate(edges):
             val = ret + g_len * v[t]
             q[j] = val
             if v_next[f] is None or val > v_next[f]:
                 v_next[f] = val
-        v = [x if x is not None else 0.0 for x in v_next]
-        final_delta = 0
-        for a, b in zip(q, q_prev):
-            final_delta += abs(a - b)
-        q_prev = q
+        v_next = [x if x is not None else 0.0 for x in v_next]
+        final_delta = 0.0
+        for a, b in zip(v_next, v):
+            final_delta = max(final_delta, abs(a - b))
+        v = v_next
         if final_delta < delta:
             break
     if not states:
         iterations = 0
-    return (dict(zip(states, v)), dict(zip([(h.from_state, h.first_action) for h in hws], q_prev)),
+    return (dict(zip(states, v)), dict(zip([(h.from_state, h.first_action) for h in hws], q)),
             iterations, final_delta)
 
 
@@ -205,7 +204,7 @@ def test_loop_is_bitwise_equal_to_the_per_highway_loop(seed, shape, budget, warm
     assert _bits(tables.q) == _bits(q)
     assert all(type(x) is float for x in [*tables.v.values(), *tables.q.values()])
     assert tables.iterations_run == contracted_sweeps + iterations
-    assert type(tables.final_delta) is type(final_delta)
+    assert type(tables.final_delta) is float
     assert struct.pack("<d", tables.final_delta) == struct.pack("<d", final_delta)
 
 
@@ -222,7 +221,7 @@ def test_cold_solve_matches_vanilla_on_corridor_graphs(seed):
 
 def test_corridor_graphs_cover_every_kind_of_start():
     # over these seeds the corridor shape keeps no state at all (rings
-    # only), gives an exact start (the full loop confirms it in two sweeps),
+    # only), gives an exact start (the full loop confirms it in one sweep),
     # and gives starts the full loop has to correct (a corridor ring starts
     # at zero, and a two-cycle worth going round is left out)
     stats = [solve(corridor_highway_graph(random.Random(seed)), delta=1e-13,
@@ -231,7 +230,7 @@ def test_corridor_graphs_cover_every_kind_of_start():
     assert any(st["reduced_intersections"] == 0 for st in stats)
     # a contracted graph with no state left takes no sweep
     assert all(st["reduced_sweeps"] == 0 for st in stats if not st["reduced_intersections"])
-    assert any(st["full_sweeps"] == 2 for st in stats)
+    assert any(st["full_sweeps"] == 1 for st in stats)
     assert any(st["reduced_intersections"] and st["full_sweeps"] > 10 for st in stats)
 
 
@@ -246,7 +245,7 @@ def test_a_long_two_way_chain_solves_cold_in_a_few_sweeps():
     g.add_highway(cells[-1], 999, [2], [1.0])
     tables, stats = solve(g, delta=1e-10)
     assert stats["contracted"] == 198 and stats["reduced_intersections"] == 3
-    assert tables.iterations_run <= 5 and stats["full_sweeps"] == 2
+    assert tables.iterations_run <= 5 and stats["full_sweeps"] == 1
     oracle = vanilla_value_iteration(expand_to_empirical(g), max_iter=10_000, delta=1e-12)
     for s in g.intersections:
         assert tables.v[s] == pytest.approx(oracle.values[s], abs=1e-9)
@@ -273,19 +272,21 @@ def _assert_same_as_the_per_highway_loop(g, max_iter, delta, v_init=None):
     return tables
 
 
-def test_loop_keeps_going_while_the_largest_change_is_below_delta_but_the_sum_is_not():
+def test_loop_stops_once_the_largest_value_change_is_below_delta():
     g = _uneven_graph()
-    # |dQ| after sweeps 3, 4, 5: max 0.225, 0.1125, 0.05625; sum 0.725,
-    # 0.3625, 0.18125.  Sweep 4 must take the exact sum and carry on.
+    # max |dV| after sweeps 3 and 4: 0.225 and 0.1125, so sweep 4 stops at
+    # delta 0.2, though its Q moved by 0.3625 in sum
     q3 = _per_highway_loop(g, 3, 0.0, None)[1]
-    _v, q4, _iterations, sum4 = _per_highway_loop(g, 4, 0.0, None)
-    assert max(abs(q4[k] - q3[k]) for k in q4) < 0.2 <= sum4
+    q4 = _per_highway_loop(g, 4, 0.0, None)[1]
+    assert sum(abs(q4[k] - q3[k]) for k in q4) > 0.2
     tables = _assert_same_as_the_per_highway_loop(g, 100, 0.2)
-    assert tables.iterations_run == 5
+    assert tables.iterations_run == 4
+    assert tables.final_delta == pytest.approx(0.1125)
 
 
-def test_loop_sums_the_change_exactly_on_the_capped_sweep():
-    # delta 0.0 never lets the largest change decide; the last sweep sums
+def test_loop_takes_the_change_exactly_on_the_capped_sweep():
+    # delta 0.0 is never reached: the loop stops at the cap, and the last
+    # sweep's max |dV| is the reference's bit for bit
     tables = _assert_same_as_the_per_highway_loop(_uneven_graph(), 9, 0.0)
     assert tables.iterations_run == 9 and tables.final_delta > 0.0
 
