@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=4000)
     p.add_argument("--learning-rate", type=float, default=3e-2, dest="learning_rate")
     p.add_argument("--batch-size", type=int, default=0, dest="batch_size",
-                   help="0 means full-batch descent")
+                   help="states per mini-batch; 0 means full batch")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_distill)
 

@@ -2,21 +2,21 @@
 
 The approximator is a fixed two-hidden-layer MLP (512 rectifier units each)
 mapping normalized state features to one Q value per action.  Training is
-SGD with momentum on an MSE loss over the selected action outputs; targets
+SGD with momentum on an MSE loss over the supervised action outputs; targets
 are standardized internally (predictions come back in the original scale),
 which keeps the optimization conditioned identically across reward scales.
 
-Actions with no Q entry at a dataset state are anchored one target-spread
-below the state's best scored action.  Without anchors the untouched output
-heads drift freely through the band real Q values live in and the argmax
-becomes a coin flip, so greedy agreement with the graph policy collapses.
-Gradients are computed analytically so they can be checked against finite
-differences.  The loss recorded after each epoch comes from one forward-only
-pass over the full training set, in natural row order.  Full-batch descent
-takes its activations from that pass, gathered in the next epoch's row order,
-instead of running a second forward: BLAS matrix products round each output
-row the same way wherever it sits among the same number of rows, so the
-weights and losses are bit for bit those of a separate forward per epoch.
+The fit descends on one row per distinct dataset state: a (states × actions)
+target table with a 0/1 mask of the entries present.  The loss is the sum of
+mask·(pred − table)² over the number of present entries, the same function as
+the MSE over (state, action) rows.  batch_size counts states; a mini-batch
+takes each of its states with all of its entries and normalizes by its own
+present-entry count.  Actions with no Q entry at a dataset state are anchored
+one target-spread below the state's best scored action.  Without anchors the
+untouched output heads drift freely through the band real Q values live in
+and the argmax becomes a coin flip, so greedy agreement with the graph policy
+collapses.  Gradients are computed analytically so they can be checked
+against finite differences.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class ApproxConfig:
     learning_rate: float = 3e-2
     momentum: float = 0.9
     epochs: int = 4000
-    batch_size: int | None = None        # None: full-batch descent
+    batch_size: int | None = None        # states per mini-batch; None: full batch
     init_seed: int = 0
     hidden_units: int = HIDDEN_UNITS
     # how actions absent from the dataset at a state are supervised:
@@ -137,137 +137,133 @@ def _forward(weights: list, x: np.ndarray):
     return h1, h2, out
 
 
-def _picked_errors(approx: QApproximator, features: np.ndarray, actions: np.ndarray,
-                   targets: np.ndarray):
-    """Forward pass plus each row's selected output minus its standardized target."""
-    x = np.asarray(features, dtype=np.float64)
-    scaled = (np.asarray(targets, dtype=np.float64)
-              - approx.target_mean) / approx.target_scale
-    h1, h2, pred = _forward(approx.weights, x)
-    return x, h1, h2, pred, pred[np.arange(len(scaled)), actions] - scaled
+def _target_table(dataset: QDataset, action_count: int, anchor: str | None):
+    """One row per distinct state, in order of first appearance: its features,
+    a (states × actions) table of original-scale targets, a 0/1 mask of the
+    entries present, and the present targets in row order, anchored ones last.
+
+    With the "below-best" anchor, each action missing at a state is pinned one
+    target-spread under the state's best scored action, which guarantees it
+    loses the argmax without assuming anything about the reward sign.
+    """
+    x = np.asarray(dataset.features, dtype=np.float64)
+    targets = np.asarray(dataset.targets, dtype=np.float64)
+    index: dict[bytes, int] = {}
+    state = np.array([index.setdefault(f.tobytes(), len(index)) for f in x], dtype=np.int64)
+    x = x[np.unique(state, return_index=True)[1]]
+    table, mask = np.zeros((len(x), action_count)), np.zeros((len(x), action_count))
+    table[state, dataset.actions] = targets
+    np.add.at(mask, (state, dataset.actions), 1.0)
+    if (mask > 1.0).any():
+        s, a = np.argwhere(mask > 1.0)[0]
+        raise ValueError(f"repeated (state, action) pair: action {a} "
+                         f"at state features {x[s].tolist()}")
+    if anchor is not None:
+        spread = float(targets.max() - targets.min())
+        absent = mask == 0.0
+        best = np.where(absent, -np.inf, table).max(axis=1)
+        table = np.where(absent, (best - (spread if spread > 0 else 1.0))[:, None], table)
+        mask[absent] = 1.0
+        targets = np.concatenate([targets, table[absent]])
+    return x, table, mask, targets
+
+
+def _backward(weights: list, x: np.ndarray, h1: np.ndarray, h2: np.ndarray,
+              dpred: np.ndarray, grads: list, dz: list) -> None:
+    """Fill grads with the gradients for output gradient dpred, from one
+    forward's activations; dz holds two (rows, hidden) scratch buffers."""
+    _w1, _b1, w2, _b2, w3, _b3 = weights
+    dw1, db1, dw2, db2, dw3, db3 = grads
+    dz1, dz2 = dz
+    np.matmul(h2.T, dpred, out=dw3)
+    dpred.sum(axis=0, out=db3)
+    np.matmul(dpred, w3.T, out=dz2)
+    dz2 *= h2 > 0.0   # h > 0 exactly where the pre-activation is > 0
+    np.matmul(h1.T, dz2, out=dw2)
+    dz2.sum(axis=0, out=db2)
+    np.matmul(dz2, w2.T, out=dz1)
+    dz1 *= h1 > 0.0
+    np.matmul(x.T, dz1, out=dw1)
+    dz1.sum(axis=0, out=db1)
 
 
 def loss_and_gradients(approx: QApproximator, features: np.ndarray,
                        actions: np.ndarray, targets: np.ndarray):
-    """Training MSE over the selected action outputs, plus analytic gradients.
+    """Training MSE over the given (state, action) targets, plus analytic gradients,
+    computed on the state table fit descends on.
 
     targets are given in the original Q scale; the loss lives in the
     approximator's standardized space.
     """
-    x, h1, h2, pred, err = _picked_errors(approx, features, actions, targets)
-    return (float(np.mean(err ** 2)),
-            _backward(approx.weights, x, h1, h2, pred, actions, err))
-
-
-def _backward(weights: list, x: np.ndarray, h1: np.ndarray, h2: np.ndarray,
-              pred: np.ndarray, actions: np.ndarray, err: np.ndarray) -> list:
-    """Gradients of the mean squared picked error, from one forward's activations."""
-    _w1, _b1, w2, _b2, w3, _b3 = weights
-    n = len(err)
-    dpred = np.zeros_like(pred)
-    dpred[np.arange(n), actions] = 2.0 * err / n
-    dw3 = h2.T @ dpred
-    db3 = dpred.sum(axis=0)
-    dz2 = dpred @ w3.T
-    dz2 *= h2 > 0.0   # h > 0 exactly where the pre-activation is > 0
-    dw2 = h1.T @ dz2
-    db2 = dz2.sum(axis=0)
-    dz1 = dz2 @ w2.T
-    dz1 *= h1 > 0.0
-    dw1 = x.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return [dw1, db1, dw2, db2, dw3, db3]
-
-
-def _anchor_absent_actions(dataset: QDataset, action_count: int) -> QDataset:
-    """Add one row per (dataset state, action missing there).
-
-    Each missing action is pinned one target-spread under the state's best
-    scored action, which guarantees it loses the argmax without assuming
-    anything about the reward sign.
-    """
-    spread = float(dataset.targets.max() - dataset.targets.min())
-    margin = spread if spread > 0 else 1.0
-    groups: dict[bytes, tuple[np.ndarray, dict]] = {}
-    for i in range(len(dataset)):
-        key = dataset.features[i].tobytes()
-        feats, present = groups.setdefault(key, (dataset.features[i], {}))
-        a = int(dataset.actions[i])
-        present[a] = max(present.get(a, -np.inf), float(dataset.targets[i]))
-    extra_f, extra_a, extra_t = [], [], []
-    for _key, (feats, present) in groups.items():
-        anchor = max(present.values()) - margin
-        for a in range(action_count):
-            if a not in present:
-                extra_f.append(feats)
-                extra_a.append(a)
-                extra_t.append(anchor)
-    if not extra_f:
-        return dataset
-    return QDataset(
-        features=np.concatenate([dataset.features, np.stack(extra_f)]),
-        actions=np.concatenate([dataset.actions, np.array(extra_a, dtype=np.int64)]),
-        targets=np.concatenate([dataset.targets,
-                                np.array(extra_t, dtype=np.float64)]),
-    )
+    x, table, mask, _targets = _target_table(QDataset(features, actions, targets),
+                                             approx.action_count, None)
+    h1, h2, pred = _forward(approx.weights, x)
+    err = (pred - (table - approx.target_mean) / approx.target_scale) * mask
+    count = mask.sum()
+    grads = [np.empty_like(w) for w in approx.weights]
+    _backward(approx.weights, x, h1, h2, err * (2.0 / count), grads,
+              [np.empty_like(h1), np.empty_like(h2)])
+    return float(np.sum(err * err) / count), grads
 
 
 def fit(dataset: QDataset, config: ApproxConfig = ApproxConfig(),
         action_count: int | None = None) -> QApproximator:
-    """SGD with momentum on the MSE over selected outputs; deterministic per seed.
+    """SGD with momentum on the masked table MSE; deterministic per seed.
 
-    After each epoch's updates, one forward-only pass over the full training
-    set, in natural row order, records the loss in loss_history.  Full-batch
-    descent (batch_size None, or at least the row count) gathers the next
-    epoch's activations from that pass in the epoch's permuted order, so an
-    epoch costs one forward and one backward; mini-batches run their own
+    Each epoch permutes the states and descends on batches of batch_size
+    states (None: one batch of every state).  The learning rate rides in the
+    output gradient, so the gradients arrive as steps.  After the epoch's
+    updates, one forward-only pass over every state, in natural order, records
+    the loss in loss_history.  Full-batch descent gathers the next epoch's
+    activations from that pass in the epoch's permuted order instead of running
+    a second forward: BLAS products round each output row the same way wherever
+    it sits among the same number of rows, so the weights and losses are bit
+    for bit those of a separate forward per epoch.  Mini-batches run their own
     forward, because a row's products round differently among fewer rows.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
     if action_count is None:
         action_count = int(dataset.actions.max()) + 1
-    if config.absent_action_anchor is not None:
-        dataset = _anchor_absent_actions(dataset, action_count)
-    feature_dim = dataset.features.shape[1]
-    scale = float(dataset.targets.std())
+    x, table, mask, targets = _target_table(dataset, action_count,
+                                            config.absent_action_anchor)
+    scale = float(targets.std())
     approx = QApproximator(
-        weights=_init_weights(feature_dim, action_count, config),
-        feature_dim=feature_dim,
+        weights=_init_weights(x.shape[1], action_count, config),
+        feature_dim=x.shape[1],
         action_count=action_count,
         config=config,
-        target_mean=float(dataset.targets.mean()),
+        target_mean=float(targets.mean()),
         target_scale=scale if scale > 0 else 1.0,
     )
+    table = (table - approx.target_mean) / approx.target_scale
+    count = mask.sum()
     rng = np.random.default_rng(config.init_seed + 1)
     velocity = [np.zeros_like(w) for w in approx.weights]
-    n = len(dataset)
-    batch = n if config.batch_size is None else min(config.batch_size, n)
-    x = np.asarray(dataset.features, dtype=np.float64)
-    actions = dataset.actions
-    scaled = (np.asarray(dataset.targets, dtype=np.float64)
-              - approx.target_mean) / approx.target_scale
-    every_row = np.arange(n)
-    full_set = _forward(approx.weights, x) if batch == n else None
+    steps = [np.empty_like(w) for w in approx.weights]
+    u = len(x)
+    batch = u if config.batch_size is None else min(config.batch_size, u)
+    dz = [np.empty((batch, config.hidden_units)) for _ in range(2)]
+    full_set = _forward(approx.weights, x) if batch == u else None
     for _epoch in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
+        order = rng.permutation(u)
+        for start in range(0, u, batch):
             rows = order[start:start + batch]
-            xb, ab = x[rows], actions[rows]
-            h1, h2, pred = ((a[rows] for a in full_set) if batch == n
+            xb, mb = x[rows], mask[rows]
+            h1, h2, pred = ((a[rows] for a in full_set) if batch == u
                             else _forward(approx.weights, xb))
-            err = pred[np.arange(len(rows)), ab] - scaled[rows]
-            grads = _backward(approx.weights, xb, h1, h2, pred, ab, err)
+            dpred = (pred - table[rows]) * mb
+            dpred *= 2.0 * config.learning_rate / mb.sum()
+            _backward(approx.weights, xb, h1, h2, dpred, steps, [d[:len(rows)] for d in dz])
             # free this step's activations, so the next forward reuses their memory
             del h1, h2, pred
-            for vel, w, g in zip(velocity, approx.weights, grads):
+            for vel, w, step in zip(velocity, approx.weights, steps):
                 vel *= config.momentum
-                g *= config.learning_rate
-                vel -= g
+                vel -= step
                 w += vel
         full_set = _forward(approx.weights, x)
-        err = full_set[2][every_row, actions] - scaled
-        approx.loss_history.append(float(np.mean(err ** 2)))
+        err = (full_set[2] - table) * mask
+        approx.loss_history.append(float(np.sum(err * err) / count))
     return approx
 
 

@@ -8,9 +8,9 @@ import pytest
 from conftest import random_highway_graph
 from highway_rl.errors import DimensionMismatch
 from highway_rl import reparam
-from highway_rl.reparam import (ApproxConfig, QApproximator, QDataset, _anchor_absent_actions,
-                                _forward, _init_weights, act, extract_dataset, fit,
-                                loss_and_gradients, policy_agreement)
+from highway_rl.reparam import (ApproxConfig, QApproximator, QDataset, _forward, _init_weights,
+                                _target_table, act, extract_dataset, fit, loss_and_gradients,
+                                policy_agreement)
 from highway_rl.value_iteration import value_update_loop
 
 SMALL = ApproxConfig(hidden_units=24, epochs=400, batch_size=16, init_seed=3)
@@ -113,6 +113,40 @@ def test_gradient_check_against_central_differences():
     assert checked >= 10
 
 
+def _row_loss_and_gradients(approx, x, actions, targets):
+    """The per-row MSE and its gradients, with no state table: one forward and
+    backward row per (state, action) entry."""
+    w1, b1, w2, b2, w3, b3 = approx.weights
+    n = len(actions)
+    h1 = np.maximum(x @ w1 + b1, 0.0)
+    h2 = np.maximum(h1 @ w2 + b2, 0.0)
+    pred = h2 @ w3 + b3
+    err = pred[np.arange(n), actions] - (targets - approx.target_mean) / approx.target_scale
+    dpred = np.zeros_like(pred)
+    dpred[np.arange(n), actions] = 2.0 * err / n
+    dz2 = (dpred @ w3.T) * (h2 > 0.0)
+    dz1 = (dz2 @ w2.T) * (h1 > 0.0)
+    return (float(np.mean(err ** 2)),
+            [x.T @ dz1, dz1.sum(axis=0), h1.T @ dz2, dz2.sum(axis=0), h2.T @ dpred,
+             dpred.sum(axis=0)])
+
+
+@pytest.mark.parametrize("anchor", ["below-best", None])
+def test_table_gradients_match_the_per_row_formula(anchor):
+    ds = _mixed_rows(np.random.default_rng(8))
+    approx = fit(ds, ApproxConfig(hidden_units=32, epochs=3, init_seed=2,
+                                  absent_action_anchor=anchor), action_count=4)
+    x, table, mask, _targets = _target_table(ds, 4, anchor)
+    rows = (_entries(x, table, mask, np.arange(len(x))) if anchor is not None
+            else (ds.features, ds.actions, ds.targets))
+    assert mask.all() == (anchor is not None)
+    loss, grads = loss_and_gradients(approx, *rows)
+    want_loss, want = _row_loss_and_gradients(approx, *rows)
+    assert abs(loss - want_loss) <= 1e-12 * want_loss
+    for got, ref in zip(grads, want):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_fit_is_bitwise_deterministic():
     rng = np.random.default_rng(2)
     ds = QDataset(features=rng.uniform(0, 1, size=(20, 2)),
@@ -125,32 +159,50 @@ def test_fit_is_bitwise_deterministic():
     assert a.loss_history == b.loss_history
 
 
+def test_fit_rejects_a_repeated_state_action_pair():
+    # the state table holds one target per (state, action): a second would be lost
+    ds = QDataset(features=np.array([[0.1, 0.2], [0.3, 0.4], [0.1, 0.2]]),
+                  actions=np.array([1, 0, 1]), targets=np.array([0.5, 0.1, 0.7]))
+    with pytest.raises(ValueError, match=r"action 1 at state features \[0\.1, 0\.2\]"):
+        fit(ds, SMALL, action_count=4)
+
+
+def _entries(x, table, mask, states):
+    """The table's present entries at the given states as (features, actions,
+    targets) rows, state by state in the given order."""
+    s, a = np.nonzero(mask[states])
+    return x[states[s]], a, table[states[s], a]
+
+
 def _reference_fit(ds, cfg, action_count):
     """The fit loop written out with loss_and_gradients alone: a descent step
-    per batch of permuted rows, then the full-set loss from a gradient pass."""
-    if cfg.absent_action_anchor is not None:
-        ds = _anchor_absent_actions(ds, action_count)
-    scale = float(ds.targets.std())
+    per batch of permuted states, each with all of its entries, then the loss
+    over every entry from a gradient pass.
+
+    fit folds the learning rate into the output gradient; this loop scales the
+    gradients instead.  Both round alike only for a power-of-two rate, which is
+    why the cases below run at REF_LR."""
+    x, table, mask, targets = _target_table(ds, action_count, cfg.absent_action_anchor)
+    scale = float(targets.std())
     approx = QApproximator(
-        weights=_init_weights(ds.features.shape[1], action_count, cfg),
-        feature_dim=ds.features.shape[1], action_count=action_count, config=cfg,
-        target_mean=float(ds.targets.mean()), target_scale=scale if scale > 0 else 1.0)
+        weights=_init_weights(x.shape[1], action_count, cfg),
+        feature_dim=x.shape[1], action_count=action_count, config=cfg,
+        target_mean=float(targets.mean()), target_scale=scale if scale > 0 else 1.0)
     rng = np.random.default_rng(cfg.init_seed + 1)
     velocity = [np.zeros_like(w) for w in approx.weights]
-    n = len(ds)
-    batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    u = len(x)
+    batch = u if cfg.batch_size is None else min(cfg.batch_size, u)
     history = []
     for _epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            rows = order[start:start + batch]
-            _loss, grads = loss_and_gradients(approx, ds.features[rows], ds.actions[rows],
-                                              ds.targets[rows])
+        order = rng.permutation(u)
+        for start in range(0, u, batch):
+            _loss, grads = loss_and_gradients(
+                approx, *_entries(x, table, mask, order[start:start + batch]))
             for vel, w, g in zip(velocity, approx.weights, grads):
                 vel *= cfg.momentum
                 vel -= cfg.learning_rate * g
                 w += vel
-        loss, _grads = loss_and_gradients(approx, ds.features, ds.actions, ds.targets)
+        loss, _grads = loss_and_gradients(approx, *_entries(x, table, mask, np.arange(u)))
         history.append(loss)
     return approx.weights, history
 
@@ -186,29 +238,35 @@ def _one_row(_rng):
                     targets=np.array([0.5]))
 
 
-@pytest.mark.parametrize("cfg, make_rows, rows_fitted", [
-    (ApproxConfig(hidden_units=32, epochs=60, init_seed=2), _mixed_rows, 48),
-    (ApproxConfig(hidden_units=32, epochs=20, batch_size=7, init_seed=2), _mixed_rows, 48),
-    (ApproxConfig(hidden_units=32, epochs=60, init_seed=2, absent_action_anchor=None),
-     _mixed_rows, 30),
-    (ApproxConfig(epochs=5, init_seed=2), _acceptance_shaped_rows, 84),
-    (ApproxConfig(epochs=5, init_seed=2, absent_action_anchor=None), _odd_rows, 85),
-    (ApproxConfig(epochs=5, init_seed=2, absent_action_anchor=None), _one_row, 1),
-], ids=["full-batch", "batch-7", "no-anchor", "512-units-84-rows", "512-units-85-rows",
-        "512-units-1-row"])
-def test_fit_matches_reference_loop(cfg, make_rows, rows_fitted):
+REF_LR = 2.0 ** -5
+
+
+@pytest.mark.parametrize("cfg, make_rows, states_fitted, entries_fitted", [
+    (ApproxConfig(hidden_units=32, epochs=60, init_seed=2, learning_rate=REF_LR),
+     _mixed_rows, 12, 48),
+    (ApproxConfig(hidden_units=32, epochs=20, batch_size=7, init_seed=2, learning_rate=REF_LR),
+     _mixed_rows, 12, 48),
+    (ApproxConfig(hidden_units=32, epochs=60, init_seed=2, absent_action_anchor=None,
+                  learning_rate=REF_LR), _mixed_rows, 12, 30),
+    (ApproxConfig(epochs=5, init_seed=2, learning_rate=REF_LR), _acceptance_shaped_rows, 21, 84),
+    (ApproxConfig(epochs=5, init_seed=2, absent_action_anchor=None, learning_rate=REF_LR),
+     _odd_rows, 85, 85),
+    (ApproxConfig(epochs=5, init_seed=2, absent_action_anchor=None, learning_rate=REF_LR),
+     _one_row, 1, 1),
+], ids=["full-batch", "batch-7", "no-anchor", "512-units-21-states", "512-units-85-states",
+        "512-units-1-state"])
+def test_fit_matches_reference_loop(cfg, make_rows, states_fitted, entries_fitted):
     ds = make_rows(np.random.default_rng(8))
     approx = fit(ds, cfg, action_count=4)
     weights, history = _reference_fit(ds, cfg, 4)
-    if cfg.absent_action_anchor is not None:
-        ds = _anchor_absent_actions(ds, 4)
-    assert len(ds) == rows_fitted
+    x, _table, mask, _targets = _target_table(ds, 4, cfg.absent_action_anchor)
+    assert (len(x), mask.sum()) == (states_fitted, entries_fitted)
     for ours, ref in zip(approx.weights, weights):
         assert np.array_equal(ours, ref)
     assert approx.loss_history == history
 
 
-@pytest.mark.parametrize("n", [84, 85])
+@pytest.mark.parametrize("n", [21, 84, 85])
 def test_forward_rows_do_not_depend_on_their_position(n):
     """Full-batch fitting gathers each epoch's activations from the full-set
     forward in natural order; that is exact only if the matrix products round
@@ -243,6 +301,13 @@ def test_fit_runs_one_full_set_forward_per_epoch(monkeypatch, batch_size,
     full_batch = batch_size is None
     assert len(calls) == epochs * forwards_per_epoch + full_batch
     assert calls.count(25) == epochs + full_batch
+
+    # 84 anchored entries at 21 states: every forward runs one row per state
+    calls.clear()
+    fit(_acceptance_shaped_rows(np.random.default_rng(3)),
+        ApproxConfig(hidden_units=8, epochs=epochs, batch_size=batch_size), action_count=4)
+    assert calls.count(21) == epochs + full_batch
+    assert set(calls) == ({21} if full_batch else {7, 21})
 
 
 @pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -1),
