@@ -301,7 +301,8 @@ def cmd_distill(args) -> int:
     agreement = policy_agreement(
         approx, scored, features_of,
         {s: greedy_action(graph, tables, s) for s in scored})
-    print(f"rows: {len(dataset)}  final_loss: {approx.loss_history[-1]:.6g}")
+    print(f"rows: {len(dataset)}  final_loss: {approx.loss_history[-1]:.6g}  "
+          f"epochs_run: {len(approx.loss_history)} of {cfg.epochs}")
     print(f"greedy_agreement: {agreement:.4f}")
     print(path)
     return EXIT_OK
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distill", help="fit the Q approximator from a trained graph")
     p.add_argument("--run", required=True)
-    p.add_argument("--epochs", type=int, default=4000)
+    p.add_argument("--epochs", type=int, default=4000, help="at most this many epochs")
     p.add_argument("--learning-rate", type=float, default=3e-2, dest="learning_rate")
     p.add_argument("--batch-size", type=int, default=0, dest="batch_size",
                    help="states per mini-batch; 0 means full batch")

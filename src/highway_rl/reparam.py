@@ -10,13 +10,16 @@ The fit descends on one row per distinct dataset state: a (states × actions)
 target table with a 0/1 mask of the entries present.  The loss is the sum of
 mask·(pred − table)² over the number of present entries, the same function as
 the MSE over (state, action) rows.  batch_size counts states; a mini-batch
-takes each of its states with all of its entries and normalizes by its own
-present-entry count.  Actions with no Q entry at a dataset state are anchored
-one target-spread below the state's best scored action.  Without anchors the
-untouched output heads drift freely through the band real Q values live in
-and the argmax becomes a coin flip, so greedy agreement with the graph policy
-collapses.  Gradients are computed analytically so they can be checked
-against finite differences.
+normalizes by its own present-entry count.  Actions with no Q entry at a
+dataset state are anchored one target-spread below the state's best scored
+action.  Without anchors the untouched output heads drift freely through the
+band real Q values live in and the argmax becomes a coin flip, so greedy
+agreement with the graph policy collapses.  epochs is a cap: fit stops after
+the first epoch whose full-set pass puts every entry within half the smallest
+best-vs-runner-up gap of its target, which proves the net's argmax is the
+table's at every dataset state.  With an unsupervised entry, one action or an
+exact tie that margin is 0 and every epoch runs.  Gradients are computed
+analytically so they can be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ HIDDEN_UNITS = 512
 class ApproxConfig:
     learning_rate: float = 3e-2
     momentum: float = 0.9
-    epochs: int = 4000
+    epochs: int = 4000   # at most: fit stops once the dataset's argmax is certified
     batch_size: int | None = None        # states per mini-batch; None: full batch
     init_seed: int = 0
     hidden_units: int = HIDDEN_UNITS
@@ -86,7 +89,8 @@ class QApproximator:
     """Two-hidden-layer rectifier MLP with one output per action.
 
     The network itself works in standardized target units; predict() maps
-    back to the original Q scale via (target_mean, target_scale).
+    back to the original Q scale via (target_mean, target_scale).  Values are
+    guaranteed only to within the fit's stopping margin, not exactly.
     """
 
     weights: list    # [W1, b1, W2, b2, W3, b3]
@@ -214,12 +218,12 @@ def fit(dataset: QDataset, config: ApproxConfig = ApproxConfig(),
     states (None: one batch of every state).  The learning rate rides in the
     output gradient, so the gradients arrive as steps.  After the epoch's
     updates, one forward-only pass over every state, in natural order, records
-    the loss in loss_history.  Full-batch descent gathers the next epoch's
-    activations from that pass in the epoch's permuted order instead of running
-    a second forward: BLAS products round each output row the same way wherever
-    it sits among the same number of rows, so the weights and losses are bit
-    for bit those of a separate forward per epoch.  Mini-batches run their own
-    forward, because a row's products round differently among fewer rows.
+    the loss in loss_history and decides the stop.  Full-batch descent gathers
+    the next epoch's activations from that pass in permuted order instead of
+    running a second forward: BLAS products round each output row the same way
+    wherever it sits among the same number of rows, so the weights and losses
+    are bit for bit those of a separate forward per epoch.  Mini-batches run
+    their own forward, as a row rounds differently among fewer rows.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -238,6 +242,9 @@ def fit(dataset: QDataset, config: ApproxConfig = ApproxConfig(),
     )
     table = (table - approx.target_mean) / approx.target_scale
     count = mask.sum()
+    # half the smallest best-vs-runner-up gap; 0 (never stops) if an entry is unsupervised
+    top2 = np.sort(table, axis=1)[:, -2:] if action_count > 1 and mask.all() else np.zeros((1, 2))
+    margin = 0.5 * float((top2[:, 1] - top2[:, 0]).min())
     rng = np.random.default_rng(config.init_seed + 1)
     velocity = [np.zeros_like(w) for w in approx.weights]
     steps = [np.empty_like(w) for w in approx.weights]
@@ -264,6 +271,8 @@ def fit(dataset: QDataset, config: ApproxConfig = ApproxConfig(),
         full_set = _forward(approx.weights, x)
         err = (full_set[2] - table) * mask
         approx.loss_history.append(float(np.sum(err * err) / count))
+        if np.abs(err).max() < margin:
+            break
     return approx
 
 

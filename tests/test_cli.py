@@ -171,7 +171,10 @@ def test_distill_and_eval_hgq(run_dir, capsys):
                      "--learning-rate", "0.01"]) == 0
     out = capsys.readouterr().out
     assert "greedy_agreement:" in out
-    assert (run_dir / "approximator.npz").exists()
+    epochs_run = re.search(r"final_loss: \S+  epochs_run: (\d+) of 300\n", out)
+    from highway_rl.serialize import load_approximator
+    approx = load_approximator(run_dir / "approximator.npz")
+    assert epochs_run and int(epochs_run.group(1)) == len(approx.loss_history) <= 300
     assert verify_manifest(run_dir)
     assert cli.main(["eval-hgq", "--run", str(run_dir), "--episodes", "2"]) == 0
     out = capsys.readouterr().out

@@ -43,9 +43,15 @@ def test_extract_empty_graph():
 def test_fit_single_row_converges():
     ds = QDataset(features=np.array([[0.3, 0.7]]), actions=np.array([1]),
                   targets=np.array([0.5]))
-    approx = fit(ds, ApproxConfig(hidden_units=24, epochs=500, init_seed=0),
-                 action_count=4)
+    # unanchored heads leave no policy certificate, so every epoch runs
+    approx = fit(ds, ApproxConfig(hidden_units=24, epochs=500, init_seed=0,
+                                  absent_action_anchor=None), action_count=4)
+    assert len(approx.loss_history) == 500
     assert approx.predict(ds.features[0])[1] == pytest.approx(0.5, abs=1e-3)
+    # anchored, the fit stops as soon as action 1 provably wins
+    anchored = fit(ds, ApproxConfig(hidden_units=24, epochs=500, init_seed=0), action_count=4)
+    assert len(anchored.loss_history) < 500
+    assert act(anchored, ds.features[0]) == 1
 
 
 def test_act_dominant_action():
@@ -188,6 +194,11 @@ def _reference_fit(ds, cfg, action_count):
         weights=_init_weights(x.shape[1], action_count, cfg),
         feature_dim=x.shape[1], action_count=action_count, config=cfg,
         target_mean=float(targets.mean()), target_scale=scale if scale > 0 else 1.0)
+    # the stop rule: every entry within half the smallest best-vs-runner-up gap
+    std = (table - approx.target_mean) / approx.target_scale
+    margin = 0.0
+    if action_count > 1 and mask.all():
+        margin = min(np.sort(row)[-1] - np.sort(row)[-2] for row in std) / 2
     rng = np.random.default_rng(cfg.init_seed + 1)
     velocity = [np.zeros_like(w) for w in approx.weights]
     u = len(x)
@@ -204,6 +215,8 @@ def _reference_fit(ds, cfg, action_count):
                 w += vel
         loss, _grads = loss_and_gradients(approx, *_entries(x, table, mask, np.arange(u)))
         history.append(loss)
+        if np.max(np.abs(_forward(approx.weights, x)[2] - std)) < margin:
+            break
     return approx.weights, history
 
 
@@ -214,6 +227,15 @@ def _mixed_rows(rng):
     return QDataset(features=states[[i for i, _a in rows]],
                     actions=np.array([a for _i, a in rows], dtype=np.int64),
                     targets=rng.normal(size=len(rows)))
+
+
+def _wide_margin_rows(rng):
+    """12 states with all 4 actions scored: 1.0 on a seeded best action, 0.0
+    on the rest, so every best-vs-runner-up gap is 1."""
+    best = rng.integers(0, 4, size=12)
+    return QDataset(features=np.repeat(rng.uniform(0, 1, size=(12, 2)), 4, axis=0),
+                    actions=np.tile(np.arange(4), 12),
+                    targets=(np.tile(np.arange(4), 12) == np.repeat(best, 4)).astype(float))
 
 
 def _acceptance_shaped_rows(rng):
@@ -253,17 +275,63 @@ REF_LR = 2.0 ** -5
      _odd_rows, 85, 85),
     (ApproxConfig(epochs=5, init_seed=2, absent_action_anchor=None, learning_rate=REF_LR),
      _one_row, 1, 1),
+    (ApproxConfig(hidden_units=32, epochs=2000, init_seed=2, learning_rate=REF_LR),
+     _wide_margin_rows, 12, 48),
 ], ids=["full-batch", "batch-7", "no-anchor", "512-units-21-states", "512-units-85-states",
-        "512-units-1-state"])
+        "512-units-1-state", "wide-margin"])
 def test_fit_matches_reference_loop(cfg, make_rows, states_fitted, entries_fitted):
     ds = make_rows(np.random.default_rng(8))
     approx = fit(ds, cfg, action_count=4)
     weights, history = _reference_fit(ds, cfg, 4)
     x, _table, mask, _targets = _target_table(ds, 4, cfg.absent_action_anchor)
     assert (len(x), mask.sum()) == (states_fitted, entries_fitted)
+    assert (len(history) < cfg.epochs) == (make_rows is _wide_margin_rows)
     for ours, ref in zip(approx.weights, weights):
         assert np.array_equal(ours, ref)
     assert approx.loss_history == history
+
+
+@pytest.mark.parametrize("anchor", ["below-best", None])
+def test_fit_stops_once_the_table_argmax_is_certified(anchor):
+    ds = _wide_margin_rows(np.random.default_rng(8))
+    cfg = ApproxConfig(hidden_units=32, epochs=2000, init_seed=2, learning_rate=REF_LR,
+                       absent_action_anchor=anchor)
+    approx = fit(ds, cfg, action_count=4)
+    x, table, _mask, _targets = _target_table(ds, 4, anchor)
+    pred = approx.predict(x)
+    # every gap is 1 in target units, so the margin is 1/2 there
+    assert len(approx.loss_history) < cfg.epochs
+    assert np.max(np.abs(pred - table)) < 0.5
+    assert np.array_equal(pred.argmax(axis=1), table.argmax(axis=1))
+
+
+def _unscored_rows(rng):
+    ds = _wide_margin_rows(rng)
+    # drop one losing action per state; unanchored, its head is unsupervised
+    keep = ds.actions != np.repeat((ds.targets.reshape(12, 4).argmax(axis=1) + 1) % 4, 4)
+    return QDataset(ds.features[keep], ds.actions[keep], ds.targets[keep])
+
+
+def _tied_rows(rng):
+    ds = _wide_margin_rows(rng)
+    targets = ds.targets.copy()
+    targets[(np.argmax(targets[:4]) + 1) % 4] = 1.0   # the first state's runner-up ties its best
+    return QDataset(ds.features, ds.actions, targets)
+
+
+def _one_action_rows(rng):
+    ds = _wide_margin_rows(rng)
+    return QDataset(ds.features[::4], np.zeros(12, dtype=np.int64), ds.targets[::4])
+
+
+@pytest.mark.parametrize("make_rows, anchor, action_count", [
+    (_unscored_rows, None, 4), (_tied_rows, "below-best", 4), (_one_action_rows, "below-best", 1),
+], ids=["unsupervised-entries", "exact-tie", "one-action"])
+def test_fit_runs_every_epoch_without_a_certificate(make_rows, anchor, action_count):
+    cfg = ApproxConfig(hidden_units=32, epochs=2000, init_seed=2, learning_rate=REF_LR,
+                       absent_action_anchor=anchor)
+    approx = fit(make_rows(np.random.default_rng(8)), cfg, action_count=action_count)
+    assert len(approx.loss_history) == cfg.epochs
 
 
 @pytest.mark.parametrize("n", [21, 84, 85])
