@@ -11,7 +11,7 @@ from .encoder import encode_tabular
 from .environments import EnvSpec, StepResult, make_env
 from .errors import (DeterminismViolation, DimensionMismatch, KeyMismatch,
                      MissingArtifact, NotInterior)
-from .highway_graph import Highway, HighwayGraph, expand_to_empirical, graph_stats, highway_reward
+from .highway_graph import Highway, HighwayGraph, expand_to_empirical, graph_stats
 from .policy import PolicySnapshot, chooser, epsilon_greedy, greedy_action
 from .reparam import ApproxConfig, QApproximator, QDataset, act, extract_dataset, fit
 from .trainer import EvalResult, RunMetrics, TrainConfig, TrainResult, detect_convergence, evaluate, train

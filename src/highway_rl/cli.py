@@ -102,18 +102,21 @@ def cmd_train(args) -> int:
     if kind is None:
         print("error: --env is required", file=sys.stderr)
         return EXIT_CONFIG
+    defaults = trainer.TrainConfig
     spec = _env_spec_from_args(kind, pick(args.size, "size", str, None),
-                               pick(args.seed, "seed", int, 0))
+                               pick(args.seed, "seed", int, EnvSpec.seed))
     config = trainer.TrainConfig(
         env=spec,
-        actors=pick(args.actors, "actors", int, 10),
-        episodes_per_update=pick(args.episodes_per_update, "episodes_per_update", int, None),
-        frame_budget=pick(args.frames, "frames", int, 1_000_000),
-        gamma=pick(args.gamma, "gamma", float, 0.99),
-        delta=pick(args.delta, "delta", float, 1e-10),
-        convergence_patience=pick(args.patience, "patience", int, 3),
-        run_seed=pick(args.run_seed, "run_seed", int, 0),
-        episode_step_cap=pick(args.step_cap, "step_cap", int, None),
+        actors=pick(args.actors, "actors", int, defaults.actors),
+        episodes_per_update=pick(args.episodes_per_update, "episodes_per_update", int,
+                                 defaults.episodes_per_update),
+        frame_budget=pick(args.frames, "frames", int, defaults.frame_budget),
+        gamma=pick(args.gamma, "gamma", float, defaults.gamma),
+        delta=pick(args.delta, "delta", float, defaults.delta),
+        convergence_patience=pick(args.patience, "patience", int,
+                                  defaults.convergence_patience),
+        run_seed=pick(args.run_seed, "run_seed", int, defaults.run_seed),
+        episode_step_cap=pick(args.step_cap, "step_cap", int, defaults.episode_step_cap),
     )
     run_dir = args.out
     if run_dir is None:
@@ -194,7 +197,7 @@ def cmd_bench(args) -> int:
     start = time.perf_counter()
     vres = vanilla_value_iteration(expanded, max_iter=args.max_iter, delta=args.delta)
     v_wall = time.perf_counter() - start
-    v_per_sweep = expanded.num_edges()
+    v_per_sweep = len(expanded.edges)
     lines = ["engine,sweeps,per_sweep_updates,total_updates,covered_ops,"
              "wall_seconds,ops_per_second"]
     h_ops = hstats["covered_ops"]
@@ -289,7 +292,7 @@ def cmd_distill(args) -> int:
 
     dataset = extract_dataset(graph, tables, features_of)
     cfg = ApproxConfig(learning_rate=args.learning_rate, epochs=args.epochs,
-                       batch_size=args.batch_size or None, init_seed=args.seed)
+                       init_seed=args.seed)
     approx = fit(dataset, cfg, action_count=env.action_count)
     path = os.path.join(args.run, "approximator.npz")
     serialize.save_approximator(path, approx)
@@ -382,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distill", help="fit the Q approximator from a trained graph")
     p.add_argument("--run", required=True)
-    p.add_argument("--epochs", type=int, default=4000, help="at most this many epochs")
-    p.add_argument("--learning-rate", type=float, default=3e-2, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, default=0, dest="batch_size",
-                   help="states per mini-batch; 0 means full batch")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=ApproxConfig.epochs,
+                   help="at most this many epochs")
+    p.add_argument("--learning-rate", type=float, default=ApproxConfig.learning_rate,
+                   dest="learning_rate")
+    p.add_argument("--seed", type=int, default=ApproxConfig.init_seed)
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("eval-hgq", help="evaluate the distilled approximator")

@@ -114,10 +114,6 @@ class _TabularEnv:
     def state_features(self, obs) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def feature_dim(self) -> int:
-        return len(self.state_features(self._states[0]))
-
     def _bfs_steps(self) -> dict:
         """Minimum number of actions from each state to episode termination."""
         from collections import deque

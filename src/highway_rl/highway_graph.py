@@ -13,8 +13,7 @@ new (state, action) pair, so an episode that brings nothing new costs one
 lookup pass and two endpoint checks.
 
 The single-step transitions behind the highways are not stored a second
-time: `transitions()` yields them from the highways' step sequences, and
-`has_transition` finds one through the out-edge and membership indexes.
+time: `transitions()` yields them from the highways' step sequences.
 
 Single-step self-loop samples (wall bumps, illegal no-op actions) are kept
 in the determinism memory but excluded from the graph structure: embedding
@@ -36,18 +35,6 @@ from .errors import DeterminismViolation, NotInterior
 from .transition_model import EmpiricalGraph, StateId, ActionId, Trajectory
 
 
-def highway_reward(step_rewards, gamma: float) -> float:
-    """Cached aggregate reward of a highway: sum of r_t * gamma^t, t from 1."""
-    if not step_rewards:
-        raise ValueError("step_rewards must be non-empty")
-    total = 0.0
-    g = gamma
-    for r in step_rewards:
-        total += r * g
-        g *= gamma
-    return total
-
-
 def path_return(step_rewards, gamma: float) -> float:
     """Discounted return along the steps with the first reward undiscounted."""
     total = 0.0
@@ -62,13 +49,12 @@ def path_return(step_rewards, gamma: float) -> float:
 class Highway:
     """One compressed non-branching path between two intersections."""
 
-    hid: int
     from_state: StateId
     to_state: StateId
     actions: tuple[ActionId, ...]
     step_rewards: tuple[float, ...]
     step_states: tuple[StateId, ...]   # state reached after each step; last == to_state
-    cached_reward: float               # discount exponent starts at 1
+    cached_reward: float               # gamma * path_return: exponent starts at 1
     path_return: float                 # discount exponent starts at 0
     gamma_pow_len: float
 
@@ -128,14 +114,6 @@ class HighwayGraph:
             yield from zip((h.from_state,) + h.interior, h.actions, h.step_states,
                            h.step_rewards)
 
-    def has_transition(self, s: StateId, action: ActionId, nxt: StateId) -> bool:
-        """True when some highway steps from s by action to nxt."""
-        hid, k = self.membership.get(s) or (self.out_edges.get(s, {}).get(action), 0)
-        if hid is None:
-            return False
-        h = self.highways[hid]
-        return h.actions[k] == action and h.step_states[k] == nxt
-
     # ------------------------------------------------------------- construction
 
     def _new_hid(self) -> int:
@@ -164,12 +142,13 @@ class HighwayGraph:
         if first in slot:
             raise ValueError("outgoing first action already taken")
         hid = self._new_hid()
+        ret = path_return(step_rewards, self.gamma)
         h = Highway(
-            hid=hid, from_state=from_state, to_state=to_state,
+            from_state=from_state, to_state=to_state,
             actions=tuple(actions), step_rewards=tuple(step_rewards),
             step_states=tuple(step_states),
-            cached_reward=highway_reward(step_rewards, self.gamma),
-            path_return=path_return(step_rewards, self.gamma),
+            cached_reward=self.gamma * ret,
+            path_return=ret,
             gamma_pow_len=self.gamma ** len(actions),
         )
         for offset, st in enumerate(h.interior, start=1):
@@ -360,7 +339,7 @@ def to_dot(graph: HighwayGraph, values: dict | None = None, label_of=None) -> st
         h = graph.highways[hid]
         lines.append(
             f'  n{h.from_state} -> n{h.to_state} '
-            f'[style=bold, label="{h.first_action} | {h.length} | {h.cached_reward:.6g}"];'
+            f'[style=bold, label="{h.first_action} | {h.length} | {h.path_return:.6g}"];'
         )
     lines.append("}")
     return "\n".join(lines)

@@ -2,20 +2,20 @@
 
 The approximator is a fixed two-hidden-layer MLP (512 rectifier units each)
 mapping normalized state features to one Q value per action.  Training is
-SGD with momentum on an MSE loss over the supervised action outputs; targets
-are standardized internally (predictions come back in the original scale),
-which keeps the optimization conditioned identically across reward scales.
+full-batch gradient descent with momentum MOMENTUM on an MSE loss over the
+supervised action outputs; targets are standardized internally (predictions
+come back in the original scale), which keeps the optimization conditioned
+identically across reward scales.
 
 The fit descends on one row per distinct dataset state: a (states × actions)
 target table with a 0/1 mask of the entries present.  The loss is the sum of
 mask·(pred − table)² over the number of present entries, the same function as
-the MSE over (state, action) rows.  batch_size counts states; a mini-batch
-normalizes by its own present-entry count.  Actions with no Q entry at a
-dataset state are anchored one target-spread below the state's best scored
-action.  Without anchors the untouched output heads drift freely through the
-band real Q values live in and the argmax becomes a coin flip, so greedy
+the MSE over (state, action) rows.  Actions with no Q entry at a dataset
+state are anchored one target-spread below the state's best scored action.
+Without anchors the untouched output heads drift freely through the band
+real Q values live in and the argmax becomes a coin flip, so greedy
 agreement with the graph policy collapses.  epochs is a cap: fit stops after
-the first epoch whose full-set pass puts every entry within half the smallest
+the first epoch whose forward pass puts every entry within half the smallest
 best-vs-runner-up gap of its target, which proves the net's argmax is the
 table's at every dataset state.  With an unsupervised entry, one action or an
 exact tie that margin is 0 and every epoch runs.  Gradients are computed
@@ -33,14 +33,13 @@ from .highway_graph import HighwayGraph
 from .value_iteration import ValueTables
 
 HIDDEN_UNITS = 512
+MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
 class ApproxConfig:
     learning_rate: float = 3e-2
-    momentum: float = 0.9
     epochs: int = 4000   # at most: fit stops once the dataset's argmax is certified
-    batch_size: int | None = None        # states per mini-batch; None: full batch
     init_seed: int = 0
     hidden_units: int = HIDDEN_UNITS
     # how actions absent from the dataset at a state are supervised:
@@ -51,8 +50,6 @@ class ApproxConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be None or >= 1, got {self.batch_size}")
         if self.absent_action_anchor not in (None, "below-best"):
             raise ValueError(f"unknown anchor mode {self.absent_action_anchor!r}")
 
@@ -212,18 +209,13 @@ def loss_and_gradients(approx: QApproximator, features: np.ndarray,
 
 def fit(dataset: QDataset, config: ApproxConfig = ApproxConfig(),
         action_count: int | None = None) -> QApproximator:
-    """SGD with momentum on the masked table MSE; deterministic per seed.
+    """Full-batch descent with momentum on the masked table MSE; deterministic per seed.
 
-    Each epoch permutes the states and descends on batches of batch_size
-    states (None: one batch of every state).  The learning rate rides in the
-    output gradient, so the gradients arrive as steps.  After the epoch's
-    updates, one forward-only pass over every state, in natural order, records
-    the loss in loss_history and decides the stop.  Full-batch descent gathers
-    the next epoch's activations from that pass in permuted order instead of
-    running a second forward: BLAS products round each output row the same way
-    wherever it sits among the same number of rows, so the weights and losses
-    are bit for bit those of a separate forward per epoch.  Mini-batches run
-    their own forward, as a row rounds differently among fewer rows.
+    Every pass runs over all states in natural order.  An epoch is one
+    backward pass on the previous forward's activations, one momentum step,
+    and one forward pass, whose loss goes into loss_history and decides the
+    stop.  The learning rate rides in the output gradient, so the gradients
+    arrive as steps.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -245,31 +237,22 @@ def fit(dataset: QDataset, config: ApproxConfig = ApproxConfig(),
     # half the smallest best-vs-runner-up gap; 0 (never stops) if an entry is unsupervised
     top2 = np.sort(table, axis=1)[:, -2:] if action_count > 1 and mask.all() else np.zeros((1, 2))
     margin = 0.5 * float((top2[:, 1] - top2[:, 0]).min())
-    rng = np.random.default_rng(config.init_seed + 1)
     velocity = [np.zeros_like(w) for w in approx.weights]
     steps = [np.empty_like(w) for w in approx.weights]
-    u = len(x)
-    batch = u if config.batch_size is None else min(config.batch_size, u)
-    dz = [np.empty((batch, config.hidden_units)) for _ in range(2)]
-    full_set = _forward(approx.weights, x) if batch == u else None
+    dz = [np.empty((len(x), config.hidden_units)) for _ in range(2)]
+    h1, h2, pred = _forward(approx.weights, x)
+    err = (pred - table) * mask
     for _epoch in range(config.epochs):
-        order = rng.permutation(u)
-        for start in range(0, u, batch):
-            rows = order[start:start + batch]
-            xb, mb = x[rows], mask[rows]
-            h1, h2, pred = ((a[rows] for a in full_set) if batch == u
-                            else _forward(approx.weights, xb))
-            dpred = (pred - table[rows]) * mb
-            dpred *= 2.0 * config.learning_rate / mb.sum()
-            _backward(approx.weights, xb, h1, h2, dpred, steps, [d[:len(rows)] for d in dz])
-            # free this step's activations, so the next forward reuses their memory
-            del h1, h2, pred
-            for vel, w, step in zip(velocity, approx.weights, steps):
-                vel *= config.momentum
-                vel -= step
-                w += vel
-        full_set = _forward(approx.weights, x)
-        err = (full_set[2] - table) * mask
+        err *= 2.0 * config.learning_rate / count   # now the output gradient, as a step
+        _backward(approx.weights, x, h1, h2, err, steps, dz)
+        # free this step's activations, so the next forward reuses their memory
+        del h1, h2, pred
+        for vel, w, step in zip(velocity, approx.weights, steps):
+            vel *= MOMENTUM
+            vel -= step
+            w += vel
+        h1, h2, pred = _forward(approx.weights, x)
+        err = (pred - table) * mask
         approx.loss_history.append(float(np.sum(err * err) / count))
         if np.abs(err).max() < margin:
             break

@@ -132,10 +132,7 @@ def save_approximator(path, approx: QApproximator):
         "target_scale": np.array(approx.target_scale, dtype=np.float64),
         "loss_history": np.array(approx.loss_history, dtype=np.float64),
         "cfg_learning_rate": np.array(cfg.learning_rate, dtype=np.float64),
-        "cfg_momentum": np.array(cfg.momentum, dtype=np.float64),
         "cfg_epochs": np.array(cfg.epochs, dtype=np.int64),
-        "cfg_batch_size": np.array(-1 if cfg.batch_size is None else cfg.batch_size,
-                                   dtype=np.int64),
         "cfg_init_seed": np.array(cfg.init_seed, dtype=np.int64),
         "cfg_hidden_units": np.array(cfg.hidden_units, dtype=np.int64),
         "cfg_anchor": np.array(cfg.absent_action_anchor or ""),
@@ -147,13 +144,10 @@ def save_approximator(path, approx: QApproximator):
 
 def load_approximator(path) -> QApproximator:
     data = _load(path, "approximator")
-    batch = int(data["cfg_batch_size"])
     anchor = str(data["cfg_anchor"])
     cfg = ApproxConfig(
         learning_rate=float(data["cfg_learning_rate"]),
-        momentum=float(data["cfg_momentum"]),
         epochs=int(data["cfg_epochs"]),
-        batch_size=None if batch < 0 else batch,
         init_seed=int(data["cfg_init_seed"]),
         hidden_units=int(data["cfg_hidden_units"]),
         absent_action_anchor=anchor or None,

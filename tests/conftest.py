@@ -8,7 +8,7 @@ import random
 import pytest
 
 from highway_rl.errors import DeterminismViolation
-from highway_rl.highway_graph import HighwayGraph, highway_reward
+from highway_rl.highway_graph import HighwayGraph
 from highway_rl.trainer import _topology_signature
 from highway_rl.transition_model import Trajectory, TransitionSample
 from highway_rl.value_iteration import value_update_loop
@@ -144,7 +144,8 @@ def check_graph_invariants(graph: HighwayGraph):
         assert h.step_states[-1] == h.to_state
         assert h.from_state in graph.intersections
         assert h.to_state in graph.intersections
-        assert abs(h.cached_reward - highway_reward(h.step_rewards, graph.gamma)) <= 1e-12
+        cached = sum(r * graph.gamma ** t for t, r in enumerate(h.step_rewards, start=1))
+        assert abs(h.cached_reward - cached) <= 1e-12
         for offset, st in enumerate(h.interior, start=1):
             assert st not in graph.intersections, "interior state is an intersection"
             assert st not in seen_interior, "interior state in two highways"
@@ -208,6 +209,7 @@ def detect_within(steps) -> set:
 def detect_against(steps, graph: HighwayGraph) -> set:
     """Intersection candidates where a trajectory meets the existing graph."""
     flags = set()
+    next_of = {(s, a): nxt for s, a, nxt, _r in graph.transitions()}
     for s, a, nxt, _r in steps:
         s_on = graph.contains_state(s)
         n_on = graph.contains_state(nxt)
@@ -215,7 +217,7 @@ def detect_against(steps, graph: HighwayGraph) -> set:
             flags.add(s)            # exit point out of the graph
         if not s_on and n_on:
             flags.add(nxt)          # entry point into the graph
-        if s_on and n_on and not graph.has_transition(s, a, nxt):
+        if s_on and n_on and next_of.get((s, a)) != nxt:
             flags.add(s)            # both on graph, connecting edge missing
             flags.add(nxt)
     return flags

@@ -9,9 +9,11 @@ import shutil
 import pytest
 
 from highway_rl import cli
-from highway_rl.environments import StepResult
+from highway_rl.environments import EnvSpec, StepResult
+from highway_rl.reparam import ApproxConfig
 from highway_rl.serialize import (load_value_tables, read_manifest, save_value_tables,
                                   verify_manifest, write_manifest)
+from highway_rl.trainer import TrainConfig
 
 
 @pytest.fixture()
@@ -230,18 +232,29 @@ def test_determinism_violation_exits_3(tmp_path, monkeypatch, capsys):
     assert "determinism violation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--batch-size", "-3"]])
-def test_distill_rejects_non_positive_epochs_and_batch_size(run_dir, capsys, flags):
-    assert cli.main(["distill", "--run", str(run_dir)] + flags) == 2
+def test_distill_rejects_non_positive_epochs(run_dir, capsys):
+    assert cli.main(["distill", "--run", str(run_dir), "--epochs", "0"]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (run_dir / "approximator.npz").exists()
 
 
-def test_distill_batch_size_0_means_full_batch(run_dir):
-    from highway_rl.serialize import load_approximator
-    assert cli.main(["distill", "--run", str(run_dir), "--epochs", "2",
-                     "--batch-size", "0"]) == 0
-    assert load_approximator(run_dir / "approximator.npz").config.batch_size is None
+def test_distill_flag_defaults_are_the_library_defaults():
+    args = cli.build_parser().parse_args(["distill", "--run", "x"])
+    want = ApproxConfig()
+    assert (args.epochs, args.learning_rate, args.seed) == (want.epochs, want.learning_rate,
+                                                            want.init_seed)
+
+
+def test_train_flag_defaults_are_the_library_defaults(tmp_path, monkeypatch):
+    seen = []
+
+    def record(config, on_update=None):
+        seen.append(config)
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(cli.trainer, "train", record)
+    assert cli.main(["train", "--env", "taxi", "--out", str(tmp_path / "x")]) == 2
+    assert seen == [TrainConfig(env=EnvSpec(kind="taxi"))]
 
 
 def test_eval_and_eval_hgq_start_from_the_same_states(tmp_path, monkeypatch, capsys):

@@ -13,7 +13,7 @@ from highway_rl.reparam import (ApproxConfig, QApproximator, QDataset, _forward,
                                 policy_agreement)
 from highway_rl.value_iteration import value_update_loop
 
-SMALL = ApproxConfig(hidden_units=24, epochs=400, batch_size=16, init_seed=3)
+SMALL = ApproxConfig(hidden_units=24, epochs=400, init_seed=3)
 
 
 def _features_of(sid):
@@ -182,8 +182,8 @@ def _entries(x, table, mask, states):
 
 def _reference_fit(ds, cfg, action_count):
     """The fit loop written out with loss_and_gradients alone: a descent step
-    per batch of permuted states, each with all of its entries, then the loss
-    over every entry from a gradient pass.
+    on every entry, state by state in natural order, then the loss over every
+    entry from a gradient pass.
 
     fit folds the learning rate into the output gradient; this loop scales the
     gradients instead.  Both round alike only for a power-of-two rate, which is
@@ -199,21 +199,16 @@ def _reference_fit(ds, cfg, action_count):
     margin = 0.0
     if action_count > 1 and mask.all():
         margin = min(np.sort(row)[-1] - np.sort(row)[-2] for row in std) / 2
-    rng = np.random.default_rng(cfg.init_seed + 1)
     velocity = [np.zeros_like(w) for w in approx.weights]
-    u = len(x)
-    batch = u if cfg.batch_size is None else min(cfg.batch_size, u)
+    entries = _entries(x, table, mask, np.arange(len(x)))
     history = []
     for _epoch in range(cfg.epochs):
-        order = rng.permutation(u)
-        for start in range(0, u, batch):
-            _loss, grads = loss_and_gradients(
-                approx, *_entries(x, table, mask, order[start:start + batch]))
-            for vel, w, g in zip(velocity, approx.weights, grads):
-                vel *= cfg.momentum
-                vel -= cfg.learning_rate * g
-                w += vel
-        loss, _grads = loss_and_gradients(approx, *_entries(x, table, mask, np.arange(u)))
+        _loss, grads = loss_and_gradients(approx, *entries)
+        for vel, w, g in zip(velocity, approx.weights, grads):
+            vel *= reparam.MOMENTUM
+            vel -= cfg.learning_rate * g
+            w += vel
+        loss, _grads = loss_and_gradients(approx, *entries)
         history.append(loss)
         if np.max(np.abs(_forward(approx.weights, x)[2] - std)) < margin:
             break
@@ -266,8 +261,6 @@ REF_LR = 2.0 ** -5
 @pytest.mark.parametrize("cfg, make_rows, states_fitted, entries_fitted", [
     (ApproxConfig(hidden_units=32, epochs=60, init_seed=2, learning_rate=REF_LR),
      _mixed_rows, 12, 48),
-    (ApproxConfig(hidden_units=32, epochs=20, batch_size=7, init_seed=2, learning_rate=REF_LR),
-     _mixed_rows, 12, 48),
     (ApproxConfig(hidden_units=32, epochs=60, init_seed=2, absent_action_anchor=None,
                   learning_rate=REF_LR), _mixed_rows, 12, 30),
     (ApproxConfig(epochs=5, init_seed=2, learning_rate=REF_LR), _acceptance_shaped_rows, 21, 84),
@@ -277,7 +270,7 @@ REF_LR = 2.0 ** -5
      _one_row, 1, 1),
     (ApproxConfig(hidden_units=32, epochs=2000, init_seed=2, learning_rate=REF_LR),
      _wide_margin_rows, 12, 48),
-], ids=["full-batch", "batch-7", "no-anchor", "512-units-21-states", "512-units-85-states",
+], ids=["full-batch", "no-anchor", "512-units-21-states", "512-units-85-states",
         "512-units-1-state", "wide-margin"])
 def test_fit_matches_reference_loop(cfg, make_rows, states_fitted, entries_fitted):
     ds = make_rows(np.random.default_rng(8))
@@ -334,26 +327,7 @@ def test_fit_runs_every_epoch_without_a_certificate(make_rows, anchor, action_co
     assert len(approx.loss_history) == cfg.epochs
 
 
-@pytest.mark.parametrize("n", [21, 84, 85])
-def test_forward_rows_do_not_depend_on_their_position(n):
-    """Full-batch fitting gathers each epoch's activations from the full-set
-    forward in natural order; that is exact only if the matrix products round
-    a row the same way wherever it sits among the same number of rows."""
-    rng = np.random.default_rng(n)
-    weights = _init_weights(2, 4, ApproxConfig(init_seed=n))
-    weights[1], weights[3], weights[5] = (rng.normal(size=w.shape) * 0.1
-                                          for w in weights[1::2])
-    x = rng.uniform(0, 1, size=(n, 2))
-    natural = _forward(weights, x)
-    for _ in range(3):
-        p = rng.permutation(n)
-        for ours, gathered in zip(_forward(weights, x[p]), natural):
-            assert np.array_equal(ours, gathered[p])
-
-
-@pytest.mark.parametrize("batch_size, forwards_per_epoch", [(None, 1), (7, 4 + 1)])
-def test_fit_runs_one_full_set_forward_per_epoch(monkeypatch, batch_size,
-                                                 forwards_per_epoch):
+def test_fit_runs_one_full_set_forward_per_epoch(monkeypatch):
     calls = []
 
     def counting_forward(weights, x):
@@ -364,25 +338,21 @@ def test_fit_runs_one_full_set_forward_per_epoch(monkeypatch, batch_size,
     ds = _odd_rows(np.random.default_rng(3))
     ds = QDataset(ds.features[:25], ds.actions[:25], ds.targets[:25])
     epochs = 6
-    fit(ds, ApproxConfig(hidden_units=8, epochs=epochs, batch_size=batch_size,
-                         absent_action_anchor=None), action_count=4)
-    full_batch = batch_size is None
-    assert len(calls) == epochs * forwards_per_epoch + full_batch
-    assert calls.count(25) == epochs + full_batch
+    fit(ds, ApproxConfig(hidden_units=8, epochs=epochs, absent_action_anchor=None),
+        action_count=4)
+    assert calls == [25] * (epochs + 1)
 
     # 84 anchored entries at 21 states: every forward runs one row per state
     calls.clear()
     fit(_acceptance_shaped_rows(np.random.default_rng(3)),
-        ApproxConfig(hidden_units=8, epochs=epochs, batch_size=batch_size), action_count=4)
-    assert calls.count(21) == epochs + full_batch
-    assert set(calls) == ({21} if full_batch else {7, 21})
+        ApproxConfig(hidden_units=8, epochs=epochs), action_count=4)
+    assert calls == [21] * (epochs + 1)
 
 
-@pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -1),
-                                          ("batch_size", 0), ("batch_size", -3)])
-def test_config_rejects_non_positive_epochs_and_batch_size(field, value):
-    with pytest.raises(ValueError, match=field):
-        ApproxConfig(**{field: value})
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_non_positive_epochs(value):
+    with pytest.raises(ValueError, match="epochs"):
+        ApproxConfig(epochs=value)
 
 
 def test_loss_moving_average_non_increasing():

@@ -75,6 +75,29 @@ def test_approximator_round_trip(tmp_path):
     assert loaded.config == approx.config
 
 
+def test_approximator_with_the_retired_batch_and_momentum_fields_loads(tmp_path):
+    # files written when ApproxConfig still had batch_size and momentum keep
+    # those arrays; the loader reads arrays by name and passes them over
+    rng = np.random.default_rng(0)
+    ds = QDataset(features=rng.uniform(size=(6, 2)), actions=rng.integers(0, 3, 6),
+                  targets=rng.normal(size=6))
+    approx = fit(ds, ApproxConfig(hidden_units=8, epochs=5), action_count=3)
+    path = tmp_path / "approx.npz"
+    save_approximator(path, approx)
+    with np.load(path) as npz:
+        data = {name: npz[name] for name in npz.files}
+    data["cfg_batch_size"] = np.array(-1, dtype=np.int64)
+    data["cfg_momentum"] = np.array(0.9, dtype=np.float64)
+    np.savez_compressed(path, **data)
+    loaded = load_approximator(path)
+    for ours, theirs in zip(approx.weights, loaded.weights):
+        assert np.array_equal(ours, theirs)
+    x = rng.uniform(size=(4, 2))
+    assert np.array_equal(approx.predict(x), loaded.predict(x))
+    assert loaded.config == approx.config
+    assert loaded.loss_history == approx.loss_history
+
+
 def test_missing_artifact_raises(tmp_path):
     with pytest.raises(MissingArtifact):
         load_highway_graph(tmp_path / "nope.npz")
