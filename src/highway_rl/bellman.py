@@ -80,33 +80,35 @@ class _SweepEngine:
         return v_out, q_out
 
 
-def check_budget(max_iter: int | None, delta: float):
-    """Reject a sweep cap below 1 (None is the solver's default) or delta below 0."""
-    if max_iter is not None and max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+def check_delta(delta: float):
+    """Reject delta <= 0 (or NaN): the loop would never stop on it."""
+    if not delta > 0:
+        raise ValueError("delta must be > 0")
 
 
-def sweep_values(eng: _SweepEngine, max_iter: int | None, delta: float, v0=None):
+def sweep_values(eng: _SweepEngine, delta: float, v0=None):
     """Sweep from v0 (key order, or zeros when None) until no value moves by
-    delta, or for max_iter sweeps (10 per state when None).
+    delta, or for 2K sweeps: with d1 the first max |dV| and c the largest
+    discount, exact arithmetic needs K = 1 + ceil(log(delta / d1) / log c)
+    (2 when c = 0).  A NaN or infinite d1 stops the loop at once.
 
     Returns (v, q, sweeps, final_delta): V in key order, the last sweep's Q
     in the engine's internal order (q[eng._q_perm] is key order) and the
     last max |dV| (0.0, after no sweep, for a graph with no state).
     """
-    if max_iter is None:
-        max_iter = 10 * eng.n
     v = np.zeros(eng.n) if v0 is None else v0[eng.order]
     v_prev, q = np.empty(eng.n), np.empty(len(eng.dst))
-    sweeps = 0
+    sweeps, cap = 0, min(eng.n, 1)
     final_delta = 0.0
-    while eng.n and sweeps < max_iter:
+    while sweeps < cap:
         sweeps += 1
         v, v_prev = v_prev, v
         eng.sweep(v_prev, v, q)
         final_delta = float(np.maximum.reduce(np.abs(v - v_prev)))
         if final_delta < delta:
             break
+        if sweeps == 1 and np.isfinite(final_delta):
+            c = eng.gamma_pow_len.max(initial=0.0)
+            k = 1 + np.ceil((np.log(delta) - np.log(final_delta)) / np.log(c)) if c else 2
+            cap = 2 * int(k)
     return v[eng._v_perm], q, sweeps, final_delta

@@ -3,8 +3,8 @@
 Subcommands: train, eval, bench, completeness, export, distill, eval-hgq.
 Exit codes: 0 ok, 2 usage/config error, 3 determinism violation,
 4 missing or altered artifact (every command that reads a run checks its
-manifest digests first), 5 a solve stopped at its iteration cap before
-reaching delta (a `bench` solver at --max-iter, or the run's own solve that
+manifest digests first), 5 a solve stopped short of delta, on NaN values or
+at its own sweep cap (a `bench` solver, or the run's own solve that
 `completeness` reads).  HG_RUN_DIR overrides the default output root.
 """
 
@@ -73,6 +73,11 @@ def _env_spec_from_manifest(manifest: dict) -> EnvSpec:
     cfg = manifest["config"]
     return EnvSpec(kind=cfg["env_kind"], width=cfg.get("env_width", 0),
                    height=cfg.get("env_height", 0), seed=cfg["env_seed"])
+
+
+def _eval_step_cap(manifest: dict, spec: EnvSpec) -> int:
+    """The run's episode step cap, else the environment's evaluation default."""
+    return manifest["config"]["episode_step_cap"] or environments.DEFAULT_EVAL_STEP_CAP[spec.kind]
 
 
 def _load_run(run_dir):
@@ -182,7 +187,8 @@ def cmd_eval(args) -> int:
     env = make_env(spec)
     snapshot = PolicySnapshot(graph, tables, env.action_count)
     gamma = manifest["config"]["gamma"]
-    ev = trainer.evaluate(snapshot, env, args.episodes, gamma=gamma, seed=args.seed)
+    ev = trainer.evaluate(snapshot, env, args.episodes, gamma=gamma,
+                          step_cap=_eval_step_cap(manifest, spec), seed=args.seed)
     print(f"episodes: {args.episodes}")
     print(f"mean_total_reward: {ev.mean_total_reward:.6f}")
     print(f"mean_discounted_return: {ev.mean_discounted_return:.6f}")
@@ -193,9 +199,9 @@ def cmd_bench(args) -> int:
     manifest, graph, tables = _load_run(args.run)
     stats = graph_stats(graph)
     expanded = expand_to_empirical(graph)
-    _tables, hstats = solve(graph, delta=args.delta, max_iter=args.max_iter)
+    _tables, hstats = solve(graph, delta=args.delta)
     start = time.perf_counter()
-    vres = vanilla_value_iteration(expanded, max_iter=args.max_iter, delta=args.delta)
+    vres = vanilla_value_iteration(expanded, delta=args.delta)
     v_wall = time.perf_counter() - start
     v_per_sweep = len(expanded.edges)
     lines = ["engine,sweeps,per_sweep_updates,total_updates,covered_ops,"
@@ -216,7 +222,7 @@ def cmd_bench(args) -> int:
     lines.append(f"# counted_work_ratio={counted!r}")
     lines.append(f"# wall_ratio={hstats['wall_seconds'] / max(v_wall, 1e-12)!r}")
     # the highway sweeps split into the corridor-contracted start's and the
-    # full graph's; --max-iter caps each of the two loops
+    # full graph's
     for name in ("contracted", "reduced_intersections", "reduced_highways",
                  "reduced_sweeps", "full_sweeps"):
         lines.append(f"# {name}={hstats[name]}")
@@ -229,8 +235,8 @@ def cmd_bench(args) -> int:
                (("highway", hstats["converged"]), ("vanilla", vres.converged))
                if not converged]
     if stalled:
-        print(f"not converged: {' and '.join(stalled)} stopped at --max-iter "
-              f"{args.max_iter} before reaching --delta {args.delta}", file=sys.stderr)
+        print(f"not converged: {' and '.join(stalled)} stopped on NaN values or at the "
+              f"sweep cap before reaching --delta {args.delta}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 
@@ -319,8 +325,7 @@ def cmd_eval_hgq(args) -> int:
     spec = _env_spec_from_manifest(manifest)
     env = make_env(spec)
     gamma = manifest["config"]["gamma"]
-    cap = (manifest["config"]["episode_step_cap"]
-           or environments.DEFAULT_EVAL_STEP_CAP[spec.kind])
+    cap = _eval_step_cap(manifest, spec)
     totals, discs = [], []
     for k in range(args.episodes):
         # episode k starts where `eval` starts its episode k
@@ -367,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="value-iteration benchmark on a trained graph")
     p.add_argument("--run", required=True)
     p.add_argument("--delta", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
     p.add_argument("--out", help="also write the CSV here")
     p.set_defaults(func=cmd_bench)
 

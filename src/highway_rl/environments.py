@@ -138,8 +138,8 @@ class _TabularEnv:
         raise NotImplementedError
 
     def ground_truth_values(self, gamma: float) -> dict[int, float]:
-        """Exact optimal V for every reachable state, keyed by state id."""
-        return _ground_truth(self.spec, gamma)
+        """Exact optimal V for every reachable state, keyed by state id, in a new dict."""
+        return dict(_ground_truth(self.spec, gamma))
 
 
 @functools.lru_cache(maxsize=64)
@@ -151,7 +151,7 @@ def _ground_truth(spec: EnvSpec, gamma: float) -> dict:
     graph.nodes.update(env._sid.values())
     for (obs, a), res in env._table.items():
         graph.add_sample(env._sid[obs], a, env._sid[res.next_obs], res.reward)
-    values = vanilla_value_iteration(graph, max_iter=500_000, delta=1e-12).values
+    values = vanilla_value_iteration(graph, delta=1e-12).values
     return {sid: values[sid] for sid in env._sid.values()}
 
 

@@ -26,6 +26,7 @@ import struct
 import time
 from dataclasses import dataclass, field
 
+from .bellman import check_delta
 from .environments import (DEFAULT_EPISODES_PER_UPDATE, DEFAULT_EVAL_STEP_CAP,
                            DEFAULT_STEP_CAP, EnvSpec, make_env)
 from .highway_graph import Highway, HighwayGraph, graph_stats
@@ -34,8 +35,6 @@ from .transition_model import StateId, Trajectory
 from .value_iteration import ValueTables, value_update_loop
 
 METRICS_SCHEMA = "hgrl-metrics-v1"
-# sweep cap of each update's value solve
-SOLVE_MAX_ITER = 100_000
 # greedy evaluation episodes after each update
 EVAL_EPISODES = 1
 
@@ -53,20 +52,20 @@ class TrainConfig:
     episode_step_cap: int | None = None      # None: per-environment default
 
     def __post_init__(self):
-        if self.actors < 1:
-            raise ValueError("actors must be >= 1")
+        for name in ("actors", "convergence_patience", "episodes_per_update", "episode_step_cap"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.frame_budget < 0:
             raise ValueError("frame_budget must be >= 0")
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError("gamma must be in [0, 1)")
+        check_delta(self.delta)
 
     def resolved_episodes_per_update(self) -> int:
-        if self.episodes_per_update is not None:
-            return self.episodes_per_update
-        return DEFAULT_EPISODES_PER_UPDATE[self.env.kind]
+        return self.episodes_per_update or DEFAULT_EPISODES_PER_UPDATE[self.env.kind]
 
     def resolved_step_cap(self) -> int | None:
-        if self.episode_step_cap is not None:
-            return self.episode_step_cap
-        return DEFAULT_STEP_CAP[self.env.kind]
+        return self.episode_step_cap or DEFAULT_STEP_CAP[self.env.kind]
 
 
 @dataclass
@@ -279,8 +278,7 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
             frames += len(traj)
             batch.append(traj)
         graph.assemble(batch)
-        tables = value_update_loop(graph, max_iter=SOLVE_MAX_ITER,
-                                   delta=config.delta, v_init=tables.v)
+        tables = value_update_loop(graph, delta=config.delta, v_init=tables.v)
         snapshot = PolicySnapshot(graph, tables, env.action_count)
         ev = evaluate(snapshot, env, EVAL_EPISODES, gamma=config.gamma,
                       step_cap=step_cap, seed=_mix_seed(config.run_seed, 31, update))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bellman import _SweepEngine, check_budget, sweep_values
+from .bellman import _SweepEngine, check_delta, sweep_values
 from .errors import DeterminismViolation
 
 StateId = int
@@ -138,7 +138,7 @@ class EmpiricalGraph:
 
 @dataclass
 class VanillaVIResult:
-    """Converged (or budget-capped) state values plus loop metadata."""
+    """Converged (or capped) state values plus loop metadata."""
 
     values: dict[StateId, float]
     iterations_run: int
@@ -146,22 +146,21 @@ class VanillaVIResult:
     converged: bool
 
 
-def vanilla_value_iteration(graph: EmpiricalGraph, max_iter: int = 10_000,
-                            delta: float = 1e-6) -> VanillaVIResult:
+def vanilla_value_iteration(graph: EmpiricalGraph, delta: float = 1e-6) -> VanillaVIResult:
     """Synchronous value iteration over the empirical graph.
 
     Every sweep reads only the previous sweep's values (Jacobi style) and
     replaces each state's value with the best one-step backup
     max_a [r(s, a) + gamma * V(next)], the first recorded edge winning a
     tie.  States with no outgoing edges keep value 0.  Stops when the
-    max-norm change drops below delta; hitting max_iter first is reported
-    in the result, not raised.
+    max-norm change drops below delta (> 0); stopping short of it (at the
+    cap `bellman.sweep_values` works out) is reported, not raised.
     """
     if not graph.nodes:
         raise ValueError("graph is empty")
     if not (0.0 <= graph.gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
-    check_budget(max_iter, delta)
+    check_delta(delta)
     states = sorted(graph.nodes)
     index = {s: i for i, s in enumerate(states)}
     src = np.array([index[s] for s, _a in graph.edges], np.intp)
@@ -171,7 +170,7 @@ def vanilla_value_iteration(graph: EmpiricalGraph, max_iter: int = 10_000,
     order = np.argsort(src, kind="stable")
     eng = _SweepEngine(len(states), src[order], dst[order], reward[order],
                        np.full(len(src), graph.gamma))
-    v, _q, iterations, final_delta = sweep_values(eng, max_iter, delta)
+    v, _q, iterations, final_delta = sweep_values(eng, delta)
     return VanillaVIResult(values=dict(zip(states, v.tolist())), iterations_run=iterations,
                            final_delta=final_delta, converged=final_delta < delta)
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bellman import _SweepEngine, check_budget, sweep_values
+from .bellman import _SweepEngine, check_delta, sweep_values
 from .errors import KeyMismatch
 from .highway_graph import HighwayGraph
 from .transition_model import StateId, ActionId
@@ -81,8 +81,7 @@ def _edge_arrays(graph: HighwayGraph):
     return states, keys, src[order], dst[order], path_return[order], gamma_pow_len[order]
 
 
-def _corridor_start(n: int, src, dst, path_return, gamma_pow_len,
-                    max_iter: int | None, delta: float):
+def _corridor_start(n: int, src, dst, path_return, gamma_pow_len, delta: float):
     """Starting values for a cold solve from the corridor-contracted graph.
 
     Takes the graph as key-order arrays and returns (v0, counts): v0 in key
@@ -138,7 +137,7 @@ def _corridor_start(n: int, src, dst, path_return, gamma_pow_len,
     edges = np.flatnonzero(~corridor[src])
     reduced = _SweepEngine(kept.size, renumber[src[edges]], renumber[end[edges]],
                            ret[edges], disc[edges])
-    v, _q, sweeps, _ = sweep_values(reduced, max_iter, delta)
+    v, _q, sweeps, _ = sweep_values(reduced, delta)
     v0 = np.zeros(n)
     v0[kept] = v
     # each corridor state takes the larger of its two chain exits; a ring
@@ -156,19 +155,19 @@ def _no_contraction() -> dict:
             "reduced_sweeps": 0}
 
 
-def _solve(graph: HighwayGraph, max_iter: int | None, delta: float,
+def _solve(graph: HighwayGraph, delta: float,
            v_init: dict[StateId, float] | None) -> tuple[ValueTables, dict]:
     """The tables of value_update_loop plus the counts `solve` reports."""
-    check_budget(max_iter, delta)
+    check_delta(delta)
     states, keys, src, dst, path_return, gamma_pow_len = _edge_arrays(graph)
     n = len(states)
     if v_init:
         v0 = np.array([v_init.get(s, 0.0) for s in states], dtype=np.float64)
         counts = _no_contraction()
     else:
-        v0, counts = _corridor_start(n, src, dst, path_return, gamma_pow_len, max_iter, delta)
+        v0, counts = _corridor_start(n, src, dst, path_return, gamma_pow_len, delta)
     eng = _SweepEngine(n, src, dst, path_return, gamma_pow_len)
-    v, q, sweeps, final_delta = sweep_values(eng, max_iter, delta, v0)
+    v, q, sweeps, final_delta = sweep_values(eng, delta, v0)
     counts["full_sweeps"] = sweeps
     tables = ValueTables(
         v=dict(zip(states, v.tolist())),
@@ -179,20 +178,18 @@ def _solve(graph: HighwayGraph, max_iter: int | None, delta: float,
     return tables, counts
 
 
-def value_update_loop(graph: HighwayGraph, max_iter: int | None = None,
-                      delta: float = 1e-6, v_init: dict[StateId, float] | None = None
-                      ) -> ValueTables:
-    """Sweep until no intersection value moves by delta.
+def value_update_loop(graph: HighwayGraph, delta: float = 1e-6,
+                      v_init: dict[StateId, float] | None = None) -> ValueTables:
+    """Sweep until no intersection value moves by delta (> 0).
 
     final_delta is the last sweep's max |dV|, as in every solver.  Values
     warm-start from v_init where intersections persist (missing ones start
     at zero); without it, from the corridor-contracted solve.  Q is the
-    last sweep's.  max_iter (10 sweeps per state when None) caps the
-    full-graph sweeps (and, separately, the contracted graph's);
-    iterations_run counts both.  Hitting max_iter without reaching delta is
-    recorded in the result, not raised.
+    last sweep's.  The full-graph loop and the contracted graph's each work
+    out their own sweep cap (`bellman.sweep_values`); iterations_run counts
+    both.  Stopping short of delta is recorded in the result, not raised.
     """
-    return _solve(graph, max_iter, delta, v_init)[0]
+    return _solve(graph, delta, v_init)[0]
 
 
 def interior_values(graph: HighwayGraph, tables: ValueTables) -> dict[StateId, float]:
@@ -244,22 +241,21 @@ def contraction_probe(graph: HighwayGraph, w: dict[StateId, float],
     return {"lhs": lhs, "rhs": rhs}
 
 
-def solve(graph: HighwayGraph, delta: float = 1e-6, max_iter: int | None = None,
-          v_init: dict[StateId, float] | None = None):
+def solve(graph: HighwayGraph, delta: float = 1e-6, v_init: dict[StateId, float] | None = None):
     """Converged tables plus benchmark counters for one solve.
 
     Returns (tables, stats).  stats carries the sweep count (contracted
     plus full, as iterations_run), the per-sweep highway update count,
     the highway updates actually made, the covered-transition operation
     count (every sweep counts each transition the highways cover once),
-    wall time, and whether the loop reached delta before max_iter.  It
+    wall time, and whether the loop reached delta before its cap.  It
     also carries how many intersections the contracted start folded into
     corridor edges, the contracted graph's intersections and edges, and
     its sweeps apart from the full-graph ones (all 0 when nothing was
     contracted).
     """
     start = time.perf_counter()
-    tables, counts = _solve(graph, max_iter, delta, v_init)
+    tables, counts = _solve(graph, delta, v_init)
     elapsed = time.perf_counter() - start
     updates = len(graph.highways)
     stats = {

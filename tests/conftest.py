@@ -3,15 +3,18 @@ and the step-by-step reference ingest."""
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 
+from highway_rl.bellman import _SweepEngine
 from highway_rl.errors import DeterminismViolation
 from highway_rl.highway_graph import HighwayGraph
 from highway_rl.trainer import _topology_signature
 from highway_rl.transition_model import Trajectory, TransitionSample
-from highway_rl.value_iteration import value_update_loop
+from highway_rl.value_iteration import _edge_arrays
 
 
 def mk_traj(*steps, terminal=False) -> Trajectory:
@@ -171,10 +174,29 @@ def check_graph_invariants(graph: HighwayGraph):
         assert in_deg.get(st, 0) <= 1
 
 
+def contraction_cap(first_delta: float, delta: float, c: float) -> int:
+    """The sweep cap a solver derives from its first sweep's change.
+
+    Twice K = 1 + ceil(log(delta / first_delta) / log c), where c is the
+    largest edge discount, and K = 2 when c = 0; one sweep when the first
+    change is not finite.
+    """
+    if not math.isfinite(first_delta):
+        return 1
+    if c == 0.0:
+        return 4
+    return 2 * (1 + int(np.ceil((np.log(delta) - np.log(first_delta)) / np.log(c))))
+
+
 def one_sweep(graph: HighwayGraph, v_prev: dict):
-    """One synchronous sweep from v_prev; returns its (V, Q) maps."""
-    tables = value_update_loop(graph, max_iter=1, delta=0.0, v_init=v_prev)
-    return tables.v, tables.q
+    """One synchronous sweep from v_prev (missing states at 0.0); returns
+    its (V, Q) maps."""
+    states, keys, *arrays = _edge_arrays(graph)
+    eng = _SweepEngine(len(states), *arrays)
+    v0 = np.array([v_prev.get(s, 0.0) for s in states], np.float64)
+    v, q = eng.sweep(v0[eng.order])
+    return (dict(zip(states, v[eng._v_perm].tolist())),
+            dict(zip(keys, q[eng._q_perm].tolist())))
 
 
 # --------------------------------------------------- step-by-step reference ingest

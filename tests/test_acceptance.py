@@ -178,9 +178,8 @@ def test_06_oracle_equivalence_on_random_graphs():
     graphs = 0
     for seed in range(100):
         g = random_highway_graph(random.Random(seed), max_intersections=50)
-        tables = value_update_loop(g, max_iter=20_000, delta=1e-13)
-        oracle = vanilla_value_iteration(expand_to_empirical(g), max_iter=200_000,
-                                         delta=1e-14)
+        tables = value_update_loop(g, delta=1e-13)
+        oracle = vanilla_value_iteration(expand_to_empirical(g), delta=1e-14)
         for s in g.intersections:
             worst = max(worst, abs(tables.v[s] - oracle.values[s]))
         graphs += 1
@@ -204,9 +203,9 @@ def test_07_contraction_and_uniqueness():
     for seed in range(20):
         rng = random.Random(1000 + seed)
         g = random_highway_graph(rng, max_intersections=25)
-        a = value_update_loop(g, max_iter=30_000, delta=1e-12,
+        a = value_update_loop(g, delta=1e-12,
                               v_init={s: rng.uniform(-10, 10) for s in g.intersections})
-        b = value_update_loop(g, max_iter=30_000, delta=1e-12,
+        b = value_update_loop(g, delta=1e-12,
                               v_init={s: rng.uniform(-10, 10) for s in g.intersections})
         for s in g.intersections:
             worst_disagreement = max(worst_disagreement, abs(a.v[s] - b.v[s]))
@@ -251,8 +250,7 @@ def test_08a_compression_and_work_ratio(maze_runs):
     path = _single_path_fixture(n)
     stats = graph_stats(path)
     _tables, hstats = solve(path, delta=1e-12)
-    oracle = vanilla_value_iteration(expand_to_empirical(path), max_iter=10_000,
-                                     delta=1e-12)
+    oracle = vanilla_value_iteration(expand_to_empirical(path), delta=1e-12)
     case1_ok = (stats["z"] == 2 / n
                 and hstats["per_sweep_updates"] == 1
                 and stats["expanded_edges"] == n - 1
@@ -265,8 +263,7 @@ def test_08a_compression_and_work_ratio(maze_runs):
     dense = _dense_fixture(5, reward=0.0)
     dstats = graph_stats(dense)
     _tables, dh = solve(dense, delta=1e-12)
-    doracle = vanilla_value_iteration(expand_to_empirical(dense), max_iter=10_000,
-                                      delta=1e-12)
+    doracle = vanilla_value_iteration(expand_to_empirical(dense), delta=1e-12)
     case2_ok = (dstats["z"] == 1.0
                 and dh["per_sweep_updates"] == dstats["expanded_edges"]
                 and dh["sweeps"] == doracle.iterations_run == 1
@@ -281,9 +278,8 @@ def test_08a_compression_and_work_ratio(maze_runs):
     for length in (2, 8, 32):
         ring = _ring_fixture(6, length)
         z = graph_stats(ring)["z"]
-        _t, hs = solve(ring, delta=1e-9, max_iter=100_000)
-        vres = vanilla_value_iteration(expand_to_empirical(ring), max_iter=100_000,
-                                       delta=1e-9)
+        _t, hs = solve(ring, delta=1e-9)
+        vres = vanilla_value_iteration(expand_to_empirical(ring), delta=1e-9)
         counted = (hs["sweeps"] * hs["per_sweep_updates"]) / (
             vres.iterations_run * graph_stats(ring)["expanded_edges"])
         ratios.append(counted / (z * z))
@@ -324,10 +320,8 @@ def test_09_speed_ratio(maze_runs):
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    highway_time = best_of(lambda: value_update_loop(graph, max_iter=100_000,
-                                                     delta=delta))
-    vanilla_time = best_of(lambda: vanilla_value_iteration(expanded, max_iter=100_000,
-                                                           delta=delta))
+    highway_time = best_of(lambda: value_update_loop(graph, delta=delta))
+    vanilla_time = best_of(lambda: vanilla_value_iteration(expanded, delta=delta))
     ratio = highway_time / vanilla_time
     ok = ratio < 1.0
     assert _verdict(9, "highway solve is faster than vanilla at identical delta", ok,

@@ -6,10 +6,11 @@ import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from highway_rl import cli
-from highway_rl.environments import EnvSpec, StepResult
+from highway_rl.environments import DEFAULT_EVAL_STEP_CAP, EnvSpec, StepResult
 from highway_rl.reparam import ApproxConfig
 from highway_rl.serialize import (load_value_tables, read_manifest, save_value_tables,
                                   verify_manifest, write_manifest)
@@ -54,6 +55,17 @@ def test_train_maze_without_size_exits_2(tmp_path):
     assert cli.main(["train", "--env", "maze", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--patience", "0"), ("--episodes-per-update", "0"), ("--step-cap", "0"),
+    ("--delta", "0"), ("--gamma", "1")])
+def test_train_bad_setting_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "x"
+    assert cli.main(["train", "--env", "maze", "--size", "3x3", flag, value,
+                     "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("env=maze\nsize=3x3\nseed=7\nrun_seed=1\nframes=1000000\n")
@@ -93,15 +105,27 @@ def test_bench_command(run_dir, capsys):
 
 
 def test_bench_not_converged_exits_5(run_dir, capsys):
-    assert cli.main(["bench", "--run", str(run_dir), "--max-iter", "1"]) == 5
+    # a NaN step reward, under a manifest rewritten to match, makes both
+    # solvers' first sweep change NaN, and each stops after that sweep
+    path = run_dir / "graph.npz"
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays["flat_rewards"][0] = np.nan
+    np.savez_compressed(path, **arrays)
+    write_manifest(run_dir, read_manifest(run_dir)["config"])
+    assert cli.main(["bench", "--run", str(run_dir)]) == 5
     captured = capsys.readouterr()
-    # the cap stops the full-graph loop after one sweep, on top of the
-    # contracted start's sweeps
     reduced = int(re.search(r"^# reduced_sweeps=(\d+)$", captured.out, re.M).group(1))
     assert "\n# full_sweeps=1\n" in captured.out
     assert captured.out.splitlines()[1].startswith(f"highway,{reduced + 1},")
     assert captured.out.splitlines()[2].startswith("vanilla,1,")
     assert "not converged: highway and vanilla" in captured.err
+
+
+def test_bench_takes_no_sweep_cap(run_dir, capsys):
+    # each solver works out its own cap; a budget flag is a usage error
+    assert cli.main(["bench", "--run", str(run_dir), "--max-iter", "1"]) == 2
+    assert "--max-iter" in capsys.readouterr().err
 
 
 def test_bench_missing_artifact_exits_4(tmp_path):
@@ -279,3 +303,27 @@ def test_eval_and_eval_hgq_start_from_the_same_states(tmp_path, monkeypatch, cap
     capsys.readouterr()
     assert by_command["eval"] == by_command["eval-hgq"]
     assert len(set(by_command["eval"])) > 1   # taxi resets do vary
+
+
+@pytest.mark.parametrize("step_cap, want", [(["--step-cap", "37"], 37),
+                                             ([], DEFAULT_EVAL_STEP_CAP["maze"])],
+                         ids=["run-cap", "default"])
+def test_eval_and_eval_hgq_cap_episodes_as_training_evaluates(tmp_path, monkeypatch, capsys,
+                                                               step_cap, want):
+    # the run's episode_step_cap, else the environment's evaluation default
+    from highway_rl import trainer
+    run = tmp_path / "maze"
+    assert cli.main(["train", "--env", "maze", "--size", "3x3", "--seed", "7", *step_cap,
+                     "--out", str(run)]) == 0
+    assert cli.main(["distill", "--run", str(run), "--epochs", "1"]) == 0
+    caps = []
+
+    def recording_rollout(env, obs, act, gamma, cap):
+        caps.append(cap)
+        return 0.0, 0.0, 0, True
+
+    monkeypatch.setattr(trainer, "rollout", recording_rollout)
+    for command in ("eval", "eval-hgq"):
+        assert cli.main([command, "--run", str(run), "--episodes", "2"]) == 0
+    capsys.readouterr()
+    assert caps == [want] * 4

@@ -239,6 +239,17 @@ def test_ground_truth_goal_adjacent_one_step():
                                                              abs=1e-12)
 
 
+def test_ground_truth_values_is_a_fresh_dict_each_call():
+    # the oracle is cached per (spec, gamma); a caller's write must not reach
+    # the cache
+    env = make_env(EnvSpec(kind="maze", width=3, height=3, seed=7))
+    first = env.ground_truth_values(0.99)
+    sid, value = next(iter(first.items()))
+    first[sid] = value + 123.0
+    second = env.ground_truth_values(0.99)
+    assert second is not first and second[sid] == value
+
+
 def test_ground_truth_matches_rollout_of_optimal_path():
     spec = EnvSpec(kind="maze", width=5, height=5, seed=3)
     env = make_env(spec)

@@ -296,9 +296,8 @@ def test_stats_fully_dense_graph():
 def test_value_equivalence_on_random_graphs():
     for seed in range(15):
         g = random_highway_graph(random.Random(seed), max_intersections=20)
-        tables = value_update_loop(g, max_iter=5000, delta=1e-13)
-        oracle = vanilla_value_iteration(expand_to_empirical(g), max_iter=50_000,
-                                         delta=1e-14)
+        tables = value_update_loop(g, delta=1e-13)
+        oracle = vanilla_value_iteration(expand_to_empirical(g), delta=1e-14)
         for s in g.intersections:
             assert tables.v[s] == pytest.approx(oracle.values[s], abs=1e-9)
 

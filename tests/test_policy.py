@@ -91,7 +91,7 @@ def test_greedy_action_is_the_lowest_action_near_the_best_in_any_q_order(qs, rng
 def test_select_recorded_action_on_highway():
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 9, [3, 0, 2, 1], [0.0] * 4, interior=[5, 6, 7])
-    tables = value_update_loop(g, max_iter=50, delta=1e-15)
+    tables = value_update_loop(g, delta=1e-15)
     snap = PolicySnapshot(g, tables, action_count=4)
     # state 6 sits at offset 2; the recorded action there is the third one
     assert _greedy(snap, 6) == 2
@@ -172,7 +172,7 @@ def test_value_shift_leaves_greedy_actions_unchanged():
             for a in range(3):
                 g.add_highway(s, nodes[rng.randrange(len(nodes))], [a],
                               [round(rng.uniform(-1, 1), 6)])
-        tables = value_update_loop(g, max_iter=5000, delta=1e-13)
+        tables = value_update_loop(g, delta=1e-13)
         _v, q_shifted = one_sweep(g, {s: val + 3.7 for s, val in tables.v.items()})
         _v0, q_base = one_sweep(g, tables.v)
         shifted = ValueTables(v=tables.v, q=q_shifted)
@@ -213,7 +213,7 @@ def test_snapshot_is_unaffected_by_later_assemble(seed, episodes, max_len):
     rng = random.Random(seed)
     _table, action_count, trajs = random_mdp_walks(rng, 2 * episodes, max_len)
     g = HighwayGraph(gamma=0.95).assemble(trajs[:episodes])
-    tables = value_update_loop(g, max_iter=10_000, delta=1e-12)
+    tables = value_update_loop(g, delta=1e-12)
     snap = PolicySnapshot(g, tables, action_count=action_count)
     # the compiled table holds exactly the choices the graph records
     expected = _expected_greedy(g, tables)

@@ -23,7 +23,7 @@ def _features_of(sid):
 
 def test_extract_one_row_per_q_entry():
     g = random_highway_graph(random.Random(1), max_intersections=10)
-    tables = value_update_loop(g, max_iter=2000, delta=1e-12)
+    tables = value_update_loop(g, delta=1e-12)
     ds = extract_dataset(g, tables, _features_of)
     assert len(ds) == len(tables.q)
     keys = sorted(tables.q)
@@ -35,7 +35,7 @@ def test_extract_one_row_per_q_entry():
 def test_extract_empty_graph():
     from highway_rl.highway_graph import HighwayGraph
     g = HighwayGraph()
-    tables = value_update_loop(g, max_iter=10, delta=1e-12)
+    tables = value_update_loop(g, delta=1e-12)
     ds = extract_dataset(g, tables, _features_of)
     assert len(ds) == 0
 
@@ -371,7 +371,7 @@ def test_loss_moving_average_non_increasing():
 
 def test_policy_agreement_on_fit_graph():
     g = random_highway_graph(random.Random(6), max_intersections=8)
-    tables = value_update_loop(g, max_iter=2000, delta=1e-12)
+    tables = value_update_loop(g, delta=1e-12)
     order = {s: i for i, s in enumerate(sorted(g.intersections))}
     n = len(order)
 

@@ -36,7 +36,7 @@ def test_highway_graph_round_trip(tmp_path):
 
 def test_value_tables_round_trip(tmp_path):
     g = random_highway_graph(random.Random(8), max_intersections=10)
-    tables = value_update_loop(g, max_iter=3000, delta=1e-12)
+    tables = value_update_loop(g, delta=1e-12)
     path = tmp_path / "tables.npz"
     save_value_tables(path, tables)
     loaded = load_value_tables(path)
@@ -106,7 +106,7 @@ def test_missing_artifact_raises(tmp_path):
 def test_kind_mismatch_raises(tmp_path):
     g = random_highway_graph(random.Random(8), max_intersections=4)
     path = tmp_path / "tables.npz"
-    save_value_tables(path, value_update_loop(g, max_iter=100, delta=1e-6))
+    save_value_tables(path, value_update_loop(g, delta=1e-6))
     with pytest.raises(MissingArtifact):
         load_highway_graph(path)
 

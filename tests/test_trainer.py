@@ -38,6 +38,19 @@ def test_epsilon_ladder_single_actor():
     assert epsilon_ladder(0, 1) == 0.1
 
 
+@pytest.mark.parametrize("setting", [
+    {"actors": 0}, {"frame_budget": -1}, {"convergence_patience": 0},
+    {"convergence_patience": -1}, {"episodes_per_update": 0}, {"episode_step_cap": 0},
+    {"delta": 0.0}, {"delta": -1e-6}, {"delta": float("nan")}, {"gamma": 1.0}, {"gamma": -0.5}],
+    ids=lambda setting: "=".join(map(str, *setting.items())))
+def test_config_rejects_settings_a_run_cannot_use(setting):
+    # patience 0 would converge at update 1, no episodes per update would run
+    # on no frames, a cap of 0 steps records no sample, and delta <= 0 would
+    # never stop a solve
+    with pytest.raises(ValueError):
+        _maze_cfg(**setting)
+
+
 def test_cold_start_zero_budget():
     res = train(_maze_cfg(frame_budget=0))
     assert res.metrics.rows == []
@@ -309,7 +322,7 @@ def test_signatures_equal_the_per_item_digests(seed, episodes, max_len):
         g.assemble([traj])
         states = sorted(g.intersections)
         assert _topology_signature(states, g.highways) == _reference_topology_signature(g)
-        snap = PolicySnapshot(g, value_update_loop(g, max_iter=50, delta=1e-9), action_count)
+        snap = PolicySnapshot(g, value_update_loop(g, delta=1e-9), action_count)
         assert _policy_signature(states, snap) == _reference_policy_signature(g, snap)
 
 

@@ -1,16 +1,21 @@
 """Empirical graph bookkeeping and the vanilla value-iteration oracle."""
 
+import math
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_traj
+from conftest import contraction_cap, mk_traj
+from highway_rl.bellman import _SweepEngine
 from highway_rl.errors import DeterminismViolation
+from highway_rl.highway_graph import HighwayGraph
 from highway_rl.transition_model import (EmpiricalGraph, Trajectory, TransitionSample, to_dot,
                                          vanilla_value_iteration)
+from highway_rl.value_iteration import value_update_loop
 
 
 def record(graph: EmpiricalGraph, *steps):
@@ -120,10 +125,25 @@ def test_vanilla_vi_matches_bruteforce_on_random_graph():
         for a in range(3):
             g.add_sample(s, a, rng.randrange(20), round(rng.uniform(-1, 1), 6))
     expected = _oracle_fixed_point(g)
-    res = vanilla_value_iteration(g, max_iter=20_000, delta=1e-13)
+    res = vanilla_value_iteration(g, delta=1e-13)
     assert res.converged
     for s in g.nodes:
         assert res.values[s] == pytest.approx(expected[s], abs=1e-9)
+
+
+def _sweeps_from_zero(graph: EmpiricalGraph, k: int) -> list[dict]:
+    """V after each of k synchronous sweeps from zero, on the solvers' engine."""
+    states = sorted(graph.nodes)
+    index = {s: i for i, s in enumerate(states)}
+    edges = sorted((index[s], index[nxt], r) for (s, _a), (nxt, r) in graph.edges.items())
+    src, dst, reward = zip(*edges)
+    eng = _SweepEngine(len(states), np.array(src, np.intp), np.array(dst, np.intp),
+                       np.array(reward), np.full(len(edges), graph.gamma))
+    v, out = np.zeros(eng.n), []
+    for _ in range(k):
+        v, _q = eng.sweep(v)
+        out.append(dict(zip(states, v[eng._v_perm].tolist())))
+    return out
 
 
 def test_vanilla_vi_monotone_with_nonnegative_rewards():
@@ -133,12 +153,11 @@ def test_vanilla_vi_monotone_with_nonnegative_rewards():
         for a in range(2):
             g.add_sample(s, a, rng.randrange(12), round(rng.uniform(0, 1), 6))
     prev = {s: 0.0 for s in g.nodes}
-    # re-run with growing budgets; values never decrease sweep over sweep
-    for k in range(1, 12):
-        res = vanilla_value_iteration(g, max_iter=k, delta=0.0)
+    # values never decrease sweep over sweep
+    for values in _sweeps_from_zero(g, 11):
         for s in g.nodes:
-            assert res.values[s] >= prev[s] - 1e-12
-        prev = res.values
+            assert values[s] >= prev[s] - 1e-12
+        prev = values
 
 
 def test_vanilla_vi_contracts_toward_fixed_point():
@@ -147,38 +166,58 @@ def test_vanilla_vi_contracts_toward_fixed_point():
     for s in range(10):
         for a in range(2):
             g.add_sample(s, a, rng.randrange(10), round(rng.uniform(-1, 1), 6))
-    star = vanilla_value_iteration(g, max_iter=30_000, delta=1e-14).values
+    star = vanilla_value_iteration(g, delta=1e-14).values
     prev_dist = None
-    for k in range(1, 25):
-        res = vanilla_value_iteration(g, max_iter=k, delta=0.0)
-        dist = max(abs(res.values[s] - star[s]) for s in g.nodes)
+    for values in _sweeps_from_zero(g, 24):
+        dist = max(abs(values[s] - star[s]) for s in g.nodes)
         if prev_dist is not None:
             assert dist <= g.gamma * prev_dist + 1e-12
         prev_dist = dist
 
 
+def test_vanilla_vi_converges_on_a_slow_cycle():
+    # the fixed point is V(0) = 1 / (1 - gamma^2); at gamma 0.999 delta
+    # needs 25,318 sweeps
+    g = EmpiricalGraph(gamma=0.999)
+    record(g, (0, 0, 1, 1.0), (1, 0, 0, 0.0))
+    res = vanilla_value_iteration(g, delta=1e-11)
+    assert res.converged and res.iterations_run == 25_318
+    assert res.values[0] == pytest.approx(1 / (1 - 0.999 ** 2), abs=1e-8)
+
+
 def test_vanilla_vi_reports_non_convergence():
+    # rounding keeps max |dV| at 2.0e-15, above delta: the loop stops at the
+    # cap that the first change (0.36) and gamma give, 2 * 3336 sweeps
     g = EmpiricalGraph(gamma=0.99)
-    record(g, (0, 0, 1, 1.0), (1, 0, 0, 1.0))
-    res = vanilla_value_iteration(g, max_iter=3, delta=1e-12)
+    record(g, (0, 0, 1, 0.36), (1, 0, 0, -0.36))
+    res = vanilla_value_iteration(g, delta=1e-15)
     assert not res.converged
-    assert res.iterations_run == 3
-    assert res.final_delta > 1e-12
+    assert res.iterations_run == 6672
+    assert res.final_delta >= 1e-15
 
 
-@pytest.mark.parametrize("max_iter, delta, message", [
-    (0, 1e-6, "max_iter must be >= 1"), (-1, 1e-6, "max_iter must be >= 1"),
-    (10, -1.0, "delta must be >= 0")])
-def test_vanilla_vi_rejects_a_bad_budget(max_iter, delta, message):
-    # the same checks, with the same messages, as value_update_loop
+def test_vanilla_vi_stops_at_once_on_a_nan_value():
+    g = EmpiricalGraph(gamma=0.99)
+    record(g, (0, 0, 1, 1.0), (1, 0, 0, float("nan")))
+    res = vanilla_value_iteration(g, delta=1e-6)
+    assert (res.iterations_run, res.converged) == (1, False)
+    assert math.isnan(res.final_delta)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+def test_solvers_reject_a_delta_they_cannot_stop_on(delta):
+    # with delta <= 0 the loop would never stop; both solvers check alike
     g = EmpiricalGraph(gamma=0.99)
     record(g, (0, 0, 1, 1.0))
-    with pytest.raises(ValueError, match=message):
-        vanilla_value_iteration(g, max_iter=max_iter, delta=delta)
+    with pytest.raises(ValueError, match="delta must be > 0"):
+        vanilla_value_iteration(g, delta=delta)
+    with pytest.raises(ValueError, match="delta must be > 0"):
+        value_update_loop(HighwayGraph(gamma=0.99), delta=delta)
 
 
-def _edge_list_loop(graph: EmpiricalGraph, max_iter: int, delta: float):
-    """A plain per-state loop over edge lists: the bitwise reference for vanilla VI."""
+def _edge_list_loop(graph: EmpiricalGraph, delta: float):
+    """A plain per-state loop over edge lists: the bitwise reference for vanilla
+    VI, capped as the solver caps itself."""
     states = sorted(graph.nodes)
     index = {s: i for i, s in enumerate(states)}
     outgoing = [[] for _ in states]
@@ -189,7 +228,9 @@ def _edge_list_loop(graph: EmpiricalGraph, max_iter: int, delta: float):
     final_delta = 0.0
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    cap = 1
+    while iterations < cap:
+        iterations += 1
         v_next = [0.0] * len(states)
         worst = 0.0
         for i, edges in enumerate(outgoing):
@@ -205,14 +246,16 @@ def _edge_list_loop(graph: EmpiricalGraph, max_iter: int, delta: float):
         if worst < delta:
             converged = True
             break
+        if iterations == 1:
+            cap = contraction_cap(worst, delta, gamma if graph.edges else 0.0)
     return {s: v[index[s]] for s in states}, iterations, final_delta, converged
 
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       budget=st.sampled_from([(20_000, 1e-13), (7, 0.0), (1, 1e-6)]))
-@example(seed=3, budget=(7, 0.0))
-def test_vanilla_vi_is_bitwise_equal_to_the_edge_list_loop(seed, budget):
+       delta=st.sampled_from([1e-13, 1e-6, 0.5]))
+@example(seed=3, delta=0.5)
+def test_vanilla_vi_is_bitwise_equal_to_the_edge_list_loop(seed, delta):
     rng = random.Random(seed)
     g = EmpiricalGraph(gamma=rng.choice([0.0, 0.5, 0.9, 0.99]))
     n = rng.randint(1, 25)
@@ -222,9 +265,8 @@ def test_vanilla_vi_is_bitwise_equal_to_the_edge_list_loop(seed, budget):
         reward = rng.choice(rewards) if rng.random() < 0.5 else rng.uniform(-1, 1)
         g.edges.setdefault((rng.randrange(n), rng.randrange(6)),
                            (rng.randrange(n), reward))
-    max_iter, delta = budget
-    res = vanilla_value_iteration(g, max_iter=max_iter, delta=delta)
-    values, iterations, final_delta, converged = _edge_list_loop(g, max_iter, delta)
+    res = vanilla_value_iteration(g, delta=delta)
+    values, iterations, final_delta, converged = _edge_list_loop(g, delta)
     assert list(res.values) == list(values)
     assert (struct.pack(f"<{n}d", *res.values.values())
             == struct.pack(f"<{n}d", *values.values()))
@@ -243,8 +285,8 @@ def test_vanilla_vi_keeps_the_first_of_tied_backups(first, actions):
     g.add_sample(0, actions[0], 1, first)
     g.add_sample(0, actions[1], 1, -first)
     g.add_sample(1, 0, 2, -1.0)
-    res = vanilla_value_iteration(g, max_iter=2, delta=0.0)
-    values, _iterations, _delta, _converged = _edge_list_loop(g, 2, 0.0)
+    res = vanilla_value_iteration(g, delta=1e-12)
+    values, _iterations, _delta, _converged = _edge_list_loop(g, 1e-12)
     assert struct.pack("<d", res.values[0]) == struct.pack("<d", values[0])
     assert struct.pack("<d", res.values[0]) == struct.pack("<d", first)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import corridor_highway_graph, one_sweep, random_highway_graph
+from conftest import contraction_cap, corridor_highway_graph, one_sweep, random_highway_graph
 from highway_rl.bellman import _SweepEngine
 from highway_rl.environments import EnvSpec, make_env
 from highway_rl.errors import KeyMismatch
@@ -39,7 +39,7 @@ def test_sweep_terminal_intersection_keeps_zero():
 def test_sweep_self_loop_contracts_to_zero():
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 0, [0], [0.0])
-    tables = value_update_loop(g, max_iter=500, delta=1e-15)
+    tables = value_update_loop(g, delta=1e-15)
     assert tables.v[0] == 0.0
 
 
@@ -65,11 +65,11 @@ def test_sweep_q_formula_consistency():
 def test_loop_single_highway_converges_in_two_sweeps():
     g = HighwayGraph(gamma=0.5)
     g.add_highway(0, 3, [0, 0, 0], [0.0, 0.0, 1.0], interior=[1, 2])
-    tables = value_update_loop(g, max_iter=100, delta=1e-15)
+    tables = value_update_loop(g, delta=1e-15)
     # terminal value 0 downstream: V(start) is the discounted path return
     assert tables.v[0] == pytest.approx(0.25)
     assert tables.iterations_run == 2
-    oracle = vanilla_value_iteration(expand_to_empirical(g), max_iter=1000, delta=1e-14)
+    oracle = vanilla_value_iteration(expand_to_empirical(g), delta=1e-14)
     assert tables.v[0] == pytest.approx(oracle.values[0], abs=1e-12)
 
 
@@ -90,45 +90,48 @@ def test_loop_dag_depth_bound():
                                       [next(interior) for _ in range(length - 1)])
         if not g.highways:
             continue
-        tables = value_update_loop(g, max_iter=1000, delta=1e-300)
+        tables = value_update_loop(g, delta=1e-300)
         assert tables.iterations_run <= len(layers) + 1
 
 
 def test_loop_matches_vanilla_on_random_cyclic_graph():
     g = random_highway_graph(random.Random(21), max_intersections=20)
-    tables = value_update_loop(g, max_iter=20_000, delta=1e-13)
-    oracle = vanilla_value_iteration(expand_to_empirical(g), max_iter=100_000, delta=1e-14)
+    tables = value_update_loop(g, delta=1e-13)
+    oracle = vanilla_value_iteration(expand_to_empirical(g), delta=1e-14)
     for s in g.intersections:
         assert tables.v[s] == pytest.approx(oracle.values[s], abs=1e-9)
 
 
 def test_loop_records_metadata():
+    # V after k sweeps is 1 + 0.99 + ... + 0.99^(k-1), so sweep k moves it
+    # by 0.99^(k-1), first below 0.5 at k = 70
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 0, [0], [1.0])
-    tables = value_update_loop(g, max_iter=7, delta=0.0)
-    assert tables.iterations_run == 7
-    assert tables.final_delta > 0.0
+    tables = value_update_loop(g, delta=0.5)
+    assert tables.iterations_run == 70
+    assert tables.final_delta == pytest.approx(0.99 ** 69)
 
 
-def _per_highway_loop(graph, max_iter, delta, v_init):
+def _per_highway_loop(graph, delta, v_init):
     """The per-highway Python backup loop that the numpy sweep replaced.
 
     It is the bitwise reference: q from the previous sweep's V, V the first
     largest q per intersection, 0.0 where no highway starts, and the loop
-    stops once the largest |dV|, taken from 0.0, is below delta.
+    stops once the largest |dV|, taken from 0.0, is below delta, or at the
+    cap that the first sweep's change gives.
     """
     states = sorted(graph.intersections)
     index = {s: i for i, s in enumerate(states)}
     hws = sorted(graph.highways.values(), key=lambda h: (h.from_state, h.first_action))
     edges = [(index[h.from_state], index[h.to_state], h.gamma_pow_len, h.path_return)
              for h in hws]
-    if max_iter is None:
-        max_iter = 10 * max(1, len(states))
     v = [v_init.get(s, 0.0) for s in states] if v_init else [0.0] * len(states)
     q = [0.0] * len(edges)
     iterations = 0
+    cap = 1 if states else 0
     final_delta = 0.0
-    for iterations in range(1, max_iter + 1):
+    while iterations < cap:
+        iterations += 1
         v_next = [None] * len(states)
         for j, (f, t, g_len, ret) in enumerate(edges):
             val = ret + g_len * v[t]
@@ -142,8 +145,8 @@ def _per_highway_loop(graph, max_iter, delta, v_init):
         v = v_next
         if final_delta < delta:
             break
-    if not states:
-        iterations = 0
+        if iterations == 1:
+            cap = contraction_cap(final_delta, delta, max((e[2] for e in edges), default=0.0))
     return (dict(zip(states, v)), dict(zip([(h.from_state, h.first_action) for h in hws], q)),
             iterations, final_delta)
 
@@ -152,11 +155,11 @@ def _bits(table):
     return list(table), struct.pack(f"<{len(table)}d", *table.values())
 
 
-def _contracted_start(graph, max_iter, delta):
+def _contracted_start(graph, delta):
     """A cold solve's starting values, as a map, and its contracted sweeps
     (None and 0 when no intersection is a corridor)."""
     states, _keys, *arrays = _edge_arrays(graph)
-    v0, counts = _corridor_start(len(states), *arrays, max_iter, delta)
+    v0, counts = _corridor_start(len(states), *arrays, delta)
     start = None if v0 is None else dict(zip(states, v0.tolist()))
     return start, counts["reduced_sweeps"]
 
@@ -164,17 +167,17 @@ def _contracted_start(graph, max_iter, delta):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        shape=st.sampled_from(["random", "no_highways", "empty", "wide", "corridors"]),
-       budget=st.sampled_from([(20_000, 1e-13), (7, 0.0), (None, 1e-6)]),
+       delta=st.sampled_from([1e-13, 1e-6, 0.5]),
        warm=st.booleans())
-@example(seed=0, shape="empty", budget=(7, 0.0), warm=False)
-@example(seed=0, shape="empty", budget=(None, 1e-6), warm=False)
-@example(seed=1, shape="no_highways", budget=(7, 0.0), warm=True)
-@example(seed=1, shape="no_highways", budget=(None, 1e-6), warm=False)
-@example(seed=5, shape="random", budget=(7, 0.0), warm=True)
-@example(seed=3, shape="wide", budget=(20_000, 1e-13), warm=False)
-@example(seed=2, shape="corridors", budget=(7, 0.0), warm=False)
-@example(seed=4, shape="corridors", budget=(20_000, 1e-13), warm=False)
-def test_loop_is_bitwise_equal_to_the_per_highway_loop(seed, shape, budget, warm):
+@example(seed=0, shape="empty", delta=0.5, warm=False)
+@example(seed=0, shape="empty", delta=1e-6, warm=False)
+@example(seed=1, shape="no_highways", delta=0.5, warm=True)
+@example(seed=1, shape="no_highways", delta=1e-6, warm=False)
+@example(seed=5, shape="random", delta=0.5, warm=True)
+@example(seed=3, shape="wide", delta=1e-13, warm=False)
+@example(seed=2, shape="corridors", delta=0.5, warm=False)
+@example(seed=4, shape="corridors", delta=1e-13, warm=False)
+def test_loop_is_bitwise_equal_to_the_per_highway_loop(seed, shape, delta, warm):
     # a cold solve sweeps the full graph from the contracted start, which is
     # zero (today's cold start) when no intersection is a corridor
     rng = random.Random(seed)
@@ -189,7 +192,6 @@ def test_loop_is_bitwise_equal_to_the_per_highway_loop(seed, shape, budget, warm
         g = HighwayGraph(gamma=0.9)
         for s in range(rng.randint(1, 4) if shape == "no_highways" else 0):
             g.make_intersection(s)
-    max_iter, delta = budget
     if warm:
         # some intersections missing (they start at 0.0) and one stray key
         v_init = {s: rng.uniform(-5, 5) for s in g.intersections if rng.random() < 0.8}
@@ -197,9 +199,9 @@ def test_loop_is_bitwise_equal_to_the_per_highway_loop(seed, shape, budget, warm
         start, contracted_sweeps = v_init, 0
     else:
         v_init = None
-        start, contracted_sweeps = _contracted_start(g, max_iter, delta)
-    tables = value_update_loop(g, max_iter=max_iter, delta=delta, v_init=v_init)
-    v, q, iterations, final_delta = _per_highway_loop(g, max_iter, delta, start)
+        start, contracted_sweeps = _contracted_start(g, delta)
+    tables = value_update_loop(g, delta=delta, v_init=v_init)
+    v, q, iterations, final_delta = _per_highway_loop(g, delta, start)
     assert _bits(tables.v) == _bits(v)
     assert _bits(tables.q) == _bits(q)
     assert all(type(x) is float for x in [*tables.v.values(), *tables.q.values()])
@@ -212,8 +214,8 @@ def test_loop_is_bitwise_equal_to_the_per_highway_loop(seed, shape, budget, warm
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_cold_solve_matches_vanilla_on_corridor_graphs(seed):
     g = corridor_highway_graph(random.Random(seed))
-    tables = value_update_loop(g, max_iter=20_000, delta=1e-13)
-    oracle = vanilla_value_iteration(expand_to_empirical(g), max_iter=100_000, delta=1e-14)
+    tables = value_update_loop(g, delta=1e-13)
+    oracle = vanilla_value_iteration(expand_to_empirical(g), delta=1e-14)
     assert oracle.converged and tables.final_delta < 1e-13
     for s in g.intersections:
         assert tables.v[s] == pytest.approx(oracle.values[s], abs=1e-9)
@@ -224,8 +226,8 @@ def test_corridor_graphs_cover_every_kind_of_start():
     # only), gives an exact start (the full loop confirms it in one sweep),
     # and gives starts the full loop has to correct (a corridor ring starts
     # at zero, and a two-cycle worth going round is left out)
-    stats = [solve(corridor_highway_graph(random.Random(seed)), delta=1e-13,
-                   max_iter=20_000)[1] for seed in range(40)]
+    stats = [solve(corridor_highway_graph(random.Random(seed)), delta=1e-13)[1]
+             for seed in range(40)]
     assert all(st["contracted"] for st in stats)
     assert any(st["reduced_intersections"] == 0 for st in stats)
     # a contracted graph with no state left takes no sweep
@@ -246,7 +248,7 @@ def test_a_long_two_way_chain_solves_cold_in_a_few_sweeps():
     tables, stats = solve(g, delta=1e-10)
     assert stats["contracted"] == 198 and stats["reduced_intersections"] == 3
     assert tables.iterations_run <= 5 and stats["full_sweeps"] == 1
-    oracle = vanilla_value_iteration(expand_to_empirical(g), max_iter=10_000, delta=1e-12)
+    oracle = vanilla_value_iteration(expand_to_empirical(g), delta=1e-12)
     for s in g.intersections:
         assert tables.v[s] == pytest.approx(oracle.values[s], abs=1e-9)
 
@@ -262,9 +264,9 @@ def _uneven_graph():
     return g
 
 
-def _assert_same_as_the_per_highway_loop(g, max_iter, delta, v_init=None):
-    tables = value_update_loop(g, max_iter=max_iter, delta=delta, v_init=v_init)
-    v, q, iterations, final_delta = _per_highway_loop(g, max_iter, delta, v_init)
+def _assert_same_as_the_per_highway_loop(g, delta, v_init=None):
+    tables = value_update_loop(g, delta=delta, v_init=v_init)
+    v, q, iterations, final_delta = _per_highway_loop(g, delta, v_init)
     assert _bits(tables.v) == _bits(v)
     assert _bits(tables.q) == _bits(q)
     assert tables.iterations_run == iterations
@@ -276,34 +278,56 @@ def test_loop_stops_once_the_largest_value_change_is_below_delta():
     g = _uneven_graph()
     # max |dV| after sweeps 3 and 4: 0.225 and 0.1125, so sweep 4 stops at
     # delta 0.2, though its Q moved by 0.3625 in sum
-    q3 = _per_highway_loop(g, 3, 0.0, None)[1]
-    q4 = _per_highway_loop(g, 4, 0.0, None)[1]
+    v, qs = {}, []
+    for _ in range(4):
+        v, q = one_sweep(g, v)
+        qs.append(q)
+    q3, q4 = qs[2:]
     assert sum(abs(q4[k] - q3[k]) for k in q4) > 0.2
-    tables = _assert_same_as_the_per_highway_loop(g, 100, 0.2)
+    tables = _assert_same_as_the_per_highway_loop(g, 0.2)
     assert tables.iterations_run == 4
     assert tables.final_delta == pytest.approx(0.1125)
 
 
+def _two_intersection_cycle(gamma, there, back):
+    """Intersections 0 and 1 with one highway each way, paying there and back."""
+    g = HighwayGraph(gamma=gamma)
+    g.add_highway(0, 1, [0], [there])
+    g.add_highway(1, 0, [0], [back])
+    return g
+
+
+def test_a_cycle_converges_with_the_default_cap():
+    # the fixed point is V(0) = 1 / (1 - gamma^2); the solve needs 2,293
+    # sweeps, far more than 10 per intersection
+    tables, stats = solve(_two_intersection_cycle(0.99, 1.0, 0.0), delta=1e-10)
+    assert stats["converged"] and tables.iterations_run == 2293
+    assert tables.v[0] == pytest.approx(1 / (1 - 0.99 ** 2), abs=1e-8)
+
+
 def test_loop_takes_the_change_exactly_on_the_capped_sweep():
-    # delta 0.0 is never reached: the loop stops at the cap, and the last
-    # sweep's max |dV| is the reference's bit for bit
-    tables = _assert_same_as_the_per_highway_loop(_uneven_graph(), 9, 0.0)
-    assert tables.iterations_run == 9 and tables.final_delta > 0.0
+    # rounding keeps max |dV| at 2.0e-15, above delta 1e-15, so the loop
+    # stops at the cap: the first change is 0.36, and 0.36 * 0.99^3335 is
+    # below 1e-15, so K = 3336 and the cap 6672.  The last sweep's max |dV|
+    # is the reference's bit for bit.
+    g = _two_intersection_cycle(0.99, 0.36, -0.36)
+    tables = _assert_same_as_the_per_highway_loop(g, 1e-15)
+    assert tables.iterations_run == 6672 and tables.final_delta >= 1e-15
 
 
-def test_loop_sums_a_nan_change_and_runs_to_the_cap():
+def test_a_nan_warm_start_ends_the_solve_after_one_sweep():
     g = _uneven_graph()
-    tables = value_update_loop(g, max_iter=6, delta=1e-6, v_init={10: float("nan")})
-    assert tables.iterations_run == 6
+    tables, stats = solve(g, delta=1e-6, v_init={10: float("nan")})
+    assert tables.iterations_run == 1 and not stats["converged"]
     assert math.isnan(tables.final_delta)
 
 
 def test_loop_warm_start_reaches_same_fixed_point():
     g = random_highway_graph(random.Random(33), max_intersections=25)
-    cold = value_update_loop(g, max_iter=20_000, delta=1e-13)
+    cold = value_update_loop(g, delta=1e-13)
     rng = random.Random(1)
     warm_init = {s: rng.uniform(-5, 5) for s in g.intersections}
-    warm = value_update_loop(g, max_iter=20_000, delta=1e-13, v_init=warm_init)
+    warm = value_update_loop(g, delta=1e-13, v_init=warm_init)
     for s in g.intersections:
         assert warm.v[s] == pytest.approx(cold.v[s], abs=1e-7)
 
@@ -313,7 +337,7 @@ def test_loop_warm_start_reaches_same_fixed_point():
 def test_interior_value_last_offset_zero_rewards():
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 4, [0] * 4, [0.0] * 4, interior=[1, 2, 3])
-    tables = value_update_loop(g, max_iter=100, delta=1e-15)
+    tables = value_update_loop(g, delta=1e-15)
     tables.v[4] = 2.0  # pretend downstream value
     iv = interior_values(g, tables)
     assert iv[3] == pytest.approx(0.99 * 2.0)
@@ -322,7 +346,7 @@ def test_interior_value_last_offset_zero_rewards():
 def test_interior_value_intersection_identity():
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 1, [0], [1.0])
-    tables = value_update_loop(g, max_iter=100, delta=1e-15)
+    tables = value_update_loop(g, delta=1e-15)
     iv = interior_values(g, tables)
     assert iv[0] == tables.v[0]
     assert iv[1] == tables.v[1]
@@ -341,7 +365,7 @@ def test_interior_values_match_ground_truth_on_covered_maze():
             trajs.append(Trajectory([TransitionSample(
                 env.state_id(obs), a, env.state_id(res.next_obs), res.reward)]))
     g.assemble(trajs)
-    tables = value_update_loop(g, max_iter=100_000, delta=1e-12)
+    tables = value_update_loop(g, delta=1e-12)
     learned = interior_values(g, tables)
     truth = env.ground_truth_values(0.99)
     report = completeness_report({s: learned[s] for s in truth}, truth, tol=1e-6)
@@ -414,9 +438,11 @@ def test_contraction_probe_constant_shift_on_unit_highways():
 
 def test_ops_counting_rule():
     g = HighwayGraph(gamma=0.99)
-    g.add_highway(0, 100, [0] * 100, [0.0] * 100, interior=list(range(1, 100)))
-    _tables, stats = solve(g, delta=0.0, max_iter=10)
-    assert stats["covered_ops"] == 10 * 100
+    g.add_highway(0, 100, [0] * 100, [1.0] * 100, interior=list(range(1, 100)))
+    _tables, stats = solve(g, delta=1e-9)
+    # the second sweep finds the fixed point
+    assert stats["sweeps"] == 2
+    assert stats["covered_ops"] == 2 * 100
     assert stats["per_sweep_updates"] == 1
 
 
@@ -452,7 +478,7 @@ def test_monotone_convergence_from_zero_with_nonnegative_rewards():
 def test_csv_exports():
     g = HighwayGraph(gamma=0.99)
     g.add_highway(5, 6, [2], [1.0])
-    tables = value_update_loop(g, max_iter=100, delta=1e-15)
+    tables = value_update_loop(g, delta=1e-15)
     vals = values_to_csv(tables)
     qs = q_to_csv(tables)
     assert vals.splitlines()[0] == "state_id,value"
