@@ -12,6 +12,12 @@ state's first departure.  The Python-level work is per step that brings a
 new (state, action) pair, so an episode that brings nothing new costs one
 lookup pass and two endpoint checks.
 
+Each intersection gets the next index when it is created; none is ever
+removed, so an index never changes.  Beside the `Highway` objects the graph
+keeps numpy columns by highway id, grown by doubling: source and target
+index, first action, `path_return`, `gamma_pow_len` and an alive flag.  A
+solve reads them through `edge_columns`, a gather plus one sort.
+
 The single-step transitions behind the highways are not stored a second
 time: `transitions()` yields them from the highways' step sequences.
 
@@ -30,6 +36,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice
 from operator import ne
+
+import numpy as np
 
 from .errors import DeterminismViolation, NotInterior
 from .transition_model import EmpiricalGraph, StateId, ActionId, Trajectory
@@ -85,7 +93,9 @@ class HighwayGraph:
         if not (0.0 <= gamma < 1.0):
             raise ValueError("gamma must be in [0, 1)")
         self.gamma = gamma
-        self.intersections: set[StateId] = set()
+        # intersection -> its index, in insertion order
+        self._index: dict[StateId, int] = {}
+        self.intersections = self._index.keys()     # a live set-like view
         self.highways: dict[int, Highway] = {}
         # intersection -> {first_action: highway id}; uniqueness is forced by determinism
         self.out_edges: dict[StateId, dict[ActionId, int]] = {}
@@ -94,6 +104,10 @@ class HighwayGraph:
         # every sample ever ingested, self-loops included (determinism guardrail)
         self.observed: dict[tuple[StateId, ActionId], tuple[StateId, float]] = {}
         self._next_hid = 0
+        # rows by highway id: source index, target index, first action and
+        # alive (a split retires its highway); path_return and gamma_pow_len
+        self._edge_ints = np.zeros((16, 4), np.int64)
+        self._edge_floats = np.zeros((16, 2))
 
     # ------------------------------------------------------------------ queries
 
@@ -114,12 +128,34 @@ class HighwayGraph:
             yield from zip((h.from_state,) + h.interior, h.actions, h.step_states,
                            h.step_rewards)
 
+    def edge_columns(self):
+        """(states, src, dst, first, path_return, gamma_pow_len) from the columns.
+
+        states lists the intersections ascending, as an object array of the
+        graph's own ids, so that tables keyed from it share them; the others
+        list the live highways by (from_state, first action), src and dst
+        indexing states.
+        """
+        n = len(self._index)
+        states = np.fromiter(self._index, object, n)
+        by_id = np.argsort(states.astype(np.uint64))
+        rank = np.empty(n, np.int64)
+        rank[by_id] = np.arange(n)
+        live = np.flatnonzero(self._edge_ints[:self._next_hid, 3])
+        src, dst, first, _alive = self._edge_ints[live].T
+        src = rank[src]
+        # rank follows state order and keys are distinct: this orders by key
+        actions, first_rank = np.unique(first, return_inverse=True)
+        order = np.argsort(src * len(actions) + first_rank)
+        path_return, gamma_pow_len = self._edge_floats[live[order]].T
+        return (states[by_id], src[order], rank[dst[order]], first[order], path_return,
+                gamma_pow_len)
+
     # ------------------------------------------------------------- construction
 
-    def _new_hid(self) -> int:
-        hid = self._next_hid
-        self._next_hid += 1
-        return hid
+    def _add_intersection(self, s: StateId):
+        """The one place an intersection is created: it takes the next index."""
+        self._index[s] = len(self._index)
 
     def make_intersection(self, s: StateId):
         """Promote a state to an intersection, splitting its highway if interior."""
@@ -129,19 +165,21 @@ class HighwayGraph:
         if loc is not None:
             self.split_highway(loc[0], s)
         else:
-            self.intersections.add(s)
+            self._add_intersection(s)
 
     def _insert_highway(self, from_state: StateId, to_state: StateId,
                         actions: tuple, step_rewards: tuple, step_states: tuple) -> int:
         if not actions:
             raise ValueError("highway must have length >= 1")
-        if from_state not in self.intersections:
-            raise ValueError(f"highway source {from_state:#x} is not an intersection")
+        index = self._index
+        if not (from_state in index and to_state in index):
+            raise ValueError(f"an end of {from_state:#x} -> {to_state:#x} is not an intersection")
         first = actions[0]
         slot = self.out_edges.setdefault(from_state, {})
         if first in slot:
             raise ValueError("outgoing first action already taken")
-        hid = self._new_hid()
+        hid = self._next_hid
+        self._next_hid += 1
         ret = path_return(step_rewards, self.gamma)
         h = Highway(
             from_state=from_state, to_state=to_state,
@@ -152,11 +190,17 @@ class HighwayGraph:
             gamma_pow_len=self.gamma ** len(actions),
         )
         for offset, st in enumerate(h.interior, start=1):
-            if st in self.intersections or st in self.membership:
+            if st in index or st in self.membership:
                 raise RuntimeError(f"internal: interior state {st:#x} already placed")
             self.membership[st] = (hid, offset)
         slot[first] = hid
         self.highways[hid] = h
+        if hid == len(self._edge_ints):
+            self._edge_ints = np.concatenate([self._edge_ints, np.zeros_like(self._edge_ints)])
+            self._edge_floats = np.concatenate([self._edge_floats,
+                                                np.zeros_like(self._edge_floats)])
+        self._edge_ints[hid] = index[from_state], index[to_state], first, 1
+        self._edge_floats[hid] = ret, h.gamma_pow_len
         return hid
 
     def add_highway(self, from_state: StateId, to_state: StateId, actions,
@@ -194,8 +238,9 @@ class HighwayGraph:
         for st in h.interior:
             del self.membership[st]
         del self.highways[hid]
+        self._edge_ints[hid, 3] = 0
         del self.out_edges[h.from_state][h.first_action]
-        self.intersections.add(at)
+        self._add_intersection(at)
         h1 = self._insert_highway(h.from_state, at, h.actions[:k],
                                   h.step_rewards[:k], h.step_states[:k])
         h2 = self._insert_highway(at, h.to_state, h.actions[k:],

@@ -81,7 +81,8 @@ def save_highway_graph(path, graph: HighwayGraph):
 def load_highway_graph(path) -> HighwayGraph:
     data = _load(path, "highway_graph")
     graph = HighwayGraph(gamma=float(data["gamma"]))
-    graph.intersections.update(data["intersections"].tolist())
+    for s in data["intersections"].tolist():
+        graph.make_intersection(s)
     ptr = data["h_ptr"].tolist()
     flat_states = data["flat_states"].tolist()
     flat_actions = data["flat_actions"].tolist()

@@ -27,6 +27,10 @@ result: it converges to the unique fixed point from any start, and from a
 right one it stops after one sweep.  A warm-started solve, or a graph with
 no corridor intersection, sweeps the full graph only, from v_init or zero.
 
+A solve reads the graph only as the arrays `HighwayGraph.edge_columns`
+gathers from the graph's columns, never the Highway objects, and keeps
+nothing between calls.
+
 The per-sweep work is one update per highway plus one reduction per
 intersection; it does not grow with the expanded number of states covered
 by the highways.  The sweep is `bellman`'s, over the highways.  Its max is
@@ -55,30 +59,6 @@ class ValueTables:
     q: dict[tuple[StateId, ActionId], float] = field(default_factory=dict)
     iterations_run: int = 0
     final_delta: float = 0.0
-
-
-def _edge_arrays(graph: HighwayGraph):
-    """The graph as (states, keys, src, dst, path_return, gamma_pow_len).
-
-    states are the intersections in sorted order and keys the highways'
-    (from_state, first_action) pairs in sorted order; the arrays list the
-    highways in key order, with src and dst indexing states.
-    """
-    states = sorted(graph.intersections)
-    index = {s: i for i, s in enumerate(states)}
-    # the highways are read in the graph's own order, which is cheaper
-    # than in key order, and the arrays permuted afterwards
-    hws = graph.highways.values()
-    sources = [h.from_state for h in hws]
-    firsts = [h.actions[0] for h in hws]
-    src = np.array([index[s] for s in sources], np.intp)
-    # indices follow state order, so this sorts by (from_state, first_action)
-    order = np.lexsort((np.array(firsts, np.int64), src))
-    keys = [(sources[i], firsts[i]) for i in order.tolist()]
-    dst = np.array([index[h.to_state] for h in hws], np.intp)
-    path_return = np.array([h.path_return for h in hws], np.float64)
-    gamma_pow_len = np.array([h.gamma_pow_len for h in hws], np.float64)
-    return states, keys, src[order], dst[order], path_return[order], gamma_pow_len[order]
 
 
 def _corridor_start(n: int, src, dst, path_return, gamma_pow_len, delta: float):
@@ -159,19 +139,19 @@ def _solve(graph: HighwayGraph, delta: float,
            v_init: dict[StateId, float] | None) -> tuple[ValueTables, dict]:
     """The tables of value_update_loop plus the counts `solve` reports."""
     check_delta(delta)
-    states, keys, src, dst, path_return, gamma_pow_len = _edge_arrays(graph)
-    n = len(states)
+    ids, src, dst, first, path_return, gamma_pow_len = graph.edge_columns()
+    states = ids.tolist()
     if v_init:
         v0 = np.array([v_init.get(s, 0.0) for s in states], dtype=np.float64)
         counts = _no_contraction()
     else:
-        v0, counts = _corridor_start(n, src, dst, path_return, gamma_pow_len, delta)
-    eng = _SweepEngine(n, src, dst, path_return, gamma_pow_len)
+        v0, counts = _corridor_start(len(states), src, dst, path_return, gamma_pow_len, delta)
+    eng = _SweepEngine(len(states), src, dst, path_return, gamma_pow_len)
     v, q, sweeps, final_delta = sweep_values(eng, delta, v0)
     counts["full_sweeps"] = sweeps
     tables = ValueTables(
         v=dict(zip(states, v.tolist())),
-        q=dict(zip(keys, q[eng._q_perm].tolist())),
+        q=dict(zip(zip(ids[src].tolist(), first.tolist()), q[eng._q_perm].tolist())),
         iterations_run=counts["reduced_sweeps"] + sweeps,
         final_delta=final_delta,
     )
@@ -215,6 +195,8 @@ def completeness_report(values: dict[StateId, float], ground_truth: dict[StateId
         missing = set(ground_truth) - set(values)
         extra = set(values) - set(ground_truth)
         raise KeyMismatch(f"key sets differ: {len(missing)} missing, {len(extra)} extra")
+    if not values:
+        raise ValueError("no states to compare: both value maps are empty")
     dists = [abs(values[s] - ground_truth[s]) for s in values]
     within = sum(1 for d in dists if d <= tol)
     return {
@@ -228,10 +210,10 @@ def completeness_report(values: dict[StateId, float], ground_truth: dict[StateId
 def contraction_probe(graph: HighwayGraph, w: dict[StateId, float],
                       v: dict[StateId, float]) -> dict:
     """One-sweep contraction measurement: lhs = d(Gw, Gv), rhs = gamma * d(w, v)."""
-    states, _keys, *arrays = _edge_arrays(graph)
-    eng = _SweepEngine(len(states), *arrays)
+    states, src, dst, _first, path_return, gamma_pow_len = graph.edge_columns()
+    eng = _SweepEngine(len(states), src, dst, path_return, gamma_pow_len)
     try:
-        wa, va = (np.array([x[s] for s in states], dtype=np.float64) for x in (w, v))
+        wa, va = (np.array([x[s] for s in states.tolist()], dtype=np.float64) for x in (w, v))
     except KeyError as exc:
         raise ValueError(f"missing value entry for intersection {exc}") from exc
     gw, _ = eng.sweep(wa[eng.order])

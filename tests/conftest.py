@@ -14,7 +14,6 @@ from highway_rl.errors import DeterminismViolation
 from highway_rl.highway_graph import HighwayGraph
 from highway_rl.trainer import _topology_signature
 from highway_rl.transition_model import Trajectory, TransitionSample
-from highway_rl.value_iteration import _edge_arrays
 
 
 def mk_traj(*steps, terminal=False) -> Trajectory:
@@ -191,12 +190,13 @@ def contraction_cap(first_delta: float, delta: float, c: float) -> int:
 def one_sweep(graph: HighwayGraph, v_prev: dict):
     """One synchronous sweep from v_prev (missing states at 0.0); returns
     its (V, Q) maps."""
-    states, keys, *arrays = _edge_arrays(graph)
-    eng = _SweepEngine(len(states), *arrays)
+    ids, src, dst, first, path_return, gamma_pow_len = graph.edge_columns()
+    eng = _SweepEngine(len(ids), src, dst, path_return, gamma_pow_len)
+    states = ids.tolist()
     v0 = np.array([v_prev.get(s, 0.0) for s in states], np.float64)
     v, q = eng.sweep(v0[eng.order])
     return (dict(zip(states, v[eng._v_perm].tolist())),
-            dict(zip(keys, q[eng._q_perm].tolist())))
+            dict(zip(zip(ids[src].tolist(), first.tolist()), q[eng._q_perm].tolist())))
 
 
 # --------------------------------------------------- step-by-step reference ingest

@@ -6,6 +6,7 @@ which the graph's own ingest is compared against below.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from conftest import (check_graph_invariants, detect_against, detect_within, gra
 from highway_rl.errors import DeterminismViolation, NotInterior
 from highway_rl.highway_graph import (HighwayGraph, expand_to_empirical, graph_stats,
                                       path_return, to_dot)
+from highway_rl.serialize import load_highway_graph, save_highway_graph
 from highway_rl.transition_model import Trajectory, vanilla_value_iteration
 from highway_rl.value_iteration import value_update_loop
 
@@ -435,6 +437,52 @@ def test_ingest_matches_reference_on_replayed_walks(seed, episodes, max_len, bat
         reference_assemble(ref, stream[lo:lo + batch])
         assert graph_state(fast) == graph_state(ref)
     check_graph_invariants(fast)
+
+
+def _check_columns(graph: HighwayGraph, seen_index: dict):
+    """The columns agree with the Highway objects, retired ids are dead, and
+    no intersection's index moved since seen_index recorded it."""
+    states = sorted(graph.intersections)
+    rank = {s: i for i, s in enumerate(states)}
+    hws = sorted(graph.highways.values(), key=lambda h: (h.from_state, h.first_action))
+    ids, src, dst, first, ret, disc = graph.edge_columns()
+    assert ids.tolist() == states
+    assert src.tolist() == [rank[h.from_state] for h in hws]
+    assert dst.tolist() == [rank[h.to_state] for h in hws]
+    assert first.tolist() == [h.first_action for h in hws]
+    assert ret.tobytes() == np.array([h.path_return for h in hws]).tobytes()
+    assert disc.tobytes() == np.array([h.gamma_pow_len for h in hws]).tobytes()
+    alive = graph._edge_ints[:graph._next_hid, 3]
+    assert np.flatnonzero(alive).tolist() == sorted(graph.highways)
+    index = graph._index
+    assert list(index.values()) == list(range(len(index)))
+    assert all(index[s] == i for s, i in seen_index.items())
+    seen_index.update(index)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 40), st.integers(1, 5),
+       st.sampled_from([0.0, 0.25, 0.6]), st.data())
+def test_columns_match_the_highways_through_ingest_splits_and_reload(
+        tmp_path_factory, seed, episodes, max_len, batch, loop_share, data):
+    stream = _replayed_walks(random.Random(seed), episodes, max_len, loop_share)
+    g = HighwayGraph(gamma=0.95)
+    seen: dict = {}
+    for lo in range(0, len(stream), batch):
+        g.assemble(stream[lo:lo + batch])
+        _check_columns(g, seen)
+    if g.membership:
+        promoted = st.lists(st.sampled_from(sorted(g.membership)), max_size=4, unique=True)
+        for s in data.draw(promoted):
+            g.make_intersection(s)           # splits the highway through s
+            _check_columns(g, seen)
+    path = tmp_path_factory.mktemp("graph") / "graph.npz"
+    save_highway_graph(path, g)
+    loaded = load_highway_graph(path)
+    _check_columns(loaded, {})
+    (ids, *cols), (ids_before, *cols_before) = loaded.edge_columns(), g.edge_columns()
+    assert ids.tolist() == ids_before.tolist()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(cols, cols_before))
 
 
 def test_ingest_splits_in_first_departure_order():

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +14,9 @@ from highway_rl.bellman import _SweepEngine
 from highway_rl.environments import EnvSpec, make_env
 from highway_rl.errors import KeyMismatch
 from highway_rl.highway_graph import HighwayGraph, expand_to_empirical
+from highway_rl.serialize import load_highway_graph, save_highway_graph
 from highway_rl.transition_model import Trajectory, TransitionSample, vanilla_value_iteration
-from highway_rl.value_iteration import (_corridor_start, _edge_arrays, completeness_report,
+from highway_rl.value_iteration import (_corridor_start, completeness_report,
                                         contraction_probe, interior_values, q_to_csv, solve,
                                         value_update_loop, values_to_csv)
 
@@ -158,9 +160,9 @@ def _bits(table):
 def _contracted_start(graph, delta):
     """A cold solve's starting values, as a map, and its contracted sweeps
     (None and 0 when no intersection is a corridor)."""
-    states, _keys, *arrays = _edge_arrays(graph)
-    v0, counts = _corridor_start(len(states), *arrays, delta)
-    start = None if v0 is None else dict(zip(states, v0.tolist()))
+    states, src, dst, _first, path_return, gamma_pow_len = graph.edge_columns()
+    v0, counts = _corridor_start(len(states), src, dst, path_return, gamma_pow_len, delta)
+    start = None if v0 is None else dict(zip(states.tolist(), v0.tolist()))
     return start, counts["reduced_sweeps"]
 
 
@@ -208,6 +210,86 @@ def test_loop_is_bitwise_equal_to_the_per_highway_loop(seed, shape, delta, warm)
     assert tables.iterations_run == contracted_sweeps + iterations
     assert type(tables.final_delta) is float
     assert struct.pack("<d", tables.final_delta) == struct.pack("<d", final_delta)
+
+
+def _rebuilt(graph, order, rng):
+    """graph rebuilt by add_highway calls in the given order of its highway
+    ids, after making the intersections that start no highway, shuffled."""
+    out = HighwayGraph(gamma=graph.gamma)
+    lone = [s for s in graph.intersections if s not in graph.out_edges]
+    rng.shuffle(lone)
+    for s in lone:
+        out.make_intersection(s)
+    for hid in order:
+        h = graph.highways[hid]
+        out.add_highway(h.from_state, h.to_state, h.actions, h.step_rewards, h.interior)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(["random", "corridors"]))
+def test_results_do_not_depend_on_how_the_states_are_numbered(seed, shape, tmp_path_factory):
+    rng = random.Random(seed)
+    g = (random_highway_graph(rng, max_intersections=15) if shape == "random"
+         else corridor_highway_graph(rng))
+    hids = sorted(g.highways)
+    built = [_rebuilt(g, rng.sample(hids, len(hids)), rng) for _ in range(2)]
+    path = tmp_path_factory.mktemp("graph") / "graph.npz"
+    save_highway_graph(path, built[0])
+    built.append(load_highway_graph(path))      # intersections made in sorted order
+    assert sorted(built[2].intersections) == list(built[2].intersections)
+    if shape == "corridors":
+        assert solve(g, delta=1e-10)[1]["contracted"]      # the contracted start runs
+    v_init = {s: rng.uniform(-5, 5) for s in g.intersections if rng.random() < 0.8}
+    for warm in (None, v_init):
+        want = value_update_loop(g, delta=1e-10, v_init=warm)
+        for other in built:
+            got = value_update_loop(other, delta=1e-10, v_init=warm)
+            assert _bits(got.v) == _bits(want.v) and _bits(got.q) == _bits(want.q)
+            assert got.iterations_run == want.iterations_run
+            assert struct.pack("<d", got.final_delta) == struct.pack("<d", want.final_delta)
+
+
+class _LenOnly(Mapping):
+    """A stand-in for graph.highways that has a length and nothing else."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, hid):
+        raise AssertionError("the solve looked a highway up")
+
+    def __iter__(self):
+        raise AssertionError("the solve iterated graph.highways")
+
+    def values(self):
+        raise AssertionError("the solve read graph.highways.values()")
+
+
+@pytest.mark.parametrize("make", [lambda: corridor_highway_graph(random.Random(7)),
+                                  lambda: random_highway_graph(random.Random(8), 15)],
+                         ids=["corridors", "random"])
+def test_the_solve_reads_columns_not_highway_objects(make):
+    g = make()
+    v_init = dict.fromkeys(g.intersections, 1.0)
+    cold, warm = value_update_loop(g, 1e-10), value_update_loop(g, 1e-6, v_init)
+    g.highways = _LenOnly(len(g.highways))
+    assert solve(g, delta=1e-10)[0] == cold
+    assert value_update_loop(g, 1e-6, v_init) == warm
+
+
+def test_tables_key_on_the_graphs_own_state_objects():
+    # the solve's V and Q keys are the graph's id objects, not copies, so a
+    # kept table costs no second int per state
+    g = random_highway_graph(random.Random(8), 15)
+    own = {s: s for s in g.intersections}
+    assert min(own) > 2 ** 30                       # beyond the small-int cache
+    tables = value_update_loop(g, 1e-10)
+    assert all(own[s] is s for s in tables.v)
+    assert all(own[s] is s for s, _a in tables.q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,6 +479,11 @@ def test_completeness_requires_same_keys():
         completeness_report({1: 0.0}, {1: 0.0, 2: 0.0}, tol=1e-9)
 
 
+def test_completeness_rejects_empty_maps():
+    with pytest.raises(ValueError, match="no states to compare"):
+        completeness_report({}, {}, tol=1e-9)
+
+
 def test_completeness_tolerance_boundary():
     report = completeness_report({1: 0.1}, {1: 0.0}, tol=0.1)
     assert report["completeness_pct"] == 100.0
@@ -466,8 +553,8 @@ def test_monotone_convergence_from_zero_with_nonnegative_rewards():
                           [a] + [0] * (length - 1),
                           [round(rng.uniform(0, 1), 6)] * length,
                           [next(interior) for _ in range(length - 1)])
-    states, _keys, *arrays = _edge_arrays(g)
-    eng = _SweepEngine(len(states), *arrays)
+    states, src, dst, _first, path_return, gamma_pow_len = g.edge_columns()
+    eng = _SweepEngine(len(states), src, dst, path_return, gamma_pow_len)
     v = [0.0] * eng.n
     for _ in range(50):
         v_next, _ = eng.sweep(v)
