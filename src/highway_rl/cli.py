@@ -47,6 +47,7 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _read_config_file(path: str) -> dict:
+    """The key=value lines of a --config file; blank and # lines are skipped."""
     out = {}
     with open(path) as f:
         for line in f:
@@ -54,7 +55,7 @@ def _read_config_file(path: str) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
+                raise argparse.ArgumentTypeError(f"bad config line: {line!r}")
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out
@@ -92,37 +93,15 @@ def _load_run(run_dir):
 # ------------------------------------------------------------------- commands
 
 def cmd_train(args) -> int:
-    merged = {}
-    if args.config:
-        merged = _read_config_file(args.config)
-
-    def pick(flag_value, key, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in merged:
-            return cast(merged[key])
-        return default
-
-    kind = pick(args.env, "env", str, None)
-    if kind is None:
+    if args.env is None:
         print("error: --env is required", file=sys.stderr)
         return EXIT_CONFIG
-    defaults = trainer.TrainConfig
-    spec = _env_spec_from_args(kind, pick(args.size, "size", str, None),
-                               pick(args.seed, "seed", int, EnvSpec.seed))
+    spec = _env_spec_from_args(args.env, args.size, args.seed)
     config = trainer.TrainConfig(
-        env=spec,
-        actors=pick(args.actors, "actors", int, defaults.actors),
-        episodes_per_update=pick(args.episodes_per_update, "episodes_per_update", int,
-                                 defaults.episodes_per_update),
-        frame_budget=pick(args.frames, "frames", int, defaults.frame_budget),
-        gamma=pick(args.gamma, "gamma", float, defaults.gamma),
-        delta=pick(args.delta, "delta", float, defaults.delta),
-        convergence_patience=pick(args.patience, "patience", int,
-                                  defaults.convergence_patience),
-        run_seed=pick(args.run_seed, "run_seed", int, defaults.run_seed),
-        episode_step_cap=pick(args.step_cap, "step_cap", int, defaults.episode_step_cap),
-    )
+        env=spec, actors=args.actors, episodes_per_update=args.episodes_per_update,
+        frame_budget=args.frames, gamma=args.gamma, delta=args.delta,
+        convergence_patience=args.patience, run_seed=args.run_seed,
+        episode_step_cap=args.step_cap)
     run_dir = args.out
     if run_dir is None:
         name = spec.kind
@@ -134,7 +113,7 @@ def cmd_train(args) -> int:
 
     # metrics are streamed row by row while the run progresses
     with open(os.path.join(run_dir, "metrics.csv"), "w") as metrics_file:
-        metrics_file.write(f"# {trainer.METRICS_SCHEMA}\n{trainer.METRICS_HEADER}\n")
+        metrics_file.write(trainer.RunMetrics().to_csv())
         metrics_file.flush()
 
         def stream_row(row):
@@ -302,10 +281,7 @@ def cmd_distill(args) -> int:
     approx = fit(dataset, cfg, action_count=env.action_count)
     path = os.path.join(args.run, "approximator.npz")
     serialize.save_approximator(path, approx)
-    serialize.write_manifest(args.run, manifest["config"], extra={
-        key: manifest[key] for key in
-        ("converged_at_update", "updates_run", "frames_used", "frames_at_convergence")
-        if key in manifest})
+    serialize.write_manifest(args.run, manifest["config"], extra=manifest)
     scored = [s for s in graph.intersections if graph.out_edges.get(s)]
     agreement = policy_agreement(
         approx, scored, features_of,
@@ -342,26 +318,40 @@ def cmd_eval_hgq(args) -> int:
 
 # --------------------------------------------------------------------- parser
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The hgrl parser; config (key=value pairs of a --config file) becomes
+    the defaults of the train flags with those names, so argparse converts
+    each value as it converts the flag, and an explicit flag still wins."""
     parser = argparse.ArgumentParser(prog="hgrl",
                                      description="highway-graph reinforcement learning")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train an agent and write a run directory")
-    p.add_argument("--env", choices=["maze", "cliffwalking", "taxi"])
-    p.add_argument("--size", help="maze size as WxH")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--actors", type=int)
-    p.add_argument("--episodes-per-update", type=int, dest="episodes_per_update")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--run-seed", type=int, dest="run_seed")
-    p.add_argument("--step-cap", type=int, dest="step_cap")
-    p.add_argument("--config", help="key=value config file; flags override")
+    defaults = trainer.TrainConfig
+    settings = [
+        p.add_argument("--env", choices=["maze", "cliffwalking", "taxi"]),
+        p.add_argument("--size", help="maze size as WxH"),
+        p.add_argument("--seed", type=int, default=EnvSpec.seed),
+        p.add_argument("--frames", type=int, default=defaults.frame_budget),
+        p.add_argument("--actors", type=int, default=defaults.actors),
+        p.add_argument("--episodes-per-update", type=int, dest="episodes_per_update",
+                       default=defaults.episodes_per_update),
+        p.add_argument("--gamma", type=float, default=defaults.gamma),
+        p.add_argument("--delta", type=float, default=defaults.delta),
+        p.add_argument("--patience", type=int, default=defaults.convergence_patience),
+        p.add_argument("--run-seed", type=int, dest="run_seed", default=defaults.run_seed),
+        p.add_argument("--step-cap", type=int, dest="step_cap",
+                       default=defaults.episode_step_cap),
+    ]
+    p.add_argument("--config", type=_read_config_file,
+                   help="key=value file; keys are the flags above, flags override")
     p.add_argument("--out", help="run directory (default under HG_RUN_DIR or ./runs)")
     p.set_defaults(func=cmd_train)
+    if config:
+        unknown = sorted(set(config) - {action.dest for action in settings})
+        if unknown:
+            p.error(f"unknown --config key(s): {', '.join(unknown)}")
+        p.set_defaults(**config)
 
     p = sub.add_parser("eval", help="greedy evaluation of a trained artifact")
     p.add_argument("--run", required=True)
@@ -405,9 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if getattr(args, "config", None):
+            args = build_parser(args.config).parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage; normalize its code to the config exit
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

@@ -172,7 +172,8 @@ def _sha256(path) -> str:
 
 
 def write_manifest(run_dir, config: dict, extra: dict | None = None):
-    """List every artifact in the run directory with its digest."""
+    """List every artifact in the run directory with its digest; extra adds
+    top-level fields but never replaces the four written here."""
     files = {}
     for name in sorted(os.listdir(run_dir)):
         if name == "manifest.json":
@@ -181,13 +182,12 @@ def write_manifest(run_dir, config: dict, extra: dict | None = None):
         if os.path.isfile(full):
             files[name] = _sha256(full)
     manifest = {
+        **(extra or {}),
         "tool_version": TOOL_VERSION,
         "format_version": FORMAT_VERSION,
         "config": config,
         "files": files,
     }
-    if extra:
-        manifest.update(extra)
     with open(os.path.join(run_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
     return manifest

@@ -24,7 +24,7 @@ import hashlib
 import random
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bellman import check_delta
 from .environments import (DEFAULT_EPISODES_PER_UPDATE, DEFAULT_EVAL_STEP_CAP,
@@ -83,9 +83,7 @@ class UpdateRow:
     policy_sig: str
 
 
-METRICS_HEADER = ("update,frames_so_far,wall_ms,expected_discounted_return,"
-                  "total_reward,intersections,highways,z,vi_sweeps,"
-                  "topology_sig,policy_sig")
+METRICS_HEADER = ",".join(f.name for f in fields(UpdateRow))
 
 
 def metrics_row_line(r: "UpdateRow") -> str:

@@ -65,8 +65,8 @@ def _corridor_start(n: int, src, dst, path_return, gamma_pow_len, delta: float):
     """Starting values for a cold solve from the corridor-contracted graph.
 
     Takes the graph as key-order arrays and returns (v0, counts): v0 in key
-    order, or None when no state is a corridor intersection, and the counts
-    `solve` reports.
+    order and the counts `solve` reports; None when no state is a corridor
+    intersection.
     """
     out_degree = np.bincount(src, minlength=n)
     first = np.cumsum(out_degree) - out_degree
@@ -75,7 +75,7 @@ def _corridor_start(n: int, src, dst, path_return, gamma_pow_len, delta: float):
     one, two = dst[first[cand]], dst[first[cand] + 1]
     cand = cand[(one != two) & (one != cand) & (two != cand)]
     if not cand.size:
-        return None, _no_contraction()
+        return None
     neighbour, other = np.full(n, -1), np.full(n, -1)
     neighbour[cand], other[cand] = dst[first[cand]], dst[first[cand] + 1]
     # and those two as its only predecessors
@@ -87,7 +87,7 @@ def _corridor_start(n: int, src, dst, path_return, gamma_pow_len, delta: float):
     corridor &= reached
     corridor[dst[~(from_one | from_other)]] = False
     if not corridor.any():
-        return None, _no_contraction()
+        return None
     # An edge into a corridor state goes on along that state's out-edge to
     # the neighbour it did not come from.  Pointer jumping composes each
     # edge with the edges after it until it reaches a kept state: `end` is
@@ -130,34 +130,6 @@ def _corridor_start(n: int, src, dst, path_return, gamma_pow_len, delta: float):
                 "reduced_highways": int(edges.size), "reduced_sweeps": sweeps}
 
 
-def _no_contraction() -> dict:
-    return {"contracted": 0, "reduced_intersections": 0, "reduced_highways": 0,
-            "reduced_sweeps": 0}
-
-
-def _solve(graph: HighwayGraph, delta: float,
-           v_init: dict[StateId, float] | None) -> tuple[ValueTables, dict]:
-    """The tables of value_update_loop plus the counts `solve` reports."""
-    check_delta(delta)
-    ids, src, dst, first, path_return, gamma_pow_len = graph.edge_columns()
-    states = ids.tolist()
-    if v_init:
-        v0 = np.array([v_init.get(s, 0.0) for s in states], dtype=np.float64)
-        counts = _no_contraction()
-    else:
-        v0, counts = _corridor_start(len(states), src, dst, path_return, gamma_pow_len, delta)
-    eng = _SweepEngine(len(states), src, dst, path_return, gamma_pow_len)
-    v, q, sweeps, final_delta = sweep_values(eng, delta, v0)
-    counts["full_sweeps"] = sweeps
-    tables = ValueTables(
-        v=dict(zip(states, v.tolist())),
-        q=dict(zip(zip(ids[src].tolist(), first.tolist()), q[eng._q_perm].tolist())),
-        iterations_run=counts["reduced_sweeps"] + sweeps,
-        final_delta=final_delta,
-    )
-    return tables, counts
-
-
 def value_update_loop(graph: HighwayGraph, delta: float = 1e-6,
                       v_init: dict[StateId, float] | None = None) -> ValueTables:
     """Sweep until no intersection value moves by delta (> 0).
@@ -169,7 +141,7 @@ def value_update_loop(graph: HighwayGraph, delta: float = 1e-6,
     out their own sweep cap (`bellman.sweep_values`); iterations_run counts
     both.  Stopping short of delta is recorded in the result, not raised.
     """
-    return _solve(graph, delta, v_init)[0]
+    return solve(graph, delta, v_init)[0]
 
 
 def interior_values(graph: HighwayGraph, tables: ValueTables) -> dict[StateId, float]:
@@ -237,19 +209,35 @@ def solve(graph: HighwayGraph, delta: float = 1e-6, v_init: dict[StateId, float]
     contracted).
     """
     start = time.perf_counter()
-    tables, counts = _solve(graph, delta, v_init)
+    check_delta(delta)
+    ids, src, dst, first, path_return, gamma_pow_len = graph.edge_columns()
+    states = ids.tolist()
+    found = None if v_init else _corridor_start(len(states), src, dst, path_return,
+                                                gamma_pow_len, delta)
+    v0, counts = found or (None, dict.fromkeys(
+        ("contracted", "reduced_intersections", "reduced_highways", "reduced_sweeps"), 0))
+    if v_init:
+        v0 = np.array([v_init.get(s, 0.0) for s in states], dtype=np.float64)
+    eng = _SweepEngine(len(states), src, dst, path_return, gamma_pow_len)
+    v, q, sweeps, final_delta = sweep_values(eng, delta, v0)
+    tables = ValueTables(
+        v=dict(zip(states, v.tolist())),
+        q=dict(zip(zip(ids[src].tolist(), first.tolist()), q[eng._q_perm].tolist())),
+        iterations_run=counts["reduced_sweeps"] + sweeps,
+        final_delta=final_delta,
+    )
     elapsed = time.perf_counter() - start
     updates = len(graph.highways)
     stats = {
         "sweeps": tables.iterations_run,
         "per_sweep_updates": updates,
-        "total_updates": (counts["full_sweeps"] * updates
-                          + counts["reduced_sweeps"] * counts["reduced_highways"]),
+        "total_updates": sweeps * updates + counts["reduced_sweeps"] * counts["reduced_highways"],
         # each highway covers its length in transitions
         "covered_ops": tables.iterations_run * (updates + len(graph.membership)),
         "wall_seconds": elapsed,
-        "converged": tables.final_delta < delta,
+        "converged": final_delta < delta,
         **counts,
+        "full_sweeps": sweeps,
     }
     return tables, stats
 

@@ -56,9 +56,9 @@ def random_highway_graph(rng: random.Random, max_intersections: int = 50,
 def corridor_highway_graph(rng: random.Random, gamma: float = 0.9) -> HighwayGraph:
     """Random hubs joined by two-way corridor chains.
 
-    A chain runs between two hubs or back to its own hub, and up to two
-    rings of corridor intersections stand alone, with no hub to keep (a
-    graph may have no hub at all).  Some hubs also get one-way highways
+    A chain runs between two hubs or back to its own hub (then through at
+    least two cells), and up to two rings of corridor intersections stand
+    alone, with no hub to keep (a graph may have no hub at all).  Some hubs also get one-way highways
     between them, and some graphs a terminal that a hub leads into.  Steps
     cost, but in half of the graphs a fifth of the two-way links pay both
     ways, enough that going back and forth beats going through.
@@ -84,8 +84,14 @@ def corridor_highway_graph(rng: random.Random, gamma: float = 0.9) -> HighwayGra
 
     hubs = [next(ids) for _ in range(rng.randint(0, 3))]
     for _ in range(rng.randint(1, 4) if hubs else 0):
-        two_way([rng.choice(hubs)] + [next(ids) for _ in range(rng.randint(1, 8))]
-                + [rng.choice(hubs)])
+        start = rng.choice(hubs)
+        cells = [next(ids) for _ in range(rng.randint(1, 8))]
+        end = rng.choice(hubs)
+        if end == start and len(cells) == 1:
+            # a lone cell would lead only to the hub, so it is no corridor;
+            # the second cell takes no rng draw, so other seeds are unchanged
+            cells.append(next(ids))
+        two_way([start, *cells, end])
     for _ in range(rng.randint(0 if hubs else 1, 2)):
         ring = [next(ids) for _ in range(rng.randint(3, 6))]
         two_way(ring + ring[:1])

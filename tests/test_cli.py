@@ -79,6 +79,44 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert read_manifest(out2)["config"]["env_seed"] == 9
 
 
+@pytest.mark.parametrize("text, named", [("env=maze\nsize=3x3\nframe_budget=1000\n",
+                                          "frame_budget"),
+                                         ("env=taxi\nactors=x\n", "actors")],
+                         ids=["unknown-key", "bad-value"])
+def test_config_file_errors_exit_2_and_name_the_key(tmp_path, capsys, text, named):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_runs_config_txt_is_not_a_config_file(run_dir, tmp_path, capsys):
+    # config.txt records TrainConfig's field names; --config takes the flags'
+    out = tmp_path / "again"
+    assert cli.main(["train", "--config", str(run_dir / "config.txt"), "--out", str(out)]) == 2
+    assert "env_kind" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_values_are_converted_as_the_flags_are(tmp_path, monkeypatch):
+    seen = []
+
+    def record(config, on_update=None):
+        seen.append(config)
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(cli.trainer, "train", record)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("env=taxi\ngamma=0.9\n")
+    for flags in ([], ["--gamma", "0.5"]):
+        assert cli.main(["train", "--config", str(cfg), *flags,
+                         "--out", str(tmp_path / "x")]) == 2
+    assert [config.gamma for config in seen] == [0.9, 0.5]
+    assert type(seen[0].gamma) is float
+
+
 def test_run_dir_defaults_to_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("HG_RUN_DIR", str(tmp_path / "root"))
     assert cli.main(["train", "--env", "maze", "--size", "3x3", "--seed", "7",
@@ -153,9 +191,7 @@ def test_completeness_refuses_an_unconverged_solve(run_dir, tmp_path, capsys):
     save_value_tables(stalled / "tables.npz", dataclasses.replace(tables, final_delta=1.0))
     manifest = read_manifest(stalled)
     # re-list the digests, so only the convergence check can refuse the run
-    write_manifest(stalled, manifest["config"], extra={
-        k: v for k, v in manifest.items()
-        if k not in ("tool_version", "format_version", "config", "files")})
+    write_manifest(stalled, manifest["config"], extra=manifest)
     assert cli.main(["completeness", "--run", str(stalled)]) == 5
     err = capsys.readouterr().err
     assert "1.0" in err and repr(manifest["config"]["delta"]) in err
@@ -205,6 +241,17 @@ def test_distill_and_eval_hgq(run_dir, capsys):
     assert cli.main(["eval-hgq", "--run", str(run_dir), "--episodes", "2"]) == 0
     out = capsys.readouterr().out
     assert "mean_total_reward:" in out
+
+
+def test_distill_keeps_every_manifest_field(run_dir):
+    manifest = read_manifest(run_dir)
+    write_manifest(run_dir, manifest["config"], extra={**manifest, "certified": True})
+    assert cli.main(["distill", "--run", str(run_dir), "--epochs", "2"]) == 0
+    after = read_manifest(run_dir)
+    assert after.pop("certified") is True
+    assert after.pop("files").keys() == manifest.pop("files").keys() | {"approximator.npz"}
+    assert after == manifest
+    assert verify_manifest(run_dir)
 
 
 @pytest.mark.parametrize("command", ["eval", "eval-hgq"])

@@ -139,3 +139,15 @@ def test_manifest_digests(tmp_path):
     assert verify_manifest(tmp_path)
     (tmp_path / "a.txt").write_text("tampered")
     assert not verify_manifest(tmp_path)
+
+
+def test_manifest_extra_cannot_replace_the_core_fields(tmp_path):
+    save_highway_graph(tmp_path / "graph.npz", random_highway_graph(random.Random(3), 15))
+    manifest = write_manifest(tmp_path, {"k": 1},
+                              extra={"files": {}, "config": {}, "note": "kept"})
+    assert read_manifest(tmp_path) == manifest
+    assert manifest["config"] == {"k": 1} and manifest["note"] == "kept"
+    assert set(manifest["files"]) == {"graph.npz"}
+    with open(tmp_path / "graph.npz", "ab") as f:
+        f.write(b"\0")
+    assert not verify_manifest(tmp_path)

@@ -161,9 +161,11 @@ def _contracted_start(graph, delta):
     """A cold solve's starting values, as a map, and its contracted sweeps
     (None and 0 when no intersection is a corridor)."""
     states, src, dst, _first, path_return, gamma_pow_len = graph.edge_columns()
-    v0, counts = _corridor_start(len(states), src, dst, path_return, gamma_pow_len, delta)
-    start = None if v0 is None else dict(zip(states.tolist(), v0.tolist()))
-    return start, counts["reduced_sweeps"]
+    found = _corridor_start(len(states), src, dst, path_return, gamma_pow_len, delta)
+    if found is None:
+        return None, 0
+    v0, counts = found
+    return dict(zip(states.tolist(), v0.tolist())), counts["reduced_sweeps"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -228,6 +230,7 @@ def _rebuilt(graph, order, rng):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(["random", "corridors"]))
+@example(seed=45087, shape="corridors")     # every chain ran from a hub back to itself
 def test_results_do_not_depend_on_how_the_states_are_numbered(seed, shape, tmp_path_factory):
     rng = random.Random(seed)
     g = (random_highway_graph(rng, max_intersections=15) if shape == "random"
