@@ -48,16 +48,19 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 def _read_config_file(path: str) -> dict:
     """The key=value lines of a --config file; blank and # lines are skipped."""
+    try:
+        with open(path) as f:
+            lines = [line.strip() for line in f]
+    except OSError as e:
+        raise argparse.ArgumentTypeError(f"cannot read {path}: {e.strerror}") from None
     out = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise argparse.ArgumentTypeError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise argparse.ArgumentTypeError(f"bad config line: {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 

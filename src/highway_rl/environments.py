@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,6 @@ class _TabularEnv:
 
     def _bfs_steps(self) -> dict:
         """Minimum number of actions from each state to episode termination."""
-        from collections import deque
-
         preds: dict = {obs: [] for obs in self._states}
         for (obs, _a), res in self._table.items():
             preds[res.next_obs].append(obs)
@@ -307,17 +306,9 @@ class TaxiEnv(_TabularEnv):
     """Standard 5x5 taxi: pick the passenger up and drop them at the destination."""
 
     def _build(self):
-        initial = []
-        for row in range(5):
-            for col in range(5):
-                for pas in range(4):
-                    for dest in range(4):
-                        if pas != dest:
-                            initial.append(_taxi_encode(row, col, pas, dest))
-        self.initial_states = initial
+        initial = [_taxi_encode(row, col, pas, dest) for row in range(5) for col in range(5)
+                   for pas in range(4) for dest in range(4) if pas != dest]
         # breadth-first closure over the dynamics
-        from collections import deque
-
         seen = set(initial)
         queue = deque(initial)
         while queue:

@@ -31,9 +31,7 @@ optimal values untouched.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, islice
 from operator import ne
 
@@ -79,12 +77,6 @@ class Highway:
         """States strictly between the endpoints (length - 1 entries)."""
         return self.step_states[:-1]
 
-    @cached_property
-    def signature(self) -> bytes:
-        """The bytes this highway adds to a topology signature, built once."""
-        return (struct.pack("<QQq", self.from_state, self.to_state, self.first_action)
-                + repr((self.actions, self.step_states, self.step_rewards)).encode())
-
 
 class HighwayGraph:
     """Incrementally maintained highway graph over sampled transitions."""
@@ -111,11 +103,6 @@ class HighwayGraph:
 
     # ------------------------------------------------------------------ queries
 
-    @property
-    def version(self) -> tuple[int, int]:
-        """Moves with the topology: no intersection is removed, and new highways get new ids."""
-        return self._next_hid, len(self.intersections)
-
     def contains_state(self, s: StateId) -> bool:
         return s in self.intersections or s in self.membership
 
@@ -134,7 +121,7 @@ class HighwayGraph:
         states lists the intersections ascending, as an object array of the
         graph's own ids, so that tables keyed from it share them; the others
         list the live highways by (from_state, first action), src and dst
-        indexing states.
+        indexing states.  The solve and the trainer's topology signature read it.
         """
         n = len(self._index)
         states = np.fromiter(self._index, object, n)
@@ -181,14 +168,10 @@ class HighwayGraph:
         hid = self._next_hid
         self._next_hid += 1
         ret = path_return(step_rewards, self.gamma)
-        h = Highway(
-            from_state=from_state, to_state=to_state,
-            actions=tuple(actions), step_rewards=tuple(step_rewards),
-            step_states=tuple(step_states),
-            cached_reward=self.gamma * ret,
-            path_return=ret,
-            gamma_pow_len=self.gamma ** len(actions),
-        )
+        h = Highway(from_state=from_state, to_state=to_state, actions=tuple(actions),
+                    step_rewards=tuple(step_rewards), step_states=tuple(step_states),
+                    cached_reward=self.gamma * ret, path_return=ret,
+                    gamma_pow_len=self.gamma ** len(actions))
         for offset, st in enumerate(h.interior, start=1):
             if st in index or st in self.membership:
                 raise RuntimeError(f"internal: interior state {st:#x} already placed")
@@ -207,8 +190,9 @@ class HighwayGraph:
                     rewards, interior=()) -> int:
         """Directly add a highway (fixture/builder path, not trajectory ingestion).
 
-        interior must list the length-1 states strictly between the endpoints.
-        Both endpoints are promoted to intersections.
+        interior must list the length-1 states strictly between the endpoints,
+        each distinct and new to the graph.  Both endpoints are promoted to
+        intersections.  Bad input raises ValueError before anything is written.
         """
         actions = tuple(actions)
         rewards = tuple(float(r) for r in rewards)
@@ -217,6 +201,16 @@ class HighwayGraph:
             raise ValueError("rewards and actions must have equal length")
         if len(interior) != len(actions) - 1:
             raise ValueError("interior must have length - 1 states")
+        if not np.isfinite(rewards).all():
+            raise ValueError("rewards must be finite")
+        if len(set(interior) - {from_state, to_state}) < len(interior) or any(
+                map(self.contains_state, interior)):
+            raise ValueError("interior states must be distinct, new and not endpoints")
+        loc = self.membership.get(from_state)
+        taken = self.out_edges.get(from_state, ()) if loc is None else (
+            self.highways[loc[0]].actions[loc[1]],)
+        if actions[0] in taken:
+            raise ValueError("outgoing first action already taken")
         self.make_intersection(from_state)
         self.make_intersection(to_state)
         step_states = interior + (to_state,)

@@ -9,9 +9,9 @@ run is reproducible regardless of actor scheduling.
 An episode costs, per frame, one call of the episode's compiled action
 chooser (an exploration draw and one lookup in the snapshot's greedy table),
 one environment step and one state id, appended to the trajectory's four
-columns; the chooser, `step` and `state_id` are bound once per episode.  An
-update's learner work around its value solve is per change: the topology
-signature is recomputed only when the graph's `version` moves.
+columns; the chooser, `step` and `state_id` are bound once per episode.  Each
+update signs the topology afresh from arrays the graph already keeps, so no
+signature is cached.
 
 Convergence is declared at the first update after which a configured number
 of consecutive updates changed neither the graph topology nor any greedy
@@ -26,10 +26,12 @@ import struct
 import time
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .bellman import check_delta
 from .environments import (DEFAULT_EPISODES_PER_UPDATE, DEFAULT_EVAL_STEP_CAP,
                            DEFAULT_STEP_CAP, EnvSpec, make_env)
-from .highway_graph import Highway, HighwayGraph, graph_stats
+from .highway_graph import HighwayGraph, graph_stats
 from .policy import PolicySnapshot, chooser, epsilon_greedy
 from .transition_model import StateId, Trajectory
 from .value_iteration import ValueTables, value_update_loop
@@ -125,11 +127,22 @@ def _mix_seed(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little") >> 1
 
 
-def _topology_signature(states: list[StateId], highways: dict[int, Highway]) -> str:
-    """Digest of the sorted intersections (each <Q), then of each highway's signature."""
-    data = struct.pack(f"<{len(states)}Q", *states)
-    data += b"".join([highways[hid].signature for hid in sorted(highways)])
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
+def _topology_signature(graph: HighwayGraph) -> str:
+    """Digest of the graph's arrays, each little-endian after its length (<Q).
+
+    The sorted intersections and interior states, then `edge_columns`' src, dst,
+    first, path_return and gamma_pow_len in key order.  Determinism lets (from
+    state, first action) fix a highway's steps, and a run only grows its graph,
+    so the digest moves exactly when the topology does.  The steps' actions and
+    rewards are not hashed: two hand-built graphs can differ there and share it.
+    """
+    states, *edges = graph.edge_columns()
+    interior = np.array(sorted(graph.membership), "<u8")
+    digest = hashlib.blake2b(digest_size=16)
+    for col in (states.astype("<u8"), interior, *edges):
+        col = col.astype(col.dtype.newbyteorder("<"))
+        digest.update(struct.pack("<Q", len(col)) + col.tobytes())
+    return digest.hexdigest()
 
 
 def _policy_signature(states: list[StateId], snapshot: PolicySnapshot) -> str:
@@ -258,7 +271,6 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
     tables = ValueTables()
     snapshot = PolicySnapshot(graph, tables, env.action_count)
     metrics = RunMetrics()
-    version = None
     frames = 0
     episode_index = 0
     update = 0
@@ -281,9 +293,6 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
         ev = evaluate(snapshot, env, EVAL_EPISODES, gamma=config.gamma,
                       step_cap=step_cap, seed=_mix_seed(config.run_seed, 31, update))
         stats = graph_stats(graph)
-        if graph.version != version:
-            version, states = graph.version, sorted(graph.intersections)
-            topology_sig = _topology_signature(states, graph.highways)
         row = UpdateRow(
             update=update,
             frames_so_far=frames,
@@ -294,8 +303,8 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
             highways=stats["highways"],
             z=stats["z"],
             vi_sweeps=tables.iterations_run,
-            topology_sig=topology_sig,
-            policy_sig=_policy_signature(states, snapshot),
+            topology_sig=_topology_signature(graph),
+            policy_sig=_policy_signature(sorted(graph.intersections), snapshot),
         )
         metrics.rows.append(row)
         if on_update is not None:

@@ -317,7 +317,7 @@ def graph_state(g: HighwayGraph):
     return (set(g.intersections), dict(g.highways), dict(g.membership),
             {s: dict(slots) for s, slots in g.out_edges.items()},
             list(g.observed.items()), g._next_hid,
-            _topology_signature(sorted(g.intersections), g.highways))
+            _topology_signature(g))
 
 
 @pytest.fixture

@@ -92,6 +92,15 @@ def test_config_file_errors_exit_2_and_name_the_key(tmp_path, capsys, text, name
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["absent.cfg", ""], ids=["missing-file", "directory"])
+def test_an_unreadable_config_file_exits_2_and_names_the_path(tmp_path, capsys, name):
+    path = tmp_path / name
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_runs_config_txt_is_not_a_config_file(run_dir, tmp_path, capsys):
     # config.txt records TrainConfig's field names; --config takes the flags'
     out = tmp_path / "again"

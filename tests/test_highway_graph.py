@@ -4,6 +4,7 @@ The detection rule tests exercise the step-by-step reference in conftest,
 which the graph's own ingest is compared against below.
 """
 
+import math
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ from highway_rl.errors import DeterminismViolation, NotInterior
 from highway_rl.highway_graph import (HighwayGraph, expand_to_empirical, graph_stats,
                                       path_return, to_dot)
 from highway_rl.serialize import load_highway_graph, save_highway_graph
+from highway_rl.trainer import _topology_signature
 from highway_rl.transition_model import Trajectory, vanilla_value_iteration
 from highway_rl.value_iteration import value_update_loop
 
@@ -316,15 +318,15 @@ def test_assemble_invariants_under_random_walks(seed, episodes, max_len):
         assert table[(s - 10 ** 6, a)] == (nxt - 10 ** 6, r)
 
 
-# -------------------------------------------------------------------- version
+# ------------------------------------------------------------ topology signature
 
-def test_version_moves_on_every_structural_edit():
+def test_signature_moves_on_every_structural_edit():
     g = HighwayGraph(gamma=0.9)
-    versions = [g.version]
+    sigs = [_topology_signature(g)]
 
     def moved():
-        versions.append(g.version)
-        return versions[-1] != versions[-2]
+        sigs.append(_topology_signature(g))
+        return sigs[-1] != sigs[-2]
 
     g.make_intersection(1)
     assert moved()
@@ -340,27 +342,54 @@ def test_version_moves_on_every_structural_edit():
     assert moved()
 
 
-def test_version_stays_on_an_assemble_that_brings_nothing_new():
+def test_signature_stays_on_an_assemble_that_brings_nothing_new():
     g = HighwayGraph(gamma=0.9)
     walk = mk_traj((1, 0, 2, 0.0), (2, 0, 3, 0.0), (3, 1, 4, 1.0))
     g.assemble([walk])
-    before = g.version
+    before = _topology_signature(g)
     g.assemble([walk])
     g.assemble([mk_traj((1, 2, 1, -1.0))])     # a new self-loop is not embedded
-    assert g.version == before
+    assert _topology_signature(g) == before
     g.assemble([mk_traj((2, 1, 5, 0.0))])
-    assert g.version != before
+    assert _topology_signature(g) != before
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 10), st.integers(1, 24))
-def test_version_moves_exactly_when_the_topology_does(seed, episodes, max_len):
+def test_signature_moves_exactly_when_the_topology_does(seed, episodes, max_len):
     _table, _action_count, trajs = random_mdp_walks(random.Random(seed), episodes, max_len)
     g = HighwayGraph(gamma=0.95)
     for traj in trajs + trajs:          # the replay brings nothing new
-        version, before = g.version, (set(g.intersections), dict(g.highways))
+        sig, before = _topology_signature(g), (set(g.intersections), dict(g.highways))
         g.assemble([traj])
-        assert (g.version != version) == ((set(g.intersections), dict(g.highways)) != before)
+        moved = _topology_signature(g) != sig
+        assert moved == ((set(g.intersections), dict(g.highways)) != before)
+
+
+# ------------------------------------------------------------------ add_highway
+
+@pytest.mark.parametrize("args, interior", [
+    ((1, 2, [2, 2, 2], [0.0] * 3), [5, 1]),
+    ((1, 2, [2, 2, 2], [0.0] * 3), [5, 5]),
+    ((3, 4, [0, 0], [0.0] * 2), [10]),
+    ((3, 4, [0, 0], [0.0] * 2), [2]),
+    ((3, 4, [0], [math.inf]), []),
+    ((3, 4, [0], [math.nan]), []),
+    ((1, 4, [0], [0.0]), []),
+    ((10, 3, [1], [0.0]), []),
+], ids=["interior-is-an-endpoint", "repeated-interior", "interior-on-a-highway",
+        "interior-is-an-intersection", "inf-reward", "nan-reward",
+        "first-action-taken", "first-action-taken-on-the-highway"])
+def test_add_highway_rejects_bad_input_before_writing(args, interior):
+    g = HighwayGraph(gamma=0.9)
+    g.add_highway(1, 2, [0, 1], [0.0, 0.5], interior=[10])     # leaves 10 by action 1
+    before = graph_state(g)
+    with pytest.raises(ValueError):
+        g.add_highway(*args, interior=interior)
+    assert graph_state(g) == before
+    g.add_highway(10, 3, [0], [0.0])    # a new action off the interior state still splits
+    assert 10 in g.intersections
+    check_graph_invariants(g)
 
 
 @settings(max_examples=40, deadline=None)

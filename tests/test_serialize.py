@@ -14,6 +14,7 @@ from highway_rl.reparam import ApproxConfig, QDataset, fit
 from highway_rl.serialize import (load_approximator, load_highway_graph, load_value_tables,
                                   read_manifest, save_approximator, save_highway_graph,
                                   save_value_tables, verify_manifest, write_manifest)
+from highway_rl.trainer import _topology_signature
 from highway_rl.value_iteration import ValueTables, value_update_loop
 
 
@@ -32,6 +33,22 @@ def test_highway_graph_round_trip(tmp_path):
                                h.step_rewards, h.step_states)
                               for h in gr.highways.values())
     assert spans(loaded) == spans(g)
+
+
+def test_highway_graph_round_trip_keeps_the_topology_signature(tmp_path):
+    # loading renumbers intersection indices and highway ids; the signature
+    # reads neither
+    g = HighwayGraph(gamma=0.9)
+    g.add_highway(5, 1, [0, 1, 0], [0.5, -1.0, 0.25], interior=[7, 3])
+    g.add_highway(1, 5, [2], [1.0])
+    g.split_highway(0, 3)
+    g.make_intersection(9)
+    path = tmp_path / "graph.npz"
+    save_highway_graph(path, g)
+    loaded = load_highway_graph(path)
+    assert list(loaded._index) != list(g._index)
+    assert sorted(loaded.highways) != sorted(g.highways)
+    assert _topology_signature(loaded) == _topology_signature(g)
 
 
 def test_value_tables_round_trip(tmp_path):

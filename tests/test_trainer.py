@@ -214,8 +214,8 @@ def test_metrics_csv_schema():
 
 
 @pytest.mark.parametrize("spec, run_seed, digest", [
-    (EnvSpec(kind="maze", width=15, height=15, seed=1), 1, "20305f3506b660e2"),
-    (EnvSpec(kind="taxi", seed=0), 8, "b3fceeb1467d643d"),
+    (EnvSpec(kind="maze", width=15, height=15, seed=1), 1, "ee44b9153b5245ef"),
+    (EnvSpec(kind="taxi", seed=0), 8, "7f6469f6d00c0f2f"),
 ])
 def test_metrics_csv_golden(spec, run_seed, digest):
     # metrics.csv minus its wall-clock column is fixed bit for bit by the
@@ -295,12 +295,21 @@ def test_run_episode_keeps_the_per_frame_choices(seed, action_count, epsilon, st
 # ------------------------------------------------------------- signatures
 
 def _reference_topology_signature(graph):
-    """The per-item digest the topology signature must equal."""
+    """The topology digest built from the Highway objects, one value at a time."""
+    states = sorted(graph.intersections)
+    index = {s: i for i, s in enumerate(states)}
+    hws = sorted(graph.highways.values(), key=lambda hw: (hw.from_state, hw.first_action))
+    columns = [("Q", states), ("Q", sorted(graph.membership)),
+               ("q", [index[hw.from_state] for hw in hws]),
+               ("q", [index[hw.to_state] for hw in hws]),
+               ("q", [hw.first_action for hw in hws]),
+               ("d", [hw.path_return for hw in hws]),
+               ("d", [hw.gamma_pow_len for hw in hws])]
     h = hashlib.blake2b(digest_size=16)
-    for s in sorted(graph.intersections):
-        h.update(struct.pack("<Q", s))
-    for hid in sorted(graph.highways):
-        h.update(graph.highways[hid].signature)
+    for fmt, values in columns:
+        h.update(struct.pack("<Q", len(values)))
+        for x in values:
+            h.update(struct.pack("<" + fmt, x))
     return h.hexdigest()
 
 
@@ -321,14 +330,13 @@ def test_signatures_equal_the_per_item_digests(seed, episodes, max_len):
     for traj in trajs:
         g.assemble([traj])
         states = sorted(g.intersections)
-        assert _topology_signature(states, g.highways) == _reference_topology_signature(g)
+        assert _topology_signature(g) == _reference_topology_signature(g)
         snap = PolicySnapshot(g, value_update_loop(g, delta=1e-9), action_count)
         assert _policy_signature(states, snap) == _reference_policy_signature(g, snap)
 
 
 def test_every_update_signs_the_graph_it_trained(monkeypatch):
-    # train recomputes the topology signature only when the graph's version
-    # moves; every row must still sign the graph as it stands at that update
+    # every row signs the graph as it stands at that update
     graphs = []
     assemble = HighwayGraph.assemble
 
@@ -342,8 +350,7 @@ def test_every_update_signs_the_graph_it_trained(monkeypatch):
     def check(row):
         graph = graphs[-1]
         seen.append(row.topology_sig)
-        assert row.topology_sig == _topology_signature(sorted(graph.intersections),
-                                                       graph.highways)
+        assert row.topology_sig == _topology_signature(graph)
 
     res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=0), on_update=check)
     assert len(seen) == len(res.metrics.rows) > 1
