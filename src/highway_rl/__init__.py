@@ -12,7 +12,7 @@ from .environments import EnvSpec, StepResult, make_env
 from .errors import (DeterminismViolation, DimensionMismatch, KeyMismatch,
                      MissingArtifact, NotInterior)
 from .highway_graph import Highway, HighwayGraph, expand_to_empirical, graph_stats
-from .policy import PolicySnapshot, chooser, epsilon_greedy, greedy_action
+from .policy import PolicySnapshot, epsilon_greedy, greedy_action
 from .reparam import ApproxConfig, QApproximator, QDataset, act, extract_dataset, fit
 from .trainer import EvalResult, RunMetrics, TrainConfig, TrainResult, detect_convergence, evaluate, train
 from .transition_model import EmpiricalGraph, Trajectory, TransitionSample, vanilla_value_iteration

@@ -61,6 +61,7 @@ class StepResult:
     next_obs: object
     reward: float
     done: bool
+    next_id: int              # state_id(next_obs)
 
 
 class _TabularEnv:
@@ -76,11 +77,16 @@ class _TabularEnv:
         self._states: list = []
         self._terminal: set = set()
         self._build()
-        self._sid = {obs: encode_tabular(obs) for obs in self._states}
+        ids = self._sid = {obs: encode_tabular(obs) for obs in self._states}
+        # _build records (next_obs, reward, done); each entry's next id is
+        # fixed, so it is looked up once here rather than on every step, and
+        # equal records share one result
+        results = {res: StepResult(*res, ids[res[0]]) for res in set(self._table.values())}
+        self._table = {key: results[res] for key, res in self._table.items()}
         self._obs_of_id = {sid: obs for obs, sid in self._sid.items()}
         self._dist = self._bfs_steps()
 
-    # subclasses fill _table/_states/_terminal
+    # subclasses fill _table with (next_obs, reward, done), _states and _terminal
     def _build(self):
         raise NotImplementedError
 
@@ -149,7 +155,7 @@ def _ground_truth(spec: EnvSpec, gamma: float) -> dict:
     graph = EmpiricalGraph(gamma=gamma)
     graph.nodes.update(env._sid.values())
     for (obs, a), res in env._table.items():
-        graph.add_sample(env._sid[obs], a, env._sid[res.next_obs], res.reward)
+        graph.add_sample(env._sid[obs], a, res.next_id, res.reward)
     values = vanilla_value_iteration(graph, delta=1e-12).values
     return {sid: values[sid] for sid in env._sid.values()}
 
@@ -205,7 +211,7 @@ class MazeEnv(_TabularEnv):
             for a, (dx, dy) in _MAZE_DELTAS.items():
                 nxt = (x + dx, y + dy) if a in self.passages[cell] else cell
                 reward = -self.move_penalty + (1.0 if nxt == self.goal else 0.0)
-                self._table[(cell, a)] = StepResult(nxt, reward, nxt == self.goal)
+                self._table[(cell, a)] = (nxt, reward, nxt == self.goal)
 
     def reset(self, episode_seed: int | None = None):
         return self.start
@@ -263,9 +269,9 @@ class CliffWalkingEnv(_TabularEnv):
                 nc = min(max(c + dc, 0), _CLIFF_COLS - 1)
                 target = nr * _CLIFF_COLS + nc
                 if target in cliff:
-                    self._table[(obs, a)] = StepResult(self.start, -100.0, False)
+                    self._table[(obs, a)] = (self.start, -100.0, False)
                 else:
-                    self._table[(obs, a)] = StepResult(target, -1.0, target == self.goal)
+                    self._table[(obs, a)] = (target, -1.0, target == self.goal)
 
     def reset(self, episode_seed: int | None = None):
         return self.start
@@ -318,14 +324,13 @@ class TaxiEnv(_TabularEnv):
                 self._terminal.add(obs)
                 continue
             for a in range(6):
-                res = self._taxi_step(row, col, pas, dest, a)
-                self._table[(obs, a)] = res
-                if res.next_obs not in seen:
-                    seen.add(res.next_obs)
-                    queue.append(res.next_obs)
+                res = self._table[(obs, a)] = self._taxi_step(row, col, pas, dest, a)
+                if res[0] not in seen:
+                    seen.add(res[0])
+                    queue.append(res[0])
         self._states = sorted(seen)
 
-    def _taxi_step(self, row, col, pas, dest, action) -> StepResult:
+    def _taxi_step(self, row, col, pas, dest, action) -> tuple[int, float, bool]:
         reward = -1.0
         done = False
         if action < 4:
@@ -352,7 +357,7 @@ class TaxiEnv(_TabularEnv):
                 pas = _TAXI_LOCS.index((row, col))
             else:
                 reward = -10.0
-        return StepResult(_taxi_encode(row, col, pas, dest), reward, done)
+        return _taxi_encode(row, col, pas, dest), reward, done
 
     def reset(self, episode_seed: int | None = None):
         mix = (self.spec.seed * 1_000_003) ^ (0 if episode_seed is None else episode_seed)

@@ -7,17 +7,14 @@ their greedy first action, from one pass over Q in key order.  Acting is
 then one dictionary lookup; states absent from the table (unseen states, and
 intersections with no outgoing highway) fall back to a uniform random
 action, with exploration on top.  The snapshot holds no generator: every
-random choice draws from the one the caller passes in.  `chooser` compiles
-this once per episode into one function of the state, which binds the
-generator, the table and the action count; `epsilon_greedy` is a one-call
-wrapper over it.
+random choice draws from the one the caller passes in.  `epsilon_greedy`
+makes one choice; the trainer's actor loop applies the same rule inline.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import InitVar, dataclass, field
-from typing import Callable
 
 from .errors import KeyMismatch
 from .highway_graph import HighwayGraph
@@ -94,40 +91,19 @@ def greedy_action(graph: HighwayGraph, tables: ValueTables, s: StateId) -> Actio
     return run[0][0]
 
 
-def chooser(snapshot: PolicySnapshot, epsilon: float,
-            rng: random.Random) -> Callable[[StateId], ActionId]:
-    """Compile epsilon-greedy action choice into one function of the state.
+def epsilon_greedy(snapshot: PolicySnapshot, s: StateId, epsilon: float,
+                   rng: random.Random) -> ActionId:
+    """With probability epsilon take a uniform random action, else be greedy.
 
-    With probability epsilon the choice is a uniform random action, else the
-    snapshot's greedy action, or a uniform random one for states with none.
-    Epsilon is checked once, and the generator's methods, the greedy table
-    and the action count are bound once, so a call costs one draw and one
-    lookup.  The random stream is fixed: one `rng.random()` per call when
-    epsilon > 0 (none when it is 0), then, for a random action,
-    `rng.randrange` over the actions (its getrandbits rejection loop,
-    inlined).
+    States with no greedy action get a uniform random action too.  The random
+    stream is fixed: one `rng.random()` when epsilon > 0 (none when it is 0),
+    then, for a random action, one `rng.randrange` over the actions.
+    `trainer.run_episode` applies this rule inline and draws the same stream.
     """
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must be in [0, 1]")
-    draw = rng.random
-    greedy = snapshot.greedy.get
-    n = snapshot.action_count
-    k = n.bit_length()
-    getrandbits = rng.getrandbits
-
-    def choose(s: StateId) -> ActionId:
-        if not epsilon or draw() >= epsilon:
-            a = greedy(s)
-            if a is not None:
-                return a
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-    return choose
-
-
-def epsilon_greedy(snapshot: PolicySnapshot, s: StateId, epsilon: float,
-                   rng: random.Random) -> ActionId:
-    """With probability epsilon take a uniform random action, else be greedy."""
-    return chooser(snapshot, epsilon, rng)(s)
+    if not epsilon or rng.random() >= epsilon:
+        a = snapshot.greedy.get(s)
+        if a is not None:
+            return a
+    return rng.randrange(snapshot.action_count)

@@ -6,10 +6,11 @@ re-runs value updating, and publishes a fresh snapshot.  Everything is
 seeded: episode seeds derive from (run_seed, actor, episode index), so the
 run is reproducible regardless of actor scheduling.
 
-An episode costs, per frame, one call of the episode's compiled action
-chooser (an exploration draw and one lookup in the snapshot's greedy table),
-one environment step and one state id, appended to the trajectory's four
-columns; the chooser, `step` and `state_id` are bound once per episode.  Each
+An episode makes one Python-level call per frame, the environment's `step`,
+whose result carries the next state's id.  Around it the epsilon-greedy rule
+runs inline (an exploration draw and one lookup in the snapshot's greedy
+table), and four appends fill the trajectory's columns; `step`, the
+generator's methods and the table are bound once per episode.  Each
 update signs the topology afresh from arrays the graph already keeps, so no
 signature is cached.
 
@@ -32,7 +33,7 @@ from .bellman import check_delta
 from .environments import (DEFAULT_EPISODES_PER_UPDATE, DEFAULT_EVAL_STEP_CAP,
                            DEFAULT_STEP_CAP, EnvSpec, make_env)
 from .highway_graph import HighwayGraph, graph_stats
-from .policy import PolicySnapshot, chooser, epsilon_greedy
+from .policy import PolicySnapshot, epsilon_greedy
 from .transition_model import StateId, Trajectory
 from .value_iteration import ValueTables, value_update_loop
 
@@ -154,22 +155,35 @@ def _policy_signature(states: list[StateId], snapshot: PolicySnapshot) -> str:
 
 def run_episode(env, snapshot: PolicySnapshot, epsilon: float, episode_seed: int,
                 step_cap: int | None) -> Trajectory:
-    """One full episode under the epsilon-greedy policy; truncates at step_cap."""
-    choose = chooser(snapshot, epsilon, random.Random(episode_seed))
-    step, state_id = env.step, env.state_id
+    """One full episode under the epsilon-greedy policy; truncates at step_cap.
+
+    Actions follow `epsilon_greedy`'s rule and random stream, applied inline;
+    its `rng.randrange` is written out as randrange's getrandbits rejection loop.
+    """
+    if not (0.0 <= epsilon <= 1.0):
+        raise ValueError("epsilon must be in [0, 1]")
+    rng = random.Random(episode_seed)
+    draw, getrandbits = rng.random, rng.getrandbits
+    greedy = snapshot.greedy.get
+    n = snapshot.action_count
+    k = n.bit_length()
+    step = env.step
     obs = env.reset(episode_seed)
-    sid = state_id(obs)
+    sid = env.state_id(obs)
     states, actions, next_states, rewards = [], [], [], []
     terminal = False
     for _ in range(step_cap if step_cap is not None else 1 << 40):
-        action = choose(sid)
+        action = greedy(sid) if not epsilon or draw() >= epsilon else None
+        if action is None:
+            action = getrandbits(k)
+            while action >= n:
+                action = getrandbits(k)
         res = step(obs, action)
-        nxt = state_id(res.next_obs)
         states.append(sid)
         actions.append(action)
-        next_states.append(nxt)
+        obs, sid = res.next_obs, res.next_id
+        next_states.append(sid)
         rewards.append(res.reward)
-        obs, sid = res.next_obs, nxt
         if res.done:
             terminal = True
             break

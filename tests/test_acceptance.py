@@ -435,8 +435,8 @@ class _StochasticStream:
         if obs == 0:
             hits = self.seen.get(action, 0)
             self.seen[action] = hits + 1
-            return StepResult(1 + hits, 0.0, False)
-        return StepResult(0, 0.0, True)
+            return StepResult(1 + hits, 0.0, False, 501 + hits)
+        return StepResult(0, 0.0, True, 500)
 
 
 def test_11_determinism_guardrail(tmp_path, monkeypatch, capsys):

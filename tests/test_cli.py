@@ -302,8 +302,8 @@ def test_determinism_violation_exits_3(tmp_path, monkeypatch, capsys):
             if obs == 0:
                 hits = self.seen.get(action, 0)
                 self.seen[action] = hits + 1
-                return StepResult(1 + hits, 0.0, False)
-            return StepResult(0, 0.0, True)
+                return StepResult(1 + hits, 0.0, False, 51 + hits)
+            return StepResult(0, 0.0, True, 50)
 
     monkeypatch.setattr(trainer_module, "make_env", lambda spec: _Flaky())
     code = cli.main(["train", "--env", "maze", "--size", "3x3", "--step-cap", "4",

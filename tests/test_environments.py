@@ -2,8 +2,8 @@
 
 import pytest
 
-from highway_rl.environments import (EnvSpec, InvalidAction, MazeEnv, make_env, _taxi_decode,
-                                     _taxi_encode)
+from highway_rl.environments import (EnvSpec, InvalidAction, MazeEnv, StepResult, make_env,
+                                     _taxi_decode, _taxi_encode)
 
 
 # ---------------------------------------------------------------------- resets
@@ -296,3 +296,24 @@ def test_done_steps_end_in_terminals_that_have_no_steps(spec):
         assert obs not in env._terminal
         if res.done:
             assert res.next_obs in env._terminal
+
+
+@pytest.mark.parametrize("spec", [EnvSpec(kind="maze", width=w, height=h, seed=s)
+                                  for w, h, s in [(2, 2, 0), (3, 7, 1), (5, 5, 2), (15, 15, 0),
+                                                  (41, 41, 3)]]
+                         + [EnvSpec(kind="cliffwalking"), EnvSpec(kind="taxi")],
+                         ids=lambda spec: f"{spec.kind}-{spec.width}x{spec.height}-{spec.seed}")
+def test_every_step_result_carries_its_next_state_id(spec):
+    env = make_env(spec)
+    for res in env._table.values():
+        assert res.next_id == env.state_id(res.next_obs)
+    if spec.kind == "cliffwalking":
+        # a step into the cliff teleports to the start, and its id is the start's
+        falls = [res for res in env._table.values() if res.reward == -100.0]
+        assert len(falls) == 11   # down from the ten cells above it, right from the start
+        assert {res.next_id for res in falls} == {env.state_id(env.start)}
+
+
+def test_step_result_requires_next_id():
+    with pytest.raises(TypeError):
+        StepResult((0, 0), -1.0, False)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import one_sweep, random_highway_graph, random_mdp_walks
 from highway_rl.errors import KeyMismatch
 from highway_rl.highway_graph import HighwayGraph
-from highway_rl.policy import PolicySnapshot, chooser, epsilon_greedy, greedy_action
+from highway_rl.policy import PolicySnapshot, epsilon_greedy, greedy_action
 from highway_rl.value_iteration import ValueTables, value_update_loop
 
 
@@ -231,7 +231,7 @@ def test_snapshot_holds_only_the_greedy_table():
     snap = PolicySnapshot(g, tables, action_count=4)
     assert [f.name for f in dataclasses.fields(snap)] == ["action_count", "greedy"]
     with pytest.raises(TypeError):
-        chooser(snap, 0.0)
+        epsilon_greedy(snap, 0, 0.0)
 
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import random
 import struct
 
@@ -188,8 +189,8 @@ class _StochasticEnv:
         if obs == 0:
             hits = self.seen.get(action, 0)
             self.seen[action] = hits + 1
-            return StepResult(1 + hits, 0.0, False)  # drifts every revisit
-        return StepResult(0, 0.0, True)
+            return StepResult(1 + hits, 0.0, False, 1001 + hits)  # drifts every revisit
+        return StepResult(0, 0.0, True, 1000)
 
 
 def test_stochastic_stream_aborts_with_violation(monkeypatch):
@@ -232,10 +233,12 @@ class _TableEnv:
 
     def __init__(self, rng: random.Random, n_states: int, action_count: int):
         self.n_states = n_states
-        self.table = {(s, a): StepResult(rng.randrange(n_states),
-                                         round(rng.uniform(-1.0, 1.0), 3),
-                                         rng.random() < 0.03)
-                      for s in range(n_states) for a in range(action_count)}
+        self.table = {}
+        for s in range(n_states):
+            for a in range(action_count):
+                nxt = rng.randrange(n_states)
+                self.table[(s, a)] = StepResult(nxt, round(rng.uniform(-1.0, 1.0), 3),
+                                                rng.random() < 0.03, self.state_id(nxt))
 
     def reset(self, episode_seed=None):
         return episode_seed % self.n_states
@@ -290,6 +293,26 @@ def test_run_episode_keeps_the_per_frame_choices(seed, action_count, epsilon, st
     columns, terminal = _per_frame_episode(env, snap, epsilon, episode_seed, step_cap)
     assert (traj.from_states, traj.actions, traj.next_states, traj.rewards) == columns
     assert traj.terminal == terminal
+
+
+class _CountingEnv(_TableEnv):
+    def __init__(self):
+        super().__init__(random.Random(0), 4, 2)
+        self.steps = 0
+
+    def step(self, obs, action):
+        self.steps += 1
+        return super().step(obs, action)
+
+
+@pytest.mark.parametrize("epsilon", [-0.1, 1.5, math.nan])
+def test_run_episode_rejects_epsilon_outside_unit_interval_before_stepping(epsilon):
+    env = _CountingEnv()
+    snap = PolicySnapshot(HighwayGraph(), ValueTables(), 2)
+    with pytest.raises(ValueError, match="epsilon"):
+        run_episode(env, snap, epsilon, 0, 10)
+    assert env.steps == 0
+    assert len(run_episode(env, snap, 1.0, 0, 10)) == env.steps > 0
 
 
 # ------------------------------------------------------------- signatures
