@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: train, eval, bench, completeness, export, distill, eval-hgq.
+Subcommands: train, eval, eval-hgq, bench, completeness, export, distill.
 Exit codes: 0 ok, 2 usage/config error, 3 determinism violation,
 4 missing or altered artifact (every command that reads a run checks its
 manifest digests first), 5 a solve stopped short of delta, on NaN values or
@@ -15,13 +15,13 @@ import os
 import sys
 import time
 
-from . import environments, serialize, trainer
+from . import serialize, trainer
 from .environments import EnvSpec, make_env
 from .errors import DeterminismViolation, KeyMismatch, MissingArtifact
 from .highway_graph import expand_to_empirical, graph_stats
 from .highway_graph import to_dot as highway_dot
 from .policy import PolicySnapshot, greedy_action
-from .reparam import ApproxConfig, act, extract_dataset, fit, policy_agreement
+from .reparam import ApproxConfig, extract_dataset, fit, greedy_table, policy_agreement
 from .transition_model import to_dot as empirical_dot
 from .transition_model import vanilla_value_iteration
 from .value_iteration import (completeness_report, interior_values, q_to_csv, solve,
@@ -77,11 +77,6 @@ def _env_spec_from_manifest(manifest: dict) -> EnvSpec:
     cfg = manifest["config"]
     return EnvSpec(kind=cfg["env_kind"], width=cfg.get("env_width", 0),
                    height=cfg.get("env_height", 0), seed=cfg["env_seed"])
-
-
-def _eval_step_cap(manifest: dict, spec: EnvSpec) -> int:
-    """The run's episode step cap, else the environment's evaluation default."""
-    return manifest["config"]["episode_step_cap"] or environments.DEFAULT_EVAL_STEP_CAP[spec.kind]
 
 
 def _load_run(run_dir):
@@ -164,13 +159,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Greedy episodes of the run's graph policy; eval-hgq acts with its distilled net."""
     manifest, graph, tables = _load_run(args.run)
-    spec = _env_spec_from_manifest(manifest)
-    env = make_env(spec)
-    snapshot = PolicySnapshot(graph, tables, env.action_count)
-    gamma = manifest["config"]["gamma"]
-    ev = trainer.evaluate(snapshot, env, args.episodes, gamma=gamma,
-                          step_cap=_eval_step_cap(manifest, spec), seed=args.seed)
+    env = make_env(_env_spec_from_manifest(manifest))
+    if args.command == "eval-hgq":
+        approx = serialize.load_approximator(os.path.join(args.run, "approximator.npz"))
+        snapshot = PolicySnapshot.from_table(greedy_table(approx, env), env.action_count)
+    else:
+        snapshot = PolicySnapshot(graph, tables, env.action_count)
+    # a None step cap (maze runs) falls back to the evaluation default, as in training
+    config = manifest["config"]
+    ev = trainer.evaluate(snapshot, env, args.episodes, gamma=config["gamma"],
+                          step_cap=config["episode_step_cap"], seed=args.seed)
     print(f"episodes: {args.episodes}")
     print(f"mean_total_reward: {ev.mean_total_reward:.6f}")
     print(f"mean_discounted_return: {ev.mean_discounted_return:.6f}")
@@ -296,29 +296,6 @@ def cmd_distill(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval_hgq(args) -> int:
-    manifest, _graph, _tables = _load_run(args.run)
-    approx = serialize.load_approximator(os.path.join(args.run, "approximator.npz"))
-    if args.episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    spec = _env_spec_from_manifest(manifest)
-    env = make_env(spec)
-    gamma = manifest["config"]["gamma"]
-    cap = _eval_step_cap(manifest, spec)
-    totals, discs = [], []
-    for k in range(args.episodes):
-        # episode k starts where `eval` starts its episode k
-        start = env.reset(trainer.evaluation_seed(args.seed, k))
-        total, disc, _steps, _terminal = trainer.rollout(
-            env, start, lambda obs: act(approx, env.state_features(obs)), gamma, cap)
-        totals.append(total)
-        discs.append(disc)
-    print(f"episodes: {args.episodes}")
-    print(f"mean_total_reward: {sum(totals) / len(totals):.6f}")
-    print(f"mean_discounted_return: {sum(discs) / len(discs):.6f}")
-    return EXIT_OK
-
-
 # --------------------------------------------------------------------- parser
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
@@ -356,11 +333,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
             p.error(f"unknown --config key(s): {', '.join(unknown)}")
         p.set_defaults(**config)
 
-    p = sub.add_parser("eval", help="greedy evaluation of a trained artifact")
-    p.add_argument("--run", required=True)
-    p.add_argument("--episodes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_eval)
+    for name, text in (("eval", "greedy evaluation of a trained artifact"),
+                       ("eval-hgq", "greedy evaluation of the distilled approximator")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--run", required=True)
+        p.add_argument("--episodes", type=int, default=10)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="value-iteration benchmark on a trained graph")
     p.add_argument("--run", required=True)
@@ -388,12 +367,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                    dest="learning_rate")
     p.add_argument("--seed", type=int, default=ApproxConfig.init_seed)
     p.set_defaults(func=cmd_distill)
-
-    p = sub.add_parser("eval-hgq", help="evaluate the distilled approximator")
-    p.add_argument("--run", required=True)
-    p.add_argument("--episodes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_eval_hgq)
     return parser
 
 

@@ -158,6 +158,8 @@ class HighwayGraph:
                         actions: tuple, step_rewards: tuple, step_states: tuple) -> int:
         if not actions:
             raise ValueError("highway must have length >= 1")
+        if step_states[-1] != to_state:
+            raise ValueError(f"highway to {to_state:#x} ends at {step_states[-1]:#x}")
         index = self._index
         if not (from_state in index and to_state in index):
             raise ValueError(f"an end of {from_state:#x} -> {to_state:#x} is not an intersection")
@@ -192,7 +194,10 @@ class HighwayGraph:
 
         interior must list the length-1 states strictly between the endpoints,
         each distinct and new to the graph.  Both endpoints are promoted to
-        intersections.  Bad input raises ValueError before anything is written.
+        intersections, and the steps are recorded in `observed`, as ingestion
+        expects of every step of the graph.  Bad input raises ValueError, and a
+        step that `observed` holds with another outcome DeterminismViolation,
+        before anything is written.
         """
         actions = tuple(actions)
         rewards = tuple(float(r) for r in rewards)
@@ -211,10 +216,17 @@ class HighwayGraph:
             self.highways[loc[0]].actions[loc[1]],)
         if actions[0] in taken:
             raise ValueError("outgoing first action already taken")
+        step_states = interior + (to_state,)
+        steps = dict(zip(zip((from_state,) + interior, actions), zip(step_states, rewards)))
+        for (s, a), outcome in steps.items():
+            prev = self.observed.get((s, a), outcome)
+            if prev != outcome:
+                raise DeterminismViolation(s, a, prev, outcome)
         self.make_intersection(from_state)
         self.make_intersection(to_state)
-        step_states = interior + (to_state,)
-        return self._insert_highway(from_state, to_state, actions, rewards, step_states)
+        hid = self._insert_highway(from_state, to_state, actions, rewards, step_states)
+        self.observed.update(steps)
+        return hid
 
     def split_highway(self, hid: int, at: StateId) -> tuple[int, int]:
         """Split a highway at one of its interior states, promoting it.
@@ -365,12 +377,11 @@ def graph_stats(graph: HighwayGraph) -> dict:
     }
 
 
-def to_dot(graph: HighwayGraph, values: dict | None = None, label_of=None) -> str:
+def to_dot(graph: HighwayGraph, values: dict | None = None) -> str:
     """DOT rendering: intersections as circles, highways as bold labeled edges."""
-    label_of = label_of or (lambda s: f"{s:#x}")
     lines = ["digraph highway {", "  node [shape=circle];"]
     for s in sorted(graph.intersections):
-        label = label_of(s)
+        label = f"{s:#x}"
         if values is not None and s in values:
             label = f"{label}\\nV={values[s]:.4g}"
         lines.append(f'  n{s} [label="{label}"];')

@@ -70,6 +70,13 @@ class PolicySnapshot:
                 greedy[s] = greedy_action(graph, tables, s)
         self.greedy = greedy
 
+    @classmethod
+    def from_table(cls, greedy: dict[StateId, ActionId], action_count: int) -> "PolicySnapshot":
+        """A snapshot that acts from a ready greedy table, such as a distilled net's."""
+        snapshot = cls(HighwayGraph(), ValueTables(), action_count)
+        snapshot.greedy = dict(greedy)
+        return snapshot
+
 
 def greedy_action(graph: HighwayGraph, tables: ValueTables, s: StateId) -> ActionId | None:
     """The lowest first action at an intersection whose Q ties the largest:

@@ -50,6 +50,10 @@ class ApproxConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.hidden_units < 1:
+            raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if self.absent_action_anchor not in (None, "below-best"):
             raise ValueError(f"unknown anchor mode {self.absent_action_anchor!r}")
 
@@ -263,6 +267,13 @@ def act(approx: QApproximator, state_features) -> int:
     """Argmax over predicted Q values; ties go to the lowest action id."""
     q = approx.predict(np.asarray(state_features, dtype=np.float64))
     return int(np.argmax(q))
+
+
+def greedy_table(approx: QApproximator, env) -> dict[int, int]:
+    """`act` at every non-terminal state of env, keyed by state id: the net's
+    greedy policy compiled once, for `PolicySnapshot.from_table`."""
+    return {env.state_id(obs): act(approx, env.state_features(obs))
+            for obs in env.enumerate_states() if not env.is_terminal(obs)}
 
 
 def policy_agreement(approx: QApproximator, states, features_of, graph_greedy) -> float:

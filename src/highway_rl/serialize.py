@@ -79,11 +79,19 @@ def save_highway_graph(path, graph: HighwayGraph):
 
 
 def load_highway_graph(path) -> HighwayGraph:
+    """The saved graph; a file whose column lengths disagree raises ValueError."""
     data = _load(path, "highway_graph")
+    ptr = data["h_ptr"].tolist()
+    # each group shares one length: the highways (h_ptr's less one), the steps
+    # (h_ptr's last entry) and the observed pairs
+    lengths = [{len(data[name]) for name in group} for group in (
+        ("h_from", "h_to"), ("flat_states", "flat_actions", "flat_rewards"),
+        ("obs_state", "obs_action", "obs_next", "obs_reward"))]
+    if ptr[:1] != [0] or lengths[:2] != [{len(ptr) - 1}, {ptr[-1]}] or len(lengths[2]) > 1:
+        raise ValueError(f"{path}: h_ptr and the highway, step or observed columns disagree")
     graph = HighwayGraph(gamma=float(data["gamma"]))
     for s in data["intersections"].tolist():
         graph.make_intersection(s)
-    ptr = data["h_ptr"].tolist()
     flat_states = data["flat_states"].tolist()
     flat_actions = data["flat_actions"].tolist()
     flat_rewards = data["flat_rewards"].tolist()

@@ -207,51 +207,36 @@ class EvalResult:
     episodes: list[EpisodeEval]
 
 
-def rollout(env, obs, act, gamma: float, cap: int) -> tuple[float, float, int, bool]:
-    """Step from obs with act(obs) until a terminal state or cap steps.
-
-    Returns (total reward, discounted return, steps, terminal); the discount
-    exponent is the step index.
-    """
-    total = 0.0
-    disc = 0.0
-    g = 1.0
-    steps = 0
-    while steps < cap:
-        res = env.step(obs, act(obs))
-        total += res.reward
-        disc += g * res.reward
-        g *= gamma
-        steps += 1
-        obs = res.next_obs
-        if res.done:
-            return total, disc, steps, True
-    return total, disc, steps, False
-
-
-def evaluation_seed(seed: int, k: int) -> int:
-    """Episode k's seed in a greedy evaluation: it picks the start state."""
-    return _mix_seed(seed, 7_777, k)
-
-
 def evaluate(snapshot: PolicySnapshot, env, episodes: int, gamma: float = 0.99,
              step_cap: int | None = None, seed: int = 0) -> EvalResult:
-    """Greedy (epsilon = 0) rollouts, each with a generator seeded per episode."""
+    """Greedy (epsilon = 0) episodes, each with a generator seeded per episode.
+
+    An episode steps until a terminal state or the cap; the discount exponent
+    is the step index.  The module's epsilon_greedy is looked up per frame, so
+    a wrapper installed on it sees every choice.  The snapshot may compile a
+    graph's policy or a distilled net's (`reparam.greedy_table`).
+    """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     cap = step_cap if step_cap is not None else DEFAULT_EVAL_STEP_CAP[env.spec.kind]
     out = []
     for k in range(episodes):
-        episode_seed = evaluation_seed(seed, k)
+        episode_seed = _mix_seed(seed, 7_777, k)   # picks the start state
         rng = random.Random(episode_seed)
-        start = env.reset(episode_seed)
-
-        def act(obs):
-            # the module's epsilon_greedy is looked up per frame, so a wrapper
-            # installed on it sees every choice
-            return epsilon_greedy(snapshot, env.state_id(obs), 0.0, rng=rng)
-
-        out.append(EpisodeEval(episode_seed, start, *rollout(env, start, act, gamma, cap)))
+        obs = start = env.reset(episode_seed)
+        sid = env.state_id(start)
+        total = disc = 0.0
+        g = 1.0
+        steps = 0
+        terminal = False
+        while steps < cap and not terminal:
+            res = env.step(obs, epsilon_greedy(snapshot, sid, 0.0, rng=rng))
+            total += res.reward
+            disc += g * res.reward
+            g *= gamma
+            steps += 1
+            obs, sid, terminal = res.next_obs, res.next_id, res.done
+        out.append(EpisodeEval(episode_seed, start, total, disc, steps, terminal))
     return EvalResult(
         mean_total_reward=sum(e.total_reward for e in out) / len(out),
         mean_discounted_return=sum(e.discounted_return for e in out) / len(out),

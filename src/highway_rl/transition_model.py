@@ -175,12 +175,11 @@ def vanilla_value_iteration(graph: EmpiricalGraph, delta: float = 1e-6) -> Vanil
                            final_delta=final_delta, converged=final_delta < delta)
 
 
-def to_dot(graph: EmpiricalGraph, label_of=None) -> str:
+def to_dot(graph: EmpiricalGraph) -> str:
     """Render the empirical graph as DOT; edge labels are "action/reward"."""
-    label_of = label_of or (lambda s: f"{s:#x}")
     lines = ["digraph empirical {"]
     for s in sorted(graph.nodes):
-        lines.append(f'  n{s} [label="{label_of(s)}"];')
+        lines.append(f'  n{s} [label="{s:#x}"];')
     for (s, a) in sorted(graph.edges):
         nxt, r = graph.edges[(s, a)]
         lines.append(f'  n{s} -> n{nxt} [label="{a}/{r:g}"];')

@@ -163,6 +163,8 @@ def interior_values(graph: HighwayGraph, tables: ValueTables) -> dict[StateId, f
 def completeness_report(values: dict[StateId, float], ground_truth: dict[StateId, float],
                         tol: float) -> dict:
     """Per-state distances to the reference values plus the fraction within tol."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     if set(values.keys()) != set(ground_truth.keys()):
         missing = set(ground_truth) - set(values)
         extra = set(values) - set(ground_truth)

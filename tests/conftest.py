@@ -169,6 +169,8 @@ def check_graph_invariants(graph: HighwayGraph):
     # have at most one in and one out edge in the expanded graph
     steps = list(graph.transitions())
     assert len({(s, a) for s, a, _nxt, _r in steps}) == len(steps)
+    # ingestion's premise: every step of the graph is in the determinism memory
+    assert all(graph.observed.get((s, a)) == (nxt, r) for s, a, nxt, r in steps)
     in_deg: dict = {}
     out_deg: dict = {}
     for s, _a, nxt, _r in steps:

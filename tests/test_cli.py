@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from highway_rl import cli
-from highway_rl.environments import DEFAULT_EVAL_STEP_CAP, EnvSpec, StepResult
-from highway_rl.reparam import ApproxConfig
-from highway_rl.serialize import (load_value_tables, read_manifest, save_value_tables,
-                                  verify_manifest, write_manifest)
-from highway_rl.trainer import TrainConfig
+from highway_rl.environments import DEFAULT_EVAL_STEP_CAP, EnvSpec, StepResult, make_env
+from highway_rl.reparam import ApproxConfig, act
+from highway_rl.serialize import (load_approximator, load_value_tables, read_manifest,
+                                  save_value_tables, verify_manifest, write_manifest)
+from highway_rl.trainer import TrainConfig, _mix_seed
 
 
 @pytest.fixture()
@@ -243,7 +243,6 @@ def test_distill_and_eval_hgq(run_dir, capsys):
     out = capsys.readouterr().out
     assert "greedy_agreement:" in out
     epochs_run = re.search(r"final_loss: \S+  epochs_run: (\d+) of 300\n", out)
-    from highway_rl.serialize import load_approximator
     approx = load_approximator(run_dir / "approximator.npz")
     assert epochs_run and int(epochs_run.group(1)) == len(approx.loss_history) <= 300
     assert verify_manifest(run_dir)
@@ -337,28 +336,32 @@ def test_train_flag_defaults_are_the_library_defaults(tmp_path, monkeypatch):
     assert seen == [TrainConfig(env=EnvSpec(kind="taxi"))]
 
 
-def test_eval_and_eval_hgq_start_from_the_same_states(tmp_path, monkeypatch, capsys):
+def _recording_evaluate(monkeypatch):
+    """Results of every trainer.evaluate call the CLI makes from now on."""
     from highway_rl import trainer
+    real, results = trainer.evaluate, []
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(trainer, "evaluate", recording)
+    return results
+
+
+def test_eval_and_eval_hgq_start_from_the_same_states(tmp_path, monkeypatch, capsys):
     run = tmp_path / "taxi"
     assert cli.main(["train", "--env", "taxi", "--seed", "0", "--run-seed", "0",
                      "--out", str(run)]) == 0
     assert cli.main(["distill", "--run", str(run), "--epochs", "1"]) == 0
-    starts = []
-
-    def recording_rollout(env, obs, act, gamma, cap):
-        starts.append(obs)
-        return 0.0, 0.0, 0, True   # only the start state is under test
-
-    monkeypatch.setattr(trainer, "rollout", recording_rollout)
-    by_command = {}
+    results = _recording_evaluate(monkeypatch)
     for command in ("eval", "eval-hgq"):
-        starts.clear()
         assert cli.main([command, "--run", str(run), "--episodes", "6",
                          "--seed", "3"]) == 0
-        by_command[command] = list(starts)
     capsys.readouterr()
-    assert by_command["eval"] == by_command["eval-hgq"]
-    assert len(set(by_command["eval"])) > 1   # taxi resets do vary
+    by_command = [[(e.episode_seed, e.start_obs) for e in r.episodes] for r in results]
+    assert len(by_command) == 2 and by_command[0] == by_command[1]
+    assert len({start for _seed, start in by_command[0]}) > 1   # taxi resets do vary
 
 
 @pytest.mark.parametrize("step_cap, want", [(["--step-cap", "37"], 37),
@@ -372,14 +375,64 @@ def test_eval_and_eval_hgq_cap_episodes_as_training_evaluates(tmp_path, monkeypa
     assert cli.main(["train", "--env", "maze", "--size", "3x3", "--seed", "7", *step_cap,
                      "--out", str(run)]) == 0
     assert cli.main(["distill", "--run", str(run), "--epochs", "1"]) == 0
-    caps = []
-
-    def recording_rollout(env, obs, act, gamma, cap):
-        caps.append(cap)
-        return 0.0, 0.0, 0, True
-
-    monkeypatch.setattr(trainer, "rollout", recording_rollout)
+    results = _recording_evaluate(monkeypatch)
+    # every choice is north, a wall at the start, so each episode runs to its cap
+    monkeypatch.setattr(trainer, "epsilon_greedy", lambda snapshot, s, epsilon, rng: 0)
     for command in ("eval", "eval-hgq"):
         assert cli.main([command, "--run", str(run), "--episodes", "2"]) == 0
     capsys.readouterr()
-    assert caps == [want] * 4
+    assert [(e.steps, e.terminal) for r in results for e in r.episodes] == [(want, False)] * 4
+
+
+def _act_loop_lines(run, episodes: int, seed: int) -> str:
+    """What eval-hgq printed when it ran its own loop: `act` on each frame's
+    features, from evaluation's seed-derived starts, to a terminal state or
+    the run's cap (else the environment's evaluation default)."""
+    config = read_manifest(run)["config"]
+    env = make_env(EnvSpec(config["env_kind"], config["env_width"], config["env_height"],
+                           config["env_seed"]))
+    approx = load_approximator(run / "approximator.npz")
+    cap = config["episode_step_cap"] or DEFAULT_EVAL_STEP_CAP[env.spec.kind]
+    totals, discs = [], []
+    for k in range(episodes):
+        obs = env.reset(_mix_seed(seed, 7_777, k))
+        total = disc = 0.0
+        g = 1.0
+        for _ in range(cap):
+            res = env.step(obs, act(approx, env.state_features(obs)))
+            total += res.reward
+            disc += g * res.reward
+            g *= config["gamma"]
+            obs = res.next_obs
+            if res.done:
+                break
+        totals.append(total)
+        discs.append(disc)
+    return (f"episodes: {episodes}\nmean_total_reward: {sum(totals) / len(totals):.6f}\n"
+            f"mean_discounted_return: {sum(discs) / len(discs):.6f}\n")
+
+
+@pytest.mark.parametrize("train, distill", [
+    (["--env", "maze", "--size", "3x3", "--seed", "7", "--run-seed", "1"],
+     ["--epochs", "300", "--learning-rate", "0.01"]),
+    (["--env", "taxi", "--seed", "0", "--run-seed", "1", "--step-cap", "200"],
+     ["--epochs", "30"]),
+], ids=["maze", "taxi"])
+def test_eval_hgq_prints_what_a_per_frame_act_loop_computes(tmp_path, capsys, train, distill):
+    run = tmp_path / "run"
+    assert cli.main(["train", *train, "--out", str(run)]) == 0
+    assert cli.main(["distill", "--run", str(run), *distill]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval-hgq", "--run", str(run), "--episodes", "4", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == _act_loop_lines(run, 4, 3)
+
+
+@pytest.mark.parametrize("command", [
+    ["distill", "--learning-rate", "0"], ["distill", "--learning-rate", "nan"],
+    ["completeness", "--tol", "-1"], ["completeness", "--tol", "nan"]],
+    ids=["learning-rate-0", "learning-rate-nan", "tol-negative", "tol-nan"])
+def test_out_of_range_numbers_exit_2(run_dir, capsys, command):
+    assert cli.main([command[0], "--run", str(run_dir), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and not captured.out
+    assert not (run_dir / "approximator.npz").exists()

@@ -392,6 +392,31 @@ def test_add_highway_rejects_bad_input_before_writing(args, interior):
     check_graph_invariants(g)
 
 
+def test_add_highway_records_its_steps_so_an_episode_along_it_changes_nothing():
+    g = HighwayGraph(gamma=0.9)
+    g.add_highway(0, 2, [0, 1], [-1.0, -1.0], interior=[1])
+    assert g.observed == {(0, 0): (1, -1.0), (1, 1): (2, -1.0)}
+    before = graph_state(g)
+    g.assemble([mk_traj((0, 0, 1, -1.0), (1, 1, 2, -1.0))])
+    assert graph_state(g) == before
+    check_graph_invariants(g)
+
+
+@pytest.mark.parametrize("steps", [
+    ((1, 1, 2, 0.0),),                 # the self-loop 1 -1-> 1 is already observed
+    ((7, 0, 8, 0.0), (8, 1, 9, 0.0)),  # 8 -1-> 2 is already observed
+], ids=["first-step", "interior-step"])
+def test_add_highway_refuses_a_conflicting_outcome_before_writing(steps):
+    g = HighwayGraph(gamma=0.9)
+    g.assemble([mk_traj((1, 1, 1, -0.5), (1, 0, 2, 0.0))])
+    g.observed[(8, 1)] = (2, 0.0)
+    before = graph_state(g)
+    froms, actions, nexts, rewards = zip(*steps)
+    with pytest.raises(DeterminismViolation):
+        g.add_highway(froms[0], nexts[-1], actions, rewards, interior=nexts[:-1])
+    assert graph_state(g) == before
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.booleans(), st.integers(1, 10), st.integers(1, 24),
        st.data())

@@ -234,6 +234,15 @@ def test_snapshot_holds_only_the_greedy_table():
         epsilon_greedy(snap, 0, 0.0)
 
 
+def test_snapshot_from_a_ready_table_acts_from_a_copy_of_it():
+    table = {5: 2, 6: 0}
+    snap = PolicySnapshot.from_table(table, action_count=3)
+    table[5] = 1
+    assert snap.greedy == {5: 2, 6: 0}
+    assert [epsilon_greedy(snap, s, 0.0, rng=random.Random(0)) for s in (5, 6)] == [2, 0]
+    with pytest.raises(ValueError, match="action_count"):
+        PolicySnapshot.from_table({5: 0}, action_count=0)
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000),

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import random_highway_graph
+from highway_rl.environments import EnvSpec, make_env
 from highway_rl.errors import DimensionMismatch
 from highway_rl import reparam
 from highway_rl.reparam import (ApproxConfig, QApproximator, QDataset, _forward, _init_weights,
-                                _target_table, act, extract_dataset, fit, loss_and_gradients,
-                                policy_agreement)
+                                _target_table, act, extract_dataset, fit, greedy_table,
+                                loss_and_gradients, policy_agreement)
 from highway_rl.value_iteration import value_update_loop
 
 SMALL = ApproxConfig(hidden_units=24, epochs=400, init_seed=3)
@@ -78,6 +79,25 @@ def test_act_dimension_mismatch():
     approx = fit(ds, ApproxConfig(hidden_units=4, epochs=1), action_count=3)
     with pytest.raises(DimensionMismatch):
         act(approx, np.zeros(5))
+
+
+@pytest.mark.parametrize("spec", [EnvSpec("maze", 4, 3, seed=1), EnvSpec("taxi")],
+                         ids=["maze", "taxi"])
+def test_greedy_table_is_act_at_every_non_terminal_state(spec):
+    env = make_env(spec)
+    rng = np.random.default_rng(5)
+    n = len(env.state_features(env.reset(0)))
+    approx = fit(QDataset(features=rng.uniform(0, 1, size=(40, n)),
+                          actions=rng.integers(0, env.action_count, size=40),
+                          targets=rng.normal(size=40)),
+                 ApproxConfig(hidden_units=16, epochs=20), action_count=env.action_count)
+    table = greedy_table(approx, env)
+    live = [obs for obs in env.enumerate_states() if not env.is_terminal(obs)]
+    assert sorted(table) == sorted(env.state_id(obs) for obs in live)
+    for obs in live:
+        q = approx.predict(env.state_features(obs))
+        assert table[env.state_id(obs)] == act(approx, env.state_features(obs)) == np.argmax(q)
+    assert len(set(table.values())) > 1
 
 
 def test_act_on_unseen_features_is_valid():
@@ -353,6 +373,14 @@ def test_fit_runs_one_full_set_forward_per_epoch(monkeypatch):
 def test_config_rejects_non_positive_epochs(value):
     with pytest.raises(ValueError, match="epochs"):
         ApproxConfig(epochs=value)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", 0.0), ("learning_rate", -0.01), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")), ("hidden_units", 0), ("hidden_units", -3)])
+def test_config_rejects_out_of_range_numbers(name, value):
+    with pytest.raises(ValueError, match=name):
+        ApproxConfig(**{name: value})
 
 
 def test_loss_moving_average_non_increasing():

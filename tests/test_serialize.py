@@ -147,6 +147,37 @@ def test_highway_off_an_interior_state_is_rejected(tmp_path):
         load_highway_graph(path)
 
 
+def _craft(tmp_path, **changes):
+    """A saved 0 -> 3 highway graph file with some arrays replaced."""
+    g = HighwayGraph(gamma=0.99)
+    g.add_highway(0, 3, [0, 0, 0], [0.0, 0.0, 0.0], interior=[1, 2])
+    g.add_highway(3, 0, [1], [0.5])
+    path = tmp_path / "graph.npz"
+    save_highway_graph(path, g)
+    with np.load(path) as npz:
+        data = {name: npz[name] for name in npz.files}
+    for name, change in changes.items():
+        data[name] = change(data[name])
+    np.savez_compressed(path, **data)
+    return path
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"h_from": lambda a: a[:1]}, "disagree"),
+    ({"h_to": lambda a: np.append(a, np.uint64(0))}, "disagree"),
+    ({"h_ptr": lambda a: a[:-1]}, "disagree"),
+    ({"h_ptr": lambda a: a + 1}, "disagree"),
+    ({"flat_rewards": lambda a: a[:-1]}, "disagree"),
+    ({"obs_next": lambda a: a[:-1]}, "disagree"),
+    ({"flat_states": lambda a: np.where(a == 3, np.uint64(7), a)}, "ends at 0x7"),
+], ids=["short-h_from", "long-h_to", "short-h_ptr", "h_ptr-not-from-0", "short-flat_rewards",
+        "short-obs_next", "last-step-not-the-to-state"])
+def test_a_malformed_graph_file_is_refused(tmp_path, changes, message):
+    assert len(load_highway_graph(_craft(tmp_path)).highways) == 2
+    with pytest.raises(ValueError, match=message):
+        load_highway_graph(_craft(tmp_path, **changes))
+
+
 def test_manifest_digests(tmp_path):
     (tmp_path / "a.txt").write_text("hello")
     (tmp_path / "b.txt").write_text("world")

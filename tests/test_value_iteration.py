@@ -487,6 +487,12 @@ def test_completeness_rejects_empty_maps():
         completeness_report({}, {}, tol=1e-9)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan")])
+def test_completeness_rejects_a_negative_or_nan_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        completeness_report({1: 0.0}, {1: 0.0}, tol=tol)
+
+
 def test_completeness_tolerance_boundary():
     report = completeness_report({1: 0.1}, {1: 0.0}, tol=0.1)
     assert report["completeness_pct"] == 100.0
