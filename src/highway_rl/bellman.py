@@ -68,15 +68,26 @@ class _SweepEngine:
             v_out = np.empty(self.n)
         if q_out is None:
             q_out = np.empty(len(self.dst))
+        return self.sweep_into(v, self.views(v_out, q_out))
+
+    def views(self, v_out, q_out):
+        """The buffers a sweep writes and their slices, for `sweep_into`;
+        a loop over the same buffers takes them once."""
+        head = self._head
+        return (v_out, q_out, v_out[:head], q_out[:head], v_out[head:],
+                [(q_out[block], v_out[:c]) for c, block in self._blocks])
+
+    def sweep_into(self, v, views) -> tuple[np.ndarray, np.ndarray]:
+        """`sweep` from v into the buffers of `views`."""
+        v_out, q_out, v_head, q_head, v_tail, blocks = views
         # the indices are valid; mode="raise" would copy through a buffer
         np.take(v, self.dst, out=q_out, mode="clip")
         np.multiply(self.gamma_pow_len, q_out, out=q_out)
         np.add(self.path_return, q_out, out=q_out)
-        head = self._head
-        v_out[:head] = q_out[:head]
-        v_out[head:] = 0.0
-        for c, block in self._blocks:
-            np.maximum(q_out[block], v_out[:c], out=v_out[:c])
+        np.copyto(v_head, q_head)
+        v_tail.fill(0.0)
+        for q_block, v_block in blocks:
+            np.maximum(q_block, v_block, out=v_block)
         return v_out, q_out
 
 
@@ -97,14 +108,17 @@ def sweep_values(eng: _SweepEngine, delta: float, v0=None):
     last max |dV| (0.0, after no sweep, for a graph with no state).
     """
     v = np.zeros(eng.n) if v0 is None else v0[eng.order]
-    v_prev, q = np.empty(eng.n), np.empty(len(eng.dst))
+    buffers, q, diff = (v, np.empty(eng.n)), np.empty(len(eng.dst)), np.empty(eng.n)
+    # views[k] sweeps into buffers[k], from the other buffer
+    views = [eng.views(b, q) for b in buffers]
     sweeps, cap = 0, min(eng.n, 1)
     final_delta = 0.0
     while sweeps < cap:
+        v_prev = buffers[sweeps % 2]
         sweeps += 1
-        v, v_prev = v_prev, v
-        eng.sweep(v_prev, v, q)
-        final_delta = float(np.maximum.reduce(np.abs(v - v_prev)))
+        v, _q = eng.sweep_into(v_prev, views[sweeps % 2])
+        np.subtract(v, v_prev, out=diff)
+        final_delta = float(np.maximum.reduce(np.abs(diff, out=diff)))
         if final_delta < delta:
             break
         if sweeps == 1 and np.isfinite(final_delta):

@@ -16,7 +16,9 @@ Each intersection gets the next index when it is created; none is ever
 removed, so an index never changes.  Beside the `Highway` objects the graph
 keeps numpy columns by highway id, grown by doubling: source and target
 index, first action, `path_return`, `gamma_pow_len` and an alive flag.  A
-solve reads them through `edge_columns`, a gather plus one sort.
+solve reads them through `edge_columns`, a gather plus one sort, made once
+per change of the graph: the solve, the policy snapshot and the trainer's
+topology signature of one update share it.
 
 The single-step transitions behind the highways are not stored a second
 time: `transitions()` yields them from the highways' step sequences.
@@ -100,6 +102,8 @@ class HighwayGraph:
         # alive (a split retires its highway); path_return and gamma_pow_len
         self._edge_ints = np.zeros((16, 4), np.int64)
         self._edge_floats = np.zeros((16, 2))
+        # edge_columns' arrays, until an intersection or highway is added
+        self._columns = None
 
     # ------------------------------------------------------------------ queries
 
@@ -121,8 +125,15 @@ class HighwayGraph:
         states lists the intersections ascending, as an object array of the
         graph's own ids, so that tables keyed from it share them; the others
         list the live highways by (from_state, first action), src and dst
-        indexing states.  The solve and the trainer's topology signature read it.
+        indexing states.  The arrays are read-only and gathered once per
+        change of the graph; the solve, the snapshot and the trainer's
+        topology signature read them.
         """
+        if self._columns is None:
+            self._columns = self._gather_columns()
+        return self._columns
+
+    def _gather_columns(self):
         n = len(self._index)
         states = np.fromiter(self._index, object, n)
         by_id = np.argsort(states.astype(np.uint64))
@@ -132,17 +143,21 @@ class HighwayGraph:
         src, dst, first, _alive = self._edge_ints[live].T
         src = rank[src]
         # rank follows state order and keys are distinct: this orders by key
-        actions, first_rank = np.unique(first, return_inverse=True)
-        order = np.argsort(src * len(actions) + first_rank)
+        lo = first.min(initial=0)
+        order = np.argsort(src * (first.max(initial=0) - lo + 1) + (first - lo))
         path_return, gamma_pow_len = self._edge_floats[live[order]].T
-        return (states[by_id], src[order], rank[dst[order]], first[order], path_return,
-                gamma_pow_len)
+        columns = (states[by_id], src[order], rank[dst[order]], first[order], path_return,
+                   gamma_pow_len)
+        for col in columns:
+            col.flags.writeable = False
+        return columns
 
     # ------------------------------------------------------------- construction
 
     def _add_intersection(self, s: StateId):
         """The one place an intersection is created: it takes the next index."""
         self._index[s] = len(self._index)
+        self._columns = None
 
     def make_intersection(self, s: StateId):
         """Promote a state to an intersection, splitting its highway if interior."""
@@ -186,6 +201,7 @@ class HighwayGraph:
                                                 np.zeros_like(self._edge_floats)])
         self._edge_ints[hid] = index[from_state], index[to_state], first, 1
         self._edge_floats[hid] = ret, h.gamma_pow_len
+        self._columns = None
         return hid
 
     def add_highway(self, from_state: StateId, to_state: StateId, actions,

@@ -3,7 +3,9 @@
 A snapshot compiles the graph and its tables once, when it is built, into a
 single greedy table: states inside a highway map to the recorded action at
 their offset, read from the graph's membership index, and intersections to
-their greedy first action, from one pass over Q in key order.  Acting is
+their greedy first action, found for all of them at once by numpy passes
+over the tables' Q array, which lists Q in the order of the graph's edge
+columns.  Acting is
 then one dictionary lookup; states absent from the table (unseen states, and
 intersections with no outgoing highway) fall back to a uniform random
 action, with exploration on top.  The snapshot holds no generator: every
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import InitVar, dataclass, field
+
+import numpy as np
 
 from .errors import KeyMismatch
 from .highway_graph import HighwayGraph
@@ -46,28 +50,19 @@ class PolicySnapshot:
         if self.action_count < 1:
             raise ValueError("action_count must be >= 1")
         greedy = {s: graph.highways[hid].actions[k] for s, (hid, k) in graph.membership.items()}
-        if len(tables.q) != len(graph.highways):
-            raise KeyMismatch(f"{len(tables.q)} Q entries for {len(graph.highways)} highways")
-        # one pass over Q in key order finds each intersection's first largest
-        # Q, as a strict `>` scan; near is the largest Q of the lower actions
-        last = best = near = None
-        outranked = []
-        for (s, a), q in sorted(tables.q.items()):
-            if s != last:
-                if near is not None:
-                    outranked.append((last, near, best))
-                last, best, near, greedy[s], slots = s, q, None, a, graph.out_edges.get(s, ())
-            elif q > best:
-                best, near, greedy[s] = q, best, a
-            if a not in slots:
-                raise KeyMismatch(f"Q entry ({s:#x}, {a}) is not a highway of the graph")
-        if near is not None:
-            outranked.append((last, near, best))
-        # where a lower action's Q is within the tie tolerance of the largest,
-        # greedy_action's rule picks among them
-        for s, near, best in outranked:
-            if near >= best - TIE_RTOL * max(1.0, abs(best)):
-                greedy[s] = greedy_action(graph, tables, s)
+        states, src, _dst, first, _ret, _disc = graph.edge_columns()
+        if len(tables.q_values) != len(first):
+            raise KeyMismatch(f"{len(tables.q_values)} Q entries for {len(first)} highways")
+        # both list their keys in (state, action) order, so they hold the same
+        # keys exactly when they agree entry by entry
+        q_states = tables.states[tables.q_src]
+        wrong = np.flatnonzero((q_states != states[src]) | (tables.q_actions != first))
+        if wrong.size:
+            j = wrong[0]
+            raise KeyMismatch(f"Q entry ({q_states[j]:#x}, {tables.q_actions[j]}) "
+                              "is not a highway of the graph")
+        starts, chosen = _greedy_entries(src, tables.q_values)
+        greedy.update(zip(states[src[starts]].tolist(), first[chosen].tolist()))
         self.greedy = greedy
 
     @classmethod
@@ -96,6 +91,26 @@ def greedy_action(graph: HighwayGraph, tables: ValueTables, s: StateId) -> Actio
         if q >= floor or q == best:
             return a
     return run[0][0]
+
+
+def _greedy_entries(src, q):
+    """greedy_action's choice at every intersection, from Q in key order.
+
+    src gives each entry's intersection, ascending.  Returns the index of
+    each intersection's first entry and of its chosen entry.  A strict `>`
+    scan's best is NaN when the first Q is, and otherwise the largest Q
+    that is not NaN, which np.fmax finds; entries that tie it by the rule
+    are marked, and the lowest action wins (the first, when none ties).
+    """
+    m = len(q)
+    starts = np.flatnonzero(np.diff(src, prepend=-1))
+    best = np.fmax.reduceat(q, starts)
+    best[np.isnan(q[starts])] = np.nan
+    best = np.repeat(best, np.diff(starts, append=m))
+    with np.errstate(invalid="ignore"):      # inf - inf: the floor is NaN
+        ties = (q >= best - TIE_RTOL * np.maximum(1.0, np.abs(best))) | (q == best)
+    chosen = np.minimum.reduceat(np.where(ties, np.arange(m), m), starts)
+    return starts, np.where(chosen < m, chosen, starts)
 
 
 def epsilon_greedy(snapshot: PolicySnapshot, s: StateId, epsilon: float,

@@ -75,14 +75,13 @@ def extract_dataset(graph: HighwayGraph, tables: ValueTables, features_of) -> QD
 
     features_of maps a state id to its normalized feature vector.
     """
-    keys = sorted(tables.q)
-    if not keys:
+    if not len(tables.q_values):
         return QDataset(features=np.zeros((0, 0)), actions=np.zeros(0, dtype=np.int64),
                         targets=np.zeros(0))
-    feats = np.stack([np.asarray(features_of(s), dtype=np.float64) for s, _a in keys])
-    actions = np.array([a for _s, a in keys], dtype=np.int64)
-    targets = np.array([tables.q[k] for k in keys], dtype=np.float64)
-    return QDataset(features=feats, actions=actions, targets=targets)
+    feats = np.stack([np.asarray(features_of(s), dtype=np.float64)
+                      for s in tables.states[tables.q_src].tolist()])
+    return QDataset(features=feats, actions=np.array(tables.q_actions, dtype=np.int64),
+                    targets=np.array(tables.q_values, dtype=np.float64))
 
 
 @dataclass

@@ -108,26 +108,30 @@ def load_highway_graph(path) -> HighwayGraph:
 # -------------------------------------------------------------------- tables
 
 def save_value_tables(path, tables: ValueTables):
-    v_keys = sorted(tables.v)
-    q_keys = sorted(tables.q)
+    ids = tables.states.astype(np.uint64)
     _save(path, "value_tables", {
-        "v_state": np.array(v_keys, dtype=np.uint64),
-        "v_value": np.array([tables.v[k] for k in v_keys], dtype=np.float64),
-        "q_state": np.array([k[0] for k in q_keys], dtype=np.uint64),
-        "q_action": np.array([k[1] for k in q_keys], dtype=np.int64),
-        "q_value": np.array([tables.q[k] for k in q_keys], dtype=np.float64),
+        "v_state": ids,
+        "v_value": tables.v_values,
+        "q_state": ids[tables.q_src],
+        "q_action": tables.q_actions,
+        "q_value": tables.q_values,
         "iterations_run": np.array(tables.iterations_run, dtype=np.int64),
         "final_delta": np.array(tables.final_delta, dtype=np.float64),
     })
 
 
 def load_value_tables(path) -> ValueTables:
+    """The saved tables; a file whose V or Q columns differ in length, or
+    that repeats a key or gives Q for a state without V, raises ValueError."""
     data = _load(path, "value_tables")
-    v = dict(zip(data["v_state"].tolist(), data["v_value"].tolist()))
-    q = dict(zip(zip(data["q_state"].tolist(), data["q_action"].tolist()),
-                 data["q_value"].tolist()))
-    return ValueTables(v=v, q=q, iterations_run=int(data["iterations_run"]),
-                       final_delta=float(data["final_delta"]))
+    v_cols = [data[name].tolist() for name in ("v_state", "v_value")]
+    q_cols = [data[name].tolist() for name in ("q_state", "q_action", "q_value")]
+    v = dict(zip(*v_cols))
+    q = dict(zip(zip(*q_cols[:2]), q_cols[2]))
+    if {len(v)} != set(map(len, v_cols)) or {len(q)} != set(map(len, q_cols)):
+        raise ValueError(f"{path}: the V or Q columns differ in length or repeat a key")
+    return ValueTables.from_dicts(v, q, iterations_run=int(data["iterations_run"]),
+                                  final_delta=float(data["final_delta"]))
 
 
 # --------------------------------------------------------------- approximator

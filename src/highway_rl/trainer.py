@@ -10,9 +10,14 @@ An episode makes one Python-level call per frame, the environment's `step`,
 whose result carries the next state's id.  Around it the epsilon-greedy rule
 runs inline (an exploration draw and one lookup in the snapshot's greedy
 table), and four appends fill the trajectory's columns; `step`, the
-generator's methods and the table are bound once per episode.  Each
-update signs the topology afresh from arrays the graph already keeps, so no
-signature is cached.
+generator's methods and the table are bound once per episode.
+
+An update stays in arrays from the solve to the signatures.  The graph
+gathers its edge columns once; the solve, the snapshot's key check and the
+topology signature read that one gather.  The solve warm-starts from the
+previous tables' V array, the snapshot picks every intersection's action
+from the Q array, and the policy signature packs its records from arrays.
+No V or Q dict is built, and no signature is cached.
 
 Convergence is declared at the first update after which a configured number
 of consecutive updates changed neither the graph topology nor any greedy
@@ -26,6 +31,7 @@ import random
 import struct
 import time
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -34,7 +40,7 @@ from .environments import (DEFAULT_EPISODES_PER_UPDATE, DEFAULT_EVAL_STEP_CAP,
                            DEFAULT_STEP_CAP, EnvSpec, make_env)
 from .highway_graph import HighwayGraph, graph_stats
 from .policy import PolicySnapshot, epsilon_greedy
-from .transition_model import StateId, Trajectory
+from .transition_model import Trajectory
 from .value_iteration import ValueTables, value_update_loop
 
 METRICS_SCHEMA = "hgrl-metrics-v1"
@@ -146,11 +152,12 @@ def _topology_signature(graph: HighwayGraph) -> str:
     return digest.hexdigest()
 
 
-def _policy_signature(states: list[StateId], snapshot: PolicySnapshot) -> str:
+def _policy_signature(states, snapshot: PolicySnapshot) -> str:
     """Digest of each sorted intersection's greedy action (-1 for none), as <Qq."""
-    greedy = snapshot.greedy
-    data = b"".join([struct.pack("<Qq", s, greedy.get(s, -1)) for s in states])
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
+    records = np.empty(len(states), [("s", "<u8"), ("a", "<i8")])
+    records["s"] = states
+    records["a"] = list(map(snapshot.greedy.get, states, repeat(-1)))
+    return hashlib.blake2b(records.tobytes(), digest_size=16).hexdigest()
 
 
 def run_episode(env, snapshot: PolicySnapshot, epsilon: float, episode_seed: int,
@@ -287,7 +294,7 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
             frames += len(traj)
             batch.append(traj)
         graph.assemble(batch)
-        tables = value_update_loop(graph, delta=config.delta, v_init=tables.v)
+        tables = value_update_loop(graph, delta=config.delta, v_init=tables)
         snapshot = PolicySnapshot(graph, tables, env.action_count)
         ev = evaluate(snapshot, env, EVAL_EPISODES, gamma=config.gamma,
                       step_cap=step_cap, seed=_mix_seed(config.run_seed, 31, update))
@@ -303,7 +310,7 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
             z=stats["z"],
             vi_sweeps=tables.iterations_run,
             topology_sig=_topology_signature(graph),
-            policy_sig=_policy_signature(sorted(graph.intersections), snapshot),
+            policy_sig=_policy_signature(tables.states, snapshot),
         )
         metrics.rows.append(row)
         if on_update is not None:

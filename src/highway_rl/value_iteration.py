@@ -29,7 +29,10 @@ no corridor intersection, sweeps the full graph only, from v_init or zero.
 
 A solve reads the graph only as the arrays `HighwayGraph.edge_columns`
 gathers from the graph's columns, never the Highway objects, and keeps
-nothing between calls.
+nothing between calls.  It hands back arrays too: `ValueTables` holds V and
+Q in key order, sharing the gather's states and keys, and builds its V and
+Q dicts only when they are read.  A warm start maps the previous tables'
+V onto the new states with one binary search.
 
 The per-sweep work is one update per highway plus one reduction per
 intersection; it does not grow with the expanded number of states covered
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,14 +55,50 @@ from .highway_graph import HighwayGraph
 from .transition_model import StateId, ActionId
 
 
-@dataclass
+@dataclass(eq=False)
 class ValueTables:
-    """V over intersections and Q over (intersection, first action) pairs."""
+    """V over intersections and Q over (intersection, first action) pairs.
 
-    v: dict[StateId, float] = field(default_factory=dict)
-    q: dict[tuple[StateId, ActionId], float] = field(default_factory=dict)
+    The tables are arrays in key order: `states` lists the intersections
+    ascending (the ids themselves, in an object array) and `v_values` their
+    V; Q entry j is (states[q_src[j]], q_actions[j]) with value q_values[j],
+    listed by state, then action.  `v` and `q` are dicts of the same
+    entries, built when first read; the arrays must not change after that.
+    `from_dicts` builds tables from dicts.
+    """
+
+    states: np.ndarray = field(default_factory=lambda: np.empty(0, object))
+    v_values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    q_src: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    q_actions: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    q_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     iterations_run: int = 0
     final_delta: float = 0.0
+
+    @classmethod
+    def from_dicts(cls, v: dict[StateId, float], q: dict[tuple[StateId, ActionId], float],
+                   iterations_run: int = 0, final_delta: float = 0.0) -> "ValueTables":
+        """Tables of the entries of V and Q maps; every Q state needs a V entry."""
+        states = sorted(v)
+        index = {s: i for i, s in enumerate(states)}
+        keys = sorted(q)
+        try:
+            src = [index[s] for s, _a in keys]
+        except KeyError as exc:
+            raise ValueError(f"Q entry for state {exc} has no V entry") from None
+        return cls(np.fromiter(states, object, len(states)),
+                   np.array([v[s] for s in states], np.float64),
+                   np.array(src, np.int64), np.array([a for _s, a in keys], np.int64),
+                   np.array([q[k] for k in keys], np.float64), iterations_run, final_delta)
+
+    @cached_property
+    def v(self) -> dict[StateId, float]:
+        return dict(zip(self.states.tolist(), self.v_values.tolist()))
+
+    @cached_property
+    def q(self) -> dict[tuple[StateId, ActionId], float]:
+        keys = zip(self.states[self.q_src].tolist(), self.q_actions.tolist())
+        return dict(zip(keys, self.q_values.tolist()))
 
 
 def _corridor_start(n: int, src, dst, path_return, gamma_pow_len, delta: float):
@@ -131,15 +171,16 @@ def _corridor_start(n: int, src, dst, path_return, gamma_pow_len, delta: float):
 
 
 def value_update_loop(graph: HighwayGraph, delta: float = 1e-6,
-                      v_init: dict[StateId, float] | None = None) -> ValueTables:
+                      v_init: ValueTables | None = None) -> ValueTables:
     """Sweep until no intersection value moves by delta (> 0).
 
     final_delta is the last sweep's max |dV|, as in every solver.  Values
-    warm-start from v_init where intersections persist (missing ones start
-    at zero); without it, from the corridor-contracted solve.  Q is the
-    last sweep's.  The full-graph loop and the contracted graph's each work
-    out their own sweep cap (`bellman.sweep_values`); iterations_run counts
-    both.  Stopping short of delta is recorded in the result, not raised.
+    warm-start from v_init's V where intersections persist (missing ones
+    start at zero); without it, or when it holds no state, from the
+    corridor-contracted solve.  Q is the last sweep's.  The full-graph loop
+    and the contracted graph's each work out their own sweep cap
+    (`bellman.sweep_values`); iterations_run counts both.  Stopping short
+    of delta is recorded in the result, not raised.
     """
     return solve(graph, delta, v_init)[0]
 
@@ -197,7 +238,18 @@ def contraction_probe(graph: HighwayGraph, w: dict[StateId, float],
     return {"lhs": lhs, "rhs": rhs}
 
 
-def solve(graph: HighwayGraph, delta: float = 1e-6, v_init: dict[StateId, float] | None = None):
+def _warm_start(states, prev: ValueTables):
+    """prev's V laid over the states (ascending), 0.0 where prev has none."""
+    new, old = states.astype(np.uint64), prev.states.astype(np.uint64)
+    at = np.searchsorted(new, old)
+    hit = at < len(new)
+    hit[hit] = new[at[hit]] == old[hit]
+    v0 = np.zeros(len(new))
+    v0[at[hit]] = prev.v_values[hit]
+    return v0
+
+
+def solve(graph: HighwayGraph, delta: float = 1e-6, v_init: ValueTables | None = None):
     """Converged tables plus benchmark counters for one solve.
 
     Returns (tables, stats).  stats carries the sweep count (contracted
@@ -212,22 +264,18 @@ def solve(graph: HighwayGraph, delta: float = 1e-6, v_init: dict[StateId, float]
     """
     start = time.perf_counter()
     check_delta(delta)
-    ids, src, dst, first, path_return, gamma_pow_len = graph.edge_columns()
-    states = ids.tolist()
-    found = None if v_init else _corridor_start(len(states), src, dst, path_return,
-                                                gamma_pow_len, delta)
+    states, src, dst, first, path_return, gamma_pow_len = graph.edge_columns()
+    n = len(states)
+    warm = v_init is not None and len(v_init.states)
+    found = None if warm else _corridor_start(n, src, dst, path_return, gamma_pow_len, delta)
     v0, counts = found or (None, dict.fromkeys(
         ("contracted", "reduced_intersections", "reduced_highways", "reduced_sweeps"), 0))
-    if v_init:
-        v0 = np.array([v_init.get(s, 0.0) for s in states], dtype=np.float64)
-    eng = _SweepEngine(len(states), src, dst, path_return, gamma_pow_len)
+    if warm:
+        v0 = _warm_start(states, v_init)
+    eng = _SweepEngine(n, src, dst, path_return, gamma_pow_len)
     v, q, sweeps, final_delta = sweep_values(eng, delta, v0)
-    tables = ValueTables(
-        v=dict(zip(states, v.tolist())),
-        q=dict(zip(zip(ids[src].tolist(), first.tolist()), q[eng._q_perm].tolist())),
-        iterations_run=counts["reduced_sweeps"] + sweeps,
-        final_delta=final_delta,
-    )
+    tables = ValueTables(states, v, src, first, q[eng._q_perm],
+                         counts["reduced_sweeps"] + sweeps, final_delta)
     elapsed = time.perf_counter() - start
     updates = len(graph.highways)
     stats = {
@@ -245,16 +293,16 @@ def solve(graph: HighwayGraph, delta: float = 1e-6, v_init: dict[StateId, float]
 
 
 def values_to_csv(tables: ValueTables) -> str:
-    """CSV export of the V table: state_id,value."""
+    """CSV export of the V table, in key order: state_id,value."""
     lines = ["state_id,value"]
-    for s in sorted(tables.v):
-        lines.append(f"{s},{tables.v[s]!r}")
+    lines.extend(f"{s},{x!r}" for s, x in zip(tables.states.tolist(), tables.v_values.tolist()))
     return "\n".join(lines) + "\n"
 
 
 def q_to_csv(tables: ValueTables) -> str:
-    """CSV export of the Q table: state_id,action,q."""
+    """CSV export of the Q table, in key order: state_id,action,q."""
     lines = ["state_id,action,q"]
-    for (s, a) in sorted(tables.q):
-        lines.append(f"{s},{a},{tables.q[(s, a)]!r}")
+    lines.extend(f"{s},{a},{x!r}" for s, a, x in zip(tables.states[tables.q_src].tolist(),
+                                                       tables.q_actions.tolist(),
+                                                       tables.q_values.tolist()))
     return "\n".join(lines) + "\n"

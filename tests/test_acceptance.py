@@ -25,8 +25,8 @@ from highway_rl.reparam import ApproxConfig, extract_dataset, fit, loss_and_grad
 from highway_rl.serialize import save_approximator, save_highway_graph
 from highway_rl.trainer import TrainConfig, train, evaluate
 from highway_rl.transition_model import Trajectory, TransitionSample, vanilla_value_iteration
-from highway_rl.value_iteration import (completeness_report, contraction_probe, interior_values,
-                                        solve, value_update_loop)
+from highway_rl.value_iteration import (ValueTables, completeness_report, contraction_probe,
+                                        interior_values, solve, value_update_loop)
 
 MAZE_SIZES = (3, 5, 15)
 SEEDS = tuple(range(10))
@@ -203,10 +203,10 @@ def test_07_contraction_and_uniqueness():
     for seed in range(20):
         rng = random.Random(1000 + seed)
         g = random_highway_graph(rng, max_intersections=25)
-        a = value_update_loop(g, delta=1e-12,
-                              v_init={s: rng.uniform(-10, 10) for s in g.intersections})
-        b = value_update_loop(g, delta=1e-12,
-                              v_init={s: rng.uniform(-10, 10) for s in g.intersections})
+        a = value_update_loop(g, delta=1e-12, v_init=ValueTables.from_dicts(
+            {s: rng.uniform(-10, 10) for s in g.intersections}, {}))
+        b = value_update_loop(g, delta=1e-12, v_init=ValueTables.from_dicts(
+            {s: rng.uniform(-10, 10) for s in g.intersections}, {}))
         for s in g.intersections:
             worst_disagreement = max(worst_disagreement, abs(a.v[s] - b.v[s]))
     ok = violations == 0 and worst_disagreement <= 1e-7

@@ -514,6 +514,22 @@ def _check_columns(graph: HighwayGraph, seen_index: dict):
     seen_index.update(index)
 
 
+@pytest.mark.parametrize("low", [0, -2])
+def test_columns_keep_key_order_when_the_first_actions_are_sparse(low):
+    # the order key is src * (action span + 1) + (action - lowest): with
+    # actions low and 5 only, a key per distinct action would mix the
+    # sources up, and a negative action would without the offset
+    g = HighwayGraph(gamma=0.9)
+    for s, a, to in [(7, 5, 3), (3, low, 7), (9, 5, 3), (7, low, 9), (3, 5, 9)]:
+        g.add_highway(s, to, [a], [float(a)])
+    ids, src, dst, first, ret, _disc = g.edge_columns()
+    keys = [(3, low), (3, 5), (7, low), (7, 5), (9, 5)]
+    assert list(zip(ids[src].tolist(), first.tolist())) == keys
+    assert ids[dst].tolist() == [7, 9, 9, 3, 3]
+    assert ret.tolist() == [float(a) for _s, a in keys]
+    _check_columns(g, {})
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 40), st.integers(1, 5),
        st.sampled_from([0.0, 0.25, 0.6]), st.data())

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,13 +17,18 @@ from highway_rl.policy import PolicySnapshot, epsilon_greedy, greedy_action
 from highway_rl.value_iteration import ValueTables, value_update_loop
 
 
-def _two_action_graph():
+def _two_action_graph(q_first=0.5):
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 1, [0], [0.5])
     g.add_highway(0, 2, [1], [0.9])
-    tables = ValueTables(v={0: 0.9, 1: 0.0, 2: 0.0},
-                         q={(0, 0): 0.5, (0, 1): 0.9})
+    tables = ValueTables.from_dicts({0: 0.9, 1: 0.0, 2: 0.0},
+                                    {(0, 0): q_first, (0, 1): 0.9})
     return g, tables
+
+
+def _q_tables(q):
+    """Tables holding Q, with V 0.0 at each of its states."""
+    return ValueTables.from_dicts(dict.fromkeys([s for s, _a in q], 0.0), q)
 
 
 def _greedy(snap, s, rng=None):
@@ -37,8 +43,7 @@ def test_select_argmax_at_intersection():
 
 
 def test_select_tie_breaks_to_lowest_action():
-    g, tables = _two_action_graph()
-    tables.q[(0, 0)] = 0.9
+    g, tables = _two_action_graph(q_first=0.9)
     snap = PolicySnapshot(g, tables, action_count=4)
     assert _greedy(snap, 0) == 0
 
@@ -48,7 +53,7 @@ def _one_state_tables(qs):
     g = HighwayGraph(gamma=0.99)
     for a in range(len(qs)):
         g.add_highway(0, a + 1, [a], [0.0])
-    return g, ValueTables(q={(0, a): q for a, q in enumerate(qs)})
+    return g, _q_tables({(0, a): q for a, q in enumerate(qs)})
 
 
 @pytest.mark.parametrize("qs, want", [
@@ -83,7 +88,7 @@ def test_greedy_action_is_the_lowest_action_near_the_best_in_any_q_order(qs, rng
     g, tables = _one_state_tables(qs)
     keys = list(tables.q)
     rng.shuffle(keys)
-    tables = ValueTables(q={k: tables.q[k] for k in keys})
+    tables = _q_tables({k: tables.q[k] for k in keys})
     assert greedy_action(g, tables, 0) == want
     assert PolicySnapshot(g, tables, action_count=len(qs)).greedy[0] == want
 
@@ -175,8 +180,8 @@ def test_value_shift_leaves_greedy_actions_unchanged():
         tables = value_update_loop(g, delta=1e-13)
         _v, q_shifted = one_sweep(g, {s: val + 3.7 for s, val in tables.v.items()})
         _v0, q_base = one_sweep(g, tables.v)
-        shifted = ValueTables(v=tables.v, q=q_shifted)
-        base = ValueTables(v=tables.v, q=q_base)
+        shifted = ValueTables.from_dicts(tables.v, q_shifted)
+        base = ValueTables.from_dicts(tables.v, q_base)
         for s in g.intersections:
             if g.out_edges.get(s):
                 assert greedy_action(g, base, s) == greedy_action(g, shifted, s)
@@ -246,33 +251,41 @@ def test_snapshot_from_a_ready_table_acts_from_a_copy_of_it():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000),
-       st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.nan, math.inf,
+       st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.nan, math.inf, -math.inf,
                                  math.nextafter(1.0, 2.0), 1.0 - 5e-10, 1.0 - 2e-9]),
-                min_size=1, max_size=4))
-def test_snapshot_compiles_greedy_action_on_ties_and_nan(seed, pool):
-    # Q drawn from a small pool forces ties, near-ties and NaNs; the insertion order of
-    # tables.q is shuffled, so only the key order may decide
+                min_size=1, max_size=4),
+       st.sampled_from(["dicts", "solve"]))
+def test_snapshot_compiles_greedy_action_on_ties_and_nan(seed, pool, made_by):
+    # Q drawn from a small pool forces ties, near-ties, infinities and NaNs.
+    # Tables from dicts see their insertion order shuffled, so only the key
+    # order may decide; a solve's tables share the graph's key arrays, and
+    # take the pool's values in place of the solved ones
     rng = random.Random(seed)
     g = random_highway_graph(rng, max_intersections=12, action_count=4, max_out_degree=4)
     keys = [(h.from_state, h.first_action) for h in g.highways.values()]
     rng.shuffle(keys)
-    tables = ValueTables(q={k: rng.choice(pool) for k in keys})
+    q = {k: rng.choice(pool) for k in keys}
+    if made_by == "dicts":
+        tables = _q_tables(q)
+    else:
+        solved = value_update_loop(g, delta=1e-6)
+        tables = dataclasses.replace(solved, q_values=np.array([q[k] for k in solved.q]))
     snap = PolicySnapshot(g, tables, action_count=4)
     assert snap.greedy == _expected_greedy(g, tables)
 
 
 def test_snapshot_rejects_tables_of_another_topology():
     g, tables = _two_action_graph()
-    missing = ValueTables(q={(0, 1): 0.9})
+    missing = _q_tables({(0, 1): 0.9})
     with pytest.raises(KeyMismatch):
         PolicySnapshot(g, missing, action_count=4)
-    extra = ValueTables(q={**tables.q, (1, 0): 0.0})
+    extra = _q_tables({**tables.q, (1, 0): 0.0})
     with pytest.raises(KeyMismatch):
         PolicySnapshot(g, extra, action_count=4)
     # as many entries as highways, but one pair is not a highway's
-    swapped = ValueTables(q={(0, 0): 0.5, (0, 2): 0.9})
+    swapped = _q_tables({(0, 0): 0.5, (0, 2): 0.9})
     with pytest.raises(KeyMismatch):
         PolicySnapshot(g, swapped, action_count=4)
-    stray = ValueTables(q={(0, 0): 0.5, (7, 1): 0.9})
+    stray = _q_tables({(0, 0): 0.5, (7, 1): 0.9})
     with pytest.raises(KeyMismatch):
         PolicySnapshot(g, stray, action_count=4)

@@ -65,9 +65,10 @@ def test_value_tables_round_trip(tmp_path):
 
 def test_value_tables_load_python_scalars_in_key_order(tmp_path):
     big = 2 ** 64 - 1
-    tables = ValueTables(v={big: -0.0, 3: math.inf, 1: math.nan},
-                         q={(big, 2): 5e-324, (3, 0): -1.5, (1, 1): math.nan, (1, 0): 0.0},
-                         iterations_run=7, final_delta=0.25)
+    tables = ValueTables.from_dicts({big: -0.0, 3: math.inf, 1: math.nan},
+                                    {(big, 2): 5e-324, (3, 0): -1.5, (1, 1): math.nan,
+                                     (1, 0): 0.0},
+                                    iterations_run=7, final_delta=0.25)
     path = tmp_path / "tables.npz"
     save_value_tables(path, tables)
     loaded = load_value_tables(path)
@@ -176,6 +177,58 @@ def test_a_malformed_graph_file_is_refused(tmp_path, changes, message):
     assert len(load_highway_graph(_craft(tmp_path)).highways) == 2
     with pytest.raises(ValueError, match=message):
         load_highway_graph(_craft(tmp_path, **changes))
+
+
+def _craft_tables(tmp_path, **changes):
+    """A saved file of tables over states 1, 2 and 5 with some arrays replaced."""
+    tables = ValueTables.from_dicts({1: 0.5, 2: 0.25, 5: -1.0},
+                                    {(1, 0): 0.5, (1, 3): 0.0, (2, 1): 0.25})
+    path = tmp_path / "tables.npz"
+    save_value_tables(path, tables)
+    with np.load(path) as npz:
+        data = {name: npz[name] for name in npz.files}
+    for name, change in changes.items():
+        data[name] = change(data[name])
+    np.savez_compressed(path, **data)
+    return path
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"v_value": lambda a: a[:1]}, "differ in length"),
+    ({"v_state": lambda a: np.append(a, np.uint64(9))}, "differ in length"),
+    ({"q_action": lambda a: a[:-1]}, "differ in length"),
+    ({"q_value": lambda a: np.append(a, 1.0)}, "differ in length"),
+    ({"v_state": lambda a: np.where(a == 5, np.uint64(2), a)}, "repeat a key"),
+    ({"q_action": lambda a: np.where(a == 3, 0, a)}, "repeat a key"),
+    ({"q_state": lambda a: np.where(a == 2, np.uint64(7), a)}, "state 7 has no V entry"),
+], ids=["short-v_value", "long-v_state", "short-q_action", "long-q_value", "repeated-v-state",
+        "repeated-q-key", "q-state-without-v"])
+def test_a_malformed_tables_file_is_refused(tmp_path, changes, message):
+    loaded = load_value_tables(_craft_tables(tmp_path))
+    assert loaded.v == {1: 0.5, 2: 0.25, 5: -1.0} and len(loaded.q) == 3
+    with pytest.raises(ValueError, match=message):
+        load_value_tables(_craft_tables(tmp_path, **changes))
+
+
+def test_saved_tables_hold_the_arrays_a_dict_sort_gives(tmp_path):
+    # save_value_tables writes the key-order arrays directly: they equal, in
+    # name, dtype, shape and bytes, the columns built by sorting the dicts
+    g = random_highway_graph(random.Random(8), max_intersections=10)
+    tables = value_update_loop(g, delta=1e-12)
+    path = tmp_path / "tables.npz"
+    save_value_tables(path, tables)
+    v_keys, q_keys = sorted(tables.v), sorted(tables.q)
+    want = {
+        "v_state": np.array(v_keys, dtype=np.uint64),
+        "v_value": np.array([tables.v[k] for k in v_keys], dtype=np.float64),
+        "q_state": np.array([k[0] for k in q_keys], dtype=np.uint64),
+        "q_action": np.array([k[1] for k in q_keys], dtype=np.int64),
+        "q_value": np.array([tables.q[k] for k in q_keys], dtype=np.float64),
+    }
+    with np.load(path) as npz:
+        for name, arr in want.items():
+            got = npz[name]
+            assert (got.dtype, got.shape, got.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
 
 
 def test_manifest_digests(tmp_path):

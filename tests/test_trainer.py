@@ -398,3 +398,27 @@ def test_one_value_solve_per_update_on_the_trained_graph(monkeypatch):
     res = train(_maze_cfg(convergence_patience=5))
     assert len(calls) == len(res.metrics.rows)
     assert all(args[0] is res.graph for args in calls)
+
+
+def test_an_update_gathers_the_columns_once_and_builds_no_value_dict(monkeypatch):
+    # the solve, the snapshot's key check and the topology signature share
+    # one gather, made in an update only when it changed the graph; no V or
+    # Q dict is built until the result is read
+    gathers, views = [], []
+    gather = HighwayGraph._gather_columns
+    monkeypatch.setattr(HighwayGraph, "_gather_columns",
+                        lambda graph: gathers.append(graph) or gather(graph))
+    for name in ("v", "q"):
+        build = getattr(ValueTables, name).func
+        monkeypatch.setattr(ValueTables, name, property(
+            lambda tables, name=name, build=build: views.append(name) or build(tables)))
+    per_update = []
+    res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=0),
+                on_update=lambda row: per_update.append(len(gathers) - sum(per_update)))
+    sigs = [row.topology_sig for row in res.metrics.rows]
+    # the first update also counts the gather of the empty graph's first snapshot
+    assert per_update[0] == 2
+    assert per_update[1:] == [int(a != b) for a, b in zip(sigs, sigs[1:])]
+    assert 0 in per_update and all(graph is res.graph for graph in gathers)
+    assert views == []
+    assert res.tables.v and res.tables.q and views == ["v", "q"]

@@ -5,20 +5,22 @@ import random
 import struct
 from collections.abc import Mapping
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import contraction_cap, corridor_highway_graph, one_sweep, random_highway_graph
+from conftest import (contraction_cap, corridor_highway_graph, one_sweep, random_highway_graph,
+                      random_mdp_walks)
 from highway_rl.bellman import _SweepEngine
 from highway_rl.environments import EnvSpec, make_env
 from highway_rl.errors import KeyMismatch
 from highway_rl.highway_graph import HighwayGraph, expand_to_empirical
 from highway_rl.serialize import load_highway_graph, save_highway_graph
 from highway_rl.transition_model import Trajectory, TransitionSample, vanilla_value_iteration
-from highway_rl.value_iteration import (_corridor_start, completeness_report,
-                                        contraction_probe, interior_values, q_to_csv, solve,
-                                        value_update_loop, values_to_csv)
+from highway_rl.value_iteration import (ValueTables, _corridor_start, _warm_start,
+                                        completeness_report, contraction_probe, interior_values,
+                                        q_to_csv, solve, value_update_loop, values_to_csv)
 
 
 def test_sweep_takes_max_over_outgoing():
@@ -157,6 +159,13 @@ def _bits(table):
     return list(table), struct.pack(f"<{len(table)}d", *table.values())
 
 
+def _table_bits(tables):
+    """Every array of the tables (keys as lists, values as bytes) and both counts."""
+    return (tables.states.tolist(), tables.v_values.tobytes(), tables.q_src.tolist(),
+            tables.q_actions.tolist(), tables.q_values.tobytes(), tables.iterations_run,
+            struct.pack("<d", tables.final_delta))
+
+
 def _contracted_start(graph, delta):
     """A cold solve's starting values, as a map, and its contracted sweeps
     (None and 0 when no intersection is a corridor)."""
@@ -198,9 +207,9 @@ def test_loop_is_bitwise_equal_to_the_per_highway_loop(seed, shape, delta, warm)
             g.make_intersection(s)
     if warm:
         # some intersections missing (they start at 0.0) and one stray key
-        v_init = {s: rng.uniform(-5, 5) for s in g.intersections if rng.random() < 0.8}
-        v_init[-1] = 3.0
-        start, contracted_sweeps = v_init, 0
+        start = {s: rng.uniform(-5, 5) for s in g.intersections if rng.random() < 0.8}
+        start[2 ** 64 - 1] = 3.0
+        v_init, contracted_sweeps = ValueTables.from_dicts(start, {}), 0
     else:
         v_init = None
         start, contracted_sweeps = _contracted_start(g, delta)
@@ -244,7 +253,7 @@ def test_results_do_not_depend_on_how_the_states_are_numbered(seed, shape, tmp_p
     if shape == "corridors":
         assert solve(g, delta=1e-10)[1]["contracted"]      # the contracted start runs
     v_init = {s: rng.uniform(-5, 5) for s in g.intersections if rng.random() < 0.8}
-    for warm in (None, v_init):
+    for warm in (None, ValueTables.from_dicts(v_init, {})):
         want = value_update_loop(g, delta=1e-10, v_init=warm)
         for other in built:
             got = value_update_loop(other, delta=1e-10, v_init=warm)
@@ -277,11 +286,11 @@ class _LenOnly(Mapping):
                          ids=["corridors", "random"])
 def test_the_solve_reads_columns_not_highway_objects(make):
     g = make()
-    v_init = dict.fromkeys(g.intersections, 1.0)
+    v_init = ValueTables.from_dicts(dict.fromkeys(g.intersections, 1.0), {})
     cold, warm = value_update_loop(g, 1e-10), value_update_loop(g, 1e-6, v_init)
     g.highways = _LenOnly(len(g.highways))
-    assert solve(g, delta=1e-10)[0] == cold
-    assert value_update_loop(g, 1e-6, v_init) == warm
+    assert _table_bits(solve(g, delta=1e-10)[0]) == _table_bits(cold)
+    assert _table_bits(value_update_loop(g, 1e-6, v_init)) == _table_bits(warm)
 
 
 def test_tables_key_on_the_graphs_own_state_objects():
@@ -402,9 +411,31 @@ def test_loop_takes_the_change_exactly_on_the_capped_sweep():
 
 def test_a_nan_warm_start_ends_the_solve_after_one_sweep():
     g = _uneven_graph()
-    tables, stats = solve(g, delta=1e-6, v_init={10: float("nan")})
+    tables, stats = solve(g, delta=1e-6, v_init=ValueTables.from_dicts({10: math.nan}, {}))
     assert tables.iterations_run == 1 and not stats["converged"]
     assert math.isnan(tables.final_delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 24),
+       st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.5, math.nan, math.inf, 5e-324]),
+                min_size=1, max_size=6))
+def test_the_warm_start_lays_the_previous_v_over_the_grown_graph(seed, episodes, max_len,
+                                                                 pool):
+    # the previous tables hold some of the graph's states, and states it
+    # lacks; the graph then grows new intersections.  The warm start must
+    # hold, bit for bit, what one dict lookup per state gave
+    rng = random.Random(seed)
+    _table, _actions, trajs = random_mdp_walks(rng, 2 * episodes, max_len)
+    g = HighwayGraph(gamma=0.95).assemble(trajs[:episodes])
+    before = {s: rng.choice(pool) for s in g.intersections if rng.random() < 0.8}
+    ids = [*range(16), 2 ** 64 - 1]       # states here are 0-11; interior ones too
+    before.update({rng.choice(ids): rng.choice(pool) for _ in range(rng.randint(0, 3))})
+    g.assemble(trajs[episodes:])
+    states = g.edge_columns()[0]
+    want = np.array([before.get(s, 0.0) for s in states.tolist()], np.float64)
+    got = _warm_start(states, ValueTables.from_dicts(before, {}))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_loop_warm_start_reaches_same_fixed_point():
@@ -412,7 +443,7 @@ def test_loop_warm_start_reaches_same_fixed_point():
     cold = value_update_loop(g, delta=1e-13)
     rng = random.Random(1)
     warm_init = {s: rng.uniform(-5, 5) for s in g.intersections}
-    warm = value_update_loop(g, delta=1e-13, v_init=warm_init)
+    warm = value_update_loop(g, delta=1e-13, v_init=ValueTables.from_dicts(warm_init, {}))
     for s in g.intersections:
         assert warm.v[s] == pytest.approx(cold.v[s], abs=1e-7)
 
@@ -423,7 +454,7 @@ def test_interior_value_last_offset_zero_rewards():
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 4, [0] * 4, [0.0] * 4, interior=[1, 2, 3])
     tables = value_update_loop(g, delta=1e-15)
-    tables.v[4] = 2.0  # pretend downstream value
+    tables = ValueTables.from_dicts({**tables.v, 4: 2.0}, tables.q)  # pretend downstream value
     iv = interior_values(g, tables)
     assert iv[3] == pytest.approx(0.99 * 2.0)
 
