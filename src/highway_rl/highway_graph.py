@@ -191,7 +191,7 @@ class HighwayGraph:
                     gamma_pow_len=self.gamma ** len(actions))
         for offset, st in enumerate(h.interior, start=1):
             if st in index or st in self.membership:
-                raise RuntimeError(f"internal: interior state {st:#x} already placed")
+                raise ValueError(f"interior state {st:#x} is already placed")
             self.membership[st] = (hid, offset)
         slot[first] = hid
         self.highways[hid] = h

@@ -79,7 +79,14 @@ def save_highway_graph(path, graph: HighwayGraph):
 
 
 def load_highway_graph(path) -> HighwayGraph:
-    """The saved graph; a file whose column lengths disagree raises ValueError."""
+    """The saved graph, checked as ingestion relies on it.
+
+    A file raises ValueError, naming the path, when its column lengths
+    disagree, when a highway does not run between intersections or places a
+    state a second time, when a highway step is missing from the observed
+    pairs or observed with another outcome, or when an observed pair that is
+    no self-loop lies on no highway.
+    """
     data = _load(path, "highway_graph")
     ptr = data["h_ptr"].tolist()
     # each group shares one length: the highways (h_ptr's less one), the steps
@@ -95,13 +102,32 @@ def load_highway_graph(path) -> HighwayGraph:
     flat_states = data["flat_states"].tolist()
     flat_actions = data["flat_actions"].tolist()
     flat_rewards = data["flat_rewards"].tolist()
-    for lo, hi, h_from, h_to in zip(ptr, ptr[1:], data["h_from"].tolist(),
-                                    data["h_to"].tolist()):
-        graph._insert_highway(h_from, h_to, tuple(flat_actions[lo:hi]),
-                              tuple(flat_rewards[lo:hi]), tuple(flat_states[lo:hi]))
-    for s, a, nxt, r in zip(data["obs_state"].tolist(), data["obs_action"].tolist(),
-                            data["obs_next"].tolist(), data["obs_reward"].tolist()):
-        graph.observed[(s, a)] = (nxt, r)
+    h_froms = data["h_from"].tolist()
+    try:
+        for lo, hi, h_from, h_to in zip(ptr, ptr[1:], h_froms, data["h_to"].tolist()):
+            graph._insert_highway(h_from, h_to, tuple(flat_actions[lo:hi]),
+                                  tuple(flat_rewards[lo:hi]), tuple(flat_states[lo:hi]))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    obs_keys = list(zip(data["obs_state"].tolist(), data["obs_action"].tolist()))
+    obs_next = data["obs_next"].tolist()
+    graph.observed.update(zip(obs_keys, zip(obs_next, data["obs_reward"].tolist())))
+    # the steps are compared with the observed pairs bit for bit, rewards as
+    # int64; a state leaves by an action at most once, so step keys are distinct
+    froms = [0, *flat_states[:-1]]
+    for lo, h_from in zip(ptr, h_froms):
+        froms[lo] = h_from
+    steps = dict(zip(zip(froms, flat_actions),
+                     zip(flat_states, data["flat_rewards"].view(np.int64).tolist())))
+    seen = dict(zip(obs_keys, zip(obs_next, data["obs_reward"].view(np.int64).tolist())))
+    for (s, a), outcome in steps.items():
+        if seen.get((s, a)) != outcome:
+            how = "is missing from" if (s, a) not in seen else "has another outcome in"
+            raise ValueError(f"{path}: highway step ({s:#x}, {a}) {how} observed")
+    for (s, a), (nxt, _bits) in seen.items():
+        if s != nxt and (s, a) not in steps:
+            raise ValueError(f"{path}: observed step ({s:#x}, {a}) is no self-loop "
+                             "and lies on no highway")
     return graph
 
 

@@ -1,10 +1,11 @@
 """Actor/learner training loop over the highway graph.
 
 A ladder of epsilon-greedy actors collects whole episodes against the most
-recent policy snapshot; the learner folds each batch into the highway graph,
-re-runs value updating, and publishes a fresh snapshot.  Everything is
-seeded: episode seeds derive from (run_seed, actor, episode index), so the
-run is reproducible regardless of actor scheduling.
+recent policy snapshot; the learner folds each episode into the highway graph
+as soon as it ends and drops it, so training holds one episode at a time.
+After an update's episodes it re-runs value updating and publishes a fresh
+snapshot.  Everything is seeded: episode seeds derive from (run_seed, actor,
+episode index), so the run is reproducible regardless of actor scheduling.
 
 An episode makes one Python-level call per frame, the environment's `step`,
 whose result carries the next state's id.  Around it the epsilon-greedy rule
@@ -166,9 +167,13 @@ def run_episode(env, snapshot: PolicySnapshot, epsilon: float, episode_seed: int
 
     Actions follow `epsilon_greedy`'s rule and random stream, applied inline;
     its `rng.randrange` is written out as randrange's getrandbits rejection loop.
+    An epsilon outside [0, 1] or a step cap below 1 raises ValueError before
+    the first step.
     """
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must be in [0, 1]")
+    if step_cap is not None and step_cap < 1:
+        raise ValueError("step_cap must be >= 1")
     rng = random.Random(episode_seed)
     draw, getrandbits = rng.random, rng.getrandbits
     greedy = snapshot.greedy.get
@@ -221,11 +226,16 @@ def evaluate(snapshot: PolicySnapshot, env, episodes: int, gamma: float = 0.99,
     An episode steps until a terminal state or the cap; the discount exponent
     is the step index.  The module's epsilon_greedy is looked up per frame, so
     a wrapper installed on it sees every choice.  The snapshot may compile a
-    graph's policy or a distilled net's (`reparam.greedy_table`).
+    graph's policy or a distilled net's (`reparam.greedy_table`).  Fewer than
+    one episode, a step cap below 1 or a gamma outside [0, 1) raises ValueError.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("gamma must be in [0, 1)")
     cap = step_cap if step_cap is not None else DEFAULT_EVAL_STEP_CAP[env.spec.kind]
+    if cap < 1:
+        raise ValueError("step_cap must be >= 1")
     out = []
     for k in range(episodes):
         episode_seed = _mix_seed(seed, 7_777, k)   # picks the start state
@@ -267,8 +277,11 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
     """Run the actor/learner loop until the frame budget or convergence.
 
     on_update, when given, receives each UpdateRow as soon as it is recorded
-    (metrics streaming).  A DeterminismViolation from any ingested transition
-    aborts the run; the exception names the conflicting (state, action) pair.
+    (metrics streaming).  Each episode is ingested as soon as it ends; its
+    rollout read the snapshot the previous update published, so ingesting
+    early changes no result.  A DeterminismViolation from any ingested
+    transition aborts the run before the update's later episodes are rolled
+    out; the exception names the conflicting (state, action) pair.
     """
     env = make_env(config.env)
     episodes_per_update = config.resolved_episodes_per_update()
@@ -283,7 +296,6 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
     started = time.perf_counter()
     while frames < config.frame_budget:
         update += 1
-        batch = []
         for _ in range(episodes_per_update):
             actor = episode_index % config.actors
             eps = epsilon_ladder(actor, config.actors)
@@ -292,8 +304,8 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
                                step_cap)
             episode_index += 1
             frames += len(traj)
-            batch.append(traj)
-        graph.assemble(batch)
+            graph.assemble([traj])
+            del traj                   # the next rollout starts with no episode held
         tables = value_update_loop(graph, delta=config.delta, v_init=tables)
         snapshot = PolicySnapshot(graph, tables, env.action_count)
         ev = evaluate(snapshot, env, EVAL_EPISODES, gamma=config.gamma,

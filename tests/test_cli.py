@@ -153,11 +153,14 @@ def test_bench_command(run_dir, capsys):
 
 def test_bench_not_converged_exits_5(run_dir, capsys):
     # a NaN step reward, under a manifest rewritten to match, makes both
-    # solvers' first sweep change NaN, and each stops after that sweep
+    # solvers' first sweep change NaN, and each stops after that sweep; the
+    # step's observed pair gets the same NaN, as the loader checks
     path = run_dir / "graph.npz"
     with np.load(path) as npz:
         arrays = {name: npz[name] for name in npz.files}
     arrays["flat_rewards"][0] = np.nan
+    arrays["obs_reward"][(arrays["obs_state"] == arrays["h_from"][0])
+                         & (arrays["obs_action"] == arrays["flat_actions"][0])] = np.nan
     np.savez_compressed(path, **arrays)
     write_manifest(run_dir, read_manifest(run_dir)["config"])
     assert cli.main(["bench", "--run", str(run_dir)]) == 5

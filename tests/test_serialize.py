@@ -171,12 +171,21 @@ def _craft(tmp_path, **changes):
     ({"flat_rewards": lambda a: a[:-1]}, "disagree"),
     ({"obs_next": lambda a: a[:-1]}, "disagree"),
     ({"flat_states": lambda a: np.where(a == 3, np.uint64(7), a)}, "ends at 0x7"),
+    ({name: lambda a: a[:0] for name in ("obs_state", "obs_action", "obs_next", "obs_reward")},
+     r"step \(0x0, 0\) is missing from observed"),
+    ({"obs_reward": lambda a: 2 * a}, r"step \(0x3, 1\) has another outcome in observed"),
+    ({"obs_state": lambda a: np.append(a, np.uint64(1)), "obs_action": lambda a: np.append(a, 1),
+      "obs_next": lambda a: np.append(a, np.uint64(5)), "obs_reward": lambda a: np.append(a, 0.0)},
+     r"step \(0x1, 1\) is no self-loop and lies on no highway"),
+    ({"flat_states": lambda a: np.where(a == 1, np.uint64(2), a)}, "0x2 is already placed"),
 ], ids=["short-h_from", "long-h_to", "short-h_ptr", "h_ptr-not-from-0", "short-flat_rewards",
-        "short-obs_next", "last-step-not-the-to-state"])
+        "short-obs_next", "last-step-not-the-to-state", "no-observed-pairs", "doubled-obs_reward",
+        "observed-step-off-the-highways", "state-placed-twice"])
 def test_a_malformed_graph_file_is_refused(tmp_path, changes, message):
     assert len(load_highway_graph(_craft(tmp_path)).highways) == 2
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as err:
         load_highway_graph(_craft(tmp_path, **changes))
+    assert str(err.value).startswith(f"{tmp_path / 'graph.npz'}: ")
 
 
 def _craft_tables(tmp_path, **changes):

@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 import struct
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,40 @@ class _StochasticEnv:
         return StepResult(0, 0.0, True, 1000)
 
 
+@pytest.mark.parametrize("spec", [EnvSpec(kind="maze", width=5, height=5, seed=2),
+                                  EnvSpec(kind="taxi", seed=0)], ids=["maze5-2", "taxi-0"])
+def test_no_trajectory_outlives_its_ingestion(monkeypatch, spec):
+    # each episode is folded into the graph as soon as it ends and then
+    # dropped: no rollout starts while an earlier trajectory is alive
+    import highway_rl.trainer as trainer_module
+
+    refs = []
+    ingested = 0
+    rollout = trainer_module.run_episode
+
+    def tracked(*args):
+        assert [ref() for ref in refs] == [None] * len(refs)
+        traj = rollout(*args)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    assemble = HighwayGraph.assemble
+
+    def one_episode(graph, trajs):
+        nonlocal ingested
+        # a list holding the episode just rolled out, once: rollout order
+        assert type(trajs) is list and len(trajs) == 1
+        assert trajs[0] is refs[-1]() and ingested == len(refs) - 1
+        ingested += 1
+        return assemble(graph, trajs)
+
+    monkeypatch.setattr(trainer_module, "run_episode", tracked)
+    monkeypatch.setattr(HighwayGraph, "assemble", one_episode)
+    res = train(TrainConfig(env=spec, run_seed=0))
+    assert ingested == len(refs) == len(res.metrics.rows) * res.config.resolved_episodes_per_update()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
 def test_stochastic_stream_aborts_with_violation(monkeypatch):
     import highway_rl.trainer as trainer_module
 
@@ -313,6 +348,26 @@ def test_run_episode_rejects_epsilon_outside_unit_interval_before_stepping(epsil
         run_episode(env, snap, epsilon, 0, 10)
     assert env.steps == 0
     assert len(run_episode(env, snap, 1.0, 0, 10)) == env.steps > 0
+
+
+@pytest.mark.parametrize("step_cap", [0, -5])
+def test_run_episode_rejects_a_step_cap_below_one_before_stepping(step_cap):
+    env = _CountingEnv()
+    snap = PolicySnapshot(HighwayGraph(), ValueTables(), 2)
+    with pytest.raises(ValueError, match="step_cap"):
+        run_episode(env, snap, 0.5, 0, step_cap)
+    assert env.steps == 0
+
+
+@pytest.mark.parametrize("setting", [{"step_cap": 0}, {"step_cap": -5}, {"gamma": 1.5},
+                                     {"gamma": 1.0}, {"gamma": -0.1}, {"gamma": math.nan}])
+def test_evaluate_rejects_a_step_cap_below_one_or_a_gamma_outside_unit_interval(setting):
+    env = _CountingEnv()
+    snap = PolicySnapshot(HighwayGraph(), ValueTables(), 2)
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        evaluate(snap, env, 1, **{"gamma": 0.99, "step_cap": 10, **setting})
+    assert env.steps == 0
+    assert evaluate(snap, env, 1, gamma=0.99, step_cap=1).episodes[0].steps == env.steps == 1
 
 
 # ------------------------------------------------------------- signatures
