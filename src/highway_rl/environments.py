@@ -12,10 +12,12 @@ Three environments are bundled:
 * Taxi: the standard 5x5 grid with four marked locations.  -1 per step,
   +20 for a successful dropoff (terminal), -10 for illegal pickup/dropoff.
 
-All transitions are deterministic and precomputed into lookup tables, so
-step() is a pure function of (state, action).  Ground-truth optimal values
-come from vanilla value iteration (the same solver that checks the highway
-solve) over the fully enumerated MDP, including blocked-move self-loops.
+All transitions are deterministic and precomputed into one table of
+per-state rows, `table[obs][action] -> StepResult`, so step() is a pure
+function of (state, action) and costs one row lookup and one action lookup.
+Terminal states have no row.  Ground-truth optimal values come from vanilla
+value iteration (the same solver that checks the highway solve) over the
+fully enumerated MDP, including blocked-move self-loops.
 """
 
 from __future__ import annotations
@@ -73,20 +75,28 @@ class _TabularEnv:
     def __init__(self, spec: EnvSpec):
         self.spec = spec
         self.action_count = spec.action_count
-        self._table: dict[tuple, StepResult] = {}
+        self._table: dict = {}
         self._states: list = []
         self._terminal: set = set()
         self._build()
         ids = self._sid = {obs: encode_tabular(obs) for obs in self._states}
-        # _build records (next_obs, reward, done); each entry's next id is
-        # fixed, so it is looked up once here rather than on every step, and
-        # equal records share one result
-        results = {res: StepResult(*res, ids[res[0]]) for res in set(self._table.values())}
-        self._table = {key: results[res] for key, res in self._table.items()}
+        # _build records (next_obs, reward, done) under (obs, action); each
+        # record's next id is fixed, so it is looked up once here rather than
+        # on every step, equal records share one result, and the results are
+        # filed in one row per state, keyed by action
+        results: dict[tuple, StepResult] = {}
+        rows: dict[object, dict[int, StepResult]] = {}
+        for (obs, action), rec in self._table.items():
+            res = results.get(rec)
+            if res is None:
+                res = results[rec] = StepResult(*rec, ids[rec[0]])
+            rows.setdefault(obs, {})[action] = res
+        self._table = rows
         self._obs_of_id = {sid: obs for obs, sid in self._sid.items()}
         self._dist = self._bfs_steps()
 
-    # subclasses fill _table with (next_obs, reward, done), _states and _terminal
+    # subclasses fill _table[(obs, action)] with (next_obs, reward, done),
+    # _states and _terminal
     def _build(self):
         raise NotImplementedError
 
@@ -95,10 +105,11 @@ class _TabularEnv:
 
     def step(self, obs, action: int) -> StepResult:
         try:
-            return self._table[(obs, action)]
+            return self._table[obs][action]
         except (KeyError, TypeError):
-            # only a bad call misses the table; say why, as the checks did
-            # when they ran before the lookup
+            # only a bad call misses the table (rows are dicts, so a negative
+            # action misses too); say why, as the checks did when they ran
+            # before the lookup
             if not (0 <= action < self.action_count):
                 raise InvalidAction(f"action {action} not in [0, {self.action_count})")
             if obs in self._terminal:
@@ -124,8 +135,9 @@ class _TabularEnv:
     def _bfs_steps(self) -> dict:
         """Minimum number of actions from each state to episode termination."""
         preds: dict = {obs: [] for obs in self._states}
-        for (obs, _a), res in self._table.items():
-            preds[res.next_obs].append(obs)
+        for obs, row in self._table.items():
+            for res in row.values():
+                preds[res.next_obs].append(obs)
         dist = {obs: 0 for obs in self._terminal}
         queue = deque(self._terminal)
         while queue:
@@ -150,12 +162,14 @@ class _TabularEnv:
 @functools.lru_cache(maxsize=64)
 def _ground_truth(spec: EnvSpec, gamma: float) -> dict:
     # Every done step lands in a terminal state, and terminal states have no
-    # table entries, so they keep V = 0 and a done backup r + gamma * 0 is r.
+    # row, so they keep V = 0 and a done backup r + gamma * 0 is r.
     env = make_env(spec)
     graph = EmpiricalGraph(gamma=gamma)
     graph.nodes.update(env._sid.values())
-    for (obs, a), res in env._table.items():
-        graph.add_sample(env._sid[obs], a, res.next_id, res.reward)
+    for obs, row in env._table.items():
+        sid = env._sid[obs]
+        for a, res in row.items():
+            graph.add_sample(sid, a, res.next_id, res.reward)
     values = vanilla_value_iteration(graph, delta=1e-12).values
     return {sid: values[sid] for sid in env._sid.values()}
 

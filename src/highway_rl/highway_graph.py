@@ -27,8 +27,9 @@ Single-step self-loop samples (wall bumps, illegal no-op actions) are kept
 in the determinism memory but excluded from the graph structure: embedding
 them would force every bumped state to become an intersection and would
 break the one-location-per-interior-state index.  Their rewards are
-strictly suboptimal in every supported environment, so dropping them leaves
-optimal values untouched.
+strictly suboptimal in every supported environment (r < (1 - gamma) V*(s),
+checked over each environment's step table in the tests), so dropping them
+leaves optimal values untouched.
 """
 
 from __future__ import annotations

@@ -77,7 +77,14 @@ class Trajectory:
             raise ValueError("trajectory columns differ in length")
         if self.next_states[:-1] != self.from_states[1:]:
             raise ValueError("trajectory samples do not chain")
-        if not all(map(math.isfinite, self.rewards)):
+        # one float sum is finite only if every reward is; a sum that is not,
+        # or that cannot be formed (a huge int, a non-float type), falls back
+        # to the per-reward check, which accepts and raises as it always has
+        try:
+            finite = math.isfinite(sum(self.rewards, 0.0))
+        except (OverflowError, TypeError):
+            finite = False
+        if not finite and not all(map(math.isfinite, self.rewards)):
             raise ValueError("reward must be finite")
 
     def __len__(self):

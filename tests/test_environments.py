@@ -99,7 +99,7 @@ def test_step_errors_keep_their_precedence(kind):
     env = make_env(EnvSpec(kind=kind, width=3, height=3, seed=0))
     goal = next(obs for obs in env.enumerate_states() if env.is_terminal(obs))
     live = env.reset(0)
-    assert env.step(live, 0) is env._table[(live, 0)]
+    assert env.step(live, 0) is env._table[live][0]
     # a bad action is named before a terminal or unknown state
     for obs in (live, goal, "nowhere", ["unhashable"]):
         for action in (-1, env.action_count):
@@ -292,26 +292,61 @@ def test_step_is_pure():
 def test_done_steps_end_in_terminals_that_have_no_steps(spec):
     # the oracle relies on this: terminals keep V = 0, so a done backup is r
     env = make_env(spec)
-    for (obs, _a), res in env._table.items():
+    for obs, row in env._table.items():
         assert obs not in env._terminal
-        if res.done:
-            assert res.next_obs in env._terminal
+        for res in row.values():
+            if res.done:
+                assert res.next_obs in env._terminal
 
 
-@pytest.mark.parametrize("spec", [EnvSpec(kind="maze", width=w, height=h, seed=s)
-                                  for w, h, s in [(2, 2, 0), (3, 7, 1), (5, 5, 2), (15, 15, 0),
-                                                  (41, 41, 3)]]
-                         + [EnvSpec(kind="cliffwalking"), EnvSpec(kind="taxi")],
-                         ids=lambda spec: f"{spec.kind}-{spec.width}x{spec.height}-{spec.seed}")
+def _step_results(env):
+    return [res for row in env._table.values() for res in row.values()]
+
+
+# every bundled environment, up to the 41x41 maze
+all_specs = pytest.mark.parametrize(
+    "spec", [EnvSpec(kind="maze", width=w, height=h, seed=s)
+             for w, h, s in [(2, 2, 0), (3, 7, 1), (5, 5, 2), (15, 15, 0), (41, 41, 3)]]
+    + [EnvSpec(kind="cliffwalking"), EnvSpec(kind="taxi")],
+    ids=lambda spec: f"{spec.kind}-{spec.width}x{spec.height}-{spec.seed}")
+
+
+@all_specs
 def test_every_step_result_carries_its_next_state_id(spec):
     env = make_env(spec)
-    for res in env._table.values():
+    for res in _step_results(env):
         assert res.next_id == env.state_id(res.next_obs)
     if spec.kind == "cliffwalking":
         # a step into the cliff teleports to the start, and its id is the start's
-        falls = [res for res in env._table.values() if res.reward == -100.0]
+        falls = [res for res in _step_results(env) if res.reward == -100.0]
         assert len(falls) == 11   # down from the ten cells above it, right from the start
         assert {res.next_id for res in falls} == {env.state_id(env.start)}
+
+
+@all_specs
+def test_each_live_state_has_one_row_of_every_action(spec):
+    env = make_env(spec)
+    live = [obs for obs in env.enumerate_states() if not env.is_terminal(obs)]
+    assert env._table.keys() == set(live)
+    for obs, row in env._table.items():
+        assert list(row) == list(range(env.action_count))
+        for a, res in row.items():
+            assert env.step(obs, a) is res
+
+
+@all_specs
+def test_self_loops_are_strictly_suboptimal(spec):
+    # highway_graph leaves single-step self-loops out of the graph; that keeps
+    # optimal values only while r + gamma * V*(s) < V*(s), i.e. r < (1 - gamma) V*(s)
+    gamma = 0.99
+    env = make_env(spec)
+    truth = env.ground_truth_values(gamma)
+    loops = [(obs, res) for obs, row in env._table.items()
+             for res in row.values() if res.next_obs == obs]
+    assert loops
+    for obs, res in loops:
+        assert not res.done
+        assert res.reward < (1 - gamma) * truth[env.state_id(obs)]
 
 
 def test_step_result_requires_next_id():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import struct
 
 import numpy as np
@@ -86,6 +87,33 @@ def test_trajectory_columns_match_samples():
 def test_trajectory_columns_validated(columns):
     with pytest.raises(ValueError):
         Trajectory.from_columns(*columns)
+
+
+@pytest.mark.parametrize("rewards, accepted", [
+    ([float("nan")], False),
+    ([float("inf")], False),
+    ([float("inf"), float("-inf")], False),      # the sum is NaN
+    ([float("nan"), 10**400], False),            # the sum raises OverflowError
+    ([1e308, 1e308], True),                      # the sum overflows, every reward is finite
+    ([1.0, -2, 0.5], True),
+])
+def test_reward_finiteness_is_judged_reward_by_reward(rewards, accepted):
+    n = len(rewards)
+    columns = (list(range(n)), [0] * n, list(range(1, n + 1)), rewards)
+    assert all(map(math.isfinite, rewards)) == accepted
+    if accepted:
+        assert Trajectory.from_columns(*columns).rewards == rewards
+    else:
+        with pytest.raises(ValueError, match="^reward must be finite$"):
+            Trajectory.from_columns(*columns)
+
+
+@pytest.mark.parametrize("reward", [10**400, "1.0", 1j])
+def test_a_reward_that_is_not_a_real_float_raises_as_the_per_reward_check(reward):
+    with pytest.raises((OverflowError, TypeError)) as expected:
+        math.isfinite(reward)
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        Trajectory.from_columns([0, 1], [0, 0], [1, 2], [0.5, reward])
 
 
 def test_vanilla_vi_one_step_to_terminal():
