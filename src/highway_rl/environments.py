@@ -164,14 +164,12 @@ def _ground_truth(spec: EnvSpec, gamma: float) -> dict:
     # Every done step lands in a terminal state, and terminal states have no
     # row, so they keep V = 0 and a done backup r + gamma * 0 is r.
     env = make_env(spec)
-    graph = EmpiricalGraph(gamma=gamma)
-    graph.nodes.update(env._sid.values())
-    for obs, row in env._table.items():
-        sid = env._sid[obs]
-        for a, res in row.items():
-            graph.add_sample(sid, a, res.next_id, res.reward)
+    sid = env._sid
+    graph = EmpiricalGraph(gamma, set(sid.values()), {
+        (sid[obs], a): (res.next_id, res.reward)
+        for obs, row in env._table.items() for a, res in row.items()})
     values = vanilla_value_iteration(graph, delta=1e-12).values
-    return {sid: values[sid] for sid in env._sid.values()}
+    return {s: values[s] for s in sid.values()}
 
 
 # ---------------------------------------------------------------------- maze

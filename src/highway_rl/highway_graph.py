@@ -20,8 +20,8 @@ solve reads them through `edge_columns`, a gather plus one sort, made once
 per change of the graph: the solve, the policy snapshot and the trainer's
 topology signature of one update share it.
 
-The single-step transitions behind the highways are not stored a second
-time: `transitions()` yields them from the highways' step sequences.
+The single-step transitions are stored once, in `observed`, and the
+expanded graph (`expand_to_empirical`) is read off it.
 
 Single-step self-loop samples (wall bumps, illegal no-op actions) are kept
 in the determinism memory but excluded from the graph structure: embedding
@@ -113,12 +113,6 @@ class HighwayGraph:
 
     def states(self) -> set[StateId]:
         return self.intersections | self.membership.keys()
-
-    def transitions(self):
-        """(state, action, next_state, reward) for every step of every highway."""
-        for h in self.highways.values():
-            yield from zip((h.from_state,) + h.interior, h.actions, h.step_states,
-                           h.step_rewards)
 
     def edge_columns(self):
         """(states, src, dst, first, path_return, gamma_pow_len) from the columns.
@@ -373,12 +367,11 @@ def _first_departures(froms, nexts) -> dict[StateId, int]:
 # ------------------------------------------------------------------- derived views
 
 def expand_to_empirical(graph: HighwayGraph) -> EmpiricalGraph:
-    """Unroll every highway back into its single-step empirical transitions."""
-    out = EmpiricalGraph(gamma=graph.gamma)
-    out.nodes.update(graph.states())
-    for s, a, nxt, r in graph.transitions():
-        out.add_sample(s, a, nxt, r)
-    return out
+    """The single-step graph behind the highways, read off `observed`: every
+    pair that is no self-loop, and the self-loops that are length-1 highways."""
+    return EmpiricalGraph(graph.gamma, graph.states(), {
+        (s, a): (nxt, r) for (s, a), (nxt, r) in graph.observed.items()
+        if s != nxt or a in graph.out_edges.get(s, ())})
 
 
 def graph_stats(graph: HighwayGraph) -> dict:

@@ -182,6 +182,9 @@ def save_approximator(path, approx: QApproximator):
 
 
 def load_approximator(path) -> QApproximator:
+    """The saved approximator; a file that lacks one of the weight arrays
+    w0-w5, or whose weights do not chain feature_dim -> hidden_units ->
+    hidden_units -> action_count with matching biases, raises ValueError."""
     data = _load(path, "approximator")
     anchor = str(data["cfg_anchor"])
     cfg = ApproxConfig(
@@ -191,9 +194,18 @@ def load_approximator(path) -> QApproximator:
         hidden_units=int(data["cfg_hidden_units"]),
         absent_action_anchor=anchor or None,
     )
-    weights = [data[f"w{i}"] for i in range(6)]
-    return QApproximator(weights=weights, feature_dim=int(data["feature_dim"]),
-                         action_count=int(data["action_count"]), config=cfg,
+    feature_dim, action_count = int(data["feature_dim"]), int(data["action_count"])
+    dims = [feature_dim, cfg.hidden_units, cfg.hidden_units, action_count]
+    shapes = [shape for fan_in, fan_out in zip(dims, dims[1:])
+              for shape in ((fan_in, fan_out), (fan_out,))]
+    weights = [data.get(f"w{i}") for i in range(6)]
+    for i, (w, shape) in enumerate(zip(weights, shapes)):
+        if w is None:
+            raise ValueError(f"{path}: the weight array w{i} is missing")
+        if w.shape != shape:
+            raise ValueError(f"{path}: w{i} has shape {w.shape}, expected {shape}")
+    return QApproximator(weights=weights, feature_dim=feature_dim,
+                         action_count=action_count, config=cfg,
                          target_mean=float(data["target_mean"]),
                          target_scale=float(data["target_scale"]),
                          loss_history=list(data["loss_history"]))

@@ -1,23 +1,22 @@
 """Empirical state-transition graph and the vanilla value-iteration oracle.
 
-The graph stores exactly what was sampled: one deterministic
-(state, action) -> (next state, reward) edge per observed pair.  Vanilla
-value iteration sweeps the whole graph with synchronous (Jacobi) backups,
-one edge per recorded pair on the highway solve's engine (`bellman`), and
-serves as the uncompressed reference solver that the highway machinery is
-checked against.
+The graph is a plain record: one deterministic (state, action) -> (next
+state, reward) edge per pair, read off a highway graph's `observed` pairs or
+an environment's step table.  Vanilla value iteration sweeps the whole graph
+with synchronous (Jacobi) backups, one edge per pair on the highway solve's
+engine (`bellman`), and serves as the uncompressed reference solver that the
+highway machinery is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bellman import _SweepEngine, check_delta, sweep_values
-from .errors import DeterminismViolation
 
 StateId = int
 ActionId = int
@@ -121,26 +120,15 @@ class _SampleView(Sequence):
 
 @dataclass
 class EmpiricalGraph:
-    """Deterministic empirical state-transition graph."""
+    """Deterministic empirical state-transition graph; edges join nodes."""
 
-    gamma: float = 0.99
-    nodes: set[StateId] = field(default_factory=set)
+    gamma: float
+    nodes: set[StateId]
     # (state, action) -> (next_state, reward)
-    edges: dict[tuple[StateId, ActionId], tuple[StateId, float]] = field(default_factory=dict)
+    edges: dict[tuple[StateId, ActionId], tuple[StateId, float]]
 
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def add_sample(self, state: StateId, action: ActionId, next_state: StateId, reward: float):
-        """Store one sample; raises DeterminismViolation if the pair was
-        stored before with a different next state or reward."""
-        outcome = (next_state, reward)
-        prev = self.edges.setdefault((state, action), outcome)
-        if prev is outcome:
-            self.nodes.add(state)
-            self.nodes.add(next_state)
-        elif prev[0] != next_state or prev[1] != reward:
-            raise DeterminismViolation(state, action, prev, outcome)
 
 
 @dataclass
@@ -161,7 +149,8 @@ def vanilla_value_iteration(graph: EmpiricalGraph, delta: float = 1e-6) -> Vanil
     max_a [r(s, a) + gamma * V(next)], the first recorded edge winning a
     tie.  States with no outgoing edges keep value 0.  Stops when the
     max-norm change drops below delta (> 0); stopping short of it (at the
-    cap `bellman.sweep_values` works out) is reported, not raised.
+    cap `bellman.sweep_values` works out) is reported, not raised.  An edge
+    whose state or next state is not a node raises ValueError.
     """
     if not graph.nodes:
         raise ValueError("graph is empty")
@@ -170,8 +159,11 @@ def vanilla_value_iteration(graph: EmpiricalGraph, delta: float = 1e-6) -> Vanil
     check_delta(delta)
     states = sorted(graph.nodes)
     index = {s: i for i, s in enumerate(states)}
-    src = np.array([index[s] for s, _a in graph.edges], np.intp)
-    dst = np.array([index[nxt] for nxt, _r in graph.edges.values()], np.intp)
+    try:
+        src = np.array([index[s] for s, _a in graph.edges], np.intp)
+        dst = np.array([index[nxt] for nxt, _r in graph.edges.values()], np.intp)
+    except KeyError as err:
+        raise ValueError(f"edge state {err.args[0]:#x} is not in the graph's nodes") from None
     reward = np.array([r for _nxt, r in graph.edges.values()], np.float64)
     # by source, each source's edges in the order they were recorded
     order = np.argsort(src, kind="stable")

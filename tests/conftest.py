@@ -13,12 +13,20 @@ from highway_rl.bellman import _SweepEngine
 from highway_rl.errors import DeterminismViolation
 from highway_rl.highway_graph import HighwayGraph
 from highway_rl.trainer import _topology_signature
-from highway_rl.transition_model import Trajectory, TransitionSample
+from highway_rl.transition_model import Trajectory
 
 
 def mk_traj(*steps, terminal=False) -> Trajectory:
     """Build a trajectory from (state, action, next_state, reward) tuples."""
-    return Trajectory([TransitionSample(*s) for s in steps], terminal=terminal)
+    return Trajectory.from_columns(*map(list, zip(*steps)), terminal=terminal)
+
+
+def highway_steps(graph: HighwayGraph):
+    """(state, action, next_state, reward) for every step of every highway,
+    walked from the highways' step sequences."""
+    for h in graph.highways.values():
+        yield from zip((h.from_state,) + h.interior, h.actions, h.step_states,
+                       h.step_rewards)
 
 
 def random_highway_graph(rng: random.Random, max_intersections: int = 50,
@@ -119,13 +127,16 @@ def random_walk_trajectories(rng: random.Random, table, n_states: int,
     out = []
     for _ in range(episodes):
         s = rng.randrange(n_states)
-        samples = []
+        froms, actions, nexts, rewards = [], [], [], []
         for _ in range(rng.randint(1, max_len)):
             a = rng.randrange(action_count)
             nxt, r = table[(s, a)]
-            samples.append(TransitionSample(s + 10 ** 6, a, nxt + 10 ** 6, r))
+            froms.append(s + 10 ** 6)
+            actions.append(a)
+            nexts.append(nxt + 10 ** 6)
+            rewards.append(r)
             s = nxt
-        out.append(Trajectory(samples, terminal=False))
+        out.append(Trajectory.from_columns(froms, actions, nexts, rewards))
     return out
 
 
@@ -167,7 +178,7 @@ def check_graph_invariants(graph: HighwayGraph):
             assert h.from_state == s and h.first_action == a
     # each (state, action) is one step of one highway, and interior states
     # have at most one in and one out edge in the expanded graph
-    steps = list(graph.transitions())
+    steps = list(highway_steps(graph))
     assert len({(s, a) for s, a, _nxt, _r in steps}) == len(steps)
     # ingestion's premise: every step of the graph is in the determinism memory
     assert all(graph.observed.get((s, a)) == (nxt, r) for s, a, nxt, r in steps)
@@ -239,7 +250,7 @@ def detect_within(steps) -> set:
 def detect_against(steps, graph: HighwayGraph) -> set:
     """Intersection candidates where a trajectory meets the existing graph."""
     flags = set()
-    next_of = {(s, a): nxt for s, a, nxt, _r in graph.transitions()}
+    next_of = {(s, a): nxt for s, a, nxt, _r in highway_steps(graph)}
     for s, a, nxt, _r in steps:
         s_on = graph.contains_state(s)
         n_on = graph.contains_state(nxt)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_highway_graph
+from conftest import mk_traj, random_highway_graph
 from highway_rl import cli
 from highway_rl.environments import EnvSpec, StepResult, make_env
 from highway_rl.highway_graph import HighwayGraph, expand_to_empirical, graph_stats
@@ -24,7 +24,7 @@ from highway_rl.policy import greedy_action
 from highway_rl.reparam import ApproxConfig, extract_dataset, fit, loss_and_gradients, policy_agreement
 from highway_rl.serialize import save_approximator, save_highway_graph
 from highway_rl.trainer import TrainConfig, train, evaluate
-from highway_rl.transition_model import Trajectory, TransitionSample, vanilla_value_iteration
+from highway_rl.transition_model import EmpiricalGraph, vanilla_value_iteration
 from highway_rl.value_iteration import (ValueTables, completeness_report, contraction_probe,
                                         interior_values, solve, value_update_loop)
 
@@ -73,6 +73,11 @@ def cliff_run():
 @pytest.fixture(scope="module")
 def taxi_run():
     return train_run(TAXI_SPEC, 0)
+
+
+@pytest.fixture(scope="module")
+def taxi_extra_run():
+    return train_run(TAXI_SPEC, TAXI_EXTRA_RUN_SEED)
 
 
 def _frames_at_convergence(result):
@@ -217,8 +222,7 @@ def test_07_contraction_and_uniqueness():
 
 def _single_path_fixture(n_states):
     g = HighwayGraph(gamma=0.99)
-    steps = [(i, 0, i + 1, -0.25) for i in range(n_states - 1)]
-    g.assemble([Trajectory([TransitionSample(*s) for s in steps])])
+    g.assemble([mk_traj(*[(i, 0, i + 1, -0.25) for i in range(n_states - 1)])])
     return g
 
 
@@ -549,12 +553,38 @@ def ledger_moves(want, got) -> list[str]:
     return moved
 
 
-def test_results_ledger(maze_runs, cliff_run, taxi_run, distilled_approximator, tmp_path):
+def test_results_ledger(maze_runs, cliff_run, taxi_run, taxi_extra_run, distilled_approximator,
+                        tmp_path):
     runs, _wall = maze_runs
-    trained = [*runs.values(), cliff_run, taxi_run, train_run(TAXI_SPEC, TAXI_EXTRA_RUN_SEED)]
+    trained = [*runs.values(), cliff_run, taxi_run, taxi_extra_run]
     got = build_ledger(trained, distilled_approximator[3], tmp_path)
     want = json.loads(LEDGER_PATH.read_text())
     moved = ledger_moves(want, got)
     ok = got == want
     assert _verdict(12, "every acceptance run matches its pinned results bit for bit", ok,
                     f"{len(got['runs'])} runs; moved: {', '.join(moved[:8]) or 'none'}")
+
+
+def test_13_dropped_self_loops_leave_the_values_unchanged(maze_runs, cliff_run, taxi_run,
+                                                          taxi_extra_run):
+    # The graph leaves its sampled self-loops (wall bumps, illegal actions)
+    # out of the highways on the premise that they never beat an optimal
+    # action.  Solving every observed pair, self-loops included, must then
+    # give every expanded state the value the highway solve gave it.
+    runs, _wall = maze_runs
+    worst = 0.0
+    loops = 0
+    keys_ok = True
+    trained = [*runs.values(), cliff_run, taxi_run, taxi_extra_run]
+    for res in trained:
+        graph = res.graph
+        full = vanilla_value_iteration(
+            EmpiricalGraph(graph.gamma, graph.states(), dict(graph.observed)), delta=1e-12)
+        learned = interior_values(graph, res.tables)
+        keys_ok &= full.values.keys() == learned.keys()
+        worst = max(worst, *(abs(full.values[s] - v) for s, v in learned.items()))
+        loops += sum(s == nxt for (s, _a), (nxt, _r) in graph.observed.items())
+    ok = keys_ok and worst <= 1e-9
+    assert _verdict(13, "solving the dropped self-loops too leaves every value unchanged", ok,
+                    f"{len(trained)} runs, {loops} self-loops, same states: {keys_ok}, "
+                    f"worst gap {worst:.1e}")

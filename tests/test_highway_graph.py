@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (check_graph_invariants, detect_against, detect_within, graph_state,
-                      mk_traj, random_deterministic_mdp, random_highway_graph,
-                      random_mdp_walks, random_walk_trajectories, reference_assemble)
+from conftest import (check_graph_invariants, corridor_highway_graph, detect_against,
+                      detect_within, graph_state, highway_steps, mk_traj,
+                      random_deterministic_mdp, random_highway_graph, random_mdp_walks,
+                      random_walk_trajectories, reference_assemble)
 from highway_rl.errors import DeterminismViolation, NotInterior
 from highway_rl.highway_graph import (HighwayGraph, expand_to_empirical, graph_stats,
                                       path_return, to_dot)
@@ -144,7 +145,7 @@ def test_assemble_self_loop_samples_are_not_embedded():
     (h,) = g.highways.values()
     assert h.interior == (1,)
     assert g.observed[(1, 2)] == (1, -0.1)
-    assert all((s, a) != (1, 2) for s, a, _nxt, _r in g.transitions())
+    assert all((s, a) != (1, 2) for s, a, _nxt, _r in highway_steps(g))
 
 
 def test_assemble_cycle_produces_self_loop_highway():
@@ -213,12 +214,12 @@ def test_split_at_first_interior():
 def test_split_preserves_expanded_transitions():
     g = HighwayGraph(gamma=0.99)
     hid = g.add_highway(0, 4, [0, 1, 2, 3], [0.1, 0.2, 0.3, 0.4], interior=[1, 2, 3])
-    before = sorted(g.transitions())
+    before = sorted(highway_steps(g))
     assert before == [(0, 0, 1, 0.1), (1, 1, 2, 0.2), (2, 2, 3, 0.3), (3, 3, 4, 0.4)]
     up, _down = g.split_highway(hid, 3)
-    assert sorted(g.transitions()) == before
+    assert sorted(highway_steps(g)) == before
     g.split_highway(up, 1)
-    assert sorted(g.transitions()) == before
+    assert sorted(highway_steps(g)) == before
 
 
 def test_split_requires_interior():
@@ -263,6 +264,33 @@ def test_expand_round_trip_reassembles_isomorphic_graph():
                     for h in g2.highways.values())
     assert spans == spans2
     assert expand_to_empirical(g).edges == expand_to_empirical(g2).edges
+
+
+@pytest.mark.parametrize("kind", ["random", "corridor", "wall-bumps"])
+def test_expansion_is_every_highway_step_and_no_dropped_self_loop(kind):
+    loop_steps = dropped_loops = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        if kind == "random":
+            g = random_highway_graph(rng, max_intersections=20)
+        elif kind == "corridor":
+            g = corridor_highway_graph(rng)
+        else:
+            g = HighwayGraph(gamma=0.95).assemble(_replayed_walks(rng, 6, 24, loop_share=0.3))
+        steps = {(s, a): (nxt, r) for s, a, nxt, r in highway_steps(g)}
+        emp = expand_to_empirical(g)
+        assert emp.gamma == g.gamma and emp.nodes == g.states()
+        assert emp.edges == steps
+        # what the expansion leaves out of observed is self-loops, none of them a step
+        dropped = g.observed.keys() - emp.edges.keys()
+        assert all(g.observed[(s, a)][0] == s for s, a in dropped)
+        loop_steps += sum(s == nxt for (s, _a), (nxt, _r) in steps.items())
+        dropped_loops += len(dropped)
+    # the fixtures hold what the rule tells apart
+    if kind == "wall-bumps":
+        assert dropped_loops > 0
+    else:
+        assert loop_steps > 0
 
 
 def test_compression_ratio_at_most_one(rng):
@@ -314,7 +342,7 @@ def test_assemble_invariants_under_random_walks(seed, episodes, max_len):
     g.assemble(trajs)
     check_graph_invariants(g)
     # expanded edges agree with the source MDP table
-    for s, a, nxt, r in g.transitions():
+    for s, a, nxt, r in highway_steps(g):
         assert table[(s - 10 ** 6, a)] == (nxt - 10 ** 6, r)
 
 
@@ -433,7 +461,7 @@ def test_promotions_keep_the_invariants_and_one_expanded_edge_per_step(seed, wal
         for s in data.draw(promoted):
             g.make_intersection(s)           # splits the highway through s
     check_graph_invariants(g)
-    steps = list(g.transitions())
+    steps = list(highway_steps(g))
     assert len(steps) == graph_stats(g)["expanded_edges"]
 
 

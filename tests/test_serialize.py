@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import mk_traj, random_highway_graph
+from conftest import highway_steps, mk_traj, random_highway_graph
 from highway_rl.errors import MissingArtifact
 from highway_rl.highway_graph import HighwayGraph
 from highway_rl.reparam import ApproxConfig, QDataset, fit
@@ -27,7 +27,7 @@ def test_highway_graph_round_trip(tmp_path):
     assert loaded.gamma == g.gamma
     assert loaded.intersections == g.intersections
     assert loaded.membership.keys() == g.membership.keys()
-    assert sorted(loaded.transitions()) == sorted(g.transitions())
+    assert sorted(highway_steps(loaded)) == sorted(highway_steps(g))
     assert loaded.observed == g.observed
     spans = lambda gr: sorted((h.from_state, h.first_action, h.to_state, h.actions,
                                h.step_rewards, h.step_states)
@@ -114,6 +114,27 @@ def test_approximator_with_the_retired_batch_and_momentum_fields_loads(tmp_path)
     assert np.array_equal(approx.predict(x), loaded.predict(x))
     assert loaded.config == approx.config
     assert loaded.loss_history == approx.loss_history
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda data: data.pop("w5"), "the weight array w5 is missing"),
+    (lambda data: data.update(w2=data["w2"][:3]), r"w2 has shape \(3, 4\), expected \(4, 4\)"),
+    (lambda data: data.update(w3=data["w3"][:3]), r"w3 has shape \(3,\), expected \(4,\)"),
+    (lambda data: data.update(w0=data["w0"].T), r"w0 has shape \(4, 2\), expected \(2, 4\)"),
+], ids=["no-w5", "w2-does-not-chain", "short-bias", "transposed-w0"])
+def test_a_malformed_approximator_file_is_refused(tmp_path, change, message):
+    rng = np.random.default_rng(0)
+    ds = QDataset(features=rng.uniform(size=(6, 2)), actions=rng.integers(0, 3, 6),
+                  targets=rng.normal(size=6))
+    path = tmp_path / "approx.npz"
+    save_approximator(path, fit(ds, ApproxConfig(hidden_units=4, epochs=1), action_count=3))
+    with np.load(path) as npz:
+        data = {name: npz[name] for name in npz.files}
+    change(data)
+    np.savez_compressed(path, **data)
+    with pytest.raises(ValueError, match=message) as err:
+        load_approximator(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_missing_artifact_raises(tmp_path):

@@ -93,7 +93,7 @@ def test_frames_accounting():
         traj = run_episode(env, empty, epsilon_ladder(actor, cfg.actors),
                            _mix_seed(cfg.run_seed, actor, episode_index),
                            cfg.resolved_step_cap())
-        total += len(traj.samples)
+        total += len(traj)
     assert total == rows[0].frames_so_far
 
 

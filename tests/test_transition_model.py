@@ -13,45 +13,58 @@ from hypothesis import strategies as st
 from conftest import contraction_cap, mk_traj
 from highway_rl.bellman import _SweepEngine
 from highway_rl.errors import DeterminismViolation
-from highway_rl.highway_graph import HighwayGraph
+from highway_rl.highway_graph import HighwayGraph, expand_to_empirical
 from highway_rl.transition_model import (EmpiricalGraph, Trajectory, TransitionSample, to_dot,
                                          vanilla_value_iteration)
 from highway_rl.value_iteration import value_update_loop
 
 
-def record(graph: EmpiricalGraph, *steps):
-    """Add each (state, action, next_state, reward) step to graph."""
-    for step in steps:
-        graph.add_sample(*step)
+def empirical(gamma: float, *steps) -> EmpiricalGraph:
+    """The graph of the given (state, action, next_state, reward) steps."""
+    return EmpiricalGraph(gamma, {x for s, _a, nxt, _r in steps for x in (s, nxt)},
+                          {(s, a): (nxt, r) for s, a, nxt, r in steps})
 
+
+def record(*steps) -> HighwayGraph:
+    """A highway graph that ingested each step as a one-step episode."""
+    return HighwayGraph(gamma=0.99).assemble(mk_traj(step) for step in steps)
+
+
+# The samples are stored once, in the highway graph's `observed`; the
+# empirical graph is read off it.
 
 def test_record_single_step():
-    g = EmpiricalGraph(gamma=0.99)
-    record(g, (0, 0, 1, 1.0))
+    g = expand_to_empirical(record((0, 0, 1, 1.0)))
     assert g.nodes == {0, 1}
     assert g.num_edges() == 1
     assert g.edges[(0, 0)] == (1, 1.0)
 
 
 def test_record_twice_keeps_one_edge():
-    g = EmpiricalGraph()
-    record(g, (0, 0, 1, 1.0), (0, 0, 1, 1.0))
+    g = expand_to_empirical(record((0, 0, 1, 1.0), (0, 0, 1, 1.0)))
     assert g.nodes == {0, 1}
     assert g.edges == {(0, 0): (1, 1.0)}
 
 
 def test_conflicting_next_state_raises():
-    g = EmpiricalGraph()
-    record(g, (0, 0, 1, 1.0))
+    g = record((0, 0, 1, 1.0))
     with pytest.raises(DeterminismViolation):
-        record(g, (0, 0, 2, 1.0))
+        g.assemble([mk_traj((0, 0, 2, 1.0))])
+    assert expand_to_empirical(g).edges == {(0, 0): (1, 1.0)}
 
 
 def test_conflicting_reward_raises():
-    g = EmpiricalGraph()
-    record(g, (0, 0, 1, 1.0))
+    g = record((0, 0, 1, 1.0))
     with pytest.raises(DeterminismViolation):
-        record(g, (0, 0, 1, 0.5))
+        g.assemble([mk_traj((0, 0, 1, 0.5))])
+    assert expand_to_empirical(g).edges == {(0, 0): (1, 1.0)}
+
+
+@pytest.mark.parametrize("nodes, missing", [({0}, 1), ({1}, 0)], ids=["next-state", "state"])
+def test_vanilla_vi_names_an_edge_state_that_is_not_a_node(nodes, missing):
+    g = EmpiricalGraph(0.99, nodes, {(0, 0): (1, 1.0)})
+    with pytest.raises(ValueError, match=f"^edge state {missing:#x} is not in the graph's nodes$"):
+        vanilla_value_iteration(g)
 
 
 def test_trajectory_must_chain():
@@ -65,7 +78,8 @@ def test_trajectory_must_be_nonempty():
 
 
 def test_trajectory_columns_match_samples():
-    traj = mk_traj((0, 1, 2, -1.0), (2, 3, 2, 0.5), (2, 0, 4, 1.0), terminal=True)
+    traj = Trajectory([TransitionSample(0, 1, 2, -1.0), TransitionSample(2, 3, 2, 0.5),
+                       TransitionSample(2, 0, 4, 1.0)], terminal=True)
     same = Trajectory.from_columns([0, 2, 2], [1, 3, 0], [2, 2, 4], [-1.0, 0.5, 1.0],
                                    terminal=True)
     for t in (traj, same):
@@ -117,8 +131,7 @@ def test_a_reward_that_is_not_a_real_float_raises_as_the_per_reward_check(reward
 
 
 def test_vanilla_vi_one_step_to_terminal():
-    g = EmpiricalGraph(gamma=0.99)
-    record(g, (0, 0, 1, 1.0))
+    g = empirical(0.99, (0, 0, 1, 1.0))
     res = vanilla_value_iteration(g)
     assert res.values[0] == pytest.approx(1.0, abs=1e-12)
     assert res.values[1] == 0.0
@@ -126,8 +139,7 @@ def test_vanilla_vi_one_step_to_terminal():
 
 
 def test_vanilla_vi_chain():
-    g = EmpiricalGraph(gamma=0.99)
-    record(g, (0, 0, 1, 0.0), (1, 0, 2, 1.0))
+    g = empirical(0.99, (0, 0, 1, 0.0), (1, 0, 2, 1.0))
     res = vanilla_value_iteration(g)
     assert res.values[1] == pytest.approx(1.0, abs=1e-12)
     assert res.values[0] == pytest.approx(0.99, abs=1e-12)
@@ -148,10 +160,8 @@ def _oracle_fixed_point(graph: EmpiricalGraph, sweeps: int = 6000) -> dict:
 
 def test_vanilla_vi_matches_bruteforce_on_random_graph():
     rng = random.Random(7)
-    g = EmpiricalGraph(gamma=0.95)
-    for s in range(20):
-        for a in range(3):
-            g.add_sample(s, a, rng.randrange(20), round(rng.uniform(-1, 1), 6))
+    g = empirical(0.95, *[(s, a, rng.randrange(20), round(rng.uniform(-1, 1), 6))
+                          for s in range(20) for a in range(3)])
     expected = _oracle_fixed_point(g)
     res = vanilla_value_iteration(g, delta=1e-13)
     assert res.converged
@@ -176,10 +186,8 @@ def _sweeps_from_zero(graph: EmpiricalGraph, k: int) -> list[dict]:
 
 def test_vanilla_vi_monotone_with_nonnegative_rewards():
     rng = random.Random(3)
-    g = EmpiricalGraph(gamma=0.9)
-    for s in range(12):
-        for a in range(2):
-            g.add_sample(s, a, rng.randrange(12), round(rng.uniform(0, 1), 6))
+    g = empirical(0.9, *[(s, a, rng.randrange(12), round(rng.uniform(0, 1), 6))
+                         for s in range(12) for a in range(2)])
     prev = {s: 0.0 for s in g.nodes}
     # values never decrease sweep over sweep
     for values in _sweeps_from_zero(g, 11):
@@ -190,10 +198,8 @@ def test_vanilla_vi_monotone_with_nonnegative_rewards():
 
 def test_vanilla_vi_contracts_toward_fixed_point():
     rng = random.Random(11)
-    g = EmpiricalGraph(gamma=0.9)
-    for s in range(10):
-        for a in range(2):
-            g.add_sample(s, a, rng.randrange(10), round(rng.uniform(-1, 1), 6))
+    g = empirical(0.9, *[(s, a, rng.randrange(10), round(rng.uniform(-1, 1), 6))
+                         for s in range(10) for a in range(2)])
     star = vanilla_value_iteration(g, delta=1e-14).values
     prev_dist = None
     for values in _sweeps_from_zero(g, 24):
@@ -206,8 +212,7 @@ def test_vanilla_vi_contracts_toward_fixed_point():
 def test_vanilla_vi_converges_on_a_slow_cycle():
     # the fixed point is V(0) = 1 / (1 - gamma^2); at gamma 0.999 delta
     # needs 25,318 sweeps
-    g = EmpiricalGraph(gamma=0.999)
-    record(g, (0, 0, 1, 1.0), (1, 0, 0, 0.0))
+    g = empirical(0.999, (0, 0, 1, 1.0), (1, 0, 0, 0.0))
     res = vanilla_value_iteration(g, delta=1e-11)
     assert res.converged and res.iterations_run == 25_318
     assert res.values[0] == pytest.approx(1 / (1 - 0.999 ** 2), abs=1e-8)
@@ -216,8 +221,7 @@ def test_vanilla_vi_converges_on_a_slow_cycle():
 def test_vanilla_vi_reports_non_convergence():
     # rounding keeps max |dV| at 2.0e-15, above delta: the loop stops at the
     # cap that the first change (0.36) and gamma give, 2 * 3336 sweeps
-    g = EmpiricalGraph(gamma=0.99)
-    record(g, (0, 0, 1, 0.36), (1, 0, 0, -0.36))
+    g = empirical(0.99, (0, 0, 1, 0.36), (1, 0, 0, -0.36))
     res = vanilla_value_iteration(g, delta=1e-15)
     assert not res.converged
     assert res.iterations_run == 6672
@@ -225,8 +229,7 @@ def test_vanilla_vi_reports_non_convergence():
 
 
 def test_vanilla_vi_stops_at_once_on_a_nan_value():
-    g = EmpiricalGraph(gamma=0.99)
-    record(g, (0, 0, 1, 1.0), (1, 0, 0, float("nan")))
+    g = empirical(0.99, (0, 0, 1, 1.0), (1, 0, 0, float("nan")))
     res = vanilla_value_iteration(g, delta=1e-6)
     assert (res.iterations_run, res.converged) == (1, False)
     assert math.isnan(res.final_delta)
@@ -235,8 +238,7 @@ def test_vanilla_vi_stops_at_once_on_a_nan_value():
 @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
 def test_solvers_reject_a_delta_they_cannot_stop_on(delta):
     # with delta <= 0 the loop would never stop; both solvers check alike
-    g = EmpiricalGraph(gamma=0.99)
-    record(g, (0, 0, 1, 1.0))
+    g = empirical(0.99, (0, 0, 1, 1.0))
     with pytest.raises(ValueError, match="delta must be > 0"):
         vanilla_value_iteration(g, delta=delta)
     with pytest.raises(ValueError, match="delta must be > 0"):
@@ -285,9 +287,9 @@ def _edge_list_loop(graph: EmpiricalGraph, delta: float):
 @example(seed=3, delta=0.5)
 def test_vanilla_vi_is_bitwise_equal_to_the_edge_list_loop(seed, delta):
     rng = random.Random(seed)
-    g = EmpiricalGraph(gamma=rng.choice([0.0, 0.5, 0.9, 0.99]))
+    gamma = rng.choice([0.0, 0.5, 0.9, 0.99])
     n = rng.randint(1, 25)
-    g.nodes.update(range(n))  # some states never get an edge and keep 0.0
+    g = EmpiricalGraph(gamma, set(range(n)), {})  # some states never get an edge and keep 0.0
     rewards = [-1.0, -0.0, 0.0, 0.5, 1.0]  # repeated rewards make tied backups
     for _ in range(rng.randint(0, 3 * n)):
         reward = rng.choice(rewards) if rng.random() < 0.5 else rng.uniform(-1, 1)
@@ -309,10 +311,7 @@ def test_vanilla_vi_keeps_the_first_of_tied_backups(first, actions):
     # gamma 0 and V(1) = -1 make the two backups of state 0 -0.0 and 0.0 in
     # the second sweep; equal values, so only the tie rule picks the sign.
     # The first recorded edge wins, whether or not it has the lower action.
-    g = EmpiricalGraph(gamma=0.0)
-    g.add_sample(0, actions[0], 1, first)
-    g.add_sample(0, actions[1], 1, -first)
-    g.add_sample(1, 0, 2, -1.0)
+    g = empirical(0.0, (0, actions[0], 1, first), (0, actions[1], 1, -first), (1, 0, 2, -1.0))
     res = vanilla_value_iteration(g, delta=1e-12)
     values, _iterations, _delta, _converged = _edge_list_loop(g, 1e-12)
     assert struct.pack("<d", res.values[0]) == struct.pack("<d", values[0])
@@ -324,24 +323,26 @@ def test_vanilla_vi_keeps_the_first_of_tied_backups(first, actions):
                           st.sampled_from([-1.0, 0.0, 0.5, 1.0])),
                 min_size=1, max_size=40))
 def test_determinism_invariant_under_adversarial_streams(samples):
-    """After any sequence of recorded samples, each (s, a) has one outcome."""
-    g = EmpiricalGraph()
-    for s, a, nxt, r in samples:
+    """After any sequence of recorded samples, each (s, a) has one outcome,
+    and the empirical graph holds every pair that is no self-loop."""
+    g = HighwayGraph(gamma=0.99)
+    for step in samples:
         try:
-            g.add_sample(s, a, nxt, r)
+            g.assemble([mk_traj(step)])
         except DeterminismViolation:
             pass
     # every pair keeps the outcome it was first recorded with
     first = {}
     for s, a, nxt, r in samples:
         first.setdefault((s, a), (nxt, r))
-    assert g.edges == first
-    assert g.nodes == {x for (s, _a), (nxt, _r) in first.items() for x in (s, nxt)}
+    assert g.observed == first
+    emp = expand_to_empirical(g)
+    assert emp.edges == {(s, a): out for (s, a), out in first.items() if out[0] != s}
+    assert emp.nodes == {x for (s, _a), (nxt, _r) in first.items() for x in (s, nxt)}
 
 
 def test_dot_export_mentions_all_edges():
-    g = EmpiricalGraph()
-    record(g, (0, 0, 1, 0.5), (1, 1, 2, -1.0))
+    g = empirical(0.99, (0, 0, 1, 0.5), (1, 1, 2, -1.0))
     dot = to_dot(g)
     assert dot.startswith("digraph")
     assert dot.count("->") == 2

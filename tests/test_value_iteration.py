@@ -17,7 +17,7 @@ from highway_rl.environments import EnvSpec, make_env
 from highway_rl.errors import KeyMismatch
 from highway_rl.highway_graph import HighwayGraph, expand_to_empirical
 from highway_rl.serialize import load_highway_graph, save_highway_graph
-from highway_rl.transition_model import Trajectory, TransitionSample, vanilla_value_iteration
+from highway_rl.transition_model import Trajectory, vanilla_value_iteration
 from highway_rl.value_iteration import (ValueTables, _corridor_start, _warm_start,
                                         completeness_report, contraction_probe, interior_values,
                                         q_to_csv, solve, value_update_loop, values_to_csv)
@@ -478,8 +478,8 @@ def test_interior_values_match_ground_truth_on_covered_maze():
             continue
         for a in range(env.action_count):
             res = env.step(obs, a)
-            trajs.append(Trajectory([TransitionSample(
-                env.state_id(obs), a, env.state_id(res.next_obs), res.reward)]))
+            trajs.append(Trajectory.from_columns([env.state_id(obs)], [a],
+                                                 [env.state_id(res.next_obs)], [res.reward]))
     g.assemble(trajs)
     tables = value_update_loop(g, delta=1e-12)
     learned = interior_values(g, tables)
