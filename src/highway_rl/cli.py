@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: train, eval, eval-hgq, bench, completeness, export, distill.
-Exit codes: 0 ok, 2 usage/config error, 3 determinism violation,
-4 missing or altered artifact (every command that reads a run checks its
-manifest digests first), 5 a solve stopped short of delta, on NaN values or
-at its own sweep cap (a `bench` solver, or the run's own solve that
-`completeness` reads).  HG_RUN_DIR overrides the default output root.
+Exit codes: 0 ok, 2 usage/config error (also a malformed artifact and any
+other package error, e.g. a feature dimension mismatch), 3 determinism
+violation, 4 missing, unmarked or altered artifact (every command that reads
+a run checks its manifest digests first), 5 a solve stopped short of delta,
+on NaN values or at its own sweep cap (a `bench` solver, or the run's own
+solve that `completeness` reads).  HG_RUN_DIR overrides the default output root.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 
 from . import serialize, trainer
 from .environments import EnvSpec, make_env
-from .errors import DeterminismViolation, KeyMismatch, MissingArtifact
+from .errors import DeterminismViolation, HighwayRLError, MissingArtifact
 from .highway_graph import expand_to_empirical, graph_stats
 from .highway_graph import to_dot as highway_dot
 from .policy import PolicySnapshot, greedy_action
@@ -386,7 +387,7 @@ def main(argv=None) -> int:
     except MissingArtifact as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (ValueError, KeyError, KeyMismatch) as exc:
+    except (ValueError, KeyError, HighwayRLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

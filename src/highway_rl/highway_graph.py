@@ -20,7 +20,8 @@ solve reads them through `edge_columns`, a gather plus one sort, made once
 per change of the graph: the solve, the policy snapshot and the trainer's
 topology signature of one update share it.
 
-The single-step transitions are stored once, in `observed`, and the
+The single-step transitions are stored once, in `observed` (on disk too:
+`serialize` saves a highway as its start and its actions), and the
 expanded graph (`expand_to_empirical`) is read off it.
 
 Single-step self-loop samples (wall bumps, illegal no-op actions) are kept
@@ -164,12 +165,11 @@ class HighwayGraph:
         else:
             self._add_intersection(s)
 
-    def _insert_highway(self, from_state: StateId, to_state: StateId,
-                        actions: tuple, step_rewards: tuple, step_states: tuple) -> int:
+    def _insert_highway(self, from_state: StateId, actions: tuple, step_rewards: tuple,
+                        step_states: tuple) -> int:
         if not actions:
             raise ValueError("highway must have length >= 1")
-        if step_states[-1] != to_state:
-            raise ValueError(f"highway to {to_state:#x} ends at {step_states[-1]:#x}")
+        to_state = step_states[-1]
         index = self._index
         if not (from_state in index and to_state in index):
             raise ValueError(f"an end of {from_state:#x} -> {to_state:#x} is not an intersection")
@@ -235,7 +235,7 @@ class HighwayGraph:
                 raise DeterminismViolation(s, a, prev, outcome)
         self.make_intersection(from_state)
         self.make_intersection(to_state)
-        hid = self._insert_highway(from_state, to_state, actions, rewards, step_states)
+        hid = self._insert_highway(from_state, actions, rewards, step_states)
         self.observed.update(steps)
         return hid
 
@@ -258,10 +258,9 @@ class HighwayGraph:
         self._edge_ints[hid, 3] = 0
         del self.out_edges[h.from_state][h.first_action]
         self._add_intersection(at)
-        h1 = self._insert_highway(h.from_state, at, h.actions[:k],
-                                  h.step_rewards[:k], h.step_states[:k])
-        h2 = self._insert_highway(at, h.to_state, h.actions[k:],
-                                  h.step_rewards[k:], h.step_states[k:])
+        h1 = self._insert_highway(h.from_state, h.actions[:k], h.step_rewards[:k],
+                                  h.step_states[:k])
+        h2 = self._insert_highway(at, h.actions[k:], h.step_rewards[k:], h.step_states[k:])
         return h1, h2
 
     # --------------------------------------------------------------- ingestion
@@ -348,8 +347,7 @@ class HighwayGraph:
         cuts.append(len(firsts))
         for p, q in zip(cuts, cuts[1:]):
             seg = firsts[p:q]
-            self._insert_highway(froms[seg[0]], nexts[seg[-1]],
-                                 tuple(map(acts.__getitem__, seg)),
+            self._insert_highway(froms[seg[0]], tuple(map(acts.__getitem__, seg)),
                                  tuple(map(rews.__getitem__, seg)),
                                  tuple(map(nexts.__getitem__, seg)))
 

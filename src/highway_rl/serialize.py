@@ -2,9 +2,10 @@
 
 Every artifact is a compressed npz archive carrying a format marker, a
 version number, and exact float64 / uint64 payload arrays, so highway
-graphs, value tables and approximators round-trip bit-for-bit.  A run
-directory additionally gets a manifest.json listing each file with its
-sha256 digest.
+graphs, value tables and approximators round-trip bit-for-bit.  A graph
+file holds each step once, in its observed columns; a highway is its start
+state and its actions.  A run directory additionally gets a manifest.json
+listing each file with its sha256 digest.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from operator import ne
 
 import numpy as np
 
@@ -37,6 +39,9 @@ def _load(path, kind: str) -> dict:
         raise MissingArtifact(f"no artifact at {path}")
     with np.load(path, allow_pickle=False) as npz:
         data = {name: npz[name] for name in npz.files}
+    missing = sorted({"artifact_kind", "format_version"} - data.keys())
+    if missing:
+        raise MissingArtifact(f"{path} has no {' or '.join(missing)} marker")
     found = str(data["artifact_kind"])
     if found != kind:
         raise MissingArtifact(f"{path} holds a {found!r} artifact, expected {kind!r}")
@@ -49,28 +54,16 @@ def _load(path, kind: str) -> dict:
 # --------------------------------------------------------------- highway graph
 
 def save_highway_graph(path, graph: HighwayGraph):
-    hids = sorted(graph.highways)
-    lengths = [graph.highways[h].length for h in hids]
-    ptr = np.zeros(len(hids) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=ptr[1:])
-    flat_states = np.zeros(int(ptr[-1]), dtype=np.uint64)
-    flat_actions = np.zeros(int(ptr[-1]), dtype=np.int64)
-    flat_rewards = np.zeros(int(ptr[-1]), dtype=np.float64)
-    for i, hid in enumerate(hids):
-        h = graph.highways[hid]
-        flat_states[ptr[i]:ptr[i + 1]] = np.array(h.step_states, dtype=np.uint64)
-        flat_actions[ptr[i]:ptr[i + 1]] = h.actions
-        flat_rewards[ptr[i]:ptr[i + 1]] = h.step_rewards
+    highways = [graph.highways[h] for h in sorted(graph.highways)]
+    ptr = np.zeros(len(highways) + 1, dtype=np.int64)
+    np.cumsum([h.length for h in highways], out=ptr[1:])
     obs_keys = sorted(graph.observed)
     _save(path, "highway_graph", {
         "gamma": np.array(graph.gamma, dtype=np.float64),
         "intersections": np.array(sorted(graph.intersections), dtype=np.uint64),
-        "h_from": np.array([graph.highways[h].from_state for h in hids], dtype=np.uint64),
-        "h_to": np.array([graph.highways[h].to_state for h in hids], dtype=np.uint64),
+        "h_from": np.array([h.from_state for h in highways], dtype=np.uint64),
         "h_ptr": ptr,
-        "flat_states": flat_states,
-        "flat_actions": flat_actions,
-        "flat_rewards": flat_rewards,
+        "flat_actions": np.array([a for h in highways for a in h.actions], dtype=np.int64),
         "obs_state": np.array([k[0] for k in obs_keys], dtype=np.uint64),
         "obs_action": np.array([k[1] for k in obs_keys], dtype=np.int64),
         "obs_next": np.array([graph.observed[k][0] for k in obs_keys], dtype=np.uint64),
@@ -81,53 +74,50 @@ def save_highway_graph(path, graph: HighwayGraph):
 def load_highway_graph(path) -> HighwayGraph:
     """The saved graph, checked as ingestion relies on it.
 
+    Each highway is replayed from its start state through `observed`, which
+    gives every step's next state and reward; it ends where its last action
+    leads.  Arrays beyond those `save_highway_graph` writes are passed over.
     A file raises ValueError, naming the path, when its column lengths
-    disagree, when a highway does not run between intersections or places a
-    state a second time, when a highway step is missing from the observed
-    pairs or observed with another outcome, or when an observed pair that is
-    no self-loop lies on no highway.
+    disagree, gamma is not in [0, 1), an observed pair repeats, a highway
+    step is not observed, a highway does not end at an intersection or
+    places a state twice, or an observed pair that is no self-loop lies on
+    no highway.
     """
     data = _load(path, "highway_graph")
     ptr = data["h_ptr"].tolist()
-    # each group shares one length: the highways (h_ptr's less one), the steps
-    # (h_ptr's last entry) and the observed pairs
-    lengths = [{len(data[name]) for name in group} for group in (
-        ("h_from", "h_to"), ("flat_states", "flat_actions", "flat_rewards"),
-        ("obs_state", "obs_action", "obs_next", "obs_reward"))]
-    if ptr[:1] != [0] or lengths[:2] != [{len(ptr) - 1}, {ptr[-1]}] or len(lengths[2]) > 1:
+    obs = [data[name].tolist() for name in ("obs_state", "obs_action", "obs_next", "obs_reward")]
+    if (ptr[:1] != [0] or len(data["h_from"]) != len(ptr) - 1
+            or len(data["flat_actions"]) != ptr[-1] or len(set(map(len, obs))) > 1):
         raise ValueError(f"{path}: h_ptr and the highway, step or observed columns disagree")
-    graph = HighwayGraph(gamma=float(data["gamma"]))
-    for s in data["intersections"].tolist():
-        graph.make_intersection(s)
-    flat_states = data["flat_states"].tolist()
-    flat_actions = data["flat_actions"].tolist()
-    flat_rewards = data["flat_rewards"].tolist()
-    h_froms = data["h_from"].tolist()
+    actions = data["flat_actions"].tolist()
+    loops = 0   # length-1 s -> s highways: their one step is a self-loop
     try:
-        for lo, hi, h_from, h_to in zip(ptr, ptr[1:], h_froms, data["h_to"].tolist()):
-            graph._insert_highway(h_from, h_to, tuple(flat_actions[lo:hi]),
-                                  tuple(flat_rewards[lo:hi]), tuple(flat_states[lo:hi]))
+        graph = HighwayGraph(gamma=float(data["gamma"]))
+        observed = graph.observed
+        observed.update(zip(zip(obs[0], obs[1]), zip(obs[2], obs[3])))
+        if len(observed) != len(obs[0]):
+            raise ValueError("the observed columns repeat a (state, action) pair")
+        for s in data["intersections"].tolist():
+            graph.make_intersection(s)
+        for lo, hi, start in zip(ptr, ptr[1:], data["h_from"].tolist()):
+            acts, s, rewards, states = tuple(actions[lo:hi]), start, [], []
+            for a in acts:
+                if (s, a) not in observed:
+                    raise ValueError(f"highway step ({s:#x}, {a}) is missing from observed")
+                s, r = observed[s, a]
+                rewards.append(r)
+                states.append(s)
+            graph._insert_highway(start, acts, tuple(rewards), tuple(states))
+            loops += len(acts) == 1 and start == s
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    obs_keys = list(zip(data["obs_state"].tolist(), data["obs_action"].tolist()))
-    obs_next = data["obs_next"].tolist()
-    graph.observed.update(zip(obs_keys, zip(obs_next, data["obs_reward"].tolist())))
-    # the steps are compared with the observed pairs bit for bit, rewards as
-    # int64; a state leaves by an action at most once, so step keys are distinct
-    froms = [0, *flat_states[:-1]]
-    for lo, h_from in zip(ptr, h_froms):
-        froms[lo] = h_from
-    steps = dict(zip(zip(froms, flat_actions),
-                     zip(flat_states, data["flat_rewards"].view(np.int64).tolist())))
-    seen = dict(zip(obs_keys, zip(obs_next, data["obs_reward"].view(np.int64).tolist())))
-    for (s, a), outcome in steps.items():
-        if seen.get((s, a)) != outcome:
-            how = "is missing from" if (s, a) not in seen else "has another outcome in"
-            raise ValueError(f"{path}: highway step ({s:#x}, {a}) {how} observed")
-    for (s, a), (nxt, _bits) in seen.items():
-        if s != nxt and (s, a) not in steps:
-            raise ValueError(f"{path}: observed step ({s:#x}, {a}) is no self-loop "
-                             "and lies on no highway")
+    # the graph places each state once and takes each first action of an
+    # intersection once, so the highway steps are distinct observed pairs:
+    # equal counts leave no other pair that is no self-loop
+    off = sum(map(ne, obs[0], obs[2])) - (ptr[-1] - loops)
+    if off:
+        raise ValueError(f"{path}: {off} observed pair(s) are no self-loop "
+                         "and lie on no highway")
     return graph
 
 

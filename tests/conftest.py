@@ -314,7 +314,7 @@ def _reference_add_segment(graph: HighwayGraph, seg):
             raise DeterminismViolation(from_state, first,
                                        (h.to_state, h.actions), (to_state, actions))
         return
-    graph._insert_highway(from_state, to_state, actions, rewards, step_states)
+    graph._insert_highway(from_state, actions, rewards, step_states)
 
 
 def reference_assemble(graph: HighwayGraph, trajs) -> HighwayGraph:

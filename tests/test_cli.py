@@ -11,9 +11,10 @@ import pytest
 
 from highway_rl import cli
 from highway_rl.environments import DEFAULT_EVAL_STEP_CAP, EnvSpec, StepResult, make_env
-from highway_rl.reparam import ApproxConfig, act
+from highway_rl.reparam import ApproxConfig, QDataset, act, fit
 from highway_rl.serialize import (load_approximator, load_value_tables, read_manifest,
-                                  save_value_tables, verify_manifest, write_manifest)
+                                  save_approximator, save_value_tables, verify_manifest,
+                                  write_manifest)
 from highway_rl.trainer import TrainConfig, _mix_seed
 
 
@@ -154,11 +155,11 @@ def test_bench_command(run_dir, capsys):
 def test_bench_not_converged_exits_5(run_dir, capsys):
     # a NaN step reward, under a manifest rewritten to match, makes both
     # solvers' first sweep change NaN, and each stops after that sweep; the
-    # step's observed pair gets the same NaN, as the loader checks
+    # file holds the step once, as the observed pair of the first highway's
+    # first action
     path = run_dir / "graph.npz"
     with np.load(path) as npz:
         arrays = {name: npz[name] for name in npz.files}
-    arrays["flat_rewards"][0] = np.nan
     arrays["obs_reward"][(arrays["obs_state"] == arrays["h_from"][0])
                          & (arrays["obs_action"] == arrays["flat_actions"][0])] = np.nan
     np.savez_compressed(path, **arrays)
@@ -180,6 +181,28 @@ def test_bench_takes_no_sweep_cap(run_dir, capsys):
 
 def test_bench_missing_artifact_exits_4(tmp_path):
     assert cli.main(["bench", "--run", str(tmp_path / "ghost")]) == 4
+
+
+def test_an_unmarked_artifact_exits_4(run_dir, capsys):
+    # a plain npz file, under a manifest rewritten to match
+    np.savez(run_dir / "graph.npz", gamma=np.array(0.9))
+    write_manifest(run_dir, read_manifest(run_dir)["config"])
+    assert cli.main(["eval", "--run", str(run_dir)]) == 4
+    err = capsys.readouterr().err
+    assert f"missing artifact: {run_dir / 'graph.npz'} has no" in err
+
+
+def test_an_approximator_for_another_environment_exits_2(run_dir, capsys):
+    # a net fitted on taxi's 4 features cannot act on the maze's 2
+    rng = np.random.default_rng(0)
+    ds = QDataset(features=rng.uniform(size=(6, 4)), actions=rng.integers(0, 4, 6),
+                  targets=rng.normal(size=6))
+    save_approximator(run_dir / "approximator.npz",
+                      fit(ds, ApproxConfig(hidden_units=4, epochs=1), action_count=4))
+    manifest = read_manifest(run_dir)
+    write_manifest(run_dir, manifest["config"], extra=manifest)
+    assert cli.main(["eval-hgq", "--run", str(run_dir)]) == 2
+    assert "config error: feature dim 2 != expected 4" in capsys.readouterr().err
 
 
 def test_tampered_artifact_exits_4(run_dir, capsys):

@@ -157,13 +157,15 @@ def test_highway_off_an_interior_state_is_rejected(tmp_path):
     save_highway_graph(path, g)
     with np.load(path) as npz:
         data = {name: npz[name] for name in npz.files}
-    # a second highway 1 -> 3 hangs off state 1, which lies inside 0 -> 3
+    # a second highway 1 -> 3 hangs off state 1, which lies inside 0 -> 3;
+    # its one step is observed
     data["h_from"] = np.append(data["h_from"], np.uint64(1))
-    data["h_to"] = np.append(data["h_to"], np.uint64(3))
     data["h_ptr"] = np.append(data["h_ptr"], data["h_ptr"][-1] + 1)
-    data["flat_states"] = np.append(data["flat_states"], np.uint64(3))
     data["flat_actions"] = np.append(data["flat_actions"], 1)
-    data["flat_rewards"] = np.append(data["flat_rewards"], 0.5)
+    data["obs_state"] = np.append(data["obs_state"], np.uint64(1))
+    data["obs_action"] = np.append(data["obs_action"], 1)
+    data["obs_next"] = np.append(data["obs_next"], np.uint64(3))
+    data["obs_reward"] = np.append(data["obs_reward"], 0.5)
     np.savez_compressed(path, **data)
     with pytest.raises(ValueError, match="not an intersection"):
         load_highway_graph(path)
@@ -184,29 +186,80 @@ def _craft(tmp_path, **changes):
     return path
 
 
+def _observe(state, action, nxt, reward):
+    """Changes that append one observed pair to the four observed columns."""
+    return {"obs_state": lambda a: np.append(a, np.uint64(state)),
+            "obs_action": lambda a: np.append(a, action),
+            "obs_next": lambda a: np.append(a, np.uint64(nxt)),
+            "obs_reward": lambda a: np.append(a, reward)}
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"h_from": lambda a: a[:1]}, "disagree"),
-    ({"h_to": lambda a: np.append(a, np.uint64(0))}, "disagree"),
+    ({"h_from": lambda a: np.append(a, np.uint64(0))}, "disagree"),
     ({"h_ptr": lambda a: a[:-1]}, "disagree"),
     ({"h_ptr": lambda a: a + 1}, "disagree"),
-    ({"flat_rewards": lambda a: a[:-1]}, "disagree"),
+    ({"flat_actions": lambda a: a[:-1]}, "disagree"),
     ({"obs_next": lambda a: a[:-1]}, "disagree"),
-    ({"flat_states": lambda a: np.where(a == 3, np.uint64(7), a)}, "ends at 0x7"),
+    ({"gamma": lambda a: np.array(1.0)}, r"gamma must be in \[0, 1\)"),
     ({name: lambda a: a[:0] for name in ("obs_state", "obs_action", "obs_next", "obs_reward")},
      r"step \(0x0, 0\) is missing from observed"),
-    ({"obs_reward": lambda a: 2 * a}, r"step \(0x3, 1\) has another outcome in observed"),
-    ({"obs_state": lambda a: np.append(a, np.uint64(1)), "obs_action": lambda a: np.append(a, 1),
-      "obs_next": lambda a: np.append(a, np.uint64(5)), "obs_reward": lambda a: np.append(a, 0.0)},
-     r"step \(0x1, 1\) is no self-loop and lies on no highway"),
-    ({"flat_states": lambda a: np.where(a == 1, np.uint64(2), a)}, "0x2 is already placed"),
-], ids=["short-h_from", "long-h_to", "short-h_ptr", "h_ptr-not-from-0", "short-flat_rewards",
-        "short-obs_next", "last-step-not-the-to-state", "no-observed-pairs", "doubled-obs_reward",
-        "observed-step-off-the-highways", "state-placed-twice"])
+    (_observe(0, 0, 5, 0.0), r"repeat a \(state, action\) pair"),
+    ({**_observe(3, 2, 1, 0.25), "flat_actions": lambda a: np.where(a == 1, 2, a)},
+     "an end of 0x3 -> 0x1 is not an intersection"),
+    (_observe(1, 1, 5, 0.0), "1 observed pair.* no self-loop and lie on no highway"),
+    # the 3 -> 0 highway runs on through 0 -> 1 -> 2 -> 3
+    ({"flat_actions": lambda a: np.append(a, [0, 0, 0]), "h_ptr": lambda a: a + [0, 0, 3]},
+     "0x0 is already placed"),
+], ids=["short-h_from", "long-h_from", "short-h_ptr", "h_ptr-not-from-0", "short-flat_actions",
+        "short-obs_next", "gamma-out-of-range", "no-observed-pairs", "repeated-observed-pair",
+        "action-leads-off-the-intersections", "observed-step-off-the-highways",
+        "state-placed-twice"])
 def test_a_malformed_graph_file_is_refused(tmp_path, changes, message):
     assert len(load_highway_graph(_craft(tmp_path)).highways) == 2
     with pytest.raises(ValueError, match=message) as err:
         load_highway_graph(_craft(tmp_path, **changes))
     assert str(err.value).startswith(f"{tmp_path / 'graph.npz'}: ")
+
+
+def test_a_graph_file_holds_each_step_once(tmp_path):
+    g = random_highway_graph(random.Random(3), max_intersections=15)
+    save_highway_graph(tmp_path / "graph.npz", g)
+    with np.load(tmp_path / "graph.npz") as npz:
+        assert sorted(npz.files) == sorted([
+            "artifact_kind", "format_version", "gamma", "intersections", "h_from", "h_ptr",
+            "flat_actions", "obs_state", "obs_action", "obs_next", "obs_reward"])
+
+
+def test_a_graph_file_with_the_step_columns_loads_to_the_same_graph(tmp_path):
+    # files written before the steps were stored once also hold each
+    # highway's end and its step states and rewards; the loader passes over them
+    g = random_highway_graph(random.Random(3), max_intersections=15)
+    g.assemble([mk_traj((900, 0, 901, 0.25), (901, 1, 902, -0.5))])
+    save_highway_graph(tmp_path / "graph.npz", g)
+    with np.load(tmp_path / "graph.npz") as npz:
+        data = {name: npz[name] for name in npz.files}
+    highways = [g.highways[h] for h in sorted(g.highways)]
+    data["h_to"] = np.array([h.to_state for h in highways], dtype=np.uint64)
+    data["flat_states"] = np.array([s for h in highways for s in h.step_states], dtype=np.uint64)
+    data["flat_rewards"] = np.array([r for h in highways for r in h.step_rewards])
+    np.savez_compressed(tmp_path / "old.npz", **data)
+    new, old = load_highway_graph(tmp_path / "graph.npz"), load_highway_graph(tmp_path / "old.npz")
+    assert old.intersections == new.intersections == g.intersections
+    assert old.highways == new.highways
+    assert old.membership == new.membership
+    assert old.observed == new.observed == g.observed
+
+
+def test_a_file_without_its_markers_is_a_missing_artifact(tmp_path):
+    path = tmp_path / "graph.npz"
+    np.savez(path, gamma=np.array(0.9))
+    with pytest.raises(MissingArtifact, match="no artifact_kind or format_version marker") as err:
+        load_highway_graph(path)
+    assert str(path) in str(err.value)
+    np.savez(path, artifact_kind=np.array("highway_graph"))
+    with pytest.raises(MissingArtifact, match="no format_version marker"):
+        load_highway_graph(path)
 
 
 def _craft_tables(tmp_path, **changes):
