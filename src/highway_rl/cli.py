@@ -139,8 +139,11 @@ def cmd_train(args) -> int:
         for key, value in sorted(config_snapshot.items()):
             f.write(f"{key}={value}\n")
     rows = result.metrics.rows
+    untried = result.graph.untried_pairs(spec.action_count)
     serialize.write_manifest(run_dir, config_snapshot, extra={
         "converged_at_update": result.metrics.converged_at_update,
+        "stopped_by": result.metrics.stopped_by,
+        "untried_pairs": untried,
         "updates_run": len(rows),
         "frames_used": rows[-1].frames_so_far if rows else 0,
         "frames_at_convergence": (
@@ -150,7 +153,8 @@ def cmd_train(args) -> int:
     stats = graph_stats(result.graph)
     print(f"run dir: {run_dir}")
     print(f"updates: {len(rows)}  frames: {rows[-1].frames_so_far if rows else 0}")
-    print(f"converged_at_update: {result.metrics.converged_at_update}")
+    print(f"converged_at_update: {result.metrics.converged_at_update}  "
+          f"stopped_by: {result.metrics.stopped_by}  untried_pairs: {untried}")
     print(f"intersections: {stats['intersections']}  highways: {stats['highways']}  "
           f"z: {stats['z']:.4f}")
     if rows:

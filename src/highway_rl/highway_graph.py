@@ -22,7 +22,9 @@ topology signature of one update share it.
 
 The single-step transitions are stored once, in `observed` (on disk too:
 `serialize` saves a highway as its start and its actions), and the
-expanded graph (`expand_to_empirical`) is read off it.
+expanded graph (`expand_to_empirical`) is read off it.  Beside them the
+graph keeps the states its episodes terminated in, `terminals`, so that
+`untried_pairs` can tell an unexplored action from a state with none.
 
 Single-step self-loop samples (wall bumps, illegal no-op actions) are kept
 in the determinism memory but excluded from the graph structure: embedding
@@ -99,6 +101,8 @@ class HighwayGraph:
         self.membership: dict[StateId, tuple[int, int]] = {}
         # every sample ever ingested, self-loops included (determinism guardrail)
         self.observed: dict[tuple[StateId, ActionId], tuple[StateId, float]] = {}
+        # the states accepted episodes ended in by termination, not truncation
+        self.terminals: set[StateId] = set()
         self._next_hid = 0
         # rows by highway id: source index, target index, first action and
         # alive (a split retires its highway); path_return and gamma_pow_len
@@ -114,6 +118,20 @@ class HighwayGraph:
 
     def states(self) -> set[StateId]:
         return self.intersections | self.membership.keys()
+
+    def untried_pairs(self, action_count: int) -> int:
+        """How many (state, action) pairs of the held non-terminal states
+        `observed` lacks; 0 means the graph is *closed*.
+
+        O(1), and exact for a graph grown by `assemble` from an environment
+        that never steps out of a state it ended an episode in: then every
+        observed pair starts at a held, non-terminal state.  A graph built by
+        `add_highway` or loaded from disk records no terminals, so its dead
+        ends count all their actions as untried: it never reads closed while
+        it has one.
+        """
+        held = len(self._index) + len(self.membership)
+        return action_count * (held - len(self.terminals)) - len(self.observed)
 
     def edge_columns(self):
         """(states, src, dst, first, path_return, gamma_pow_len) from the columns.
@@ -296,7 +314,8 @@ class HighwayGraph:
 
         A conflicting step raises before the graph structure changes; the
         pairs this episode inserted are the newest entries of `observed`,
-        and are dropped first.
+        and are dropped first.  An accepted episode that ended in a terminal
+        state adds that state to `terminals`.
         """
         froms, acts, nexts, rews = traj.from_states, traj.actions, traj.next_states, traj.rewards
         n = len(froms)
@@ -325,6 +344,8 @@ class HighwayGraph:
             if first_dep.get(nxt, n) < j or contains(nxt):
                 flags.add(nxt)
             firsts.append(j)
+        if traj.terminal:
+            self.terminals.add(nexts[-1])  # no step conflicted: the episode is accepted
         first = next(compress(froms, map(ne, froms, nexts)), None)
         if first is None:
             # the episode never left its start state; keep it as a value node

@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
+import zlib
 from operator import ne
 
 import numpy as np
@@ -34,11 +36,20 @@ def _save(path, kind: str, payload: dict):
 
 
 def _load(path, kind: str) -> dict:
-    """Every array of the artifact, each decompressed once, by name."""
+    """Every array of the artifact, each decompressed once, by name.
+
+    A missing file, one np.load cannot read (cut, damaged or no npz), or
+    one without the markers of `kind` at FORMAT_VERSION raises
+    MissingArtifact naming the path.
+    """
     if not os.path.exists(path):
         raise MissingArtifact(f"no artifact at {path}")
-    with np.load(path, allow_pickle=False) as npz:
-        data = {name: npz[name] for name in npz.files}
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            data = {name: npz[name] for name in npz.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as err:
+        # a cut or damaged archive, or a file that is no npz at all
+        raise MissingArtifact(f"{path} cannot be read as an npz archive: {err}") from None
     missing = sorted({"artifact_kind", "format_version"} - data.keys())
     if missing:
         raise MissingArtifact(f"{path} has no {' or '.join(missing)} marker")

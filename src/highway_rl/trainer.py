@@ -20,9 +20,17 @@ previous tables' V array, the snapshot picks every intersection's action
 from the Q array, and the policy signature packs its records from arrays.
 No V or Q dict is built, and no signature is cached.
 
-Convergence is declared at the first update after which a configured number
-of consecutive updates changed neither the graph topology nor any greedy
-action at any intersection.
+A run stops on a proof when it can.  The graph is *closed* when every
+non-terminal state it holds has every action in `observed`
+(`HighwayGraph.untried_pairs` is 0).  In a deterministic environment a closed
+graph is the true model of the states it holds, so once its solve reached
+delta and no observed self-loop beats the solved values (r <= (1 - gamma) V(s),
+the premise of leaving self-loops out of the graph), its greedy policy is
+optimal there: the run stops at that update, `stopped_by` "certificate".
+Until then convergence is declared at the first update after which a
+configured number of consecutive updates changed neither the graph topology
+nor any greedy action at any intersection (`stopped_by` "patience"); a run
+that meets neither rule stops at its frame budget (`stopped_by` None).
 """
 
 from __future__ import annotations
@@ -107,6 +115,7 @@ def metrics_row_line(r: "UpdateRow") -> str:
 class RunMetrics:
     rows: list[UpdateRow] = field(default_factory=list)
     converged_at_update: int | None = None
+    stopped_by: str | None = None     # "certificate", "patience" or None (frame budget)
 
     def to_csv(self) -> str:
         lines = [f"# {METRICS_SCHEMA}", METRICS_HEADER]
@@ -273,8 +282,30 @@ def detect_convergence(metrics: RunMetrics, patience: int) -> int | None:
     return None
 
 
+def _self_loops_hold(graph: HighwayGraph, tables: ValueTables) -> bool:
+    """Whether every observed self-loop (s, a) -> (s, r) has r <= (1 - gamma) V(s).
+
+    Then going round the loop never beats the solved V(s), so leaving it out
+    of the graph left the values optimal.  V is read from the tables' arrays,
+    and backed up along the highways for interior states as
+    `interior_values` does, without building the tables' V dict.
+    """
+    gamma = graph.gamma
+    values = dict(zip(tables.states.tolist(), tables.v_values.tolist()))
+    for h in graph.highways.values():
+        val = values[h.to_state]
+        for k in range(h.length - 1, 0, -1):
+            val = h.step_rewards[k] + gamma * val
+            values[h.step_states[k - 1]] = val
+    return all(r <= (1 - gamma) * values[s]
+               for (s, _a), (nxt, r) in graph.observed.items() if s == nxt)
+
+
 def train(config: TrainConfig, on_update=None) -> TrainResult:
     """Run the actor/learner loop until the frame budget or convergence.
+
+    After each update's solve the run stops on the certificate of a closed
+    graph (see the module docstring), else on the patience rule.
 
     on_update, when given, receives each UpdateRow as soon as it is recorded
     (metrics streaming).  Each episode is ingested as soon as it ends; its
@@ -327,9 +358,13 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
         metrics.rows.append(row)
         if on_update is not None:
             on_update(row)
+        if (graph.untried_pairs(env.action_count) == 0 and tables.final_delta < config.delta
+                and _self_loops_hold(graph, tables)):
+            metrics.converged_at_update, metrics.stopped_by = update, "certificate"
+            break
         converged = detect_convergence(metrics, config.convergence_patience)
         if converged is not None:
-            metrics.converged_at_update = converged
+            metrics.converged_at_update, metrics.stopped_by = converged, "patience"
             break
     return TrainResult(config=config, metrics=metrics, graph=graph,
                        tables=tables, snapshot=snapshot)

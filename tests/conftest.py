@@ -281,6 +281,8 @@ def reference_ingest(graph: HighwayGraph, traj: Trajectory):
             for key in added:
                 del observed[key]
             raise DeterminismViolation(s, a, prev, outcome)
+    if traj.terminal:
+        graph.terminals.add(traj.next_states[-1])
     steps = [step for step in traj.transitions() if step[0] != step[2]]
     if not steps:
         graph.make_intersection(traj.from_states[0])
@@ -329,7 +331,7 @@ def graph_state(g: HighwayGraph):
     """Everything ingestion writes, with `observed` in insertion order."""
     return (set(g.intersections), dict(g.highways), dict(g.membership),
             {s: dict(slots) for s, slots in g.out_edges.items()},
-            list(g.observed.items()), g._next_hid,
+            list(g.observed.items()), set(g.terminals), g._next_hid,
             _topology_signature(g))
 
 

@@ -34,6 +34,7 @@ def test_train_writes_run_directory(run_dir):
     assert verify_manifest(run_dir)
     manifest = read_manifest(run_dir)
     assert manifest["converged_at_update"] == 1
+    assert manifest["stopped_by"] == "certificate" and manifest["untried_pairs"] == 0
     assert manifest["frames_used"] > 0
     metrics = (run_dir / "metrics.csv").read_text()
     assert len(metrics.splitlines()) > 2
@@ -46,6 +47,16 @@ def test_train_cliffwalking_default_budget(tmp_path):
     manifest = read_manifest(out)
     assert manifest["converged_at_update"] is not None
     assert manifest["frames_at_convergence"] <= manifest["frames_used"]
+
+
+def test_train_reports_how_the_run_stopped(tmp_path, capsys):
+    # taxi run seed 8 never closes its graph: it stops on patience with 8
+    # untried (state, action) pairs, and says so on stdout and in the manifest
+    out = tmp_path / "taxi"
+    assert cli.main(["train", "--env", "taxi", "--run-seed", "8", "--out", str(out)]) == 0
+    assert "stopped_by: patience  untried_pairs: 8" in capsys.readouterr().out
+    manifest = read_manifest(out)
+    assert (manifest["stopped_by"], manifest["untried_pairs"]) == ("patience", 8)
 
 
 def test_train_unknown_env_exits_2(tmp_path, capsys):
@@ -203,6 +214,17 @@ def test_an_approximator_for_another_environment_exits_2(run_dir, capsys):
     write_manifest(run_dir, manifest["config"], extra=manifest)
     assert cli.main(["eval-hgq", "--run", str(run_dir)]) == 2
     assert "config error: feature dim 2 != expected 4" in capsys.readouterr().err
+
+
+def test_a_cut_artifact_exits_4(run_dir, capsys):
+    # graph.npz cut to half its length, under a manifest rewritten to match:
+    # np.load cannot read it, and the error names the path
+    path = run_dir / "graph.npz"
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+    write_manifest(run_dir, read_manifest(run_dir)["config"])
+    assert cli.main(["eval", "--run", str(run_dir)]) == 4
+    assert f"missing artifact: {path} cannot be read" in capsys.readouterr().err
 
 
 def test_tampered_artifact_exits_4(run_dir, capsys):

@@ -673,6 +673,60 @@ def test_violation_leaves_the_graph_unchanged():
     check_graph_invariants(g)
 
 
+# ------------------------------------------------------------- closed graphs
+
+def test_untried_pairs_count_a_truncated_end_but_not_a_terminal_one():
+    # s=0 tries action 0 into a terminal (goal) and action 1 into a cell that
+    # a truncated episode left behind: of 2 actions x 2 non-terminal states,
+    # only state 2's are untried
+    g = HighwayGraph(gamma=0.99)
+    g.assemble([mk_traj((0, 0, 1, -5.0), terminal=True)])
+    assert g.terminals == {1}
+    assert g.untried_pairs(2) == 1                  # (0, 1)
+    g.assemble([mk_traj((0, 1, 2, -1.0))])
+    assert g.terminals == {1}
+    assert g.untried_pairs(2) == 2                  # (2, 0) and (2, 1)
+    g.assemble([mk_traj((2, 1, 2, 0.5), (2, 0, 1, 0.0), terminal=True)])
+    assert g.untried_pairs(2) == 0
+    assert g.untried_pairs(3) == 2                  # a third action at 0 and at 2
+
+
+def test_untried_pairs_equal_a_count_over_the_held_states():
+    _table, action_count, trajs = random_mdp_walks(random.Random(4), 12, 20)
+    g = HighwayGraph(gamma=0.95)
+    for traj in trajs:
+        g.assemble([traj])
+        held = g.states()
+        assert g.untried_pairs(action_count) == sum(
+            (s, a) not in g.observed for s in held for a in range(action_count))
+
+
+def test_a_violation_leaves_the_terminals_and_the_count_unchanged():
+    g = HighwayGraph(gamma=0.99)
+    g.assemble([mk_traj((0, 0, 1, 0.0), terminal=True)])
+    before = (set(g.terminals), g.untried_pairs(2))
+    with pytest.raises(DeterminismViolation):
+        g.assemble([mk_traj((5, 0, 6, 0.0), (6, 1, 0, 0.0), (0, 0, 7, 0.0), terminal=True)])
+    assert (g.terminals, g.untried_pairs(2)) == before == ({1}, 1)
+
+
+def test_a_graph_built_by_add_highway_or_loaded_never_reads_closed(tmp_path):
+    # every action of every state but the sink 2 is tried; without recorded
+    # terminals the sink counts as a state whose actions are all untried
+    g = HighwayGraph(gamma=0.99)
+    g.add_highway(0, 2, [0, 1], [0.5, 1.0], interior=[1])
+    g.add_highway(0, 2, [1], [0.25])
+    g.add_highway(1, 1, [0], [-1.0])
+    assert not g.terminals and g.untried_pairs(2) == 2
+    trained = HighwayGraph(gamma=0.99).assemble(
+        [mk_traj((0, 0, 1, 0.0), (1, 1, 0, 0.0), (0, 1, 1, 0.0), (1, 0, 2, 1.0), terminal=True)])
+    assert trained.untried_pairs(2) == 0
+    save_highway_graph(tmp_path / "graph.npz", trained)
+    loaded = load_highway_graph(tmp_path / "graph.npz")
+    assert loaded.observed == trained.observed and not loaded.terminals
+    assert loaded.untried_pairs(2) == 2
+
+
 def test_dot_export_shape():
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 3, [1, 0, 0], [0.0, 0.0, 0.5], interior=[1, 2])

@@ -56,6 +56,7 @@ def test_config_rejects_settings_a_run_cannot_use(setting):
 def test_cold_start_zero_budget():
     res = train(_maze_cfg(frame_budget=0))
     assert res.metrics.rows == []
+    assert res.metrics.converged_at_update is None and res.metrics.stopped_by is None
     assert not res.graph.intersections
     # the published policy acts uniformly at random on the unseen start state
     from collections import Counter
@@ -70,10 +71,14 @@ def test_cold_start_zero_budget():
 
 
 def test_maze3x3_converges_at_first_update():
+    # the first update's graph is closed, so the run stops on it with no
+    # confirming updates
     res = train(_maze_cfg())
     assert res.metrics.converged_at_update == 1
+    assert res.metrics.stopped_by == "certificate"
+    assert res.graph.untried_pairs(4) == 0
     rows = res.metrics.rows
-    assert len(rows) == 1 + res.config.convergence_patience
+    assert len(rows) == 1
     assert rows[0].frames_so_far < 10_000
 
 
@@ -117,8 +122,11 @@ def test_different_seed_changes_exploration():
 
 
 def test_greedy_return_non_decreasing_on_maze():
-    res = train(_maze_cfg(convergence_patience=5))
+    # a maze whose graph never closes, so that the run makes several updates
+    res = train(TrainConfig(env=EnvSpec(kind="maze", width=15, height=15, seed=1), run_seed=1,
+                            convergence_patience=5))
     rows = res.metrics.rows
+    assert len(rows) > 5
     returns = [r.expected_discounted_return for r in rows]
     assert all(b >= a - 1e-12 for a, b in zip(returns, returns[1:]))
 
@@ -166,6 +174,46 @@ def test_metrics_streaming_callback():
     seen = []
     res = train(_maze_cfg(), on_update=seen.append)
     assert seen == res.metrics.rows
+
+
+class _LoopEnv:
+    """A two-state table: action 0 ends the episode for reward 0, action 1
+    stays in the start state for `loop_reward`."""
+
+    class _Spec:
+        kind = "maze"
+
+    spec = _Spec()
+    action_count = 2
+
+    def __init__(self, loop_reward):
+        self.table = {0: {0: StepResult(1, 0.0, True, 1001),
+                          1: StepResult(0, loop_reward, False, 1000)}}
+
+    def reset(self, episode_seed=None):
+        return 0
+
+    def state_id(self, obs):
+        return obs + 1000
+
+    def step(self, obs, action):
+        return self.table[obs][action]
+
+
+@pytest.mark.parametrize("loop_reward, stopped_by, rows", [(-0.5, "certificate", 1),
+                                                           (0.5, "patience", 4)])
+def test_a_self_loop_worth_more_than_the_values_blocks_the_certificate(
+        monkeypatch, loop_reward, stopped_by, rows):
+    # the graph leaves the loop out, so V(start) = 0; a loop paying more than
+    # (1 - gamma) * 0 would beat it, and the run falls back to patience
+    import highway_rl.trainer as trainer_module
+
+    monkeypatch.setattr(trainer_module, "make_env", lambda spec: _LoopEnv(loop_reward))
+    res = train(_maze_cfg())
+    assert res.graph.untried_pairs(2) == 0 and res.graph.terminals == {1001}
+    assert res.tables.final_delta < res.config.delta
+    assert res.metrics.converged_at_update == 1
+    assert (res.metrics.stopped_by, len(res.metrics.rows)) == (stopped_by, rows)
 
 
 class _StochasticEnv:
@@ -450,8 +498,9 @@ def test_one_value_solve_per_update_on_the_trained_graph(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(trainer_module, "value_update_loop", counting)
-    res = train(_maze_cfg(convergence_patience=5))
-    assert len(calls) == len(res.metrics.rows)
+    # taxi run seed 8 never closes its graph, so it runs several updates
+    res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=8))
+    assert len(calls) == len(res.metrics.rows) > 1
     assert all(args[0] is res.graph for args in calls)
 
 
