@@ -21,7 +21,7 @@ from .environments import EnvSpec, make_env
 from .errors import DeterminismViolation, HighwayRLError, MissingArtifact
 from .highway_graph import expand_to_empirical, graph_stats
 from .highway_graph import to_dot as highway_dot
-from .policy import PolicySnapshot, greedy_action
+from .policy import compile_greedy
 from .reparam import ApproxConfig, extract_dataset, fit, greedy_table, policy_agreement
 from .transition_model import to_dot as empirical_dot
 from .transition_model import vanilla_value_iteration
@@ -169,12 +169,12 @@ def cmd_eval(args) -> int:
     env = make_env(_env_spec_from_manifest(manifest))
     if args.command == "eval-hgq":
         approx = serialize.load_approximator(os.path.join(args.run, "approximator.npz"))
-        snapshot = PolicySnapshot.from_table(greedy_table(approx, env), env.action_count)
+        greedy = greedy_table(approx, env)
     else:
-        snapshot = PolicySnapshot(graph, tables, env.action_count)
+        greedy = compile_greedy(graph, tables)
     # a None step cap (maze runs) falls back to the evaluation default, as in training
     config = manifest["config"]
-    ev = trainer.evaluate(snapshot, env, args.episodes, gamma=config["gamma"],
+    ev = trainer.evaluate(greedy, env, args.episodes, gamma=config["gamma"],
                           step_cap=config["episode_step_cap"], seed=args.seed)
     print(f"episodes: {args.episodes}")
     print(f"mean_total_reward: {ev.mean_total_reward:.6f}")
@@ -291,9 +291,7 @@ def cmd_distill(args) -> int:
     serialize.save_approximator(path, approx)
     serialize.write_manifest(args.run, manifest["config"], extra=manifest)
     scored = [s for s in graph.intersections if graph.out_edges.get(s)]
-    agreement = policy_agreement(
-        approx, scored, features_of,
-        {s: greedy_action(graph, tables, s) for s in scored})
+    agreement = policy_agreement(approx, scored, features_of, compile_greedy(graph, tables))
     print(f"rows: {len(dataset)}  final_loss: {approx.loss_history[-1]:.6g}  "
           f"epochs_run: {len(approx.loss_history)} of {cfg.epochs}")
     print(f"greedy_agreement: {agreement:.4f}")

@@ -1,22 +1,21 @@
 """Action selection from a highway graph plus converged value tables.
 
-A snapshot compiles the graph and its tables once, when it is built, into a
-single greedy table: states inside a highway map to the recorded action at
-their offset, read from the graph's membership index, and intersections to
-their greedy first action, found for all of them at once by numpy passes
-over the tables' Q array, which lists Q in the order of the graph's edge
-columns.  Acting is
-then one dictionary lookup; states absent from the table (unseen states, and
-intersections with no outgoing highway) fall back to a uniform random
-action, with exploration on top.  The snapshot holds no generator: every
-random choice draws from the one the caller passes in.  `epsilon_greedy`
-makes one choice; the trainer's actor loop applies the same rule inline.
+A policy is its greedy table, a plain dict from state id to action.
+`compile_greedy` builds it once from a graph and its tables: states inside a
+highway map to the recorded action at their offset, read from the graph's
+membership index, and intersections to their greedy first action, found for
+all of them at once by numpy passes over the tables' Q array in the order of
+the graph's edge columns.  A distilled net's table (`reparam.greedy_table`)
+acts the same way.  Acting is one dictionary lookup; states absent from the
+table (unseen states, and intersections with no outgoing highway) get a
+uniform random action over the environment's `action_count`, drawn from the
+caller's generator, with exploration on top.  `epsilon_greedy` makes one
+choice; the trainer's actor loop applies the same rule inline.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -30,47 +29,29 @@ from .value_iteration import ValueTables
 TIE_RTOL = 1e-9
 
 
-@dataclass
-class PolicySnapshot:
-    """Immutable bundle of everything action selection needs.
+def compile_greedy(graph: HighwayGraph, tables: ValueTables) -> dict[StateId, ActionId]:
+    """The greedy action of every state with a recorded choice.
 
     The tables' Q keys must be exactly the graph's (from_state, first_action)
-    pairs, or KeyMismatch is raised.  Neither is kept: the snapshot holds only
-    the greedy table compiled from them, so later changes to the graph do not
+    pairs, or KeyMismatch is raised.  The table is a new dict that keeps
+    neither the graph nor the tables, so later changes to the graph do not
     change its actions.
     """
-
-    graph: InitVar[HighwayGraph]
-    tables: InitVar[ValueTables]
-    action_count: int
-    # state -> greedy action, for every state with a recorded choice
-    greedy: dict[StateId, ActionId] = field(init=False, repr=False)
-
-    def __post_init__(self, graph: HighwayGraph, tables: ValueTables):
-        if self.action_count < 1:
-            raise ValueError("action_count must be >= 1")
-        greedy = {s: graph.highways[hid].actions[k] for s, (hid, k) in graph.membership.items()}
-        states, src, _dst, first, _ret, _disc = graph.edge_columns()
-        if len(tables.q_values) != len(first):
-            raise KeyMismatch(f"{len(tables.q_values)} Q entries for {len(first)} highways")
-        # both list their keys in (state, action) order, so they hold the same
-        # keys exactly when they agree entry by entry
-        q_states = tables.states[tables.q_src]
-        wrong = np.flatnonzero((q_states != states[src]) | (tables.q_actions != first))
-        if wrong.size:
-            j = wrong[0]
-            raise KeyMismatch(f"Q entry ({q_states[j]:#x}, {tables.q_actions[j]}) "
-                              "is not a highway of the graph")
-        starts, chosen = _greedy_entries(src, tables.q_values)
-        greedy.update(zip(states[src[starts]].tolist(), first[chosen].tolist()))
-        self.greedy = greedy
-
-    @classmethod
-    def from_table(cls, greedy: dict[StateId, ActionId], action_count: int) -> "PolicySnapshot":
-        """A snapshot that acts from a ready greedy table, such as a distilled net's."""
-        snapshot = cls(HighwayGraph(), ValueTables(), action_count)
-        snapshot.greedy = dict(greedy)
-        return snapshot
+    greedy = {s: graph.highways[hid].actions[k] for s, (hid, k) in graph.membership.items()}
+    states, src, _dst, first, _ret, _disc = graph.edge_columns()
+    if len(tables.q_values) != len(first):
+        raise KeyMismatch(f"{len(tables.q_values)} Q entries for {len(first)} highways")
+    # both list their keys in (state, action) order, so they hold the same
+    # keys exactly when they agree entry by entry
+    q_states = tables.states[tables.q_src]
+    wrong = np.flatnonzero((q_states != states[src]) | (tables.q_actions != first))
+    if wrong.size:
+        j = wrong[0]
+        raise KeyMismatch(f"Q entry ({q_states[j]:#x}, {tables.q_actions[j]}) "
+                          "is not a highway of the graph")
+    starts, chosen = _greedy_entries(src, tables.q_values)
+    greedy.update(zip(states[src[starts]].tolist(), first[chosen].tolist()))
+    return greedy
 
 
 def greedy_action(graph: HighwayGraph, tables: ValueTables, s: StateId) -> ActionId | None:
@@ -113,19 +94,21 @@ def _greedy_entries(src, q):
     return starts, np.where(chosen < m, chosen, starts)
 
 
-def epsilon_greedy(snapshot: PolicySnapshot, s: StateId, epsilon: float,
-                   rng: random.Random) -> ActionId:
-    """With probability epsilon take a uniform random action, else be greedy.
+def epsilon_greedy(greedy: dict[StateId, ActionId], s: StateId, epsilon: float,
+                   rng: random.Random, action_count: int) -> ActionId:
+    """With probability epsilon take a uniform random action, else greedy[s].
 
     States with no greedy action get a uniform random action too.  The random
     stream is fixed: one `rng.random()` when epsilon > 0 (none when it is 0),
-    then, for a random action, one `rng.randrange` over the actions.
+    then, for a random action, one `rng.randrange(action_count)`.
     `trainer.run_episode` applies this rule inline and draws the same stream.
     """
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must be in [0, 1]")
+    if action_count < 1:
+        raise ValueError("action_count must be >= 1")
     if not epsilon or rng.random() >= epsilon:
-        a = snapshot.greedy.get(s)
+        a = greedy.get(s)
         if a is not None:
             return a
-    return rng.randrange(snapshot.action_count)
+    return rng.randrange(action_count)

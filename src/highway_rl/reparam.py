@@ -270,7 +270,7 @@ def act(approx: QApproximator, state_features) -> int:
 
 def greedy_table(approx: QApproximator, env) -> dict[int, int]:
     """`act` at every non-terminal state of env, keyed by state id: the net's
-    greedy policy compiled once, for `PolicySnapshot.from_table`."""
+    greedy policy compiled once, a table `trainer.evaluate` acts from."""
     return {env.state_id(obs): act(approx, env.state_features(obs))
             for obs in env.enumerate_states() if not env.is_terminal(obs)}
 

@@ -35,29 +35,43 @@ def _save(path, kind: str, payload: dict):
     np.savez_compressed(path, **payload)
 
 
-def _load(path, kind: str) -> dict:
+class _Arrays(dict):
+    """An artifact's arrays by name; reading one that is missing, or a
+    scalar that is not 0-d, raises ValueError naming the path and the array."""
+
+    def __missing__(self, name):
+        raise ValueError(f"{self.path}: the array {name} is missing")
+
+    def scalar(self, name) -> np.ndarray:
+        if self[name].shape:
+            raise ValueError(f"{self.path}: {name} has shape {self[name].shape}, not ()")
+        return self[name]
+
+
+def _load(path, kind: str) -> _Arrays:
     """Every array of the artifact, each decompressed once, by name.
 
     A missing file, one np.load cannot read (cut, damaged or no npz), or
-    one without the markers of `kind` at FORMAT_VERSION raises
+    one without 0-d markers of `kind` at FORMAT_VERSION raises
     MissingArtifact naming the path.
     """
     if not os.path.exists(path):
         raise MissingArtifact(f"no artifact at {path}")
     try:
         with np.load(path, allow_pickle=False) as npz:
-            data = {name: npz[name] for name in npz.files}
+            data = _Arrays({name: npz[name] for name in npz.files})
     except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as err:
         # a cut or damaged archive, or a file that is no npz at all
         raise MissingArtifact(f"{path} cannot be read as an npz archive: {err}") from None
+    data.path = path
     missing = sorted({"artifact_kind", "format_version"} - data.keys())
     if missing:
         raise MissingArtifact(f"{path} has no {' or '.join(missing)} marker")
     found = str(data["artifact_kind"])
     if found != kind:
         raise MissingArtifact(f"{path} holds a {found!r} artifact, expected {kind!r}")
-    version = int(data["format_version"])
-    if version != FORMAT_VERSION:
+    version = data["format_version"]
+    if version.shape or int(version) != FORMAT_VERSION:
         raise MissingArtifact(f"{path} has format version {version}, expected {FORMAT_VERSION}")
     return data
 
@@ -92,9 +106,10 @@ def load_highway_graph(path) -> HighwayGraph:
     disagree, gamma is not in [0, 1), an observed pair repeats, a highway
     step is not observed, a highway does not end at an intersection or
     places a state twice, or an observed pair that is no self-loop lies on
-    no highway.
+    no highway; also when an array is missing or gamma is not a scalar.
     """
     data = _load(path, "highway_graph")
+    gamma, intersections = float(data.scalar("gamma")), data["intersections"].tolist()
     ptr = data["h_ptr"].tolist()
     obs = [data[name].tolist() for name in ("obs_state", "obs_action", "obs_next", "obs_reward")]
     if (ptr[:1] != [0] or len(data["h_from"]) != len(ptr) - 1
@@ -103,12 +118,12 @@ def load_highway_graph(path) -> HighwayGraph:
     actions = data["flat_actions"].tolist()
     loops = 0   # length-1 s -> s highways: their one step is a self-loop
     try:
-        graph = HighwayGraph(gamma=float(data["gamma"]))
+        graph = HighwayGraph(gamma=gamma)
         observed = graph.observed
         observed.update(zip(zip(obs[0], obs[1]), zip(obs[2], obs[3])))
         if len(observed) != len(obs[0]):
             raise ValueError("the observed columns repeat a (state, action) pair")
-        for s in data["intersections"].tolist():
+        for s in intersections:
             graph.make_intersection(s)
         for lo, hi, start in zip(ptr, ptr[1:], data["h_from"].tolist()):
             acts, s, rewards, states = tuple(actions[lo:hi]), start, [], []
@@ -148,8 +163,9 @@ def save_value_tables(path, tables: ValueTables):
 
 
 def load_value_tables(path) -> ValueTables:
-    """The saved tables; a file whose V or Q columns differ in length, or
-    that repeats a key or gives Q for a state without V, raises ValueError."""
+    """The saved tables; a file whose V or Q columns differ in length, that
+    repeats a key or gives Q for a state without V, or that lacks an array
+    or holds a non-scalar iterations_run or final_delta, raises ValueError."""
     data = _load(path, "value_tables")
     v_cols = [data[name].tolist() for name in ("v_state", "v_value")]
     q_cols = [data[name].tolist() for name in ("q_state", "q_action", "q_value")]
@@ -157,8 +173,8 @@ def load_value_tables(path) -> ValueTables:
     q = dict(zip(zip(*q_cols[:2]), q_cols[2]))
     if {len(v)} != set(map(len, v_cols)) or {len(q)} != set(map(len, q_cols)):
         raise ValueError(f"{path}: the V or Q columns differ in length or repeat a key")
-    return ValueTables.from_dicts(v, q, iterations_run=int(data["iterations_run"]),
-                                  final_delta=float(data["final_delta"]))
+    return ValueTables.from_dicts(v, q, iterations_run=int(data.scalar("iterations_run")),
+                                  final_delta=float(data.scalar("final_delta")))
 
 
 # --------------------------------------------------------------- approximator
@@ -185,17 +201,19 @@ def save_approximator(path, approx: QApproximator):
 def load_approximator(path) -> QApproximator:
     """The saved approximator; a file that lacks one of the weight arrays
     w0-w5, or whose weights do not chain feature_dim -> hidden_units ->
-    hidden_units -> action_count with matching biases, raises ValueError."""
+    hidden_units -> action_count with matching biases, or that lacks another
+    array or holds a non-scalar where a scalar belongs, raises ValueError."""
     data = _load(path, "approximator")
-    anchor = str(data["cfg_anchor"])
+    anchor = str(data.scalar("cfg_anchor"))
     cfg = ApproxConfig(
-        learning_rate=float(data["cfg_learning_rate"]),
-        epochs=int(data["cfg_epochs"]),
-        init_seed=int(data["cfg_init_seed"]),
-        hidden_units=int(data["cfg_hidden_units"]),
+        learning_rate=float(data.scalar("cfg_learning_rate")),
+        epochs=int(data.scalar("cfg_epochs")),
+        init_seed=int(data.scalar("cfg_init_seed")),
+        hidden_units=int(data.scalar("cfg_hidden_units")),
         absent_action_anchor=anchor or None,
     )
-    feature_dim, action_count = int(data["feature_dim"]), int(data["action_count"])
+    feature_dim = int(data.scalar("feature_dim"))
+    action_count = int(data.scalar("action_count"))
     dims = [feature_dim, cfg.hidden_units, cfg.hidden_units, action_count]
     shapes = [shape for fan_in, fan_out in zip(dims, dims[1:])
               for shape in ((fan_in, fan_out), (fan_out,))]
@@ -207,8 +225,8 @@ def load_approximator(path) -> QApproximator:
             raise ValueError(f"{path}: w{i} has shape {w.shape}, expected {shape}")
     return QApproximator(weights=weights, feature_dim=feature_dim,
                          action_count=action_count, config=cfg,
-                         target_mean=float(data["target_mean"]),
-                         target_scale=float(data["target_scale"]),
+                         target_mean=float(data.scalar("target_mean")),
+                         target_scale=float(data.scalar("target_scale")),
                          loss_history=list(data["loss_history"]))
 
 
@@ -245,11 +263,18 @@ def write_manifest(run_dir, config: dict, extra: dict | None = None):
 
 
 def read_manifest(run_dir) -> dict:
+    """The run's manifest; one that is missing, or no JSON object whose
+    files and config are objects, raises MissingArtifact naming run_dir."""
     path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(path):
         raise MissingArtifact(f"no manifest.json under {run_dir}")
     with open(path) as f:
-        return json.load(f)
+        manifest = json.load(f)
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("files"), dict)
+            and isinstance(manifest.get("config"), dict)):
+        raise MissingArtifact(f"{run_dir}: manifest.json is not an object "
+                              "with files and config objects")
+    return manifest
 
 
 def verify_manifest(run_dir) -> bool:

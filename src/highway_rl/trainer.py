@@ -1,22 +1,23 @@
 """Actor/learner training loop over the highway graph.
 
 A ladder of epsilon-greedy actors collects whole episodes against the most
-recent policy snapshot; the learner folds each episode into the highway graph
-as soon as it ends and drops it, so training holds one episode at a time.
-After an update's episodes it re-runs value updating and publishes a fresh
-snapshot.  Everything is seeded: episode seeds derive from (run_seed, actor,
-episode index), so the run is reproducible regardless of actor scheduling.
+recent policy, a greedy table (`policy.compile_greedy`); the learner folds
+each episode into the highway graph as soon as it ends and drops it, so
+training holds one episode at a time.  After an update's episodes it re-runs
+value updating and publishes a freshly compiled table.  Everything is
+seeded: episode seeds derive from (run_seed, actor, episode index), so the
+run is reproducible regardless of actor scheduling.
 
 An episode makes one Python-level call per frame, the environment's `step`,
 whose result carries the next state's id.  Around it the epsilon-greedy rule
-runs inline (an exploration draw and one lookup in the snapshot's greedy
-table), and four appends fill the trajectory's columns; `step`, the
-generator's methods and the table are bound once per episode.
+runs inline (an exploration draw and one lookup in the greedy table), and
+four appends fill the trajectory's columns; `step`, the generator's methods
+and the table are bound once per episode.
 
 An update stays in arrays from the solve to the signatures.  The graph
-gathers its edge columns once; the solve, the snapshot's key check and the
-topology signature read that one gather.  The solve warm-starts from the
-previous tables' V array, the snapshot picks every intersection's action
+gathers its edge columns once; the solve, the greedy table's key check and
+the topology signature read that one gather.  The solve warm-starts from the
+previous tables' V array, the greedy table picks every intersection's action
 from the Q array, and the policy signature packs its records from arrays.
 No V or Q dict is built, and no signature is cached.
 
@@ -48,9 +49,9 @@ from .bellman import check_delta
 from .environments import (DEFAULT_EPISODES_PER_UPDATE, DEFAULT_EVAL_STEP_CAP,
                            DEFAULT_STEP_CAP, EnvSpec, make_env)
 from .highway_graph import HighwayGraph, graph_stats
-from .policy import PolicySnapshot, epsilon_greedy
-from .transition_model import Trajectory
-from .value_iteration import ValueTables, value_update_loop
+from .policy import compile_greedy, epsilon_greedy
+from .transition_model import ActionId, StateId, Trajectory
+from .value_iteration import ValueTables, interior_values, value_update_loop
 
 METRICS_SCHEMA = "hgrl-metrics-v1"
 # greedy evaluation episodes after each update
@@ -129,7 +130,7 @@ class TrainResult:
     metrics: RunMetrics
     graph: HighwayGraph
     tables: ValueTables
-    snapshot: PolicySnapshot
+    snapshot: dict[StateId, ActionId]   # the greedy table of the last update
 
 
 def epsilon_ladder(actor: int, actors: int) -> float:
@@ -162,22 +163,22 @@ def _topology_signature(graph: HighwayGraph) -> str:
     return digest.hexdigest()
 
 
-def _policy_signature(states, snapshot: PolicySnapshot) -> str:
+def _policy_signature(states, greedy: dict[StateId, ActionId]) -> str:
     """Digest of each sorted intersection's greedy action (-1 for none), as <Qq."""
     records = np.empty(len(states), [("s", "<u8"), ("a", "<i8")])
     records["s"] = states
-    records["a"] = list(map(snapshot.greedy.get, states, repeat(-1)))
+    records["a"] = list(map(greedy.get, states, repeat(-1)))
     return hashlib.blake2b(records.tobytes(), digest_size=16).hexdigest()
 
 
-def run_episode(env, snapshot: PolicySnapshot, epsilon: float, episode_seed: int,
+def run_episode(env, greedy: dict[StateId, ActionId], epsilon: float, episode_seed: int,
                 step_cap: int | None) -> Trajectory:
     """One full episode under the epsilon-greedy policy; truncates at step_cap.
 
-    Actions follow `epsilon_greedy`'s rule and random stream, applied inline;
-    its `rng.randrange` is written out as randrange's getrandbits rejection loop.
-    An epsilon outside [0, 1] or a step cap below 1 raises ValueError before
-    the first step.
+    Actions follow `epsilon_greedy`'s rule and random stream over the
+    environment's `action_count`, applied inline; its `rng.randrange` is
+    written out as randrange's getrandbits rejection loop.  An epsilon outside
+    [0, 1] or a step cap below 1 raises ValueError before the first step.
     """
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must be in [0, 1]")
@@ -185,8 +186,8 @@ def run_episode(env, snapshot: PolicySnapshot, epsilon: float, episode_seed: int
         raise ValueError("step_cap must be >= 1")
     rng = random.Random(episode_seed)
     draw, getrandbits = rng.random, rng.getrandbits
-    greedy = snapshot.greedy.get
-    n = snapshot.action_count
+    greedy = greedy.get
+    n = env.action_count
     k = n.bit_length()
     step = env.step
     obs = env.reset(episode_seed)
@@ -228,15 +229,15 @@ class EvalResult:
     episodes: list[EpisodeEval]
 
 
-def evaluate(snapshot: PolicySnapshot, env, episodes: int, gamma: float = 0.99,
+def evaluate(greedy: dict[StateId, ActionId], env, episodes: int, gamma: float = 0.99,
              step_cap: int | None = None, seed: int = 0) -> EvalResult:
     """Greedy (epsilon = 0) episodes, each with a generator seeded per episode.
 
     An episode steps until a terminal state or the cap; the discount exponent
     is the step index.  The module's epsilon_greedy is looked up per frame, so
-    a wrapper installed on it sees every choice.  The snapshot may compile a
-    graph's policy or a distilled net's (`reparam.greedy_table`).  Fewer than
-    one episode, a step cap below 1 or a gamma outside [0, 1) raises ValueError.
+    a wrapper installed on it sees every choice.  The table may be a graph's
+    (`compile_greedy`) or a net's (`reparam.greedy_table`).  Fewer than one
+    episode, a step cap below 1 or a gamma outside [0, 1) raises ValueError.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -256,7 +257,7 @@ def evaluate(snapshot: PolicySnapshot, env, episodes: int, gamma: float = 0.99,
         steps = 0
         terminal = False
         while steps < cap and not terminal:
-            res = env.step(obs, epsilon_greedy(snapshot, sid, 0.0, rng=rng))
+            res = env.step(obs, epsilon_greedy(greedy, sid, 0.0, rng, env.action_count))
             total += res.reward
             disc += g * res.reward
             g *= gamma
@@ -286,18 +287,10 @@ def _self_loops_hold(graph: HighwayGraph, tables: ValueTables) -> bool:
     """Whether every observed self-loop (s, a) -> (s, r) has r <= (1 - gamma) V(s).
 
     Then going round the loop never beats the solved V(s), so leaving it out
-    of the graph left the values optimal.  V is read from the tables' arrays,
-    and backed up along the highways for interior states as
-    `interior_values` does, without building the tables' V dict.
+    of the graph left the values optimal.  V(s) comes from `interior_values`.
     """
-    gamma = graph.gamma
-    values = dict(zip(tables.states.tolist(), tables.v_values.tolist()))
-    for h in graph.highways.values():
-        val = values[h.to_state]
-        for k in range(h.length - 1, 0, -1):
-            val = h.step_rewards[k] + gamma * val
-            values[h.step_states[k - 1]] = val
-    return all(r <= (1 - gamma) * values[s]
+    values = interior_values(graph, tables)
+    return all(r <= (1 - graph.gamma) * values[s]
                for (s, _a), (nxt, r) in graph.observed.items() if s == nxt)
 
 
@@ -309,7 +302,7 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
 
     on_update, when given, receives each UpdateRow as soon as it is recorded
     (metrics streaming).  Each episode is ingested as soon as it ends; its
-    rollout read the snapshot the previous update published, so ingesting
+    rollout read the greedy table the previous update published, so ingesting
     early changes no result.  A DeterminismViolation from any ingested
     transition aborts the run before the update's later episodes are rolled
     out; the exception names the conflicting (state, action) pair.
@@ -319,7 +312,7 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
     step_cap = config.resolved_step_cap()
     graph = HighwayGraph(gamma=config.gamma)
     tables = ValueTables()
-    snapshot = PolicySnapshot(graph, tables, env.action_count)
+    snapshot = {}
     metrics = RunMetrics()
     frames = 0
     episode_index = 0
@@ -338,7 +331,7 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
             graph.assemble([traj])
             del traj                   # the next rollout starts with no episode held
         tables = value_update_loop(graph, delta=config.delta, v_init=tables)
-        snapshot = PolicySnapshot(graph, tables, env.action_count)
+        snapshot = compile_greedy(graph, tables)
         ev = evaluate(snapshot, env, EVAL_EPISODES, gamma=config.gamma,
                       step_cap=step_cap, seed=_mix_seed(config.run_seed, 31, update))
         stats = graph_stats(graph)

@@ -189,12 +189,12 @@ def interior_values(graph: HighwayGraph, tables: ValueTables) -> dict[StateId, f
     """Values for every expanded state, walking each highway backward.
 
     Interior states get the discounted backup over their remaining steps;
-    intersections map to their converged V entry.
+    intersections their V, read in key order from the tables' arrays.
     """
-    out = dict(tables.v)
+    out = dict(zip(tables.states.tolist(), tables.v_values.tolist()))
     gamma = graph.gamma
     for h in graph.highways.values():
-        val = tables.v[h.to_state]
+        val = out[h.to_state]
         for k in range(h.length - 1, 0, -1):
             val = h.step_rewards[k] + gamma * val
             out[h.step_states[k - 1]] = val

@@ -227,6 +227,32 @@ def test_a_cut_artifact_exits_4(run_dir, capsys):
     assert f"missing artifact: {path} cannot be read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, value, code, message", [
+    ("format_version", np.array([1, 1]), 4, "missing artifact: {path} has format version [1 1]"),
+    ("gamma", np.array([0.9, 0.9]), 2, "config error: {path}: gamma has shape (2,), not ()"),
+    ("h_ptr", None, 2, "config error: {path}: the array h_ptr is missing"),
+], ids=["vector-marker", "vector-gamma", "no-h_ptr"])
+def test_a_non_scalar_or_missing_array_exits_4_for_a_marker_and_2_for_a_payload(
+        run_dir, capsys, name, value, code, message):
+    # graph.npz with one array replaced or dropped, under a manifest rewritten to match
+    path = run_dir / "graph.npz"
+    with np.load(path) as npz:
+        data = {key: npz[key] for key in npz.files}
+    data[name] = value
+    np.savez_compressed(path, **{key: a for key, a in data.items() if a is not None})
+    write_manifest(run_dir, read_manifest(run_dir)["config"])
+    assert cli.main(["eval", "--run", str(run_dir)]) == code
+    assert message.format(path=path) in capsys.readouterr().err
+
+
+def test_a_manifest_whose_files_is_a_list_exits_4(run_dir, capsys):
+    manifest = read_manifest(run_dir)
+    manifest["files"] = sorted(manifest["files"])
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.main(["eval", "--run", str(run_dir)]) == 4
+    assert f"missing artifact: {run_dir}: manifest.json" in capsys.readouterr().err
+
+
 def test_tampered_artifact_exits_4(run_dir, capsys):
     with open(run_dir / "tables.npz", "ab") as f:
         f.write(b"\0")
@@ -425,7 +451,7 @@ def test_eval_and_eval_hgq_cap_episodes_as_training_evaluates(tmp_path, monkeypa
     assert cli.main(["distill", "--run", str(run), "--epochs", "1"]) == 0
     results = _recording_evaluate(monkeypatch)
     # every choice is north, a wall at the start, so each episode runs to its cap
-    monkeypatch.setattr(trainer, "epsilon_greedy", lambda snapshot, s, epsilon, rng: 0)
+    monkeypatch.setattr(trainer, "epsilon_greedy", lambda greedy, s, epsilon, rng, action_count: 0)
     for command in ("eval", "eval-hgq"):
         assert cli.main([command, "--run", str(run), "--episodes", "2"]) == 0
     capsys.readouterr()

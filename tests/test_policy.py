@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import one_sweep, random_highway_graph, random_mdp_walks
 from highway_rl.errors import KeyMismatch
 from highway_rl.highway_graph import HighwayGraph
-from highway_rl.policy import PolicySnapshot, epsilon_greedy, greedy_action
+from highway_rl.policy import compile_greedy, epsilon_greedy, greedy_action
 from highway_rl.value_iteration import ValueTables, value_update_loop
 
 
@@ -31,20 +31,21 @@ def _q_tables(q):
     return ValueTables.from_dicts(dict.fromkeys([s for s, _a in q], 0.0), q)
 
 
-def _greedy(snap, s, rng=None):
+def _greedy(snap, s, rng=None, action_count=4):
     """The epsilon = 0 choice at s, drawing from rng (a fresh one by default)."""
-    return epsilon_greedy(snap, s, 0.0, rng if rng is not None else random.Random(0))
+    return epsilon_greedy(snap, s, 0.0, rng if rng is not None else random.Random(0),
+                          action_count)
 
 
 def test_select_argmax_at_intersection():
     g, tables = _two_action_graph()
-    snap = PolicySnapshot(g, tables, action_count=4)
+    snap = compile_greedy(g, tables)
     assert _greedy(snap, 0) == 1
 
 
 def test_select_tie_breaks_to_lowest_action():
     g, tables = _two_action_graph(q_first=0.9)
-    snap = PolicySnapshot(g, tables, action_count=4)
+    snap = compile_greedy(g, tables)
     assert _greedy(snap, 0) == 0
 
 
@@ -74,7 +75,7 @@ def _one_state_tables(qs):
 def test_greedy_action_ties_within_the_tolerance(qs, want):
     g, tables = _one_state_tables(qs)
     assert greedy_action(g, tables, 0) == want
-    assert PolicySnapshot(g, tables, action_count=len(qs)).greedy[0] == want
+    assert compile_greedy(g, tables)[0] == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -90,21 +91,21 @@ def test_greedy_action_is_the_lowest_action_near_the_best_in_any_q_order(qs, rng
     rng.shuffle(keys)
     tables = _q_tables({k: tables.q[k] for k in keys})
     assert greedy_action(g, tables, 0) == want
-    assert PolicySnapshot(g, tables, action_count=len(qs)).greedy[0] == want
+    assert compile_greedy(g, tables)[0] == want
 
 
 def test_select_recorded_action_on_highway():
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 9, [3, 0, 2, 1], [0.0] * 4, interior=[5, 6, 7])
     tables = value_update_loop(g, delta=1e-15)
-    snap = PolicySnapshot(g, tables, action_count=4)
+    snap = compile_greedy(g, tables)
     # state 6 sits at offset 2; the recorded action there is the third one
     assert _greedy(snap, 6) == 2
 
 
 def test_select_uniform_on_unknown_state():
     g, tables = _two_action_graph()
-    snap = PolicySnapshot(g, tables, action_count=4)
+    snap = compile_greedy(g, tables)
     rng = random.Random(99)
     counts = Counter(_greedy(snap, 12345, rng) for _ in range(10_000))
     for a in range(4):
@@ -113,13 +114,13 @@ def test_select_uniform_on_unknown_state():
 
 def test_select_deterministic_for_known_states():
     g, tables = _two_action_graph()
-    snap = PolicySnapshot(g, tables, action_count=4)
+    snap = compile_greedy(g, tables)
     assert _greedy(snap, 0, random.Random(0)) == _greedy(snap, 0, random.Random(1))
 
 
 def test_unknown_state_stream_fixed_by_seed():
     g, tables = _two_action_graph()
-    snap = PolicySnapshot(g, tables, action_count=4)
+    snap = compile_greedy(g, tables)
     rng_a, rng_b = random.Random(7), random.Random(7)
     seq_a = [_greedy(snap, 999, rng_a) for _ in range(50)]
     seq_b = [_greedy(snap, 999, rng_b) for _ in range(50)]
@@ -130,37 +131,37 @@ def test_epsilon_zero_equals_greedy():
     # epsilon 0 draws no exploration coin: a known state draws nothing, an
     # unknown one exactly the uniform action
     g, tables = _two_action_graph()
-    snap = PolicySnapshot(g, tables, action_count=4)
+    snap = compile_greedy(g, tables)
     rng, ref = random.Random(3), random.Random(3)
-    assert epsilon_greedy(snap, 0, 0.0, rng=rng) == greedy_action(g, tables, 0)
+    assert epsilon_greedy(snap, 0, 0.0, rng=rng, action_count=4) == greedy_action(g, tables, 0)
     assert rng.getstate() == ref.getstate()
-    assert epsilon_greedy(snap, 777, 0.0, rng=rng) == ref.randrange(4)
+    assert epsilon_greedy(snap, 777, 0.0, rng=rng, action_count=4) == ref.randrange(4)
     assert rng.getstate() == ref.getstate()
 
 
 def test_epsilon_one_is_uniform():
     g, tables = _two_action_graph()
-    snap = PolicySnapshot(g, tables, action_count=4)
+    snap = compile_greedy(g, tables)
     rng = random.Random(5)
-    counts = Counter(epsilon_greedy(snap, 0, 1.0, rng) for _ in range(10_000))
+    counts = Counter(epsilon_greedy(snap, 0, 1.0, rng, 4) for _ in range(10_000))
     for a in range(4):
         assert counts[a] / 10_000 == pytest.approx(0.25, abs=0.02)
 
 
 def test_epsilon_half_frequency():
     g, tables = _two_action_graph()
-    snap = PolicySnapshot(g, tables, action_count=4)
+    snap = compile_greedy(g, tables)
     rng = random.Random(11)
-    counts = Counter(epsilon_greedy(snap, 0, 0.5, rng) for _ in range(10_000))
+    counts = Counter(epsilon_greedy(snap, 0, 0.5, rng, 4) for _ in range(10_000))
     expected = 0.5 + 0.5 / 4  # greedy half plus its share of the uniform half
     assert counts[1] / 10_000 == pytest.approx(expected, abs=0.02)
 
 
 def test_epsilon_range_validated():
     g, tables = _two_action_graph()
-    snap = PolicySnapshot(g, tables, action_count=4)
+    snap = compile_greedy(g, tables)
     with pytest.raises(ValueError):
-        epsilon_greedy(snap, 0, 1.5, random.Random(0))
+        epsilon_greedy(snap, 0, 1.5, random.Random(0), 4)
 
 
 def test_value_shift_leaves_greedy_actions_unchanged():
@@ -193,12 +194,12 @@ def test_random_actions_keep_the_randrange_stream(seed, action_count):
     # the inlined getrandbits loop draws what rng.randrange would, both for
     # unknown states and for exploration, and leaves the same generator state
     g, tables = _two_action_graph()
-    snap = PolicySnapshot(g, tables, action_count=action_count)
+    snap = compile_greedy(g, tables)
     rng, ref = random.Random(seed), random.Random(seed)
     for _ in range(50):
-        assert epsilon_greedy(snap, -1, 0.0, rng) == ref.randrange(action_count)
+        assert epsilon_greedy(snap, -1, 0.0, rng, action_count) == ref.randrange(action_count)
         ref.random()   # the exploration coin
-        assert epsilon_greedy(snap, 0, 1.0, rng) == ref.randrange(action_count)
+        assert epsilon_greedy(snap, 0, 1.0, rng, action_count) == ref.randrange(action_count)
     assert rng.getstate() == ref.getstate()
 
 def _expected_greedy(g, tables):
@@ -219,34 +220,32 @@ def test_snapshot_is_unaffected_by_later_assemble(seed, episodes, max_len):
     _table, action_count, trajs = random_mdp_walks(rng, 2 * episodes, max_len)
     g = HighwayGraph(gamma=0.95).assemble(trajs[:episodes])
     tables = value_update_loop(g, delta=1e-12)
-    snap = PolicySnapshot(g, tables, action_count=action_count)
+    snap = compile_greedy(g, tables)
     # the compiled table holds exactly the choices the graph records
     expected = _expected_greedy(g, tables)
-    assert snap.greedy == expected
+    assert snap == expected
     probe = sorted(g.states()) + [-1]
-    before = [_greedy(snap, s, random.Random(s)) for s in probe]
+    before = [_greedy(snap, s, random.Random(s), action_count) for s in probe]
     g.assemble(trajs[episodes:])
-    assert [_greedy(snap, s, random.Random(s)) for s in probe] == before
-    assert snap.greedy == expected
+    assert [_greedy(snap, s, random.Random(s), action_count) for s in probe] == before
+    assert snap == expected
 
 
 def test_snapshot_holds_only_the_greedy_table():
     # every random choice draws from the caller's generator; none is kept
     g, tables = _two_action_graph()
-    snap = PolicySnapshot(g, tables, action_count=4)
-    assert [f.name for f in dataclasses.fields(snap)] == ["action_count", "greedy"]
+    snap = compile_greedy(g, tables)
+    assert type(snap) is dict
     with pytest.raises(TypeError):
         epsilon_greedy(snap, 0, 0.0)
 
 
-def test_snapshot_from_a_ready_table_acts_from_a_copy_of_it():
+def test_a_ready_table_is_a_policy_as_it_stands():
+    # a distilled net's table needs no compiling: epsilon_greedy acts from it
     table = {5: 2, 6: 0}
-    snap = PolicySnapshot.from_table(table, action_count=3)
-    table[5] = 1
-    assert snap.greedy == {5: 2, 6: 0}
-    assert [epsilon_greedy(snap, s, 0.0, rng=random.Random(0)) for s in (5, 6)] == [2, 0]
+    assert [epsilon_greedy(table, s, 0.0, random.Random(0), 3) for s in (5, 6)] == [2, 0]
     with pytest.raises(ValueError, match="action_count"):
-        PolicySnapshot.from_table({5: 0}, action_count=0)
+        epsilon_greedy({5: 0}, 6, 0.0, random.Random(0), 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -270,22 +269,22 @@ def test_snapshot_compiles_greedy_action_on_ties_and_nan(seed, pool, made_by):
     else:
         solved = value_update_loop(g, delta=1e-6)
         tables = dataclasses.replace(solved, q_values=np.array([q[k] for k in solved.q]))
-    snap = PolicySnapshot(g, tables, action_count=4)
-    assert snap.greedy == _expected_greedy(g, tables)
+    snap = compile_greedy(g, tables)
+    assert snap == _expected_greedy(g, tables)
 
 
 def test_snapshot_rejects_tables_of_another_topology():
     g, tables = _two_action_graph()
     missing = _q_tables({(0, 1): 0.9})
     with pytest.raises(KeyMismatch):
-        PolicySnapshot(g, missing, action_count=4)
+        compile_greedy(g, missing)
     extra = _q_tables({**tables.q, (1, 0): 0.0})
     with pytest.raises(KeyMismatch):
-        PolicySnapshot(g, extra, action_count=4)
+        compile_greedy(g, extra)
     # as many entries as highways, but one pair is not a highway's
     swapped = _q_tables({(0, 0): 0.5, (0, 2): 0.9})
     with pytest.raises(KeyMismatch):
-        PolicySnapshot(g, swapped, action_count=4)
+        compile_greedy(g, swapped)
     stray = _q_tables({(0, 0): 0.5, (7, 1): 0.9})
     with pytest.raises(KeyMismatch):
-        PolicySnapshot(g, stray, action_count=4)
+        compile_greedy(g, stray)

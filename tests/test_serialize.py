@@ -1,7 +1,9 @@
 """Artifact round-trips and run-directory manifests."""
 
+import json
 import math
 import random
+import re
 import struct
 
 import numpy as np
@@ -121,7 +123,11 @@ def test_approximator_with_the_retired_batch_and_momentum_fields_loads(tmp_path)
     (lambda data: data.update(w2=data["w2"][:3]), r"w2 has shape \(3, 4\), expected \(4, 4\)"),
     (lambda data: data.update(w3=data["w3"][:3]), r"w3 has shape \(3,\), expected \(4,\)"),
     (lambda data: data.update(w0=data["w0"].T), r"w0 has shape \(4, 2\), expected \(2, 4\)"),
-], ids=["no-w5", "w2-does-not-chain", "short-bias", "transposed-w0"])
+    (lambda data: data.pop("feature_dim"), "the array feature_dim is missing"),
+    (lambda data: data.update(target_mean=np.zeros(2)), r"target_mean has shape \(2,\), not \(\)"),
+    (lambda data: data.update(cfg_epochs=np.array([1, 1])), r"cfg_epochs has shape \(2,\)"),
+], ids=["no-w5", "w2-does-not-chain", "short-bias", "transposed-w0", "no-feature_dim",
+        "vector-target_mean", "vector-cfg_epochs"])
 def test_a_malformed_approximator_file_is_refused(tmp_path, change, message):
     rng = np.random.default_rng(0)
     ds = QDataset(features=rng.uniform(size=(6, 2)), actions=rng.integers(0, 3, 6),
@@ -172,7 +178,7 @@ def test_highway_off_an_interior_state_is_rejected(tmp_path):
 
 
 def _craft(tmp_path, **changes):
-    """A saved 0 -> 3 highway graph file with some arrays replaced."""
+    """A saved 0 -> 3 highway graph file with some arrays replaced (None: dropped)."""
     g = HighwayGraph(gamma=0.99)
     g.add_highway(0, 3, [0, 0, 0], [0.0, 0.0, 0.0], interior=[1, 2])
     g.add_highway(3, 0, [1], [0.5])
@@ -182,7 +188,7 @@ def _craft(tmp_path, **changes):
         data = {name: npz[name] for name in npz.files}
     for name, change in changes.items():
         data[name] = change(data[name])
-    np.savez_compressed(path, **data)
+    np.savez_compressed(path, **{name: a for name, a in data.items() if a is not None})
     return path
 
 
@@ -211,10 +217,13 @@ def _observe(state, action, nxt, reward):
     # the 3 -> 0 highway runs on through 0 -> 1 -> 2 -> 3
     ({"flat_actions": lambda a: np.append(a, [0, 0, 0]), "h_ptr": lambda a: a + [0, 0, 3]},
      "0x0 is already placed"),
+    ({"gamma": lambda a: np.array([0.9, 0.9])}, r"gamma has shape \(2,\), not \(\)"),
+    ({"h_ptr": lambda a: None}, "the array h_ptr is missing"),
+    ({"intersections": lambda a: None}, "the array intersections is missing"),
 ], ids=["short-h_from", "long-h_from", "short-h_ptr", "h_ptr-not-from-0", "short-flat_actions",
         "short-obs_next", "gamma-out-of-range", "no-observed-pairs", "repeated-observed-pair",
         "action-leads-off-the-intersections", "observed-step-off-the-highways",
-        "state-placed-twice"])
+        "state-placed-twice", "vector-gamma", "no-h_ptr", "no-intersections"])
 def test_a_malformed_graph_file_is_refused(tmp_path, changes, message):
     assert len(load_highway_graph(_craft(tmp_path)).highways) == 2
     with pytest.raises(ValueError, match=message) as err:
@@ -260,10 +269,14 @@ def test_a_file_without_its_markers_is_a_missing_artifact(tmp_path):
     np.savez(path, artifact_kind=np.array("highway_graph"))
     with pytest.raises(MissingArtifact, match="no format_version marker"):
         load_highway_graph(path)
+    np.savez(path, artifact_kind=np.array("highway_graph"), format_version=np.array([1, 1]))
+    with pytest.raises(MissingArtifact, match=r"format version \[1 1\], expected 1"):
+        load_highway_graph(path)
 
 
 def _craft_tables(tmp_path, **changes):
-    """A saved file of tables over states 1, 2 and 5 with some arrays replaced."""
+    """A saved file of tables over states 1, 2 and 5 with some arrays replaced
+    (None: dropped)."""
     tables = ValueTables.from_dicts({1: 0.5, 2: 0.25, 5: -1.0},
                                     {(1, 0): 0.5, (1, 3): 0.0, (2, 1): 0.25})
     path = tmp_path / "tables.npz"
@@ -272,7 +285,7 @@ def _craft_tables(tmp_path, **changes):
         data = {name: npz[name] for name in npz.files}
     for name, change in changes.items():
         data[name] = change(data[name])
-    np.savez_compressed(path, **data)
+    np.savez_compressed(path, **{name: a for name, a in data.items() if a is not None})
     return path
 
 
@@ -284,8 +297,12 @@ def _craft_tables(tmp_path, **changes):
     ({"v_state": lambda a: np.where(a == 5, np.uint64(2), a)}, "repeat a key"),
     ({"q_action": lambda a: np.where(a == 3, 0, a)}, "repeat a key"),
     ({"q_state": lambda a: np.where(a == 2, np.uint64(7), a)}, "state 7 has no V entry"),
+    ({"iterations_run": lambda a: np.array([7, 7])}, r"iterations_run has shape \(2,\)"),
+    ({"final_delta": lambda a: np.zeros(2)}, r"final_delta has shape \(2,\)"),
+    ({"v_value": lambda a: None}, "the array v_value is missing"),
 ], ids=["short-v_value", "long-v_state", "short-q_action", "long-q_value", "repeated-v-state",
-        "repeated-q-key", "q-state-without-v"])
+        "repeated-q-key", "q-state-without-v", "vector-iterations_run", "vector-final_delta",
+        "no-v_value"])
 def test_a_malformed_tables_file_is_refused(tmp_path, changes, message):
     loaded = load_value_tables(_craft_tables(tmp_path))
     assert loaded.v == {1: 0.5, 2: 0.25, 5: -1.0} and len(loaded.q) == 3
@@ -335,3 +352,13 @@ def test_manifest_extra_cannot_replace_the_core_fields(tmp_path):
     with open(tmp_path / "graph.npz", "ab") as f:
         f.write(b"\0")
     assert not verify_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("manifest", [[], {"files": [], "config": {}},
+                                      {"files": {}, "config": []}, {"config": {}}],
+                         ids=["top-level-list", "files-list", "config-list", "no-files"])
+def test_a_manifest_that_is_no_object_of_objects_is_a_missing_artifact(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    for read in (read_manifest, verify_manifest):
+        with pytest.raises(MissingArtifact, match=re.escape(f"{tmp_path}: manifest.json")):
+            read(tmp_path)

@@ -15,7 +15,7 @@ from conftest import random_mdp_walks
 from highway_rl.environments import EnvSpec, StepResult, make_env
 from highway_rl.errors import DeterminismViolation
 from highway_rl.highway_graph import HighwayGraph
-from highway_rl.policy import PolicySnapshot
+from highway_rl.policy import compile_greedy
 from highway_rl.trainer import (RunMetrics, TrainConfig, UpdateRow, _policy_signature,
                                 _topology_signature, detect_convergence, epsilon_ladder,
                                 evaluate, run_episode, train)
@@ -65,7 +65,8 @@ def test_cold_start_zero_budget():
     env = make_env(res.config.env)
     sid = env.state_id(env.reset())
     rng = random.Random(0)
-    actions = Counter(epsilon_greedy(res.snapshot, sid, 0.0, rng) for _ in range(4000))
+    actions = Counter(epsilon_greedy(res.snapshot, sid, 0.0, rng, env.action_count)
+                      for _ in range(4000))
     for a in range(4):
         assert actions[a] / 4000 == pytest.approx(0.25, abs=0.05)
 
@@ -316,6 +317,7 @@ class _TableEnv:
 
     def __init__(self, rng: random.Random, n_states: int, action_count: int):
         self.n_states = n_states
+        self.action_count = action_count
         self.table = {}
         for s in range(n_states):
             for a in range(action_count):
@@ -344,11 +346,11 @@ def _per_frame_episode(env, snapshot, epsilon, episode_seed, step_cap):
     terminal = False
     for _ in range(step_cap):
         if epsilon > 0.0 and rng.random() < epsilon:
-            action = rng.randrange(snapshot.action_count)
+            action = rng.randrange(env.action_count)
         else:
-            action = snapshot.greedy.get(sid)
+            action = snapshot.get(sid)
             if action is None:
-                action = rng.randrange(snapshot.action_count)
+                action = rng.randrange(env.action_count)
         res = env.step(obs, action)
         nxt = env.state_id(res.next_obs)
         for column, value in zip(columns, (sid, action, nxt, res.reward)):
@@ -367,10 +369,9 @@ def _per_frame_episode(env, snapshot, epsilon, episode_seed, step_cap):
 def test_run_episode_keeps_the_per_frame_choices(seed, action_count, epsilon, step_cap):
     rng = random.Random(seed)
     env = _TableEnv(rng, rng.randint(2, 30), action_count)
-    snap = PolicySnapshot(HighwayGraph(), ValueTables(), action_count)
     # a greedy table that covers some states and not others
-    snap.greedy = {sid: rng.randrange(action_count) for sid in range(1000, 1000 + env.n_states)
-                   if rng.random() < 0.5}
+    snap = {sid: rng.randrange(action_count) for sid in range(1000, 1000 + env.n_states)
+            if rng.random() < 0.5}
     episode_seed = rng.getrandbits(62)
     traj = run_episode(env, snap, epsilon, episode_seed, step_cap)
     columns, terminal = _per_frame_episode(env, snap, epsilon, episode_seed, step_cap)
@@ -391,7 +392,7 @@ class _CountingEnv(_TableEnv):
 @pytest.mark.parametrize("epsilon", [-0.1, 1.5, math.nan])
 def test_run_episode_rejects_epsilon_outside_unit_interval_before_stepping(epsilon):
     env = _CountingEnv()
-    snap = PolicySnapshot(HighwayGraph(), ValueTables(), 2)
+    snap = {}
     with pytest.raises(ValueError, match="epsilon"):
         run_episode(env, snap, epsilon, 0, 10)
     assert env.steps == 0
@@ -401,7 +402,7 @@ def test_run_episode_rejects_epsilon_outside_unit_interval_before_stepping(epsil
 @pytest.mark.parametrize("step_cap", [0, -5])
 def test_run_episode_rejects_a_step_cap_below_one_before_stepping(step_cap):
     env = _CountingEnv()
-    snap = PolicySnapshot(HighwayGraph(), ValueTables(), 2)
+    snap = {}
     with pytest.raises(ValueError, match="step_cap"):
         run_episode(env, snap, 0.5, 0, step_cap)
     assert env.steps == 0
@@ -411,7 +412,7 @@ def test_run_episode_rejects_a_step_cap_below_one_before_stepping(step_cap):
                                      {"gamma": 1.0}, {"gamma": -0.1}, {"gamma": math.nan}])
 def test_evaluate_rejects_a_step_cap_below_one_or_a_gamma_outside_unit_interval(setting):
     env = _CountingEnv()
-    snap = PolicySnapshot(HighwayGraph(), ValueTables(), 2)
+    snap = {}
     with pytest.raises(ValueError, match=next(iter(setting))):
         evaluate(snap, env, 1, **{"gamma": 0.99, "step_cap": 10, **setting})
     assert env.steps == 0
@@ -443,7 +444,7 @@ def _reference_policy_signature(graph, snapshot):
     """The per-item digest the policy signature must equal."""
     h = hashlib.blake2b(digest_size=16)
     for s in sorted(graph.intersections):
-        h.update(struct.pack("<Qq", s, snapshot.greedy.get(s, -1)))
+        h.update(struct.pack("<Qq", s, snapshot.get(s, -1)))
     return h.hexdigest()
 
 
@@ -457,7 +458,7 @@ def test_signatures_equal_the_per_item_digests(seed, episodes, max_len):
         g.assemble([traj])
         states = sorted(g.intersections)
         assert _topology_signature(g) == _reference_topology_signature(g)
-        snap = PolicySnapshot(g, value_update_loop(g, delta=1e-9), action_count)
+        snap = compile_greedy(g, value_update_loop(g, delta=1e-9))
         assert _policy_signature(states, snap) == _reference_policy_signature(g, snap)
 
 
@@ -505,7 +506,7 @@ def test_one_value_solve_per_update_on_the_trained_graph(monkeypatch):
 
 
 def test_an_update_gathers_the_columns_once_and_builds_no_value_dict(monkeypatch):
-    # the solve, the snapshot's key check and the topology signature share
+    # the solve, compile_greedy's key check and the topology signature share
     # one gather, made in an update only when it changed the graph; no V or
     # Q dict is built until the result is read
     gathers, views = [], []
@@ -520,8 +521,8 @@ def test_an_update_gathers_the_columns_once_and_builds_no_value_dict(monkeypatch
     res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=0),
                 on_update=lambda row: per_update.append(len(gathers) - sum(per_update)))
     sigs = [row.topology_sig for row in res.metrics.rows]
-    # the first update also counts the gather of the empty graph's first snapshot
-    assert per_update[0] == 2
+    # the empty graph's first policy is the empty table, which gathers nothing
+    assert per_update[0] == 1
     assert per_update[1:] == [int(a != b) for a, b in zip(sigs, sigs[1:])]
     assert 0 in per_update and all(graph is res.graph for graph in gathers)
     assert views == []
