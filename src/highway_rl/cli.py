@@ -80,8 +80,15 @@ def _env_spec_from_manifest(manifest: dict) -> EnvSpec:
                    height=cfg.get("env_height", 0), seed=cfg["env_seed"])
 
 
+# the manifest config keys that the commands reading a run look up
+_RUN_CONFIG_KEYS = ("env_kind", "env_seed", "gamma", "delta", "episode_step_cap")
+
+
 def _load_run(run_dir):
     manifest = serialize.read_manifest(run_dir)
+    missing = [key for key in _RUN_CONFIG_KEYS if key not in manifest["config"]]
+    if missing:
+        raise MissingArtifact(f"{run_dir}: manifest.json's config lacks {', '.join(missing)}")
     if not serialize.verify_manifest(run_dir):
         raise MissingArtifact(f"{run_dir}: files differ from the digests in manifest.json")
     graph = serialize.load_highway_graph(os.path.join(run_dir, "graph.npz"))

@@ -17,8 +17,8 @@ removed, so an index never changes.  Beside the `Highway` objects the graph
 keeps numpy columns by highway id, grown by doubling: source and target
 index, first action, `path_return`, `gamma_pow_len` and an alive flag.  A
 solve reads them through `edge_columns`, a gather plus one sort, made once
-per change of the graph: the solve, the policy snapshot and the trainer's
-topology signature of one update share it.
+per change of the graph: the solve and the greedy table of one update share
+it.
 
 The single-step transitions are stored once, in `observed` (on disk too:
 `serialize` saves a highway as its start and its actions), and the
@@ -140,8 +140,7 @@ class HighwayGraph:
         graph's own ids, so that tables keyed from it share them; the others
         list the live highways by (from_state, first action), src and dst
         indexing states.  The arrays are read-only and gathered once per
-        change of the graph; the solve, the snapshot and the trainer's
-        topology signature read them.
+        change of the graph; the solve and the greedy table read them.
         """
         if self._columns is None:
             self._columns = self._gather_columns()

@@ -36,8 +36,9 @@ def _save(path, kind: str, payload: dict):
 
 
 class _Arrays(dict):
-    """An artifact's arrays by name; reading one that is missing, or a
-    scalar that is not 0-d, raises ValueError naming the path and the array."""
+    """An artifact's arrays by name; reading one that is missing, a scalar
+    that is not 0-d or a column that is not 1-d raises ValueError naming the
+    path, the array and its shape."""
 
     def __missing__(self, name):
         raise ValueError(f"{self.path}: the array {name} is missing")
@@ -46,6 +47,12 @@ class _Arrays(dict):
         if self[name].shape:
             raise ValueError(f"{self.path}: {name} has shape {self[name].shape}, not ()")
         return self[name]
+
+    def column(self, name) -> list:
+        """The 1-d array as a list."""
+        if self[name].ndim != 1:
+            raise ValueError(f"{self.path}: {name} has shape {self[name].shape}, not 1-d")
+        return self[name].tolist()
 
 
 def _load(path, kind: str) -> _Arrays:
@@ -106,16 +113,16 @@ def load_highway_graph(path) -> HighwayGraph:
     disagree, gamma is not in [0, 1), an observed pair repeats, a highway
     step is not observed, a highway does not end at an intersection or
     places a state twice, or an observed pair that is no self-loop lies on
-    no highway; also when an array is missing or gamma is not a scalar.
+    no highway; also when an array is missing, gamma is not a scalar or a
+    column is not 1-d.
     """
     data = _load(path, "highway_graph")
-    gamma, intersections = float(data.scalar("gamma")), data["intersections"].tolist()
-    ptr = data["h_ptr"].tolist()
-    obs = [data[name].tolist() for name in ("obs_state", "obs_action", "obs_next", "obs_reward")]
-    if (ptr[:1] != [0] or len(data["h_from"]) != len(ptr) - 1
-            or len(data["flat_actions"]) != ptr[-1] or len(set(map(len, obs))) > 1):
+    gamma, intersections = float(data.scalar("gamma")), data.column("intersections")
+    ptr, starts, actions = map(data.column, ("h_ptr", "h_from", "flat_actions"))
+    obs = [data.column(name) for name in ("obs_state", "obs_action", "obs_next", "obs_reward")]
+    if (ptr[:1] != [0] or len(starts) != len(ptr) - 1 or len(actions) != ptr[-1]
+            or len(set(map(len, obs))) > 1):
         raise ValueError(f"{path}: h_ptr and the highway, step or observed columns disagree")
-    actions = data["flat_actions"].tolist()
     loops = 0   # length-1 s -> s highways: their one step is a self-loop
     try:
         graph = HighwayGraph(gamma=gamma)
@@ -125,7 +132,7 @@ def load_highway_graph(path) -> HighwayGraph:
             raise ValueError("the observed columns repeat a (state, action) pair")
         for s in intersections:
             graph.make_intersection(s)
-        for lo, hi, start in zip(ptr, ptr[1:], data["h_from"].tolist()):
+        for lo, hi, start in zip(ptr, ptr[1:], starts):
             acts, s, rewards, states = tuple(actions[lo:hi]), start, [], []
             for a in acts:
                 if (s, a) not in observed:
@@ -163,12 +170,13 @@ def save_value_tables(path, tables: ValueTables):
 
 
 def load_value_tables(path) -> ValueTables:
-    """The saved tables; a file whose V or Q columns differ in length, that
-    repeats a key or gives Q for a state without V, or that lacks an array
-    or holds a non-scalar iterations_run or final_delta, raises ValueError."""
+    """The saved tables; a file whose V or Q columns differ in length or are
+    not 1-d, that repeats a key or gives Q for a state without V, or that
+    lacks an array or holds a non-scalar iterations_run or final_delta,
+    raises ValueError."""
     data = _load(path, "value_tables")
-    v_cols = [data[name].tolist() for name in ("v_state", "v_value")]
-    q_cols = [data[name].tolist() for name in ("q_state", "q_action", "q_value")]
+    v_cols = [data.column(name) for name in ("v_state", "v_value")]
+    q_cols = [data.column(name) for name in ("q_state", "q_action", "q_value")]
     v = dict(zip(*v_cols))
     q = dict(zip(zip(*q_cols[:2]), q_cols[2]))
     if {len(v)} != set(map(len, v_cols)) or {len(q)} != set(map(len, q_cols)):
@@ -202,7 +210,8 @@ def load_approximator(path) -> QApproximator:
     """The saved approximator; a file that lacks one of the weight arrays
     w0-w5, or whose weights do not chain feature_dim -> hidden_units ->
     hidden_units -> action_count with matching biases, or that lacks another
-    array or holds a non-scalar where a scalar belongs, raises ValueError."""
+    array or holds a non-scalar where a scalar belongs or a loss_history
+    that is not 1-d, raises ValueError."""
     data = _load(path, "approximator")
     anchor = str(data.scalar("cfg_anchor"))
     cfg = ApproxConfig(
@@ -227,7 +236,7 @@ def load_approximator(path) -> QApproximator:
                          action_count=action_count, config=cfg,
                          target_mean=float(data.scalar("target_mean")),
                          target_scale=float(data.scalar("target_scale")),
-                         loss_history=list(data["loss_history"]))
+                         loss_history=data.column("loss_history"))
 
 
 # ------------------------------------------------------------------- manifest
@@ -263,13 +272,16 @@ def write_manifest(run_dir, config: dict, extra: dict | None = None):
 
 
 def read_manifest(run_dir) -> dict:
-    """The run's manifest; one that is missing, or no JSON object whose
-    files and config are objects, raises MissingArtifact naming run_dir."""
+    """The run's manifest; one that is missing, no JSON, or no JSON object
+    whose files and config are objects raises MissingArtifact naming run_dir."""
     path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(path):
         raise MissingArtifact(f"no manifest.json under {run_dir}")
-    with open(path) as f:
-        manifest = json.load(f)
+    try:
+        with open(path) as f:
+            manifest = json.load(f)
+    except ValueError as err:       # no JSON, or no text at all
+        raise MissingArtifact(f"{run_dir}: manifest.json is not JSON: {err}") from None
     if not (isinstance(manifest, dict) and isinstance(manifest.get("files"), dict)
             and isinstance(manifest.get("config"), dict)):
         raise MissingArtifact(f"{run_dir}: manifest.json is not an object "

@@ -14,12 +14,12 @@ runs inline (an exploration draw and one lookup in the greedy table), and
 four appends fill the trajectory's columns; `step`, the generator's methods
 and the table are bound once per episode.
 
-An update stays in arrays from the solve to the signatures.  The graph
-gathers its edge columns once; the solve, the greedy table's key check and
-the topology signature read that one gather.  The solve warm-starts from the
-previous tables' V array, the greedy table picks every intersection's action
-from the Q array, and the policy signature packs its records from arrays.
-No V or Q dict is built, and no signature is cached.
+An update stays in arrays from the solve to the policy signature.  The graph
+gathers its edge columns once; the solve and the greedy table's key check
+read that one gather.  The solve warm-starts from the previous tables' V
+array, the greedy table picks every intersection's action from the Q array,
+and the policy signature packs its records from arrays.  No V or Q dict is
+built, and no signature is cached.
 
 A run stops on a proof when it can.  The graph is *closed* when every
 non-terminal state it holds has every action in `observed`
@@ -32,6 +32,9 @@ Until then convergence is declared at the first update after which a
 configured number of consecutive updates changed neither the graph topology
 nor any greedy action at any intersection (`stopped_by` "patience"); a run
 that meets neither rule stops at its frame budget (`stopped_by` None).
+The topology is read off the `intersections` and `highways` counts, which
+move exactly when it does: the graph only grows, and every structural edit
+adds an intersection or a highway (a split retires one and inserts two).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .policy import compile_greedy, epsilon_greedy
 from .transition_model import ActionId, StateId, Trajectory
 from .value_iteration import ValueTables, interior_values, value_update_loop
 
-METRICS_SCHEMA = "hgrl-metrics-v1"
+METRICS_SCHEMA = "hgrl-metrics-v2"
 # greedy evaluation episodes after each update
 EVAL_EPISODES = 1
 
@@ -98,7 +101,6 @@ class UpdateRow:
     highways: int
     z: float
     vi_sweeps: int
-    topology_sig: str
     policy_sig: str
 
 
@@ -108,8 +110,7 @@ METRICS_HEADER = ",".join(f.name for f in fields(UpdateRow))
 def metrics_row_line(r: "UpdateRow") -> str:
     return (f"{r.update},{r.frames_so_far},{r.wall_ms:.3f},"
             f"{r.expected_discounted_return!r},{r.total_reward!r},"
-            f"{r.intersections},{r.highways},{r.z!r},{r.vi_sweeps},"
-            f"{r.topology_sig},{r.policy_sig}")
+            f"{r.intersections},{r.highways},{r.z!r},{r.vi_sweeps},{r.policy_sig}")
 
 
 @dataclass
@@ -143,24 +144,6 @@ def epsilon_ladder(actor: int, actors: int) -> float:
 def _mix_seed(*parts) -> int:
     buf = b"".join(struct.pack("<q", int(p)) for p in parts)
     return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little") >> 1
-
-
-def _topology_signature(graph: HighwayGraph) -> str:
-    """Digest of the graph's arrays, each little-endian after its length (<Q).
-
-    The sorted intersections and interior states, then `edge_columns`' src, dst,
-    first, path_return and gamma_pow_len in key order.  Determinism lets (from
-    state, first action) fix a highway's steps, and a run only grows its graph,
-    so the digest moves exactly when the topology does.  The steps' actions and
-    rewards are not hashed: two hand-built graphs can differ there and share it.
-    """
-    states, *edges = graph.edge_columns()
-    interior = np.array(sorted(graph.membership), "<u8")
-    digest = hashlib.blake2b(digest_size=16)
-    for col in (states.astype("<u8"), interior, *edges):
-        col = col.astype(col.dtype.newbyteorder("<"))
-        digest.update(struct.pack("<Q", len(col)) + col.tobytes())
-    return digest.hexdigest()
 
 
 def _policy_signature(states, greedy: dict[StateId, ActionId]) -> str:
@@ -273,13 +256,11 @@ def evaluate(greedy: dict[StateId, ActionId], env, episodes: int, gamma: float =
 
 def detect_convergence(metrics: RunMetrics, patience: int) -> int | None:
     """First update index after which `patience` consecutive updates changed
-    neither topology nor any greedy action."""
-    rows = metrics.rows
-    for i in range(len(rows) - patience):
-        sig = (rows[i].topology_sig, rows[i].policy_sig)
-        if all((rows[i + j].topology_sig, rows[i + j].policy_sig) == sig
-               for j in range(1, patience + 1)):
-            return rows[i].update
+    neither topology (the intersection and highway counts) nor any greedy action."""
+    sigs = [(r.intersections, r.highways, r.policy_sig) for r in metrics.rows]
+    for i in range(len(sigs) - patience):
+        if all(sig == sigs[i] for sig in sigs[i + 1:i + patience + 1]):
+            return metrics.rows[i].update
     return None
 
 
@@ -345,7 +326,6 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
             highways=stats["highways"],
             z=stats["z"],
             vi_sweeps=tables.iterations_run,
-            topology_sig=_topology_signature(graph),
             policy_sig=_policy_signature(tables.states, snapshot),
         )
         metrics.rows.append(row)

@@ -12,7 +12,6 @@ import pytest
 from highway_rl.bellman import _SweepEngine
 from highway_rl.errors import DeterminismViolation
 from highway_rl.highway_graph import HighwayGraph
-from highway_rl.trainer import _topology_signature
 from highway_rl.transition_model import Trajectory
 
 
@@ -331,8 +330,7 @@ def graph_state(g: HighwayGraph):
     """Everything ingestion writes, with `observed` in insertion order."""
     return (set(g.intersections), dict(g.highways), dict(g.membership),
             {s: dict(slots) for s, slots in g.out_edges.items()},
-            list(g.observed.items()), set(g.terminals), g._next_hid,
-            _topology_signature(g))
+            list(g.observed.items()), set(g.terminals), g._next_hid)
 
 
 @pytest.fixture

@@ -508,6 +508,10 @@ def ledger_record(res, scratch_dir) -> dict:
         # solver change shows that nothing else in metrics.csv moved
         "metrics_csv": _sha256(metrics_without(res, ("wall_ms", "vi_sweeps")).encode()),
         "vi_sweeps": [row.vi_sweeps for row in res.metrics.rows],
+        # so are the stop decisions, so a re-pin shows whether a run stops
+        # elsewhere or on another rule
+        "stopped_by": res.metrics.stopped_by,
+        "converged_at_update": res.metrics.converged_at_update,
         "v": _sha256(v.tobytes()),
         "q": _sha256(q.tobytes()),
         "iterations_run": tables.iterations_run,

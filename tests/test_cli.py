@@ -227,15 +227,27 @@ def test_a_cut_artifact_exits_4(run_dir, capsys):
     assert f"missing artifact: {path} cannot be read" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, value, code, message", [
-    ("format_version", np.array([1, 1]), 4, "missing artifact: {path} has format version [1 1]"),
-    ("gamma", np.array([0.9, 0.9]), 2, "config error: {path}: gamma has shape (2,), not ()"),
-    ("h_ptr", None, 2, "config error: {path}: the array h_ptr is missing"),
-], ids=["vector-marker", "vector-gamma", "no-h_ptr"])
+@pytest.mark.parametrize("file, name, value, code, message", [
+    ("graph", "format_version", np.array([1, 1]), 4,
+     "missing artifact: {path} has format version [1 1]"),
+    ("graph", "gamma", np.array([0.9, 0.9]), 2, "config error: {path}: gamma has shape (2,), not ()"),
+    ("graph", "h_ptr", None, 2, "config error: {path}: the array h_ptr is missing"),
+    ("graph", "h_ptr", np.array(3), 2, "config error: {path}: h_ptr has shape (), not 1-d"),
+    ("graph", "h_from", np.array(3), 2, "config error: {path}: h_from has shape (), not 1-d"),
+    ("graph", "obs_state", np.array(3), 2,
+     "config error: {path}: obs_state has shape (), not 1-d"),
+    ("tables", "v_state", np.array(3), 2, "config error: {path}: v_state has shape (), not 1-d"),
+    ("tables", "q_value", np.array(0.5), 2,
+     "config error: {path}: q_value has shape (), not 1-d"),
+    ("tables", "v_state", np.zeros((2, 2), np.uint64), 2,
+     "config error: {path}: v_state has shape (2, 2), not 1-d"),
+], ids=["vector-marker", "vector-gamma", "no-h_ptr", "0-d-h_ptr", "0-d-h_from", "0-d-obs_state",
+        "0-d-v_state", "0-d-q_value", "2-d-v_state"])
 def test_a_non_scalar_or_missing_array_exits_4_for_a_marker_and_2_for_a_payload(
-        run_dir, capsys, name, value, code, message):
-    # graph.npz with one array replaced or dropped, under a manifest rewritten to match
-    path = run_dir / "graph.npz"
+        run_dir, capsys, file, name, value, code, message):
+    # graph.npz or tables.npz with one array replaced or dropped, under a
+    # manifest rewritten to match
+    path = run_dir / f"{file}.npz"
     with np.load(path) as npz:
         data = {key: npz[key] for key in npz.files}
     data[name] = value
@@ -251,6 +263,22 @@ def test_a_manifest_whose_files_is_a_list_exits_4(run_dir, capsys):
     (run_dir / "manifest.json").write_text(json.dumps(manifest))
     assert cli.main(["eval", "--run", str(run_dir)]) == 4
     assert f"missing artifact: {run_dir}: manifest.json" in capsys.readouterr().err
+
+
+def test_a_manifest_that_is_no_json_exits_4(run_dir, capsys):
+    (run_dir / "manifest.json").write_text("{files: {}}")
+    assert cli.main(["eval", "--run", str(run_dir)]) == 4
+    assert f"missing artifact: {run_dir}: manifest.json is not JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["env_kind", "gamma"])
+def test_a_manifest_config_without_a_key_exits_4(run_dir, capsys, key):
+    config = read_manifest(run_dir)["config"]
+    del config[key]
+    write_manifest(run_dir, config)
+    assert cli.main(["eval", "--run", str(run_dir)]) == 4
+    assert (f"missing artifact: {run_dir}: manifest.json's config lacks {key}"
+            in capsys.readouterr().err)
 
 
 def test_tampered_artifact_exits_4(run_dir, capsys):

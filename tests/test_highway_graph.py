@@ -20,7 +20,6 @@ from highway_rl.errors import DeterminismViolation, NotInterior
 from highway_rl.highway_graph import (HighwayGraph, expand_to_empirical, graph_stats,
                                       path_return, to_dot)
 from highway_rl.serialize import load_highway_graph, save_highway_graph
-from highway_rl.trainer import _topology_signature
 from highway_rl.transition_model import Trajectory, vanilla_value_iteration
 from highway_rl.value_iteration import value_update_loop
 
@@ -348,12 +347,17 @@ def test_assemble_invariants_under_random_walks(seed, episodes, max_len):
 
 # ------------------------------------------------------------ topology signature
 
+def _signature(g):
+    """The topology as the patience rule reads it: the two size counts."""
+    return len(g.intersections), len(g.highways)
+
+
 def test_signature_moves_on_every_structural_edit():
     g = HighwayGraph(gamma=0.9)
-    sigs = [_topology_signature(g)]
+    sigs = [_signature(g)]
 
     def moved():
-        sigs.append(_topology_signature(g))
+        sigs.append(_signature(g))
         return sigs[-1] != sigs[-2]
 
     g.make_intersection(1)
@@ -374,12 +378,12 @@ def test_signature_stays_on_an_assemble_that_brings_nothing_new():
     g = HighwayGraph(gamma=0.9)
     walk = mk_traj((1, 0, 2, 0.0), (2, 0, 3, 0.0), (3, 1, 4, 1.0))
     g.assemble([walk])
-    before = _topology_signature(g)
+    before = _signature(g)
     g.assemble([walk])
     g.assemble([mk_traj((1, 2, 1, -1.0))])     # a new self-loop is not embedded
-    assert _topology_signature(g) == before
+    assert _signature(g) == before
     g.assemble([mk_traj((2, 1, 5, 0.0))])
-    assert _topology_signature(g) != before
+    assert _signature(g) != before
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,11 +391,11 @@ def test_signature_stays_on_an_assemble_that_brings_nothing_new():
 def test_signature_moves_exactly_when_the_topology_does(seed, episodes, max_len):
     _table, _action_count, trajs = random_mdp_walks(random.Random(seed), episodes, max_len)
     g = HighwayGraph(gamma=0.95)
+    topology = lambda: (set(g.intersections), dict(g.highways), dict(g.membership))
     for traj in trajs + trajs:          # the replay brings nothing new
-        sig, before = _topology_signature(g), (set(g.intersections), dict(g.highways))
+        sig, before = _signature(g), topology()
         g.assemble([traj])
-        moved = _topology_signature(g) != sig
-        assert moved == ((set(g.intersections), dict(g.highways)) != before)
+        assert (_signature(g) != sig) == (topology() != before)
 
 
 # ------------------------------------------------------------------ add_highway

@@ -16,7 +16,6 @@ from highway_rl.reparam import ApproxConfig, QDataset, fit
 from highway_rl.serialize import (load_approximator, load_highway_graph, load_value_tables,
                                   read_manifest, save_approximator, save_highway_graph,
                                   save_value_tables, verify_manifest, write_manifest)
-from highway_rl.trainer import _topology_signature
 from highway_rl.value_iteration import ValueTables, value_update_loop
 
 
@@ -37,9 +36,9 @@ def test_highway_graph_round_trip(tmp_path):
     assert spans(loaded) == spans(g)
 
 
-def test_highway_graph_round_trip_keeps_the_topology_signature(tmp_path):
-    # loading renumbers intersection indices and highway ids; the signature
-    # reads neither
+def test_highway_graph_round_trip_keeps_the_topology(tmp_path):
+    # loading renumbers intersection indices and highway ids; the edge
+    # columns, the interior states and the intersections read neither
     g = HighwayGraph(gamma=0.9)
     g.add_highway(5, 1, [0, 1, 0], [0.5, -1.0, 0.25], interior=[7, 3])
     g.add_highway(1, 5, [2], [1.0])
@@ -50,7 +49,10 @@ def test_highway_graph_round_trip_keeps_the_topology_signature(tmp_path):
     loaded = load_highway_graph(path)
     assert list(loaded._index) != list(g._index)
     assert sorted(loaded.highways) != sorted(g.highways)
-    assert _topology_signature(loaded) == _topology_signature(g)
+    columns = lambda gr: [col.tolist() for col in gr.edge_columns()]
+    assert columns(loaded) == columns(g)
+    assert sorted(loaded.membership) == sorted(g.membership)
+    assert loaded.intersections == g.intersections
 
 
 def test_value_tables_round_trip(tmp_path):
@@ -126,8 +128,10 @@ def test_approximator_with_the_retired_batch_and_momentum_fields_loads(tmp_path)
     (lambda data: data.pop("feature_dim"), "the array feature_dim is missing"),
     (lambda data: data.update(target_mean=np.zeros(2)), r"target_mean has shape \(2,\), not \(\)"),
     (lambda data: data.update(cfg_epochs=np.array([1, 1])), r"cfg_epochs has shape \(2,\)"),
+    (lambda data: data.update(loss_history=np.array(0.5)),
+     r"loss_history has shape \(\), not 1-d"),
 ], ids=["no-w5", "w2-does-not-chain", "short-bias", "transposed-w0", "no-feature_dim",
-        "vector-target_mean", "vector-cfg_epochs"])
+        "vector-target_mean", "vector-cfg_epochs", "0-d-loss_history"])
 def test_a_malformed_approximator_file_is_refused(tmp_path, change, message):
     rng = np.random.default_rng(0)
     ds = QDataset(features=rng.uniform(size=(6, 2)), actions=rng.integers(0, 3, 6),
@@ -220,10 +224,15 @@ def _observe(state, action, nxt, reward):
     ({"gamma": lambda a: np.array([0.9, 0.9])}, r"gamma has shape \(2,\), not \(\)"),
     ({"h_ptr": lambda a: None}, "the array h_ptr is missing"),
     ({"intersections": lambda a: None}, "the array intersections is missing"),
+    ({"h_ptr": lambda a: np.array(3)}, r"h_ptr has shape \(\), not 1-d"),
+    ({"h_from": lambda a: a[0]}, r"h_from has shape \(\), not 1-d"),
+    ({"obs_state": lambda a: a[0]}, r"obs_state has shape \(\), not 1-d"),
+    ({"intersections": lambda a: a.reshape(1, -1)}, r"intersections has shape \(1, 2\), not 1-d"),
 ], ids=["short-h_from", "long-h_from", "short-h_ptr", "h_ptr-not-from-0", "short-flat_actions",
         "short-obs_next", "gamma-out-of-range", "no-observed-pairs", "repeated-observed-pair",
         "action-leads-off-the-intersections", "observed-step-off-the-highways",
-        "state-placed-twice", "vector-gamma", "no-h_ptr", "no-intersections"])
+        "state-placed-twice", "vector-gamma", "no-h_ptr", "no-intersections", "0-d-h_ptr",
+        "0-d-h_from", "0-d-obs_state", "2-d-intersections"])
 def test_a_malformed_graph_file_is_refused(tmp_path, changes, message):
     assert len(load_highway_graph(_craft(tmp_path)).highways) == 2
     with pytest.raises(ValueError, match=message) as err:
@@ -300,9 +309,12 @@ def _craft_tables(tmp_path, **changes):
     ({"iterations_run": lambda a: np.array([7, 7])}, r"iterations_run has shape \(2,\)"),
     ({"final_delta": lambda a: np.zeros(2)}, r"final_delta has shape \(2,\)"),
     ({"v_value": lambda a: None}, "the array v_value is missing"),
+    ({"v_state": lambda a: a[0]}, r"v_state has shape \(\), not 1-d"),
+    ({"q_value": lambda a: a[0]}, r"q_value has shape \(\), not 1-d"),
+    ({"v_state": lambda a: a.reshape(1, -1)}, r"v_state has shape \(1, 3\), not 1-d"),
 ], ids=["short-v_value", "long-v_state", "short-q_action", "long-q_value", "repeated-v-state",
         "repeated-q-key", "q-state-without-v", "vector-iterations_run", "vector-final_delta",
-        "no-v_value"])
+        "no-v_value", "0-d-v_state", "0-d-q_value", "2-d-v_state"])
 def test_a_malformed_tables_file_is_refused(tmp_path, changes, message):
     loaded = load_value_tables(_craft_tables(tmp_path))
     assert loaded.v == {1: 0.5, 2: 0.25, 5: -1.0} and len(loaded.q) == 3

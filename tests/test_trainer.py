@@ -17,8 +17,8 @@ from highway_rl.errors import DeterminismViolation
 from highway_rl.highway_graph import HighwayGraph
 from highway_rl.policy import compile_greedy
 from highway_rl.trainer import (RunMetrics, TrainConfig, UpdateRow, _policy_signature,
-                                _topology_signature, detect_convergence, epsilon_ladder,
-                                evaluate, run_episode, train)
+                                detect_convergence, epsilon_ladder, evaluate, run_episode,
+                                train)
 from highway_rl.value_iteration import ValueTables, value_update_loop
 
 
@@ -133,23 +133,26 @@ def test_greedy_return_non_decreasing_on_maze():
 
 
 def test_detect_convergence_cases():
-    def row(update, tsig, psig):
+    def row(update, counts, psig):
+        intersections, highways = counts
         return UpdateRow(update=update, frames_so_far=update, wall_ms=0.0,
                          expected_discounted_return=0.0, total_reward=0.0,
-                         intersections=0, highways=0, z=0.0, vi_sweeps=0,
-                         topology_sig=tsig, policy_sig=psig)
+                         intersections=intersections, highways=highways, z=0.0,
+                         vi_sweeps=0, policy_sig=psig)
 
-    frozen = RunMetrics(rows=[row(1, "a", "x"), row(2, "a", "x"),
-                              row(3, "a", "x"), row(4, "a", "x")])
+    a, b = (2, 1), (3, 2)
+    frozen = RunMetrics(rows=[row(1, a, "x"), row(2, a, "x"),
+                              row(3, a, "x"), row(4, a, "x")])
     assert detect_convergence(frozen, patience=3) == 1
-    growing = RunMetrics(rows=[row(1, "a", "x"), row(2, "b", "x"),
-                               row(3, "c", "x"), row(4, "d", "x")])
+    # a highway between known intersections moves only the highway count
+    growing = RunMetrics(rows=[row(1, a, "x"), row(2, b, "x"),
+                               row(3, (3, 3), "x"), row(4, (4, 4), "x")])
     assert detect_convergence(growing, patience=3) is None
-    late = RunMetrics(rows=[row(1, "a", "x"), row(2, "b", "x"),
-                            row(3, "b", "x"), row(4, "b", "x"), row(5, "b", "x")])
+    late = RunMetrics(rows=[row(1, a, "x"), row(2, b, "x"),
+                            row(3, b, "x"), row(4, b, "x"), row(5, b, "x")])
     assert detect_convergence(late, patience=3) == 2
-    policy_flip = RunMetrics(rows=[row(1, "a", "x"), row(2, "a", "y"),
-                                   row(3, "a", "y"), row(4, "a", "y")])
+    policy_flip = RunMetrics(rows=[row(1, a, "x"), row(2, a, "y"),
+                                   row(3, a, "y"), row(4, a, "y")])
     assert detect_convergence(policy_flip, patience=3) is None
 
 
@@ -293,14 +296,14 @@ def test_metrics_csv_schema():
     res = train(_maze_cfg())
     csv = res.metrics.to_csv()
     lines = csv.splitlines()
-    assert lines[0] == "# hgrl-metrics-v1"
+    assert lines[0] == "# hgrl-metrics-v2"
     assert lines[1].startswith("update,frames_so_far,wall_ms,")
     assert len(lines) == 2 + len(res.metrics.rows)
 
 
 @pytest.mark.parametrize("spec, run_seed, digest", [
-    (EnvSpec(kind="maze", width=15, height=15, seed=1), 1, "ee44b9153b5245ef"),
-    (EnvSpec(kind="taxi", seed=0), 8, "7f6469f6d00c0f2f"),
+    (EnvSpec(kind="maze", width=15, height=15, seed=1), 1, "67bc2108144827b1"),
+    (EnvSpec(kind="taxi", seed=0), 8, "464a9fffd6511722"),
 ])
 def test_metrics_csv_golden(spec, run_seed, digest):
     # metrics.csv minus its wall-clock column is fixed bit for bit by the
@@ -421,25 +424,6 @@ def test_evaluate_rejects_a_step_cap_below_one_or_a_gamma_outside_unit_interval(
 
 # ------------------------------------------------------------- signatures
 
-def _reference_topology_signature(graph):
-    """The topology digest built from the Highway objects, one value at a time."""
-    states = sorted(graph.intersections)
-    index = {s: i for i, s in enumerate(states)}
-    hws = sorted(graph.highways.values(), key=lambda hw: (hw.from_state, hw.first_action))
-    columns = [("Q", states), ("Q", sorted(graph.membership)),
-               ("q", [index[hw.from_state] for hw in hws]),
-               ("q", [index[hw.to_state] for hw in hws]),
-               ("q", [hw.first_action for hw in hws]),
-               ("d", [hw.path_return for hw in hws]),
-               ("d", [hw.gamma_pow_len for hw in hws])]
-    h = hashlib.blake2b(digest_size=16)
-    for fmt, values in columns:
-        h.update(struct.pack("<Q", len(values)))
-        for x in values:
-            h.update(struct.pack("<" + fmt, x))
-    return h.hexdigest()
-
-
 def _reference_policy_signature(graph, snapshot):
     """The per-item digest the policy signature must equal."""
     h = hashlib.blake2b(digest_size=16)
@@ -457,7 +441,6 @@ def test_signatures_equal_the_per_item_digests(seed, episodes, max_len):
     for traj in trajs:
         g.assemble([traj])
         states = sorted(g.intersections)
-        assert _topology_signature(g) == _reference_topology_signature(g)
         snap = compile_greedy(g, value_update_loop(g, delta=1e-9))
         assert _policy_signature(states, snap) == _reference_policy_signature(g, snap)
 
@@ -476,8 +459,8 @@ def test_every_update_signs_the_graph_it_trained(monkeypatch):
 
     def check(row):
         graph = graphs[-1]
-        seen.append(row.topology_sig)
-        assert row.topology_sig == _topology_signature(graph)
+        seen.append((row.intersections, row.highways))
+        assert seen[-1] == (len(graph.intersections), len(graph.highways))
 
     res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=0), on_update=check)
     assert len(seen) == len(res.metrics.rows) > 1
@@ -506,9 +489,9 @@ def test_one_value_solve_per_update_on_the_trained_graph(monkeypatch):
 
 
 def test_an_update_gathers_the_columns_once_and_builds_no_value_dict(monkeypatch):
-    # the solve, compile_greedy's key check and the topology signature share
-    # one gather, made in an update only when it changed the graph; no V or
-    # Q dict is built until the result is read
+    # the solve and compile_greedy's key check share one gather, made in an
+    # update only when it changed the graph (when its intersection or highway
+    # count moved); no V or Q dict is built until the result is read
     gathers, views = [], []
     gather = HighwayGraph._gather_columns
     monkeypatch.setattr(HighwayGraph, "_gather_columns",
@@ -520,7 +503,7 @@ def test_an_update_gathers_the_columns_once_and_builds_no_value_dict(monkeypatch
     per_update = []
     res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=0),
                 on_update=lambda row: per_update.append(len(gathers) - sum(per_update)))
-    sigs = [row.topology_sig for row in res.metrics.rows]
+    sigs = [(row.intersections, row.highways) for row in res.metrics.rows]
     # the empty graph's first policy is the empty table, which gathers nothing
     assert per_update[0] == 1
     assert per_update[1:] == [int(a != b) for a, b in zip(sigs, sigs[1:])]
