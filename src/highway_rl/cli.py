@@ -80,15 +80,23 @@ def _env_spec_from_manifest(manifest: dict) -> EnvSpec:
                    height=cfg.get("env_height", 0), seed=cfg["env_seed"])
 
 
-# the manifest config keys that the commands reading a run look up
-_RUN_CONFIG_KEYS = ("env_kind", "env_seed", "gamma", "delta", "episode_step_cap")
+# the manifest config keys that the commands reading a run look up, with the
+# JSON types their values may have (exact types: true is no number here)
+_RUN_CONFIG_TYPES = {"env_kind": ((str,), "a string"), "env_seed": ((int,), "an integer"),
+                     "gamma": ((int, float), "a number"), "delta": ((int, float), "a number"),
+                     "episode_step_cap": ((int, type(None)), "an integer or null")}
 
 
 def _load_run(run_dir):
     manifest = serialize.read_manifest(run_dir)
-    missing = [key for key in _RUN_CONFIG_KEYS if key not in manifest["config"]]
+    config = manifest["config"]
+    missing = [key for key in _RUN_CONFIG_TYPES if key not in config]
     if missing:
         raise MissingArtifact(f"{run_dir}: manifest.json's config lacks {', '.join(missing)}")
+    for key, (types, what) in _RUN_CONFIG_TYPES.items():
+        if type(config[key]) not in types:
+            raise MissingArtifact(f"{run_dir}: manifest.json's config {key} is not {what}: "
+                                  f"{config[key]!r}")
     if not serialize.verify_manifest(run_dir):
         raise MissingArtifact(f"{run_dir}: files differ from the digests in manifest.json")
     graph = serialize.load_highway_graph(os.path.join(run_dir, "graph.npz"))
@@ -179,7 +187,8 @@ def cmd_eval(args) -> int:
         greedy = greedy_table(approx, env)
     else:
         greedy = compile_greedy(graph, tables)
-    # a None step cap (maze runs) falls back to the evaluation default, as in training
+    # a None step cap (maze runs written before every kind had a cap) falls back
+    # to the environment's default
     config = manifest["config"]
     ev = trainer.evaluate(greedy, env, args.episodes, gamma=config["gamma"],
                           step_cap=config["episode_step_cap"], seed=args.seed)

@@ -395,12 +395,9 @@ class TaxiEnv(_TabularEnv):
 _ENV_CLASSES = {"maze": MazeEnv, "cliffwalking": CliffWalkingEnv, "taxi": TaxiEnv}
 
 DEFAULT_EPISODES_PER_UPDATE = {"maze": 10, "cliffwalking": 20, "taxi": 20}
-# training episodes: maze runs to natural termination (random walks reach the
-# goal almost surely and truncation starves exploration of deep branches);
-# the toy-text caps bound worst-case frames per update
-DEFAULT_STEP_CAP = {"maze": None, "cliffwalking": 12_000, "taxi": 20_000}
-# greedy evaluation needs a cap everywhere: a half-trained policy can cycle
-DEFAULT_EVAL_STEP_CAP = {"maze": 50_000, "cliffwalking": 12_000, "taxi": 20_000}
+# every episode, training and greedy evaluation alike, stops at this cap: a
+# greedy table that cycles would otherwise never end one
+DEFAULT_STEP_CAP = {"maze": 50_000, "cliffwalking": 12_000, "taxi": 20_000}
 
 
 @functools.lru_cache(maxsize=32)

@@ -10,7 +10,8 @@ acts the same way.  Acting is one dictionary lookup; states absent from the
 table (unseen states, and intersections with no outgoing highway) get a
 uniform random action over the environment's `action_count`, drawn from the
 caller's generator, with exploration on top.  `epsilon_greedy` makes one
-choice; the trainer's actor loop applies the same rule inline.
+choice; greedy evaluation calls it with epsilon 0, and the trainer's
+explorer acts on the table the same way once nothing is left to try.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ def epsilon_greedy(greedy: dict[StateId, ActionId], s: StateId, epsilon: float,
     States with no greedy action get a uniform random action too.  The random
     stream is fixed: one `rng.random()` when epsilon > 0 (none when it is 0),
     then, for a random action, one `rng.randrange(action_count)`.
-    `trainer.run_episode` applies this rule inline and draws the same stream.
     """
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must be in [0, 1]")

@@ -181,8 +181,12 @@ def load_value_tables(path) -> ValueTables:
     q = dict(zip(zip(*q_cols[:2]), q_cols[2]))
     if {len(v)} != set(map(len, v_cols)) or {len(q)} != set(map(len, q_cols)):
         raise ValueError(f"{path}: the V or Q columns differ in length or repeat a key")
-    return ValueTables.from_dicts(v, q, iterations_run=int(data.scalar("iterations_run")),
-                                  final_delta=float(data.scalar("final_delta")))
+    iterations_run = int(data.scalar("iterations_run"))
+    final_delta = float(data.scalar("final_delta"))
+    try:
+        return ValueTables.from_dicts(v, q, iterations_run, final_delta)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------- approximator

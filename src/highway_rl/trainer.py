@@ -1,25 +1,29 @@
 """Actor/learner training loop over the highway graph.
 
-A ladder of epsilon-greedy actors collects whole episodes against the most
-recent policy, a greedy table (`policy.compile_greedy`); the learner folds
-each episode into the highway graph as soon as it ends and drops it, so
-training holds one episode at a time.  After an update's episodes it re-runs
-value updating and publishes a freshly compiled table.  Everything is
-seeded: episode seeds derive from (run_seed, actor, episode index), so the
-run is reproducible regardless of actor scheduling.
+Instead of the paper's epsilon-greedy actors, the actors explore until the
+graph is known, as R-MAX (Brafman & Tennenholtz, 2002) and E3 (Kearns &
+Singh, 2002) do: in a deterministic environment one try of an action makes
+it known.  Per frame an actor takes (1) the state's lowest untried action,
+else (2) the next step of a shortest known path to the nearest state that
+has one (breadth-first over the tried steps, lowest action first, never
+through a terminal state), else (3) the action of the latest published
+greedy table (`policy.compile_greedy`), uniformly random where it has none.
+What the actors tried is `Known`, per-state rows of next states that the
+episodes grow one pair at a time, so planning never copies the graph.
+
+The learner folds each episode into the highway graph as soon as it ends
+and drops it.  An episode that changed the graph is followed by a
+warm-started value update and a freshly compiled table.  An update is a
+fixed number of episodes, after which the greedy policy is evaluated and
+the stopping rules are checked.  Everything is seeded: episode seeds derive
+from (run_seed, actor, episode index), and rule 3's random actions come
+from a generator seeded with the episode seed.
 
 An episode makes one Python-level call per frame, the environment's `step`,
-whose result carries the next state's id.  Around it the epsilon-greedy rule
-runs inline (an exploration draw and one lookup in the greedy table), and
-four appends fill the trajectory's columns; `step`, the generator's methods
-and the table are bound once per episode.
-
-An update stays in arrays from the solve to the policy signature.  The graph
-gathers its edge columns once; the solve and the greedy table's key check
-read that one gather.  The solve warm-starts from the previous tables' V
-array, the greedy table picks every intersection's action from the Q array,
-and the policy signature packs its records from arrays.  No V or Q dict is
-built, and no signature is cached.
+whose result carries the next state's id; around it the rule costs a lookup
+of the state's row and a scan of it.  The graph gathers its edge columns
+once per change, the solve and the greedy table's key check share that
+gather, and no V or Q dict is built.
 
 A run stops on a proof when it can.  The graph is *closed* when every
 non-terminal state it holds has every action in `observed`
@@ -27,8 +31,13 @@ non-terminal state it holds has every action in `observed`
 graph is the true model of the states it holds, so once its solve reached
 delta and no observed self-loop beats the solved values (r <= (1 - gamma) V(s),
 the premise of leaving self-loops out of the graph), its greedy policy is
-optimal there: the run stops at that update, `stopped_by` "certificate".
-Until then convergence is declared at the first update after which a
+optimal there.  A closed graph proves nothing about a start it never drew,
+so the certificate also needs every episode of the update to have started
+at a state the graph held before that episode (the *start guard*); the
+first update's first episode never does.  The run stops at the first update
+that meets all of it, `stopped_by` "certificate", and `converged_at_update`
+names the first update at whose end the graph was closed and as it is at the
+stop.  Until then convergence is declared at the first update after which a
 configured number of consecutive updates changed neither the graph topology
 nor any greedy action at any intersection (`stopped_by` "patience"); a run
 that meets neither rule stops at its frame budget (`stopped_by` None).
@@ -49,8 +58,7 @@ from itertools import repeat
 import numpy as np
 
 from .bellman import check_delta
-from .environments import (DEFAULT_EPISODES_PER_UPDATE, DEFAULT_EVAL_STEP_CAP,
-                           DEFAULT_STEP_CAP, EnvSpec, make_env)
+from .environments import DEFAULT_EPISODES_PER_UPDATE, DEFAULT_STEP_CAP, EnvSpec, make_env
 from .highway_graph import HighwayGraph, graph_stats
 from .policy import compile_greedy, epsilon_greedy
 from .transition_model import ActionId, StateId, Trajectory
@@ -64,7 +72,7 @@ EVAL_EPISODES = 1
 @dataclass(frozen=True)
 class TrainConfig:
     env: EnvSpec
-    actors: int = 10
+    actors: int = 10                         # mixed into the episode seeds
     episodes_per_update: int | None = None   # None: per-environment default
     frame_budget: int = 1_000_000
     gamma: float = 0.99
@@ -86,7 +94,7 @@ class TrainConfig:
     def resolved_episodes_per_update(self) -> int:
         return self.episodes_per_update or DEFAULT_EPISODES_PER_UPDATE[self.env.kind]
 
-    def resolved_step_cap(self) -> int | None:
+    def resolved_step_cap(self) -> int:
         return self.episode_step_cap or DEFAULT_STEP_CAP[self.env.kind]
 
 
@@ -131,14 +139,54 @@ class TrainResult:
     metrics: RunMetrics
     graph: HighwayGraph
     tables: ValueTables
-    snapshot: dict[StateId, ActionId]   # the greedy table of the last update
+    snapshot: dict[StateId, ActionId]   # the last greedy table published
 
 
-def epsilon_ladder(actor: int, actors: int) -> float:
-    """Equally spaced exploration rates from 0.1 up to 1.0 across the actors."""
-    if actors == 1:
-        return 0.1
-    return 0.1 + 0.9 * actor / (actors - 1)
+@dataclass
+class Known:
+    """What the actors have tried: the explorer's model of the environment.
+
+    `rows` maps every state an actor acted in to a list over the actions,
+    the next state of each tried action and None for an untried one;
+    `terminals` holds the states episodes terminated in.  `run_episode`
+    grows both one new pair at a time, and `train` hands the same object to
+    every episode, so it holds the pairs and terminals of the graph.
+    """
+
+    rows: dict[StateId, list] = field(default_factory=dict)
+    terminals: set[StateId] = field(default_factory=set)
+
+
+def _path_to_untried(known: Known, start: StateId):
+    """The actions of a shortest known path from start (a state with every
+    action tried) to the nearest state with an untried one, last action first.
+
+    Breadth-first over the tried steps, lowest action first, so the path is
+    the least in action order among the shortest.  Terminal states are never
+    entered, and a self-loop leads back to a state already reached.  Returns
+    (path, ()), or ([], reached) when no such state is reachable: from none
+    of the states reached is one reachable, until something new is tried.
+    """
+    rows, terminals = known.rows, known.terminals
+    parent = {start: None}
+    layer = [start]
+    while layer:
+        reached = []
+        for s in layer:
+            for a, nxt in enumerate(rows[s]):
+                if nxt in parent or nxt in terminals:
+                    continue
+                parent[nxt] = s, a
+                row = rows.get(nxt)
+                if row is None or None in row:
+                    path = []
+                    while nxt != start:
+                        nxt, a = parent[nxt]
+                        path.append(a)
+                    return path, ()
+                reached.append(nxt)
+        layer = reached
+    return [], parent
 
 
 def _mix_seed(*parts) -> int:
@@ -154,42 +202,61 @@ def _policy_signature(states, greedy: dict[StateId, ActionId]) -> str:
     return hashlib.blake2b(records.tobytes(), digest_size=16).hexdigest()
 
 
-def run_episode(env, greedy: dict[StateId, ActionId], epsilon: float, episode_seed: int,
-                step_cap: int | None) -> Trajectory:
-    """One full episode under the epsilon-greedy policy; truncates at step_cap.
+def run_episode(env, greedy: dict[StateId, ActionId], known: Known, episode_seed: int,
+                step_cap: int) -> Trajectory:
+    """One episode under the explorer's rule (see the module docstring),
+    truncated at step_cap; every step it takes is recorded in `known`.
 
-    Actions follow `epsilon_greedy`'s rule and random stream over the
-    environment's `action_count`, applied inline; its `rng.randrange` is
-    written out as randrange's getrandbits rejection loop.  An epsilon outside
-    [0, 1] or a step cap below 1 raises ValueError before the first step.
+    A path to an untried action is searched when the episode reaches a state
+    with none, and followed to its end; a search that finds none marks every
+    state it reached, and the episode acts greedily there without searching
+    again until it tries something new.  The random action of a state the
+    table lacks is `rng.randrange(action_count)`, written out as randrange's
+    getrandbits rejection loop.  A step cap below 1 raises ValueError before
+    the first step.
     """
-    if not (0.0 <= epsilon <= 1.0):
-        raise ValueError("epsilon must be in [0, 1]")
-    if step_cap is not None and step_cap < 1:
+    if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
-    rng = random.Random(episode_seed)
-    draw, getrandbits = rng.random, rng.getrandbits
+    getrandbits = random.Random(episode_seed).getrandbits
     greedy = greedy.get
+    rows, terminals = known.rows, known.terminals
     n = env.action_count
     k = n.bit_length()
     step = env.step
     obs = env.reset(episode_seed)
     sid = env.state_id(obs)
     states, actions, next_states, rewards = [], [], [], []
+    plan = []                          # the actions of the path walked, last first
+    dead = ()                          # states from which nothing untried is reachable
     terminal = False
-    for _ in range(step_cap if step_cap is not None else 1 << 40):
-        action = greedy(sid) if not epsilon or draw() >= epsilon else None
-        if action is None:
-            action = getrandbits(k)
-            while action >= n:
-                action = getrandbits(k)
+    for _ in range(step_cap):
+        row = rows.get(sid)
+        if row is None:
+            row = rows[sid] = [None] * n
+        if None in row:
+            action = row.index(None)
+            plan, dead = [], ()
+        else:
+            if not plan and sid not in dead:
+                plan, dead = _path_to_untried(known, sid)
+            if plan:
+                action = plan.pop()
+            else:
+                action = greedy(sid)
+                if action is None:
+                    action = getrandbits(k)
+                    while action >= n:
+                        action = getrandbits(k)
         res = step(obs, action)
         states.append(sid)
         actions.append(action)
         obs, sid = res.next_obs, res.next_id
+        if row[action] is None:
+            row[action] = sid
         next_states.append(sid)
         rewards.append(res.reward)
         if res.done:
+            terminals.add(sid)
             terminal = True
             break
     return Trajectory.from_columns(states, actions, next_states, rewards, terminal=terminal)
@@ -226,7 +293,7 @@ def evaluate(greedy: dict[StateId, ActionId], env, episodes: int, gamma: float =
         raise ValueError("episodes must be >= 1")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
-    cap = step_cap if step_cap is not None else DEFAULT_EVAL_STEP_CAP[env.spec.kind]
+    cap = step_cap if step_cap is not None else DEFAULT_STEP_CAP[env.spec.kind]
     if cap < 1:
         raise ValueError("step_cap must be >= 1")
     out = []
@@ -276,17 +343,18 @@ def _self_loops_hold(graph: HighwayGraph, tables: ValueTables) -> bool:
 
 
 def train(config: TrainConfig, on_update=None) -> TrainResult:
-    """Run the actor/learner loop until the frame budget or convergence.
+    """Run the actor/learner loop until a stopping rule or the frame budget.
 
-    After each update's solve the run stops on the certificate of a closed
-    graph (see the module docstring), else on the patience rule.
+    After each update's episodes the run stops on the certificate, start
+    guard included (see the module docstring), else on the patience rule.
 
     on_update, when given, receives each UpdateRow as soon as it is recorded
-    (metrics streaming).  Each episode is ingested as soon as it ends; its
-    rollout read the greedy table the previous update published, so ingesting
-    early changes no result.  A DeterminismViolation from any ingested
-    transition aborts the run before the update's later episodes are rolled
-    out; the exception names the conflicting (state, action) pair.
+    (metrics streaming).  Each episode is ingested as soon as it ends, and
+    when that changed the graph the tables are re-solved and the greedy table
+    republished before the next episode; a row's vi_sweeps sums the update's
+    solves.  A DeterminismViolation from any ingested transition aborts the
+    run before the update's later episodes are rolled out; the exception
+    names the conflicting (state, action) pair.
     """
     env = make_env(config.env)
     episodes_per_update = config.resolved_episodes_per_update()
@@ -294,25 +362,32 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
     graph = HighwayGraph(gamma=config.gamma)
     tables = ValueTables()
     snapshot = {}
+    known = Known()
     metrics = RunMetrics()
     frames = 0
     episode_index = 0
     update = 0
+    closed_since = None                # the first update of the closed stretch
     started = time.perf_counter()
     while frames < config.frame_budget:
         update += 1
+        starts_held = True
+        sweeps = 0
+        size_at_update = len(graph.intersections), len(graph.highways)
         for _ in range(episodes_per_update):
             actor = episode_index % config.actors
-            eps = epsilon_ladder(actor, config.actors)
-            traj = run_episode(env, snapshot, eps,
-                               _mix_seed(config.run_seed, actor, episode_index),
-                               step_cap)
+            traj = run_episode(env, snapshot, known,
+                               _mix_seed(config.run_seed, actor, episode_index), step_cap)
             episode_index += 1
             frames += len(traj)
+            starts_held = starts_held and graph.contains_state(traj.from_states[0])
+            size = len(graph.intersections), len(graph.highways)
             graph.assemble([traj])
             del traj                   # the next rollout starts with no episode held
-        tables = value_update_loop(graph, delta=config.delta, v_init=tables)
-        snapshot = compile_greedy(graph, tables)
+            if (len(graph.intersections), len(graph.highways)) != size:
+                tables = value_update_loop(graph, delta=config.delta, v_init=tables)
+                snapshot = compile_greedy(graph, tables)
+                sweeps += tables.iterations_run
         ev = evaluate(snapshot, env, EVAL_EPISODES, gamma=config.gamma,
                       step_cap=step_cap, seed=_mix_seed(config.run_seed, 31, update))
         stats = graph_stats(graph)
@@ -325,15 +400,19 @@ def train(config: TrainConfig, on_update=None) -> TrainResult:
             intersections=stats["intersections"],
             highways=stats["highways"],
             z=stats["z"],
-            vi_sweeps=tables.iterations_run,
+            vi_sweeps=sweeps,
             policy_sig=_policy_signature(tables.states, snapshot),
         )
         metrics.rows.append(row)
         if on_update is not None:
             on_update(row)
-        if (graph.untried_pairs(env.action_count) == 0 and tables.final_delta < config.delta
+        if graph.untried_pairs(env.action_count):
+            closed_since = None
+        elif closed_since is None or (row.intersections, row.highways) != size_at_update:
+            closed_since = update
+        if (closed_since is not None and starts_held and tables.final_delta < config.delta
                 and _self_loops_hold(graph, tables)):
-            metrics.converged_at_update, metrics.stopped_by = update, "certificate"
+            metrics.converged_at_update, metrics.stopped_by = closed_since, "certificate"
             break
         converged = detect_convergence(metrics, config.convergence_patience)
         if converged is not None:

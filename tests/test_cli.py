@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from highway_rl import cli
-from highway_rl.environments import DEFAULT_EVAL_STEP_CAP, EnvSpec, StepResult, make_env
+from highway_rl.environments import DEFAULT_STEP_CAP, EnvSpec, StepResult, make_env
 from highway_rl.reparam import ApproxConfig, QDataset, act, fit
 from highway_rl.serialize import (load_approximator, load_value_tables, read_manifest,
                                   save_approximator, save_value_tables, verify_manifest,
@@ -50,13 +50,21 @@ def test_train_cliffwalking_default_budget(tmp_path):
 
 
 def test_train_reports_how_the_run_stopped(tmp_path, capsys):
-    # taxi run seed 8 never closes its graph: it stops on patience with 8
-    # untried (state, action) pairs, and says so on stdout and in the manifest
+    # taxi run seed 8 closes its graph and stops on the certificate; cut to
+    # one episode, the run stops at its frame budget with pairs left untried;
+    # each says so on stdout and in the manifest
     out = tmp_path / "taxi"
     assert cli.main(["train", "--env", "taxi", "--run-seed", "8", "--out", str(out)]) == 0
-    assert "stopped_by: patience  untried_pairs: 8" in capsys.readouterr().out
+    assert "stopped_by: certificate  untried_pairs: 0" in capsys.readouterr().out
     manifest = read_manifest(out)
-    assert (manifest["stopped_by"], manifest["untried_pairs"]) == ("patience", 8)
+    assert (manifest["stopped_by"], manifest["untried_pairs"]) == ("certificate", 0)
+    cut = tmp_path / "cut"
+    assert cli.main(["train", "--env", "taxi", "--run-seed", "8", "--frames", "1",
+                     "--episodes-per-update", "1", "--out", str(cut)]) == 0
+    manifest = read_manifest(cut)
+    assert manifest["stopped_by"] is None and manifest["untried_pairs"] > 0
+    assert (f"stopped_by: None  untried_pairs: {manifest['untried_pairs']}"
+            in capsys.readouterr().out)
 
 
 def test_train_unknown_env_exits_2(tmp_path, capsys):
@@ -281,6 +289,18 @@ def test_a_manifest_config_without_a_key_exits_4(run_dir, capsys, key):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("key, value", [("gamma", "0.9"), ("delta", None), ("env_seed", 0.5),
+                                        ("episode_step_cap", "4"), ("env_kind", 3),
+                                        ("gamma", True)])
+def test_a_manifest_config_value_of_the_wrong_type_exits_4(run_dir, capsys, key, value):
+    config = read_manifest(run_dir)["config"]
+    config[key] = value
+    write_manifest(run_dir, config)
+    assert cli.main(["eval", "--run", str(run_dir)]) == 4
+    assert (f"missing artifact: {run_dir}: manifest.json's config {key} is not"
+            in capsys.readouterr().err)
+
+
 def test_tampered_artifact_exits_4(run_dir, capsys):
     with open(run_dir / "tables.npz", "ab") as f:
         f.write(b"\0")
@@ -467,7 +487,7 @@ def test_eval_and_eval_hgq_start_from_the_same_states(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("step_cap, want", [(["--step-cap", "37"], 37),
-                                             ([], DEFAULT_EVAL_STEP_CAP["maze"])],
+                                             ([], DEFAULT_STEP_CAP["maze"])],
                          ids=["run-cap", "default"])
 def test_eval_and_eval_hgq_cap_episodes_as_training_evaluates(tmp_path, monkeypatch, capsys,
                                                                step_cap, want):
@@ -494,7 +514,7 @@ def _act_loop_lines(run, episodes: int, seed: int) -> str:
     env = make_env(EnvSpec(config["env_kind"], config["env_width"], config["env_height"],
                            config["env_seed"]))
     approx = load_approximator(run / "approximator.npz")
-    cap = config["episode_step_cap"] or DEFAULT_EVAL_STEP_CAP[env.spec.kind]
+    cap = config["episode_step_cap"] or DEFAULT_STEP_CAP[env.spec.kind]
     totals, discs = [], []
     for k in range(episodes):
         obs = env.reset(_mix_seed(seed, 7_777, k))

@@ -322,6 +322,13 @@ def test_a_malformed_tables_file_is_refused(tmp_path, changes, message):
         load_value_tables(_craft_tables(tmp_path, **changes))
 
 
+def test_a_tables_file_with_q_for_a_state_without_v_names_its_path(tmp_path):
+    path = _craft_tables(tmp_path, q_state=lambda a: np.where(a == 2, np.uint64(7), a))
+    with pytest.raises(ValueError) as err:
+        load_value_tables(path)
+    assert str(err.value) == f"{path}: Q entry for state 7 has no V entry"
+
+
 def test_saved_tables_hold_the_arrays_a_dict_sort_gives(tmp_path):
     # save_value_tables writes the key-order arrays directly: they equal, in
     # name, dtype, shape and bytes, the columns built by sorting the dicts

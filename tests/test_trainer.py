@@ -1,4 +1,4 @@
-"""Actor/learner loop: ladders, convergence detection, reproducibility."""
+"""Actor/learner loop: the explorer, stopping rules, reproducibility."""
 
 import dataclasses
 import hashlib
@@ -6,6 +6,7 @@ import math
 import random
 import struct
 import weakref
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,8 @@ from highway_rl.environments import EnvSpec, StepResult, make_env
 from highway_rl.errors import DeterminismViolation
 from highway_rl.highway_graph import HighwayGraph
 from highway_rl.policy import compile_greedy
-from highway_rl.trainer import (RunMetrics, TrainConfig, UpdateRow, _policy_signature,
-                                detect_convergence, epsilon_ladder, evaluate, run_episode,
-                                train)
+from highway_rl.trainer import (Known, RunMetrics, TrainConfig, UpdateRow, _policy_signature,
+                                detect_convergence, evaluate, run_episode, train)
 from highway_rl.value_iteration import ValueTables, value_update_loop
 
 
@@ -26,18 +26,6 @@ def _maze_cfg(**overrides):
     base = dict(env=EnvSpec(kind="maze", width=3, height=3, seed=7), run_seed=1)
     base.update(overrides)
     return TrainConfig(**base)
-
-
-def test_epsilon_ladder_spacing():
-    eps = [epsilon_ladder(k, 10) for k in range(10)]
-    assert eps[0] == pytest.approx(0.1)
-    assert eps[-1] == pytest.approx(1.0)
-    diffs = {round(b - a, 12) for a, b in zip(eps, eps[1:])}
-    assert len(diffs) == 1  # equally spaced
-
-
-def test_epsilon_ladder_single_actor():
-    assert epsilon_ladder(0, 1) == 0.1
 
 
 @pytest.mark.parametrize("setting", [
@@ -72,35 +60,36 @@ def test_cold_start_zero_budget():
 
 
 def test_maze3x3_converges_at_first_update():
-    # the first update's graph is closed, so the run stops on it with no
-    # confirming updates
+    # the first update's graph is closed, but its first episode started in
+    # the empty graph: the start guard holds from update 2, which stops the
+    # run and names update 1 as the first of the closed stretch
     res = train(_maze_cfg())
     assert res.metrics.converged_at_update == 1
     assert res.metrics.stopped_by == "certificate"
     assert res.graph.untried_pairs(4) == 0
     rows = res.metrics.rows
-    assert len(rows) == 1
-    assert rows[0].frames_so_far < 10_000
+    assert len(rows) == 2 and rows[0].highways == rows[1].highways
+    assert rows[-1].frames_so_far < 1_000
 
 
-def test_frames_accounting():
+def test_frames_accounting(monkeypatch):
+    # each row counts the frames of every episode rolled out up to its update
+    import highway_rl.trainer as trainer_module
+
+    lengths = []
+    rollout = trainer_module.run_episode
+
+    def counted(*args):
+        traj = rollout(*args)
+        lengths.append(len(traj))
+        return traj
+
+    monkeypatch.setattr(trainer_module, "run_episode", counted)
     res = train(_maze_cfg())
-    rows = res.metrics.rows
-    frames = [r.frames_so_far for r in rows]
+    per_update = res.config.resolved_episodes_per_update()
+    frames = [r.frames_so_far for r in res.metrics.rows]
     assert all(b > a for a, b in zip(frames, frames[1:]))
-    # re-collect the episodes with the same seeds and count their lengths
-    env = make_env(res.config.env)
-    cfg = res.config
-    from highway_rl.trainer import _mix_seed
-    empty = train(dataclasses.replace(cfg, frame_budget=0)).snapshot
-    total = 0
-    for episode_index in range(cfg.resolved_episodes_per_update()):
-        actor = episode_index % cfg.actors
-        traj = run_episode(env, empty, epsilon_ladder(actor, cfg.actors),
-                           _mix_seed(cfg.run_seed, actor, episode_index),
-                           cfg.resolved_step_cap())
-        total += len(traj)
-    assert total == rows[0].frames_so_far
+    assert frames == [sum(lengths[:per_update * r.update]) for r in res.metrics.rows]
 
 
 def test_reproducible_runs_modulo_wall_clock():
@@ -116,16 +105,18 @@ def test_reproducible_runs_modulo_wall_clock():
 
 
 def test_different_seed_changes_exploration():
-    a = train(_maze_cfg(run_seed=1))
-    b = train(_maze_cfg(run_seed=2))
+    # a maze always starts in the same cell and the explorer draws nothing
+    # until nothing is left to try; taxi's starts come from the episode seeds
+    a = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=1))
+    b = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=2))
     assert ([r.frames_so_far for r in a.metrics.rows]
             != [r.frames_so_far for r in b.metrics.rows])
 
 
 def test_greedy_return_non_decreasing_on_maze():
-    # a maze whose graph never closes, so that the run makes several updates
+    # one short episode per update, so that the run makes several updates
     res = train(TrainConfig(env=EnvSpec(kind="maze", width=15, height=15, seed=1), run_seed=1,
-                            convergence_patience=5))
+                            episodes_per_update=1, episode_step_cap=300))
     rows = res.metrics.rows
     assert len(rows) > 5
     returns = [r.expected_discounted_return for r in rows]
@@ -204,7 +195,7 @@ class _LoopEnv:
         return self.table[obs][action]
 
 
-@pytest.mark.parametrize("loop_reward, stopped_by, rows", [(-0.5, "certificate", 1),
+@pytest.mark.parametrize("loop_reward, stopped_by, rows", [(-0.5, "certificate", 2),
                                                            (0.5, "patience", 4)])
 def test_a_self_loop_worth_more_than_the_values_blocks_the_certificate(
         monkeypatch, loop_reward, stopped_by, rows):
@@ -302,8 +293,8 @@ def test_metrics_csv_schema():
 
 
 @pytest.mark.parametrize("spec, run_seed, digest", [
-    (EnvSpec(kind="maze", width=15, height=15, seed=1), 1, "67bc2108144827b1"),
-    (EnvSpec(kind="taxi", seed=0), 8, "464a9fffd6511722"),
+    (EnvSpec(kind="maze", width=15, height=15, seed=1), 1, "11b8198ea08ab0b0"),
+    (EnvSpec(kind="taxi", seed=0), 8, "cc0713b2e4227fe7"),
 ])
 def test_metrics_csv_golden(spec, run_seed, digest):
     # metrics.csv minus its wall-clock column is fixed bit for bit by the
@@ -338,48 +329,79 @@ class _TableEnv:
         return self.table[(obs, action)]
 
 
-def _per_frame_episode(env, snapshot, epsilon, episode_seed, step_cap):
-    """A rollout that makes the epsilon-greedy choice step by step: an
-    exploration coin when epsilon > 0, else the greedy table, with a uniform
-    random action for exploration and for states not in the table."""
+def _first_step_to_untried(tried, terminals, start, action_count):
+    """The first action of the least shortest path, in action order, from
+    start over the tried steps to a state with an untried action; terminal
+    states are never entered.  None when there is no such state."""
+    first = {start: None}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for a in range(action_count):
+            nxt = tried[(s, a)]
+            if nxt in first or nxt in terminals:
+                continue
+            first[nxt] = a if s == start else first[s]
+            if any((nxt, b) not in tried for b in range(action_count)):
+                return first[nxt]
+            queue.append(nxt)
+    return None
+
+
+def _per_frame_episode(env, snapshot, tried, terminals, episode_seed, step_cap):
+    """A rollout that applies the explorer's rule afresh on every frame: the
+    lowest untried action, else the first step of a search from scratch,
+    else the greedy table, with a uniform random action for states not in
+    it.  tried maps (state, action) to the next state, across episodes."""
     rng = random.Random(episode_seed)
     obs = env.reset(episode_seed)
     sid = env.state_id(obs)
+    n = env.action_count
     columns = ([], [], [], [])
     terminal = False
     for _ in range(step_cap):
-        if epsilon > 0.0 and rng.random() < epsilon:
-            action = rng.randrange(env.action_count)
+        untried = [a for a in range(n) if (sid, a) not in tried]
+        if untried:
+            action = untried[0]
         else:
-            action = snapshot.get(sid)
+            action = _first_step_to_untried(tried, terminals, sid, n)
             if action is None:
-                action = rng.randrange(env.action_count)
+                action = snapshot.get(sid)
+            if action is None:
+                action = rng.randrange(n)
         res = env.step(obs, action)
         nxt = env.state_id(res.next_obs)
+        tried.setdefault((sid, action), nxt)
         for column, value in zip(columns, (sid, action, nxt, res.reward)):
             column.append(value)
         obs, sid = res.next_obs, nxt
         if res.done:
+            terminals.add(nxt)
             terminal = True
             break
     return columns, terminal
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 6),
-       st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
-       st.integers(1, 300))
-def test_run_episode_keeps_the_per_frame_choices(seed, action_count, epsilon, step_cap):
+@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 4), st.integers(1, 300))
+def test_run_episode_keeps_the_per_frame_choices(seed, action_count, episodes, step_cap):
     rng = random.Random(seed)
     env = _TableEnv(rng, rng.randint(2, 30), action_count)
     # a greedy table that covers some states and not others
     snap = {sid: rng.randrange(action_count) for sid in range(1000, 1000 + env.n_states)
             if rng.random() < 0.5}
-    episode_seed = rng.getrandbits(62)
-    traj = run_episode(env, snap, epsilon, episode_seed, step_cap)
-    columns, terminal = _per_frame_episode(env, snap, epsilon, episode_seed, step_cap)
-    assert (traj.from_states, traj.actions, traj.next_states, traj.rewards) == columns
-    assert traj.terminal == terminal
+    known, tried, terminals = Known(), {}, set()
+    # the episodes share what they tried, as a run's do
+    for _ in range(episodes):
+        episode_seed = rng.getrandbits(62)
+        traj = run_episode(env, snap, known, episode_seed, step_cap)
+        columns, terminal = _per_frame_episode(env, snap, tried, terminals, episode_seed,
+                                               step_cap)
+        assert (traj.from_states, traj.actions, traj.next_states, traj.rewards) == columns
+        assert traj.terminal == terminal
+    assert {(s, a): nxt for s, row in known.rows.items()
+            for a, nxt in enumerate(row) if nxt is not None} == tried
+    assert known.terminals == terminals
 
 
 class _CountingEnv(_TableEnv):
@@ -392,23 +414,34 @@ class _CountingEnv(_TableEnv):
         return super().step(obs, action)
 
 
-@pytest.mark.parametrize("epsilon", [-0.1, 1.5, math.nan])
-def test_run_episode_rejects_epsilon_outside_unit_interval_before_stepping(epsilon):
-    env = _CountingEnv()
-    snap = {}
-    with pytest.raises(ValueError, match="epsilon"):
-        run_episode(env, snap, epsilon, 0, 10)
-    assert env.steps == 0
-    assert len(run_episode(env, snap, 1.0, 0, 10)) == env.steps > 0
-
-
 @pytest.mark.parametrize("step_cap", [0, -5])
 def test_run_episode_rejects_a_step_cap_below_one_before_stepping(step_cap):
     env = _CountingEnv()
-    snap = {}
     with pytest.raises(ValueError, match="step_cap"):
-        run_episode(env, snap, 0.5, 0, step_cap)
+        run_episode(env, {}, Known(), 0, step_cap)
     assert env.steps == 0
+
+
+def test_a_greedy_table_that_cycles_stops_at_the_maze_training_cap():
+    # with every pair tried the explorer acts greedily; a table that sends
+    # the start and its neighbour to each other would walk forever, and the
+    # training cap every kind now has ends the episode
+    spec = EnvSpec(kind="maze", width=5, height=5, seed=0)
+    cap = TrainConfig(env=spec).resolved_step_cap()
+    assert cap == 50_000
+    env = make_env(spec)
+    n = env.action_count
+    known = Known({env.state_id(obs): [env.step(obs, a).next_id for a in range(n)]
+                   for obs in env.enumerate_states() if not env.is_terminal(obs)},
+                  {env.state_id(obs) for obs in env.enumerate_states() if env.is_terminal(obs)})
+    start = env.reset(0)
+    there, back = next((a, b) for a in range(n) for b in range(n)
+                       if env.step(env.step(start, a).next_obs, b).next_obs == start
+                       and env.step(start, a).next_obs != start)
+    neighbour = env.step(start, there).next_id
+    traj = run_episode(env, {env.state_id(start): there, neighbour: back}, known, 0, cap)
+    assert len(traj) == cap and not traj.terminal
+    assert set(traj.from_states) == {env.state_id(start), neighbour}
 
 
 @pytest.mark.parametrize("setting", [{"step_cap": 0}, {"step_cap": -5}, {"gamma": 1.5},
@@ -462,51 +495,117 @@ def test_every_update_signs_the_graph_it_trained(monkeypatch):
         seen.append((row.intersections, row.highways))
         assert seen[-1] == (len(graph.intersections), len(graph.highways))
 
-    res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=0), on_update=check)
+    res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=0, episodes_per_update=2),
+                on_update=check)
     assert len(seen) == len(res.metrics.rows) > 1
     assert {id(g) for g in graphs} == {id(res.graph)}
     # some updates leave the topology as it was, and some move it
     assert 1 < len(set(seen)) < len(seen)
 
 
-def test_one_value_solve_per_update_on_the_trained_graph(monkeypatch):
+def _topology_changes(monkeypatch):
+    """The episodes after which `assemble` changed the intersection or
+    highway count, one flag per episode in rollout order."""
+    changes = []
+    assemble = HighwayGraph.assemble
+
+    def flagged(graph, trajs):
+        before = len(graph.intersections), len(graph.highways)
+        out = assemble(graph, trajs)
+        changes.append((len(graph.intersections), len(graph.highways)) != before)
+        return out
+
+    monkeypatch.setattr(HighwayGraph, "assemble", flagged)
+    return changes
+
+
+def test_one_value_solve_per_graph_change_on_the_trained_graph(monkeypatch):
     # the benchmark traces every training solve through this module-level
-    # name: train must call it once per update, with its own graph
+    # name: train must call it once after each episode that changed the
+    # graph, with its own graph, and sum the update's sweeps in its row
     import highway_rl.trainer as trainer_module
 
     calls = []
     solve = trainer_module.value_update_loop
 
     def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+        tables = solve(*args, **kwargs)
+        calls.append((args[0], len(changes), tables.iterations_run))
+        return tables
 
     monkeypatch.setattr(trainer_module, "value_update_loop", counting)
-    # taxi run seed 8 never closes its graph, so it runs several updates
-    res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=8))
-    assert len(calls) == len(res.metrics.rows) > 1
-    assert all(args[0] is res.graph for args in calls)
+    changes = _topology_changes(monkeypatch)
+    res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=0))
+    assert [episode for _g, episode, _sweeps in calls] == [
+        k + 1 for k, changed in enumerate(changes) if changed]
+    assert 1 < len(calls) < len(changes)
+    assert all(graph is res.graph for graph, _episode, _sweeps in calls)
+    per_update = res.config.resolved_episodes_per_update()
+    assert [row.vi_sweeps for row in res.metrics.rows] == [
+        sum(sweeps for _g, episode, sweeps in calls
+            if (row.update - 1) * per_update < episode <= row.update * per_update)
+        for row in res.metrics.rows]
 
 
-def test_an_update_gathers_the_columns_once_and_builds_no_value_dict(monkeypatch):
-    # the solve and compile_greedy's key check share one gather, made in an
-    # update only when it changed the graph (when its intersection or highway
-    # count moved); no V or Q dict is built until the result is read
+def test_a_graph_change_gathers_the_columns_once_and_builds_no_value_dict(monkeypatch):
+    # the solve and compile_greedy's key check share one gather, made after
+    # an episode only when it changed the graph (when its intersection or
+    # highway count moved); no V or Q dict is built until the result is read
     gathers, views = [], []
     gather = HighwayGraph._gather_columns
     monkeypatch.setattr(HighwayGraph, "_gather_columns",
-                        lambda graph: gathers.append(graph) or gather(graph))
+                        lambda graph: gathers.append(len(changes)) or gather(graph))
     for name in ("v", "q"):
         build = getattr(ValueTables, name).func
         monkeypatch.setattr(ValueTables, name, property(
             lambda tables, name=name, build=build: views.append(name) or build(tables)))
-    per_update = []
-    res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=0),
-                on_update=lambda row: per_update.append(len(gathers) - sum(per_update)))
-    sigs = [(row.intersections, row.highways) for row in res.metrics.rows]
-    # the empty graph's first policy is the empty table, which gathers nothing
-    assert per_update[0] == 1
-    assert per_update[1:] == [int(a != b) for a, b in zip(sigs, sigs[1:])]
-    assert 0 in per_update and all(graph is res.graph for graph in gathers)
-    assert views == []
+    changes = _topology_changes(monkeypatch)
+    res = train(TrainConfig(env=EnvSpec(kind="taxi", seed=0), run_seed=0))
+    assert gathers == [k + 1 for k, changed in enumerate(changes) if changed]
+    assert False in changes and views == []
     assert res.tables.v and res.tables.q and views == ["v", "q"]
+
+
+class _TwoRooms:
+    """Two one-state rooms, each left by its one action into a terminal
+    state; the resets draw the rooms in a fixed order."""
+
+    class _Spec:
+        kind = "maze"
+
+    spec = _Spec()
+    action_count = 1
+
+    def __init__(self, rooms):
+        self.rooms = iter(rooms)
+
+    def reset(self, episode_seed=None):
+        return next(self.rooms)
+
+    def state_id(self, obs):
+        return obs + 1000
+
+    def step(self, obs, action):
+        return StepResult(obs + 1, -1.0, True, obs + 1001)
+
+
+def test_an_update_that_draws_a_start_the_graph_lacked_does_not_certify(monkeypatch):
+    # update 2 ends on a closed graph, but its second episode started in the
+    # room the graph did not hold: a closed graph proves nothing about a
+    # start it never drew, so only update 3 certifies, and the closed
+    # stretch begins at update 2, whose graph is the final one
+    import highway_rl.trainer as trainer_module
+
+    # the resets of the episodes and, third in each update, of its evaluation
+    monkeypatch.setattr(trainer_module, "make_env",
+                        lambda spec: _TwoRooms([0, 0, 0, 0, 2, 2, 2, 2, 2]))
+    graphs = []
+    assemble = HighwayGraph.assemble
+    monkeypatch.setattr(HighwayGraph, "assemble",
+                        lambda graph, trajs: graphs.append(graph) or assemble(graph, trajs))
+    closed = []
+    res = train(_maze_cfg(episodes_per_update=2),
+                on_update=lambda row: closed.append(graphs[-1].untried_pairs(1) == 0))
+    assert closed == [True, True, True]
+    assert len(res.metrics.rows) == 3
+    assert (res.metrics.stopped_by, res.metrics.converged_at_update) == ("certificate", 2)
