@@ -13,7 +13,7 @@ new (state, action) pair, so an episode that brings nothing new costs one
 lookup pass and two endpoint checks.
 
 Each intersection gets the next index when it is created; none is ever
-removed, so an index never changes.  Beside the `Highway` objects the graph
+removed, so an index never changes.  Beside the `Highway` records the graph
 keeps numpy columns by highway id, grown by doubling: source and target
 index, first action, `path_return`, `gamma_pow_len` and an alive flag.  A
 solve reads them through `edge_columns`, a gather plus one sort, made once
@@ -37,9 +37,9 @@ leaves optimal values untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, islice
 from operator import ne
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,9 +57,12 @@ def path_return(step_rewards, gamma: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Highway:
-    """One compressed non-branching path between two intersections."""
+class Highway(NamedTuple):
+    """One compressed non-branching path between two intersections.
+
+    An immutable record.  A named tuple, not a frozen dataclass, because
+    ingestion builds one per new highway and a tuple sets no field one by one.
+    """
 
     from_state: StateId
     to_state: StateId

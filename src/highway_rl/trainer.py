@@ -9,7 +9,9 @@ has one (breadth-first over the tried steps, lowest action first, never
 through a terminal state), else (3) the action of the latest published
 greedy table (`policy.compile_greedy`), uniformly random where it has none.
 What the actors tried is `Known`, per-state rows of next states that the
-episodes grow one pair at a time, so planning never copies the graph.
+episodes grow one pair at a time, so planning never copies the graph.  A
+search that finds no untried pair is remembered for the rest of the run
+(`Known.dead`), so a run searches each closed region once.
 
 The learner folds each episode into the highway graph as soon as it ends
 and drops it.  An episode that changed the graph is followed by a
@@ -151,10 +153,18 @@ class Known:
     `terminals` holds the states episodes terminated in.  `run_episode`
     grows both one new pair at a time, and `train` hands the same object to
     every episode, so it holds the pairs and terminals of the graph.
+
+    `dead` holds the states every failed search reached: from none of them
+    is an untried pair reachable through tried steps, and that stays true
+    for the rest of the run.  Each of them has a full row, which never
+    changes; each of their successors is dead or terminal; new tries happen
+    only at states with an untried pair, so outside `dead`; and terminals
+    only grow.
     """
 
     rows: dict[StateId, list] = field(default_factory=dict)
     terminals: set[StateId] = field(default_factory=set)
+    dead: set[StateId] = field(default_factory=set)
 
 
 def _path_to_untried(known: Known, start: StateId):
@@ -165,7 +175,8 @@ def _path_to_untried(known: Known, start: StateId):
     the least in action order among the shortest.  Terminal states are never
     entered, and a self-loop leads back to a state already reached.  Returns
     (path, ()), or ([], reached) when no such state is reachable: from none
-    of the states reached is one reachable, until something new is tried.
+    of the states reached is one reachable for the rest of the run (see
+    `Known.dead`).
     """
     rows, terminals = known.rows, known.terminals
     parent = {start: None}
@@ -208,9 +219,9 @@ def run_episode(env, greedy: dict[StateId, ActionId], known: Known, episode_seed
     truncated at step_cap; every step it takes is recorded in `known`.
 
     A path to an untried action is searched when the episode reaches a state
-    with none, and followed to its end; a search that finds none marks every
-    state it reached, and the episode acts greedily there without searching
-    again until it tries something new.  The random action of a state the
+    with none, and followed to its end.  A search that finds none adds every
+    state it reached to `known.dead`, and every later episode of the run acts
+    greedily there without searching again.  The random action of a state the
     table lacks is `rng.randrange(action_count)`, written out as randrange's
     getrandbits rejection loop.  A step cap below 1 raises ValueError before
     the first step.
@@ -219,7 +230,7 @@ def run_episode(env, greedy: dict[StateId, ActionId], known: Known, episode_seed
         raise ValueError("step_cap must be >= 1")
     getrandbits = random.Random(episode_seed).getrandbits
     greedy = greedy.get
-    rows, terminals = known.rows, known.terminals
+    rows, terminals, dead = known.rows, known.terminals, known.dead
     n = env.action_count
     k = n.bit_length()
     step = env.step
@@ -227,7 +238,6 @@ def run_episode(env, greedy: dict[StateId, ActionId], known: Known, episode_seed
     sid = env.state_id(obs)
     states, actions, next_states, rewards = [], [], [], []
     plan = []                          # the actions of the path walked, last first
-    dead = ()                          # states from which nothing untried is reachable
     terminal = False
     for _ in range(step_cap):
         row = rows.get(sid)
@@ -235,10 +245,11 @@ def run_episode(env, greedy: dict[StateId, ActionId], known: Known, episode_seed
             row = rows[sid] = [None] * n
         if None in row:
             action = row.index(None)
-            plan, dead = [], ()
+            plan = []
         else:
             if not plan and sid not in dead:
-                plan, dead = _path_to_untried(known, sid)
+                plan, reached = _path_to_untried(known, sid)
+                dead.update(reached)
             if plan:
                 action = plan.pop()
             else:

@@ -434,6 +434,17 @@ def test_add_highway_records_its_steps_so_an_episode_along_it_changes_nothing():
     check_graph_invariants(g)
 
 
+def test_a_highway_record_is_immutable_and_derives_its_properties():
+    g = HighwayGraph(gamma=0.9)
+    h = g.highways[g.add_highway(0, 3, [2, 0, 1], [-1.0, 0.5, 1.0], interior=[1, 2])]
+    for name in ("from_state", "actions", "step_states", "path_return", "length", "interior"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, None)
+    assert (h.length, h.first_action, h.interior) == (
+        len(h.actions), h.actions[0], h.step_states[:-1])
+    assert (h.length, h.first_action, h.interior) == (3, 2, (1, 2))
+
+
 @pytest.mark.parametrize("steps", [
     ((1, 1, 2, 0.0),),                 # the self-loop 1 -1-> 1 is already observed
     ((7, 0, 8, 0.0), (8, 1, 9, 0.0)),  # 8 -1-> 2 is already observed

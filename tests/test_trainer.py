@@ -383,7 +383,7 @@ def _per_frame_episode(env, snapshot, tried, terminals, episode_seed, step_cap):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 4), st.integers(1, 300))
+@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 8), st.integers(1, 300))
 def test_run_episode_keeps_the_per_frame_choices(seed, action_count, episodes, step_cap):
     rng = random.Random(seed)
     env = _TableEnv(rng, rng.randint(2, 30), action_count)
@@ -399,9 +399,33 @@ def test_run_episode_keeps_the_per_frame_choices(seed, action_count, episodes, s
                                                step_cap)
         assert (traj.from_states, traj.actions, traj.next_states, traj.rewards) == columns
         assert traj.terminal == terminal
+        # what the episodes remember as searched out stays so
+        assert all(_first_step_to_untried(tried, terminals, s, action_count) is None
+                   for s in known.dead)
     assert {(s, a): nxt for s, row in known.rows.items()
             for a, nxt in enumerate(row) if nxt is not None} == tried
     assert known.terminals == terminals
+
+
+@pytest.mark.parametrize("spec, run_seed, failed", [
+    (EnvSpec(kind="maze", width=15, height=15, seed=1), 1, 1),
+    (EnvSpec(kind="taxi", seed=0), 0, 4),    # one per destination's component
+])
+def test_a_run_searches_each_closed_region_once(monkeypatch, spec, run_seed, failed):
+    import highway_rl.trainer as trainer_module
+
+    search = trainer_module._path_to_untried
+    empty = []
+
+    def counted(known, start):
+        path, reached = search(known, start)
+        if not path:
+            empty.append(start)
+        return path, reached
+
+    monkeypatch.setattr(trainer_module, "_path_to_untried", counted)
+    train(TrainConfig(env=spec, run_seed=run_seed))
+    assert len(empty) == failed
 
 
 class _CountingEnv(_TableEnv):
